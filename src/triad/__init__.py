@@ -53,34 +53,24 @@ from .graph import (
     triangles_exact_cn,
     triangles_exact_naive,
 )
-from .ideal import DegreeOracle, IdealReport, ideal_estimate, ideal_estimate_once, ideal_sample
-from .sampling import (
-    ClosureQuery,
-    NeighborRequest,
-    Reservoir,
-    closure_check_pass,
-    neighbor_sample_pass,
-    substream,
-    uniform_edge_sample,
-    weighted_pick,
-)
+from .ideal import DegreeOracle, IdealReport, ideal_estimate, ideal_sample
+from .sampling import NeighborRequest, SlotBank, substream, weighted_pick
 from .stream import EdgeStream, StreamStats
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentTable", "ClosureQuery", "ConfigError", "DegreeOracle",
-    "EdgeEstimate", "EdgeListError", "EdgeProfile", "EdgeStream",
-    "EstimatorConfig", "Graph", "GroundTruth", "IdealReport", "InputError",
-    "LbSpec", "NeighborRequest", "Reservoir", "RunReport", "SchedulingError",
+    "AssignmentTable", "ConfigError", "DegreeOracle", "EdgeEstimate",
+    "EdgeListError", "EdgeProfile", "EdgeStream", "EstimatorConfig",
+    "Graph", "GroundTruth", "IdealReport", "InputError", "LbSpec",
+    "NeighborRequest", "RunReport", "SchedulingError", "SlotBank",
     "StreamStats", "StreamUsageError", "TriadError", "assign_triangle",
-    "classify_edges", "closure_check_pass", "compute_ell", "compute_r",
-    "compute_s", "degeneracy", "degree", "edge_anchor", "edge_degree",
+    "classify_edges", "compute_ell", "compute_r", "compute_s",
+    "degeneracy", "degree", "edge_anchor", "edge_degree",
     "enumerate_triangles", "estimate", "estimate_once", "gen_book",
     "gen_erdos_renyi", "gen_lb_instance", "gen_preferential_attachment",
-    "gen_wheel", "ideal_estimate", "ideal_estimate_once", "ideal_sample",
-    "is_assigned", "lb_spec", "neighbor_sample_pass", "per_edge_triangles",
-    "saturated_estimates", "substream", "sum_edge_degrees",
-    "triangles_exact_cn", "triangles_exact_naive", "uniform_edge_sample",
+    "gen_wheel", "ideal_estimate", "ideal_sample", "is_assigned",
+    "lb_spec", "per_edge_triangles", "saturated_estimates", "substream",
+    "sum_edge_degrees", "triangles_exact_cn", "triangles_exact_naive",
     "weighted_pick",
 ]

@@ -9,49 +9,57 @@ offending line number.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 from .errors import EdgeListError
 
 Edge = tuple[int, int]
 
 
-def parse_line(line: str, lineno: int) -> Optional[Edge]:
-    """Parse one line into a canonical (u, v) with u < v, or None to skip."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
+def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
+    """Parse one raw line into a canonical (u, v) with u < v, or None to skip.
+
+    Fields split on ASCII whitespace and ids must be ASCII digits, so a
+    non-ASCII byte is harmless in a comment and an error in an edge line.
+    """
+    parts = line.split()
+    if not parts or parts[0].startswith(b"#"):
         return None
-    parts = stripped.split()
     if len(parts) != 2:
         raise EdgeListError(f"expected two vertex ids, got {len(parts)} fields", lineno)
     try:
         u, v = int(parts[0]), int(parts[1])
     except ValueError:
-        raise EdgeListError(f"non-integer vertex id in {parts!r}", lineno) from None
+        fields = [p.decode("ascii", "replace") for p in parts]
+        raise EdgeListError(f"non-integer vertex id in {fields!r}", lineno) from None
     if u < 0 or v < 0:
-        raise EdgeListError(f"negative vertex id in {parts!r}", lineno)
+        raise EdgeListError(f"negative vertex id in {[u, v]!r}", lineno)
     if u == v:
         raise EdgeListError(f"self-loop at vertex {u}", lineno)
     return (u, v) if u < v else (v, u)
 
 
-def iter_edges(lines: Iterable[str]) -> Iterator[tuple[int, Edge]]:
-    """Yield (lineno, edge) for every edge line, validating duplicates."""
+def _scan(fh: BinaryIO) -> Iterator[tuple[int, Edge]]:
+    """Yield (byte offset, edge) for every edge line of a binary file.
+
+    Lines end at b"\n"; duplicates are rejected with their line number.
+    """
     seen: set[Edge] = set()
-    for lineno, line in enumerate(lines, start=1):
-        edge = parse_line(line, lineno)
-        if edge is None:
-            continue
-        if edge in seen:
-            raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", lineno)
-        seen.add(edge)
-        yield lineno, edge
+    pos = 0
+    for lineno, raw in enumerate(fh, start=1):
+        edge = parse_line(raw, lineno)
+        if edge is not None:
+            if edge in seen:
+                raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", lineno)
+            seen.add(edge)
+            yield pos, edge
+        pos += len(raw)
 
 
 def read_edges(path: str | os.PathLike) -> list[Edge]:
     """Load and fully validate an edge-list file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return [edge for _, edge in iter_edges(fh)]
+    with open(path, "rb") as fh:
+        return [edge for _, edge in _scan(fh)]
 
 
 def scan_offsets(path: str | os.PathLike) -> list[int]:
@@ -60,24 +68,8 @@ def scan_offsets(path: str | os.PathLike) -> list[int]:
     Only the offsets stay in memory afterwards; the duplicate-detection set
     used during the scan is transient.
     """
-    offsets: list[int] = []
-    seen: set[Edge] = set()
     with open(path, "rb") as fh:
-        lineno = 0
-        while True:
-            pos = fh.tell()
-            raw = fh.readline()
-            if not raw:
-                break
-            lineno += 1
-            edge = parse_line(raw.decode("ascii", errors="replace"), lineno)
-            if edge is None:
-                continue
-            if edge in seen:
-                raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", lineno)
-            seen.add(edge)
-            offsets.append(pos)
-    return offsets
+        return [pos for pos, _ in _scan(fh)]
 
 
 def validate_edges(edges: Iterable[tuple[int, int]]) -> list[Edge]:

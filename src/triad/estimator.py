@@ -3,7 +3,7 @@
 Schedule per repetition (one stats pass fixing n and m runs beforehand and
 is reported separately from the budget):
 
-  pass 1  uniform edge sample R: r one-slot reservoirs
+  pass 1  uniform edge sample R: r one-slot reservoirs in one SlotBank
   pass 2  exact degrees of R's endpoints -> d_e per sampled slot, d_R;
           then, consuming no pass, draw ell slots from R proportional to d_e
   pass 3  one uniform neighbor of the drawn edge's anchor, per slot
@@ -23,10 +23,10 @@ Degenerate regimes stay honest rather than failing: when r, ell, or the
 total wedge-sample budget reaches m, the repetition stores the whole edge
 set on its next pass and reports the exact count, flagged "exact-fallback".
 A repetition whose live storage exceeds abort_multiplier * (r + ell + s)
-aborts with estimate 0 and a "space-abort" flag. All randomness is keyed by
-(seed, repetition, role), so a fixed (source, order seed, config) is
-bit-reproducible, and multiplexing repetitions onto shared passes does not
-change any repetition's outcome.
+aborts with estimate 0 and a "space-abort" flag. Each sampler draws from one
+generator keyed by (seed, role, repetition), so a fixed (source, order
+seed, config) is bit-reproducible, and multiplexing repetitions onto shared
+passes does not change any repetition's outcome.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .sampling import (
     ClosureBank,
     NeighborRequest,
     NeighborSampleBank,
-    UniformEdgeBank,
+    SlotBank,
     run_pass,
     substream,
     weighted_pick,
@@ -341,14 +341,14 @@ class _Repetition:
     def _begin_0(self):
         if self.forced is not None:
             return None
-        return UniformEdgeBank(self.r, substream(self.cfg.seed, ROLE_EDGE_SAMPLE, self.rep))
+        return SlotBank(self.r, substream(self.cfg.seed, ROLE_EDGE_SAMPLE, self.rep))
 
     def _end_0(self) -> None:
         if self.forced is not None:
             self.sample = [canonical_edge(u, v) for u, v in self.forced]
             self.r = len(self.sample)
         else:
-            self.sample = self._bank.sample()
+            self.sample = self._bank.samples()
             self._bank = None
 
     # -- stage 1: exact degrees of R, then the degree-proportional draws ------
@@ -388,8 +388,7 @@ class _Repetition:
             NeighborRequest(e, a, 1)
             for e, a in zip(self.draw_edges, self.draw_anchors)
         ]
-        return NeighborSampleBank(requests, self.cfg.seed,
-                                  role=ROLE_NEIGHBOR, key=(self.rep,))
+        return NeighborSampleBank(requests, substream(self.cfg.seed, ROLE_NEIGHBOR, self.rep))
 
     def _end_2(self) -> None:
         results = self._bank.results()
@@ -460,8 +459,7 @@ class _Repetition:
             NeighborRequest(f, anchor, want)
             for (_, f, anchor, want) in self.wedge_reqs
         ]
-        return NeighborSampleBank(requests, self.cfg.seed,
-                                  role=ROLE_WEDGE, key=(self.rep,))
+        return NeighborSampleBank(requests, substream(self.cfg.seed, ROLE_WEDGE, self.rep))
 
     def _end_4(self) -> None:
         self.wedge_samples = self._bank.results()

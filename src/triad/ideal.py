@@ -1,13 +1,20 @@
 """Degree-oracle triangle estimator: three passes, degree-biased sampling.
 
-One instance samples an edge with probability d_e / d_E by weighted
-reservoir (weights come from the oracle as edges arrive), then draws a
-uniform neighbor of the edge's anchor, then closure-checks the wedge. The
-instance's value is d_E when the wedge closed into a triangle that the
-fixed rule charges to the sampled edge, else 0: unbiased for the triangle
-count, with second moment at most d_E * T. Triangles are charged to their
-lowest-degree edge, canonical order breaking ties, so every triangle is
-charged exactly once.
+One instance samples an edge with probability d_e / d_E from a one-slot
+weighted reservoir (weights come from the oracle as edges arrive), then
+draws a uniform neighbor of the edge's anchor, then closure-checks the
+wedge. The instance's value is d_E when the wedge closed into a triangle
+that the fixed rule charges to the sampled edge, else 0: unbiased for the
+triangle count, with second moment at most d_E * T. Triangles are charged
+to their lowest-degree edge, canonical order breaking ties, so every
+triangle is charged exactly once.
+
+All instances' edge picks share one `SlotBank`, whose running weight is
+d_E: a slot refreshed at running weight W keeps its edge through running
+weight x with probability W/x, so it jumps to its next refresh at W/U,
+U ~ Uniform(0, 1]. An edge costs O(1) plus O(log k) per slot it refreshes,
+and a slot expects at most 1 + ln(d_E / d_first) refreshes, d_first being
+the first edge's d_e.
 
 Any number of instances ride the same three physical passes; the final
 estimate is a median of group means.
@@ -28,7 +35,7 @@ from .sampling import (
     ClosureBank,
     NeighborRequest,
     NeighborSampleBank,
-    WeightedReservoirBank,
+    SlotBank,
     run_pass,
     substream,
 )
@@ -46,20 +53,17 @@ class DegreeOracle:
         return self._graph.degree(v)
 
 
-class _WeightedEdgeObserver:
-    """Feeds the weighted bank with d_e weights and accumulates d_E."""
+class _OracleWeights:
+    """Offers each edge to the bank as (u, v, d_u, d_v) with weight d_e."""
 
-    def __init__(self, bank: WeightedReservoirBank, oracle):
+    def __init__(self, bank: SlotBank, oracle):
         self._bank = bank
         self._oracle = oracle
-        self.d_e_total = 0
 
     def observe(self, u: int, v: int) -> None:
         d_u = self._oracle(u)
         d_v = self._oracle(v)
-        w = d_u if d_u < d_v else d_v
-        self.d_e_total += w
-        self._bank.observe((u, v, d_u, d_v), w)
+        self._bank.offer((u, v, d_u, d_v), d_u if d_u < d_v else d_v)
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,12 @@ def ideal_sample(stream, oracle, count: int, seed: int) -> tuple[np.ndarray, int
     if count < 1:
         raise InputError(f"instance count must be >= 1, got {count}")
 
-    # pass 1: weighted edge pick per instance, accumulating d_E on the way
-    bank = WeightedReservoirBank(count, substream(seed, ROLE_WEIGHTED_SAMPLE))
-    watcher = _WeightedEdgeObserver(bank, oracle)
-    run_pass(stream, [watcher])
-    if bank.offered == 0:
-        raise InputError("cannot estimate on a stream with no edges")
+    # pass 1: weighted edge pick per instance; every edge has d_e >= 1, so
+    # samples() raises only on an empty stream
+    bank = SlotBank(count, substream(seed, ROLE_WEIGHTED_SAMPLE))
+    run_pass(stream, [_OracleWeights(bank, oracle)])
     picks = bank.samples()
-    d_e_total = watcher.d_e_total
+    d_e_total = bank.total
 
     # pass 2: one uniform neighbor of each instance's anchor
     requests = []
@@ -99,7 +101,7 @@ def ideal_sample(stream, oracle, count: int, seed: int) -> tuple[np.ndarray, int
         a = pick_anchor(u, v, d_u, d_v)
         anchors.append(a)
         requests.append(NeighborRequest((u, v), a, 1))
-    nbr_bank = NeighborSampleBank(requests, seed, role=ROLE_NEIGHBOR)
+    nbr_bank = NeighborSampleBank(requests, substream(seed, ROLE_NEIGHBOR))
     run_pass(stream, [nbr_bank])
     sampled = nbr_bank.results()
 
@@ -139,12 +141,6 @@ def ideal_sample(stream, oracle, count: int, seed: int) -> tuple[np.ndarray, int
         if charged == canonical_edge(u, v):
             xs[i] = d_e_total
     return xs, d_e_total, hits
-
-
-def ideal_estimate_once(stream, oracle, seed: int) -> float:
-    """A single instance value: 0 or d_E, unbiased for T. Three passes."""
-    xs, _, _ = ideal_sample(stream, oracle, 1, seed)
-    return float(xs[0])
 
 
 def ideal_estimate(stream, oracle, epsilon: float, t_hat: int, seed: int,

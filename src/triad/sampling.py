@@ -2,17 +2,25 @@
 
 All pseudo-randomness flows through `substream`, which derives an
 independent generator from (seed, role, key...) using SeedSequence spawn
-keys. Banks that multiplex many one-slot reservoirs draw one vector of
-uniforms per arriving item, one lane per slot, so a bank costs a single
-generator and a single pass no matter how many slots it carries; lanes of a
-counter-derived generator are independent streams, and a fixed (seed,
-requests, stream order) reproduces every output bit for bit.
+keys. Each bank takes one generator, keyed by (seed, role, repetition), so a
+fixed (seed, stream order) reproduces every output bit for bit.
+
+Every streaming sample is a `SlotBank`: k independent one-slot reservoirs
+over a stream of (item, weight) offers. A slot refreshed when the running
+weight was W keeps its item through running weight x with probability W/x,
+so rather than flipping a coin per offer it jumps straight to its next
+refresh at W/U, U ~ Uniform(0, 1] (the skip-ahead of Vitter 1985 and Li
+1994, in weighted one-slot form). A min-heap of thresholds makes an offer
+that crosses none cost O(1); a refresh costs O(log k), and a slot expects
+at most 1 + ln(W / w_first) refreshes over a stream of total weight W whose
+first positive offer weighs w_first.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,96 +64,53 @@ def run_pass(stream, observers: Sequence) -> None:
     stream.end_pass()
 
 
-class Reservoir:
-    """Uniform sample of `capacity` items from a stream of unknown length.
+class SlotBank:
+    """k independent one-slot weighted reservoirs over one stream of offers.
 
-    After L >= capacity offers each item is retained with probability
-    capacity / L; items within one reservoir are sampled without
-    replacement.
-    """
-
-    def __init__(self, capacity: int, rng: np.random.Generator):
-        if capacity < 1:
-            raise InputError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.seen = 0
-        self.items: list = []
-        self._rng = rng
-
-    def offer(self, item) -> None:
-        self.seen += 1
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            return
-        j = int(self._rng.integers(self.seen))
-        if j < self.capacity:
-            self.items[j] = item
-
-
-class UniformEdgeBank:
-    """r parallel one-slot uniform reservoirs over one pass.
-
-    Together the slots form a with-replacement sample of r edges: each slot
-    independently holds a uniform edge of the stream.
-    """
-
-    def __init__(self, r: int, rng: np.random.Generator):
-        if r < 1:
-            raise InputError(f"sample size must be >= 1, got {r}")
-        self._r = r
-        self._rng = rng
-        self._seen = 0
-        self._slots: list = [None] * r
-
-    def observe(self, u: int, v: int) -> None:
-        self._seen += 1
-        # replacement probability 1/seen; the first edge fills every slot
-        lanes = np.flatnonzero(self._rng.random(self._r) < 1.0 / self._seen)
-        if lanes.size:
-            edge = (u, v)
-            slots = self._slots
-            for i in lanes:
-                slots[i] = edge
-
-    def sample(self) -> list[Edge]:
-        if self._seen == 0:
-            raise InputError("cannot sample from an empty stream")
-        return list(self._slots)
-
-
-class WeightedReservoirBank:
-    """k parallel one-slot weighted reservoirs.
-
-    Slot i ends up holding item e with probability weight(e) / total weight;
-    arriving weight w replaces a slot with probability w / (running total).
+    After offers of total weight W, each slot holds item e with probability
+    w_e / W, independently of the other slots. Thresholds start at 0, so the
+    first positive-weight offer fills every slot; a zero-weight offer never
+    fires. `total` is the running weight W. As a pass observer the bank
+    offers each edge with weight 1, making the slots a with-replacement
+    uniform edge sample.
     """
 
     def __init__(self, k: int, rng: np.random.Generator):
         if k < 1:
-            raise InputError(f"instance count must be >= 1, got {k}")
-        self._k = k
+            raise InputError(f"slot count must be >= 1, got {k}")
+        self.total = 0
+        self._items: list = [None] * k
         self._rng = rng
-        self._slots: list = [None] * k
-        self.total_weight = 0.0
-        self.offered = 0
+        # (running weight past which the slot refreshes, slot index)
+        self._heap = [(0.0, i) for i in range(k)]
 
-    def observe(self, item, weight: float) -> None:
+    def offer(self, item, weight=1) -> None:
         if weight < 0:
             raise InputError(f"negative weight {weight}")
-        self.offered += 1
-        if weight == 0:
+        total = self.total + weight
+        self.total = total
+        heap = self._heap
+        if heap[0][0] >= total:
             return
-        self.total_weight += weight
-        lanes = np.flatnonzero(self._rng.random(self._k) < weight / self.total_weight)
-        if lanes.size:
-            slots = self._slots
-            for i in lanes:
-                slots[i] = item
+        fired = []
+        while heap and heap[0][0] < total:
+            fired.append(heapq.heappop(heap)[1])
+        # U in (0, 1]; the slot keeps `item` through running weight x
+        # with probability total / x
+        thresholds = (total / (1.0 - self._rng.random(len(fired)))).tolist()
+        items = self._items
+        for i, threshold in zip(fired, thresholds):
+            items[i] = item
+            heapq.heappush(heap, (threshold, i))
+
+    def observe(self, u: int, v: int) -> None:
+        self.offer((u, v))
 
     def samples(self) -> list:
-        if self.total_weight <= 0:
+        """The item in each slot, in slot order."""
+        if self.total <= 0:
             raise InputError("no positive-weight items were offered")
-        return list(self._slots)
+        return list(self._items)
 
 
 def weighted_pick(weights: Sequence[float], count: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,87 +149,58 @@ class NeighborRequest:
             raise InputError(f"want must be >= 1 or None, got {self.want}")
 
 
-class _AnchorLanes:
-    __slots__ = ("rng", "k", "cur", "t")
-
-    def __init__(self, rng, k):
-        self.rng = rng
-        self.k = k
-        self.cur = np.full(k, -1, dtype=np.int64)
-        self.t = 0
-
-
 class NeighborSampleBank:
     """Service many neighbor requests simultaneously in one pass.
 
-    Sampled requests anchored at the same vertex share a lane vector: when
-    the t-th edge incident to the anchor arrives, every lane independently
-    replaces its content with probability 1/t, so each lane is a one-slot
-    uniform reservoir over N(anchor). Lane randomness is keyed by
-    (seed, key..., role, anchor), independent across anchors and of any
-    requests elsewhere. Full-scan collections are shared per anchor.
+    Sampled requests anchored at the same vertex share one `SlotBank`, which
+    is offered every neighbor of the anchor with weight 1, so each slot is a
+    uniform reservoir over N(anchor) and a request owns a contiguous run of
+    slots. By the threshold-jump law an incident edge costs O(1) plus
+    O(log k) per slot it refreshes, and a slot expects at most 1 + ln(d)
+    refreshes at an anchor of degree d. All anchors draw from the one
+    generator `rng`; full-scan collections are shared per anchor.
     """
 
-    def __init__(self, requests: Iterable[NeighborRequest], seed: int,
-                 role: int = ROLE_NEIGHBOR, key: tuple[int, ...] = ()):
-        self._requests = list(requests)
-        self._lane_of: list = []  # per request: ("lanes", anchor, start, want) | ("full", anchor)
-        lane_counts: dict[int, int] = {}
+    def __init__(self, requests: Iterable[NeighborRequest], rng: np.random.Generator):
+        self._slots_of: list = []  # per request: (anchor, start, want); want None = full
+        slot_counts: dict[int, int] = {}
         self._full: dict[int, list[int]] = {}
-        for req in self._requests:
+        for req in requests:
             if req.want is None:
                 self._full.setdefault(req.anchor, [])
-                self._lane_of.append(("full", req.anchor))
+                self._slots_of.append((req.anchor, 0, None))
             else:
-                start = lane_counts.get(req.anchor, 0)
-                lane_counts[req.anchor] = start + req.want
-                self._lane_of.append(("lanes", req.anchor, start, req.want))
-        self._lanes = {
-            anchor: _AnchorLanes(substream(seed, *key, role, anchor), k)
-            for anchor, k in lane_counts.items()
-        }
+                start = slot_counts.get(req.anchor, 0)
+                slot_counts[req.anchor] = start + req.want
+                self._slots_of.append((req.anchor, start, req.want))
+        self._banks = {anchor: SlotBank(k, rng) for anchor, k in slot_counts.items()}
 
     def observe(self, u: int, v: int) -> None:
-        lanes = self._lanes
+        banks = self._banks
         full = self._full
-        if u in lanes or u in full:
+        if u in banks or u in full:
             self._feed(u, v)
-        if v in lanes or v in full:
+        if v in banks or v in full:
             self._feed(v, u)
 
     def _feed(self, anchor: int, nbr: int) -> None:
-        st = self._lanes.get(anchor)
-        if st is not None:
-            st.t += 1
-            hit = np.flatnonzero(st.rng.random(st.k) < 1.0 / st.t)
-            if hit.size:
-                st.cur[hit] = nbr
+        bank = self._banks.get(anchor)
+        if bank is not None:
+            bank.offer(nbr)
         bucket = self._full.get(anchor)
         if bucket is not None:
             bucket.append(nbr)
 
     def results(self) -> list[list[int]]:
-        """Per request: the sampled neighbors, in lane order.
+        """Per request: the sampled neighbors, in slot order.
 
         A request whose anchor saw no incident edge yields an empty list.
         """
-        out: list[list[int]] = []
-        for tag in self._lane_of:
-            if tag[0] == "full":
-                out.append(list(self._full[tag[1]]))
-            else:
-                _, anchor, start, want = tag
-                cur = self._lanes[anchor].cur[start:start + want]
-                out.append([int(x) for x in cur if x >= 0])
-        return out
-
-
-@dataclass
-class ClosureQuery:
-    """Vertex pairs to test for edge-ness plus vertices needing exact degrees."""
-
-    pairs: Iterable[tuple[int, int]] = ()
-    degree_vertices: Iterable[int] = ()
+        sampled = {anchor: bank.samples() if bank.total else []
+                   for anchor, bank in self._banks.items()}
+        return [list(self._full[anchor]) if want is None
+                else sampled[anchor][start:start + want]
+                for anchor, start, want in self._slots_of]
 
 
 class ClosureBank:
@@ -285,31 +221,3 @@ class ClosureBank:
         e = (u, v) if u < v else (v, u)
         if e in pres:
             pres[e] = True
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    present: Mapping[Edge, bool]
-    degrees: Mapping[int, int]
-
-
-def uniform_edge_sample(stream, r: int, seed: int, key: tuple[int, ...] = ()) -> list[Edge]:
-    """r uniform-with-replacement edges in one pass."""
-    bank = UniformEdgeBank(r, substream(seed, *key, ROLE_EDGE_SAMPLE))
-    run_pass(stream, [bank])
-    return bank.sample()
-
-
-def neighbor_sample_pass(stream, requests: Iterable[NeighborRequest], seed: int,
-                         key: tuple[int, ...] = ()) -> list[list[int]]:
-    """Service every request in a single pass; see NeighborSampleBank."""
-    bank = NeighborSampleBank(requests, seed, key=key)
-    run_pass(stream, [bank])
-    return bank.results()
-
-
-def closure_check_pass(stream, query: ClosureQuery) -> ClosureResult:
-    """Answer a batch of pair / degree queries in a single pass."""
-    bank = ClosureBank(query.pairs, query.degree_vertices)
-    run_pass(stream, [bank])
-    return ClosureResult(present=bank.present, degrees=bank.degrees)

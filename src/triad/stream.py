@@ -87,8 +87,7 @@ class EdgeStream:
         if self._mem is not None:
             return self._mem[idx]
         self._fh.seek(self._offsets[idx])
-        line = self._fh.readline().decode("ascii")
-        edge = edgelist.parse_line(line, idx + 1)
+        edge = edgelist.parse_line(self._fh.readline(), idx + 1)
         assert edge is not None  # offsets point at validated edge lines
         return edge
 

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from triad.generators import gen_book
 
 CLI = [sys.executable, "-m", "triad"]
@@ -107,6 +109,44 @@ class TestExact:
         res = run_cli("exact", "--format", "csv", str(p))
         lines = res.stdout.strip().splitlines()
         assert lines == ["T,kappa,d_E,m,n", "1,2,6,3,3"]
+
+
+# every command that parses an edge-list file, with the flags it needs
+PARSING_COMMANDS = {
+    "exact": ("exact",),
+    "ideal": ("estimate", "--mode", "ideal", "--epsilon", "0.3", "--t-hat", "1"),
+    "main": ("estimate", "--mode", "main", "--epsilon", "0.2", "--t-hat", "1",
+             "--kappa-hat", "2"),
+}
+
+
+class TestNonAsciiInput:
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_non_ascii_comment_is_accepted(self, tmp_path, command):
+        p = tmp_path / "k3.el"
+        p.write_bytes("# caf\u00e9\n0 1\n0 2\n1 2\n".encode("utf-8"))
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)
+
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_non_ascii_byte_in_edge_line_exits_3(self, tmp_path, command):
+        p = tmp_path / "bad.el"
+        p.write_bytes(b"0 1\n0 2\xff\n1 2\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 3
+        assert "line 2" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_cr_only_line_endings_exit_3(self, tmp_path, command):
+        # lines end at b"\n" only, so a CR-only file is one line of many fields
+        p = tmp_path / "cr.el"
+        p.write_bytes(b"0 1\r0 2\r1 2\r")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 3
+        assert "line 1" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestEstimate:

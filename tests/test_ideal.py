@@ -11,7 +11,7 @@ import pytest
 from triad.errors import ConfigError, InputError
 from triad.graph import Graph, sum_edge_degrees
 from triad.generators import gen_book, gen_wheel
-from triad.ideal import DegreeOracle, ideal_estimate, ideal_estimate_once, ideal_sample
+from triad.ideal import DegreeOracle, ideal_estimate, ideal_sample
 from triad.stream import EdgeStream
 
 from conftest import exact_expected_x, k_complete, path_graph
@@ -19,7 +19,6 @@ from conftest import exact_expected_x, k_complete, path_graph
 
 def fresh_stream(g: Graph) -> EdgeStream:
     return EdgeStream.from_edges(g.edge_list())
-
 
 class TestExactEnumeration:
     def test_k3_expectation_is_one(self):
@@ -46,7 +45,7 @@ class TestSingleInstance:
         hits = 0
         trials = 6000
         for seed in range(trials):
-            x = ideal_estimate_once(fresh_stream(g), DegreeOracle(g), seed)
+            [x], _, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed)
             values.add(x)
             hits += x == 6.0
         assert values == {0.0, 6.0}
@@ -56,18 +55,19 @@ class TestSingleInstance:
     def test_triangle_free_always_zero(self):
         g = path_graph(6)
         for seed in range(25):
-            assert ideal_estimate_once(fresh_stream(g), DegreeOracle(g), seed) == 0.0
+            xs, _, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed)
+            assert xs[0] == 0.0
 
     def test_exactly_three_passes(self):
         g = k_complete(4)
         s = fresh_stream(g)
-        ideal_estimate_once(s, DegreeOracle(g), seed=0)
+        ideal_sample(s, DegreeOracle(g), 1, seed=0)
         assert s.pass_counter == 3
 
     def test_empty_stream_errors(self):
         g = Graph(3, [])
         with pytest.raises(InputError):
-            ideal_estimate_once(fresh_stream(g), DegreeOracle(g), seed=0)
+            ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed=0)
 
 
 class TestSampledMoments:

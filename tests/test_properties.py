@@ -2,9 +2,10 @@
 assignment contracts, over randomly generated small graphs."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from triad.assignment import AssignmentTable, EdgeEstimate, INFINITY, is_assigned
+from triad.estimator import EstimatorConfig, _drive_sequential, _drive_shared, _Repetition
 from triad.graph import (
     degeneracy,
     per_edge_triangles,
@@ -72,6 +73,24 @@ def test_stream_passes_are_identical_permutations(g, seed):
     assert sorted(first) == sorted(edges)
     assert list(s.edges()) == first
     assert s.pass_counter == 2
+
+
+@given(small_graphs(min_n=3), st.integers(0, 2**20), st.integers(0, 2**20))
+@settings(max_examples=60, deadline=None)
+def test_shared_passes_match_sequential_per_repetition(g, seed, order_seed):
+    # no exact fallback, so even tiny graphs run the sampled stages
+    assume(g.m > 0)
+    cfg = EstimatorConfig(epsilon=0.2, t_hat=max(1, triangles_exact_cn(g)),
+                          kappa_hat=max(1, degeneracy(g)), repetitions=3,
+                          seed=seed, scale=0.01, exact_fallback=False)
+    outcomes = []
+    for drive in (_drive_sequential, _drive_shared):
+        stream = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
+        reps = [_Repetition(stream.stats(), cfg, rep=i) for i in range(cfg.repetitions)]
+        drive(stream, reps)
+        outcomes.append([(rep.x, rep.flags, rep.peak_items, rep.ell, list(rep.table.items()))
+                         for rep in reps])
+    assert outcomes[0] == outcomes[1]
 
 
 @given(

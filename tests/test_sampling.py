@@ -1,18 +1,19 @@
 """Sampler distribution checks at fixed seed schedules, plus the batching
-and reproducibility contracts."""
+and reproducibility contracts. Every bank is driven through `run_pass`."""
 
 import numpy as np
 import pytest
 
 from triad.errors import InputError
 from triad.sampling import (
-    ClosureQuery,
+    ROLE_EDGE_SAMPLE,
+    ROLE_NEIGHBOR,
+    ClosureBank,
     NeighborRequest,
-    Reservoir,
-    closure_check_pass,
-    neighbor_sample_pass,
+    NeighborSampleBank,
+    SlotBank,
+    run_pass,
     substream,
-    uniform_edge_sample,
     weighted_pick,
 )
 from triad.stream import EdgeStream
@@ -20,6 +21,24 @@ from triad.stream import EdgeStream
 
 def stream_of(edges, seed=None):
     return EdgeStream.from_edges(edges, order_seed=seed)
+
+
+def edge_sample(stream, r, seed):
+    bank = SlotBank(r, substream(seed, ROLE_EDGE_SAMPLE))
+    run_pass(stream, [bank])
+    return bank.samples()
+
+
+def neighbor_samples(stream, requests, seed):
+    bank = NeighborSampleBank(requests, substream(seed, ROLE_NEIGHBOR))
+    run_pass(stream, [bank])
+    return bank.results()
+
+
+def closure(stream, pairs=(), degree_vertices=()):
+    bank = ClosureBank(pairs, degree_vertices)
+    run_pass(stream, [bank])
+    return bank
 
 
 class TestSubstream:
@@ -38,64 +57,75 @@ class TestSubstream:
             substream(-1)
 
 
-class TestReservoir:
-    def test_keeps_everything_under_capacity(self):
-        r = Reservoir(5, substream(0))
-        for x in range(3):
-            r.offer(x)
-        assert r.items == [0, 1, 2]
-        assert r.seen == 3
+class TestSlotBank:
+    @staticmethod
+    def fill(bank, offers):
+        for item, weight in offers:
+            bank.offer(item, weight)
+        return bank.samples()
 
     def test_size_one_over_three_items_is_uniform_over_seed_grid(self):
         # enumerate behavior over a fine seed grid; each item ~ 1/3 +- 2%
         counts = {0: 0, 1: 0, 2: 0}
         trials = 6000
         for seed in range(trials):
-            r = Reservoir(1, substream(seed))
-            for x in range(3):
-                r.offer(x)
-            counts[r.items[0]] += 1
+            [item] = self.fill(SlotBank(1, substream(seed)), [(x, 1) for x in range(3)])
+            counts[item] += 1
         for c in counts.values():
             assert abs(c / trials - 1 / 3) < 0.02
 
-    def test_retention_probability_capacity_over_length(self):
-        capacity, length, trials = 4, 10, 4000
-        kept = 0
+    def test_weighted_frequencies_follow_w_over_total(self):
+        weights = {"a": 3, "b": 1, "z": 0, "c": 4}
+        counts = dict.fromkeys(weights, 0)
+        trials = 6000
         for seed in range(trials):
-            r = Reservoir(capacity, substream(seed))
-            for x in range(length):
-                r.offer(x)
-            kept += 7 in r.items  # any fixed item works
-        assert abs(kept / trials - capacity / length) < 0.03
+            [item] = self.fill(SlotBank(1, substream(seed)), weights.items())
+            counts[item] += 1
+        assert counts["z"] == 0
+        for item, w in weights.items():
+            assert abs(counts[item] / trials - w / 8) < 0.02
+
+    def test_first_positive_offer_fills_every_slot(self):
+        bank = SlotBank(5, substream(0))
+        bank.offer("zero", 0)
+        assert bank.total == 0
+        bank.offer("first", 2)
+        assert bank.samples() == ["first"] * 5
+        bank.offer("never", 0)
+        assert bank.samples() == ["first"] * 5
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(InputError):
+            SlotBank(2, substream(0)).offer("x", -1)
 
 
 class TestUniformEdgeSample:
     def test_support_on_k3(self):
-        sample = uniform_edge_sample(stream_of([(0, 1), (0, 2), (1, 2)]), 3, seed=5)
+        sample = edge_sample(stream_of([(0, 1), (0, 2), (1, 2)]), 3, seed=5)
         assert len(sample) == 3
         assert set(sample) <= {(0, 1), (0, 2), (1, 2)}
 
     def test_two_edge_frequencies(self):
-        sample = uniform_edge_sample(stream_of([(0, 1), (2, 3)]), 10_000, seed=1)
+        sample = edge_sample(stream_of([(0, 1), (2, 3)]), 10_000, seed=1)
         freq = sample.count((0, 1)) / 10_000
         assert abs(freq - 0.5) < 0.02
 
     def test_single_edge_stream(self):
-        assert uniform_edge_sample(stream_of([(4, 9)]), 1, seed=0) == [(4, 9)]
+        assert edge_sample(stream_of([(4, 9)]), 1, seed=0) == [(4, 9)]
 
     def test_empty_stream_errors(self):
         with pytest.raises(InputError):
-            uniform_edge_sample(stream_of([]), 3, seed=0)
+            edge_sample(stream_of([]), 3, seed=0)
 
     def test_consumes_exactly_one_pass(self):
         s = stream_of([(0, 1), (1, 2)])
-        uniform_edge_sample(s, 50, seed=3)
+        edge_sample(s, 50, seed=3)
         assert s.pass_counter == 1
 
     def test_reproducible(self):
         edges = [(i, i + 1) for i in range(20)]
-        a = uniform_edge_sample(stream_of(edges), 40, seed=9)
-        b = uniform_edge_sample(stream_of(edges), 40, seed=9)
+        a = edge_sample(stream_of(edges), 40, seed=9)
+        b = edge_sample(stream_of(edges), 40, seed=9)
         assert a == b
 
 
@@ -127,13 +157,13 @@ class TestNeighborSamplePass:
     def test_support_on_k3(self):
         req = NeighborRequest((0, 1), 0, 1)
         for seed in range(20):
-            res = neighbor_sample_pass(stream_of([(0, 1), (0, 2), (1, 2)]), [req], seed)
+            res = neighbor_samples(stream_of([(0, 1), (0, 2), (1, 2)]), [req], seed)
             assert res[0][0] in (1, 2)
 
     def test_star_center_uniform(self):
         star = [(0, leaf) for leaf in range(1, 5)]
         req = NeighborRequest((0, 1), 0, 40_000)
-        res = neighbor_sample_pass(stream_of(star), [req], seed=6)
+        res = neighbor_samples(stream_of(star), [req], seed=6)
         draws = np.array(res[0])
         assert len(draws) == 40_000
         for leaf in range(1, 5):
@@ -142,19 +172,19 @@ class TestNeighborSamplePass:
     def test_many_requests_one_pass(self):
         s = stream_of([(0, 1), (2, 3), (4, 5)])
         reqs = [NeighborRequest((0, 1), 0, 1), NeighborRequest((2, 3), 3, 1)]
-        res = neighbor_sample_pass(s, reqs, seed=0)
+        res = neighbor_samples(s, reqs, seed=0)
         assert s.pass_counter == 1
         assert res[0] == [1] and res[1] == [2]
 
     def test_full_scan_collects_whole_neighborhood(self):
         star = [(0, leaf) for leaf in range(1, 6)]
         req = NeighborRequest((0, 2), 0, None)
-        res = neighbor_sample_pass(stream_of(star), [req], seed=0)
+        res = neighbor_samples(stream_of(star), [req], seed=0)
         assert sorted(res[0]) == [1, 2, 3, 4, 5]
 
     def test_absent_anchor_yields_empty(self):
         req = NeighborRequest((7, 8), 7, 3)
-        res = neighbor_sample_pass(stream_of([(0, 1)]), [req], seed=0)
+        res = neighbor_samples(stream_of([(0, 1)]), [req], seed=0)
         assert res[0] == []
 
     def test_anchor_must_belong_to_edge(self):
@@ -164,8 +194,8 @@ class TestNeighborSamplePass:
     def test_bitwise_reproducible(self):
         edges = [(0, i) for i in range(1, 9)]
         reqs = [NeighborRequest((0, 1), 0, 4), NeighborRequest((0, 2), 0, None)]
-        a = neighbor_sample_pass(stream_of(edges), reqs, seed=13)
-        b = neighbor_sample_pass(stream_of(edges), reqs, seed=13)
+        a = neighbor_samples(stream_of(edges), reqs, seed=13)
+        b = neighbor_samples(stream_of(edges), reqs, seed=13)
         assert a == b
 
     def test_slots_within_one_request_are_independent(self):
@@ -173,31 +203,27 @@ class TestNeighborSamplePass:
         edges = [(0, 1), (0, 2)]
         outcomes = set()
         for seed in range(60):
-            res = neighbor_sample_pass(stream_of(edges), [NeighborRequest((0, 1), 0, 2)], seed)
+            res = neighbor_samples(stream_of(edges), [NeighborRequest((0, 1), 0, 2)], seed)
             outcomes.add(tuple(res[0]))
         assert outcomes == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 class TestClosureCheckPass:
     def test_present_pair(self):
-        res = closure_check_pass(stream_of([(0, 1), (0, 2), (1, 2)]),
-                                 ClosureQuery(pairs=[(1, 2)]))
+        res = closure(stream_of([(0, 1), (0, 2), (1, 2)]), pairs=[(1, 2)])
         assert res.present[(1, 2)] is True
 
     def test_absent_pair(self):
-        res = closure_check_pass(stream_of([(0, 1), (1, 2)]),
-                                 ClosureQuery(pairs=[(0, 2)]))
+        res = closure(stream_of([(0, 1), (1, 2)]), pairs=[(0, 2)])
         assert res.present[(0, 2)] is False
 
     def test_degrees_on_path(self):
-        res = closure_check_pass(stream_of([(0, 1), (1, 2)]),
-                                 ClosureQuery(degree_vertices=[0, 1, 2]))
+        res = closure(stream_of([(0, 1), (1, 2)]), degree_vertices=[0, 1, 2])
         assert res.degrees == {0: 1, 1: 2, 2: 1}
 
     def test_batched_in_one_pass(self):
         s = stream_of([(0, 1), (1, 2), (2, 3)])
-        res = closure_check_pass(
-            s, ClosureQuery(pairs=[(0, 1), (0, 3)], degree_vertices=[1, 3]))
+        res = closure(s, pairs=[(0, 1), (0, 3)], degree_vertices=[1, 3])
         assert s.pass_counter == 1
         assert res.present == {(0, 1): True, (0, 3): False}
         assert res.degrees == {1: 2, 3: 1}
