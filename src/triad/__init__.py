@@ -44,7 +44,6 @@ from .graph import (
     Graph,
     classify_edges,
     degeneracy,
-    degree,
     edge_anchor,
     edge_degree,
     enumerate_triangles,
@@ -66,7 +65,7 @@ __all__ = [
     "NeighborRequest", "RunReport", "SchedulingError", "SlotBank",
     "StreamStats", "StreamUsageError", "TriadError", "assign_triangle",
     "classify_edges", "compute_ell", "compute_r", "compute_s",
-    "degeneracy", "degree", "edge_anchor", "edge_degree",
+    "degeneracy", "edge_anchor", "edge_degree",
     "enumerate_triangles", "estimate", "estimate_once", "gen_book",
     "gen_erdos_renyi", "gen_lb_instance", "gen_preferential_attachment",
     "gen_wheel", "ideal_estimate", "ideal_sample", "is_assigned",

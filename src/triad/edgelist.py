@@ -1,6 +1,6 @@
 """Shared edge-list text format.
 
-One edge per line: two base-10 non-negative vertex ids separated by
+One edge per line: two base-10 vertex ids in [0, 2**63) separated by
 whitespace. Lines starting with '#' are comments; blank lines are skipped.
 Self-loops and repeated edges (in either orientation) are rejected with the
 offending line number.
@@ -14,6 +14,9 @@ from typing import BinaryIO, Iterable, Iterator, Optional
 from .errors import EdgeListError
 
 Edge = tuple[int, int]
+
+# vertex ids must fit a signed 64-bit integer, the graph arrays' dtype
+ID_LIMIT = 1 << 63
 
 
 def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
@@ -34,6 +37,8 @@ def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
         raise EdgeListError(f"non-integer vertex id in {fields!r}", lineno) from None
     if u < 0 or v < 0:
         raise EdgeListError(f"negative vertex id in {[u, v]!r}", lineno)
+    if u >= ID_LIMIT or v >= ID_LIMIT:
+        raise EdgeListError(f"vertex id in {[u, v]!r} is not below 2**63", lineno)
     if u == v:
         raise EdgeListError(f"self-loop at vertex {u}", lineno)
     return (u, v) if u < v else (v, u)
@@ -79,6 +84,8 @@ def validate_edges(edges: Iterable[tuple[int, int]]) -> list[Edge]:
     for idx, (u, v) in enumerate(edges, start=1):
         if u < 0 or v < 0:
             raise EdgeListError(f"negative vertex id ({u}, {v})", idx)
+        if u >= ID_LIMIT or v >= ID_LIMIT:
+            raise EdgeListError(f"vertex id in ({u}, {v}) is not below 2**63", idx)
         if u == v:
             raise EdgeListError(f"self-loop at vertex {u}", idx)
         edge = (u, v) if u < v else (v, u)

@@ -329,10 +329,8 @@ class _Repetition:
     # -- exact fallback -------------------------------------------------------
 
     def _finish_fallback(self) -> None:
-        edges = self._collector.edges
-        ids = sorted({u for e in edges for u in e})
-        remap = {orig: i for i, orig in enumerate(ids)}
-        g = Graph(len(ids), [(remap[u], remap[v]) for u, v in edges])
+        # the stream validated every edge when it was opened
+        g = Graph.from_checked_edges(self._collector.edges)
         self.flags.append("exact-fallback")
         self._settle(triangles_exact_cn(g))
 

@@ -1,26 +1,49 @@
 """In-memory graphs and exact combinatorial oracles.
 
 These are the ground truth the streaming estimators are verified against:
-exact degrees and edge degrees, degeneracy by min-degree peeling, two
-independent triangle counters, per-edge triangle counts, and the heavy /
-costly classification consumed by the assignment rule. A Graph is immutable
-after construction, so every oracle is safe to call concurrently.
+exact degrees and edge degrees, degeneracy, two independent triangle
+counters, per-edge triangle counts, and the heavy / costly classification
+consumed by the assignment rule.
+
+A Graph is one compressed sparse row (CSR) adjacency: `indptr` holds n + 1
+row offsets and `indices` the 2m neighbor ids, sorted within each row; both
+are read-only int64 arrays. The degrees are also kept as a Python list, so
+`degree` is a plain lookup. Three oracles are numpy kernels over these
+arrays that need O(n + m) memory:
+
+- `triangles_exact_cn` orients every edge from the lower to the higher
+  (degree, id) rank and closes the wedges of each out-list against the
+  sorted oriented edge keys (forward counting; Chiba & Nishizeki 1985,
+  Latapy 2008). Out-lists have at most sqrt(2m) entries, the wedges number
+  at most d_E / 2, and they are closed a bounded chunk at a time.
+- `degeneracy` peels in batches: at level k each round removes every live
+  vertex of current degree <= k, and only the removed vertices' neighbors
+  are revisited. The level rises to the least live degree when a round
+  removes nothing, and the last level reached is the degeneracy.
+- `sum_edge_degrees` is one vectorized sum of min(d_u, d_v).
+
+A Graph is immutable after construction, so every oracle is safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import edgelist
 from .errors import InputError
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
+
+# wedges closed per kernel step; bounds the kernel's scratch memory
+_WEDGE_CHUNK = 1 << 18
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -51,23 +74,33 @@ def triangle_edges(tri: Sequence[int]) -> tuple[Edge, Edge, Edge]:
 class Graph:
     """Immutable undirected simple graph on dense vertex ids [0, n)."""
 
-    __slots__ = ("n", "m", "labels", "_adj", "_nbr_sets")
+    __slots__ = ("n", "m", "labels", "indptr", "indices", "_deg")
 
     def __init__(self, n: int, edges, labels: Sequence[int] | None = None):
         if n < 0:
             raise InputError(f"negative vertex count {n}")
-        clean = edgelist.validate_edges(edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in clean:
-            if v >= n:
-                raise InputError(f"vertex {v} out of range for n={n}")
-            adj[u].append(v)
-            adj[v].append(u)
+        ends = _edge_array(edgelist.validate_edges(edges))
+        if ends.size and ends.max() >= n:
+            raise InputError(f"vertex {int(ends.max())} out of range for n={n}")
+        self._fill(n, ends, labels)
+
+    def _fill(self, n: int, ends: np.ndarray, labels) -> None:
+        """Build the CSR from an (m, 2) array of canonical edges on [0, n)."""
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        dst = np.concatenate((ends[:, 1], ends[:, 0]))
+        # one sort of (row, column) keys groups the rows and sorts each one
+        rows, indices = np.divmod(np.sort(src * n + dst), n)
+        counts = np.bincount(rows, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
         self.n = n
-        self.m = len(clean)
+        self.m = len(ends)
         self.labels = tuple(labels) if labels is not None else None
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._nbr_sets = tuple(frozenset(nbrs) for nbrs in adj)
+        self.indptr = indptr
+        self.indices = indices
+        self._deg = counts.tolist()
 
     @classmethod
     def from_edges(cls, edges, n: int | None = None) -> "Graph":
@@ -82,32 +115,43 @@ class Graph:
 
         The original ids are kept in `labels`, indexed by the dense id.
         """
-        raw = edgelist.read_edges(path)
-        ids = sorted({u for e in raw for u in e})
-        remap = {orig: i for i, orig in enumerate(ids)}
-        return cls(len(ids), [(remap[u], remap[v]) for u, v in raw], labels=ids)
+        return cls.from_checked_edges(edgelist.read_edges(path))
+
+    @classmethod
+    def from_checked_edges(cls, edges: Sequence[Edge]) -> "Graph":
+        """Graph of already-validated edges, remapping ids to dense [0, n).
+
+        The edges must be canonical (u < v), distinct, and have ids in
+        [0, 2**63), as an edge-list scan or an EdgeStream guarantees; they
+        are not checked again. Dense ids follow the original order, and
+        `labels` maps each dense id back to its original id.
+        """
+        ids, dense = np.unique(_edge_array(edges), return_inverse=True)
+        g = cls.__new__(cls)
+        g._fill(len(ids), dense.reshape(-1, 2), ids.tolist())
+        return g
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise InputError(f"vertex {v} out of range [0, {self.n})")
-        return len(self._adj[v])
+        return self._deg[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:
             raise InputError(f"vertex {v} out of range [0, {self.n})")
-        return self._adj[v]
+        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
-        return v in self._nbr_sets[u]
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        i = bisect_left(self.indices, v, lo, hi)
+        return bool(i < hi and self.indices[i] == v)
 
     def edges(self) -> Iterator[Edge]:
         """Canonical edges in sorted order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if v > u:
-                    yield (u, v)
+        u, v = _edge_ends(self)
+        return zip(u.tolist(), v.tolist())
 
     def edge_list(self) -> list[Edge]:
         return list(self.edges())
@@ -116,8 +160,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
+def _edge_array(edges: Sequence[Edge]) -> np.ndarray:
+    """(m, 2) int64 array of a sequence of edge pairs."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return flat.reshape(-1, 2)
+
+
+def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (u, v) of the canonical edges, in sorted order."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    upper = g.indices > rows
+    return rows[upper], g.indices[upper]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of the integer ranges [starts[i], starts[i] + lengths[i])."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
 def _require_edge(g: Graph, e: tuple[int, int]) -> Edge:
@@ -141,32 +200,39 @@ def edge_anchor(g: Graph, e: tuple[int, int]) -> int:
 
 def sum_edge_degrees(g: Graph) -> int:
     """Total edge degree; at most 2 * m * degeneracy for every graph."""
-    return sum(min(g.degree(u), g.degree(v)) for u, v in g.edges())
+    u, v = _edge_ends(g)
+    deg = np.diff(g.indptr)
+    return int(np.minimum(deg[u], deg[v]).sum())
 
 
 def degeneracy(g: Graph) -> int:
-    """Exact degeneracy via min-degree peeling.
+    """Exact degeneracy by batched peeling.
 
-    Repeatedly remove a minimum-degree vertex; the answer is the largest
-    degree observed at removal time. Lazy heap entries keep this O(m log n).
+    At level k, each round removes every live vertex of current degree <= k
+    and lowers the degrees of their live neighbors; those that drop to <= k
+    form the next round. When a round removes nothing, what is left is the
+    (k+1)-core, and the level jumps to its least degree. The last level
+    reached is the degeneracy. A round costs the removed vertices' adjacency;
+    the live list is compacted only between levels, and a vertex stays on it
+    for at most its core number of levels, so all compactions cost O(n + m).
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    best = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        if d > best:
-            best = d
-        for w in g.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return best
+    deg = np.diff(g.indptr)
+    alive = np.ones(g.n, dtype=bool)
+    live = np.arange(g.n)
+    k = 0
+    while True:
+        live = live[alive[live]]
+        if not live.size:
+            return k
+        k = int(deg[live].min())
+        frontier = live[deg[live] <= k]
+        while frontier.size:
+            alive[frontier] = False
+            starts = g.indptr[frontier]
+            nbrs = g.indices[_ranges(starts, g.indptr[frontier + 1] - starts)]
+            nbrs = nbrs[alive[nbrs]]
+            np.subtract.at(deg, nbrs, 1)
+            frontier = np.unique(nbrs[deg[nbrs] <= k])
 
 
 def triangles_exact_naive(g: Graph) -> int:
@@ -175,7 +241,7 @@ def triangles_exact_naive(g: Graph) -> int:
     Cubic in n; meant as an independent cross-check for n up to a few
     hundred, not for production counting.
     """
-    nbr = g._nbr_sets
+    nbr = [frozenset(g.neighbors(v)) for v in range(g.n)]
     count = 0
     for a, b, c in combinations(range(g.n), 3):
         if b in nbr[a] and c in nbr[a] and c in nbr[b]:
@@ -183,32 +249,74 @@ def triangles_exact_naive(g: Graph) -> int:
     return count
 
 
+def _oriented_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices in (degree, id) rank order, and the sorted edge keys.
+
+    The key of an edge is rank(x) * n + rank(y), oriented so that
+    rank(x) < rank(y).
+    """
+    n = g.n
+    by_rank = np.argsort(np.diff(g.indptr), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    u, v = _edge_ends(g)
+    ru, rv = rank[u], rank[v]
+    return by_rank, np.sort(np.minimum(ru, rv) * n + np.maximum(ru, rv))
+
+
+def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every triangle once, as chunks of vertex-id arrays (a, b, c).
+
+    Each edge points from its lower to its higher (degree, id) rank. A
+    triangle is found exactly once: at its lowest-rank vertex, as the pair
+    of out-neighbors that an oriented edge joins. The wedges, pairs of
+    out-neighbors of one vertex, are generated and closed about
+    _WEDGE_CHUNK at a time.
+    """
+    n = g.n
+    by_rank, keys = _oriented_keys(g)
+    src, dst = np.divmod(keys, n)
+    # edge i pairs with the edges after it in its (sorted) out-list
+    later = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(len(keys)) - 1
+    done = np.cumsum(later)
+    lo = 0
+    while lo < len(keys):
+        before = int(done[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(done, before + _WEDGE_CHUNK, side="right")))
+        pos = np.arange(lo, hi)
+        span = later[lo:hi]
+        first = np.repeat(pos, span)
+        pair = dst[first] * n + dst[_ranges(pos + 1, span)]
+        at = np.minimum(np.searchsorted(keys, pair), len(keys) - 1)
+        hit = keys[at] == pair
+        b, c = np.divmod(pair[hit], n)
+        yield by_rank[src[first[hit]]], by_rank[b], by_rank[c]
+        lo = hi
+
+
 def enumerate_triangles(g: Graph) -> Iterator[Triangle]:
     """Yield each triangle exactly once as a sorted triple (a < b < c).
 
-    For every edge (u, v) with u < v the scan walks the anchor's neighbor
-    list and keeps third vertices w > v that close the triangle, so a
-    triangle is produced only from the edge joining its two smallest
-    vertices. Each edge costs min(d_u, d_v) work.
+    Triples come in lexicographic order, which is also the canonical order
+    of the edge (a, b) joining each triangle's two smallest vertices. The
+    forward kernel finds them in another order, so all T triples are held
+    and sorted before the first is yielded.
     """
-    nbr_sets = g._nbr_sets
-    for u, v in g.edges():
-        a = pick_anchor(u, v, g.degree(u), g.degree(v))
-        other = v if a == u else u
-        other_nbrs = nbr_sets[other]
-        anchor_nbrs = g.neighbors(a)
-        for w in anchor_nbrs[bisect_right(anchor_nbrs, v):]:
-            if w in other_nbrs:
-                yield (u, v, w)
+    found = [np.column_stack(chunk) for chunk in _forward_triangles(g)]
+    if not found:
+        return
+    tris = np.sort(np.concatenate(found), axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    yield from map(tuple, tris.tolist())
 
 
 def triangles_exact_cn(g: Graph) -> int:
-    """Exact triangle count via per-edge neighborhood intersection.
+    """Exact triangle count by degree-ordered forward counting.
 
-    Counts each triangle once by ordered third-vertex enumeration (see
-    enumerate_triangles); no division by 3 is involved.
+    Each triangle is closed once, from its lowest-ranked vertex (see
+    _forward_triangles); no division by 3 is involved.
     """
-    return sum(1 for _ in enumerate_triangles(g))
+    return sum(len(a) for a, _, _ in _forward_triangles(g))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +59,55 @@ def brute_triangle_count(g: Graph) -> int:
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
             count += 1
     return count
+
+
+def heap_degeneracy(g: Graph) -> int:
+    """Degeneracy by one-at-a-time min-degree peeling with a lazy heap.
+
+    The largest degree seen at removal time; O(m log n). Reference for the
+    batched peel in triad.graph.
+    """
+    deg = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * g.n
+    best = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        if d > best:
+            best = d
+        for w in g.neighbors(v):
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return best
+
+
+def bisect_triangles(g: Graph):
+    """Each triangle once as a sorted triple, by per-edge intersection.
+
+    For every canonical edge (u, v) in sorted order, walk the anchor's
+    neighbors w > v and keep those adjacent to the other endpoint; each
+    edge costs min(d_u, d_v). Reference for the forward count in
+    triad.graph.
+    """
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbr_sets = [frozenset(ns) for ns in nbrs]
+    for u, v in g.edges():
+        a = pick_anchor(u, v, len(nbrs[u]), len(nbrs[v]))
+        other = v if a == u else u
+        anchor_nbrs = nbrs[a]
+        for w in anchor_nbrs[bisect_right(anchor_nbrs, v):]:
+            if w in nbr_sets[other]:
+                yield (u, v, w)
+
+
+def loop_edge_degrees(g: Graph) -> int:
+    """d_E as a Python sum over the edges; reference for sum_edge_degrees."""
+    return sum(min(g.degree(u), g.degree(v)) for u, v in g.edges())
 
 
 def lowest_degree_edge(g: Graph, tri) -> tuple[int, int]:

@@ -103,6 +103,13 @@ class TestExact:
         assert res.returncode == 3
         assert "line 1" in res.stderr
 
+    def test_comment_only_file_is_the_empty_graph(self, tmp_path):
+        p = tmp_path / "empty.el"
+        p.write_text("# no edges\n\n")
+        res = run_cli("exact", str(p))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == '{"T": 0, "kappa": 0, "d_E": 0, "m": 0, "n": 0}'
+
     def test_csv_format(self, tmp_path):
         p = tmp_path / "k3.el"
         p.write_text("0 1\n0 2\n1 2\n")
@@ -147,6 +154,30 @@ class TestNonAsciiInput:
         assert res.returncode == 3
         assert "line 1" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+class TestVertexIdRange:
+    # ids must fit a signed 64-bit integer, the graph arrays' dtype
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    @pytest.mark.parametrize("big", [2**63, 2**70])
+    def test_id_from_2_to_63_exits_3(self, tmp_path, command, big):
+        p = tmp_path / "big.el"
+        p.write_text(f"0 1\n0 2\n1 {big}\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 3
+        assert "line 3" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_largest_id_is_accepted(self, tmp_path, command):
+        top = 2**63 - 1
+        p = tmp_path / "top.el"
+        p.write_text(f"0 1\n0 {top}\n1 {top}\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        if command == "exact":
+            assert payload == {"T": 1, "kappa": 2, "d_E": 6, "m": 3, "n": 3}
 
 
 class TestEstimate:

@@ -3,13 +3,13 @@ second, independent method before being asserted."""
 
 import pytest
 
+import triad.graph
 from triad.errors import EdgeListError, InputError
 from triad.graph import (
     Graph,
     canonical_edge,
     classify_edges,
     degeneracy,
-    degree,
     edge_anchor,
     edge_degree,
     enumerate_triangles,
@@ -20,12 +20,22 @@ from triad.graph import (
     triangles_exact_cn,
     triangles_exact_naive,
 )
-from triad.generators import gen_book, gen_erdos_renyi, gen_wheel
+from triad.generators import (
+    gen_book,
+    gen_erdos_renyi,
+    gen_lb_instance,
+    gen_preferential_attachment,
+    gen_wheel,
+    lb_spec,
+)
 
 from conftest import (
+    bisect_triangles,
     brute_degeneracy,
     complete_bipartite,
+    heap_degeneracy,
     k_complete,
+    loop_edge_degrees,
     path_graph,
     star_graph,
     wheel_by_hand,
@@ -52,9 +62,23 @@ class TestGraphConstruction:
         with pytest.raises(EdgeListError):
             Graph(3, [(1, 1)])
 
+    def test_rejects_ids_from_2_to_63(self):
+        # ids must fit the int64 CSR arrays
+        with pytest.raises(EdgeListError):
+            Graph(3, [(0, 2**63)])
+        with pytest.raises(EdgeListError):
+            Graph.from_edges([(0, 1), (1, 2**70)])
+
     def test_out_of_range_vertex(self):
         with pytest.raises(InputError):
             Graph(2, [(0, 5)])
+
+    def test_csr_arrays_are_read_only(self, k4):
+        with pytest.raises(ValueError):
+            k4.indptr[1] = 0
+        with pytest.raises(ValueError):
+            k4.indices[0] = 3
+        assert k4.neighbors(0) == (1, 2, 3)
 
     def test_from_file_remaps_sparse_ids(self, tmp_path):
         p = tmp_path / "sparse.el"
@@ -69,22 +93,22 @@ class TestGraphConstruction:
 
 class TestDegree:
     def test_k3(self, k3):
-        assert degree(k3, 0) == 2
+        assert k3.degree(0) == 2
 
     def test_wheel5_hub(self):
         # hand-built W5: hub 0 touches all four rim vertices
         w5 = wheel_by_hand(5)
-        assert degree(w5, 0) == 4
+        assert w5.degree(0) == 4
         for rim in range(1, 5):
-            assert degree(w5, rim) == 3
+            assert w5.degree(rim) == 3
 
     def test_isolated_vertex(self):
         g = Graph(3, [(0, 1)])
-        assert degree(g, 2) == 0
+        assert g.degree(2) == 0
 
     def test_out_of_range(self, k3):
         with pytest.raises(InputError):
-            degree(k3, 3)
+            k3.degree(3)
 
 
 class TestEdgeDegree:
@@ -181,6 +205,50 @@ class TestTriangleCounts:
         tris = list(enumerate_triangles(k4))
         assert len(tris) == len(set(tris)) == 4
         assert all(a < b < c for a, b, c in tris)
+
+
+KERNEL_GRAPHS = {
+    **{f"pa(2000,4) seed {seed}": lambda seed=seed: gen_preferential_attachment(2000, 4, seed=seed)
+       for seed in (0, 1, 2)},
+    "er(400,0.05)": lambda: gen_erdos_renyi(400, 0.05, seed=3),
+    "lb yes": lambda: gen_lb_instance(lb_spec(4, 3, 9, "yes", seed=0))[0],
+    "lb no": lambda: gen_lb_instance(lb_spec(4, 3, 9, "no", seed=0))[0],
+    "star(50)": lambda: star_graph(50),
+    "edgeless with isolated vertices": lambda: Graph(7, []),
+    "isolated vertices beside a triangle": lambda: Graph(6, [(1, 3), (3, 4), (1, 4)]),
+    "K7": lambda: k_complete(7),
+}
+
+
+class TestKernelsAgainstReferences:
+    """The numpy kernels against the loop oracles in conftest."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_kernels_match_references(self, name):
+        g = KERNEL_GRAPHS[name]()
+        reference = list(bisect_triangles(g))
+        assert triangles_exact_cn(g) == len(reference)
+        assert list(enumerate_triangles(g)) == reference
+        assert degeneracy(g) == heap_degeneracy(g)
+        assert sum_edge_degrees(g) == loop_edge_degrees(g)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_wedges_spanning_many_chunks(self, monkeypatch, chunk):
+        # K7's first out-list alone has 15 wedges, more than chunks 1 and 5
+        graphs = [k_complete(7), gen_preferential_attachment(300, 4, seed=1),
+                  gen_erdos_renyi(120, 0.1, seed=4)]
+        expected = [list(bisect_triangles(g)) for g in graphs]
+        monkeypatch.setattr(triad.graph, "_WEDGE_CHUNK", chunk)
+        for g, tris in zip(graphs, expected):
+            assert triangles_exact_cn(g) == len(tris)
+            assert list(enumerate_triangles(g)) == tris
+
+    def test_long_path_peels_in_many_rounds(self):
+        # one vertex from each end per round: about 10k rounds at level 1
+        g = path_graph(20000)
+        assert degeneracy(g) == heap_degeneracy(g) == 1
+        assert triangles_exact_cn(g) == 0
+        assert sum_edge_degrees(g) == loop_edge_degrees(g) == 2 * 19999 - 2
 
 
 class TestPerEdgeTriangles:
