@@ -1,15 +1,15 @@
 """Shared edge-list text format.
 
-One edge per line: two base-10 vertex ids in [0, 2**63) separated by
-whitespace. Lines starting with '#' are comments; blank lines are skipped.
-Self-loops and repeated edges (in either orientation) are rejected with the
-offending line number.
+One edge per line: two vertex ids in [0, 2**63), each written as plain
+ASCII digits, separated by whitespace. Lines starting with '#' are
+comments; blank lines are skipped. Self-loops and repeated edges (in either
+orientation) are rejected with the offending line number.
 """
 
 from __future__ import annotations
 
 import os
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import EdgeListError
 
@@ -22,21 +22,22 @@ ID_LIMIT = 1 << 63
 def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
     """Parse one raw line into a canonical (u, v) with u < v, or None to skip.
 
-    Fields split on ASCII whitespace and ids must be ASCII digits, so a
-    non-ASCII byte is harmless in a comment and an error in an edge line.
+    Fields split on ASCII whitespace and each id is a run of ASCII digits,
+    so a non-ASCII byte is harmless in a comment and an error in an edge
+    line, and one id has one spelling (no sign, underscore or other digit
+    script).
     """
     parts = line.split()
     if not parts or parts[0].startswith(b"#"):
         return None
     if len(parts) != 2:
         raise EdgeListError(f"expected two vertex ids, got {len(parts)} fields", lineno)
-    try:
-        u, v = int(parts[0]), int(parts[1])
-    except ValueError:
+    if not (parts[0].isdigit() and parts[1].isdigit()):
         fields = [p.decode("ascii", "replace") for p in parts]
-        raise EdgeListError(f"non-integer vertex id in {fields!r}", lineno) from None
-    if u < 0 or v < 0:
-        raise EdgeListError(f"negative vertex id in {[u, v]!r}", lineno)
+        signed = all(p.removeprefix(b"-").isdigit() for p in parts)
+        raise EdgeListError(
+            f"{'negative' if signed else 'non-integer'} vertex id in {fields!r}", lineno)
+    u, v = int(parts[0]), int(parts[1])
     if u >= ID_LIMIT or v >= ID_LIMIT:
         raise EdgeListError(f"vertex id in {[u, v]!r} is not below 2**63", lineno)
     if u == v:
@@ -44,37 +45,22 @@ def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
     return (u, v) if u < v else (v, u)
 
 
-def _scan(fh: BinaryIO) -> Iterator[tuple[int, Edge]]:
-    """Yield (byte offset, edge) for every edge line of a binary file.
+def read_edges(path: str | os.PathLike) -> list[Edge]:
+    """Load and fully validate an edge-list file.
 
     Lines end at b"\n"; duplicates are rejected with their line number.
     """
+    out: list[Edge] = []
     seen: set[Edge] = set()
-    pos = 0
-    for lineno, raw in enumerate(fh, start=1):
-        edge = parse_line(raw, lineno)
-        if edge is not None:
-            if edge in seen:
-                raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", lineno)
-            seen.add(edge)
-            yield pos, edge
-        pos += len(raw)
-
-
-def read_edges(path: str | os.PathLike) -> list[Edge]:
-    """Load and fully validate an edge-list file."""
     with open(path, "rb") as fh:
-        return [edge for _, edge in _scan(fh)]
-
-
-def scan_offsets(path: str | os.PathLike) -> list[int]:
-    """Validate a file and return the byte offset of every edge line.
-
-    Only the offsets stay in memory afterwards; the duplicate-detection set
-    used during the scan is transient.
-    """
-    with open(path, "rb") as fh:
-        return [pos for pos, _ in _scan(fh)]
+        for lineno, raw in enumerate(fh, start=1):
+            edge = parse_line(raw, lineno)
+            if edge is not None:
+                if edge in seen:
+                    raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", lineno)
+                seen.add(edge)
+                out.append(edge)
+    return out
 
 
 def validate_edges(edges: Iterable[tuple[int, int]]) -> list[Edge]:

@@ -502,27 +502,22 @@ class _Repetition:
         self._settle((self.m / self.r) * self.d_r * y_mean)
 
 
-def _drive_sequential(stream, reps: list[_Repetition]) -> None:
-    for rep in reps:
+def _drive(stream, groups: list[list[_Repetition]]) -> None:
+    """Run each group's repetitions to the end, one shared pass per stage.
+
+    Sequential mode uses groups of one repetition, share_passes one group
+    holding them all; each repetition's outcome is the same either way.
+    """
+    for reps in groups:
         for stage in range(PASSES_PER_REPETITION):
-            obs = rep.stage_begin(stage)
-            if obs is not None:
-                run_pass(stream, [obs])
-            rep.stage_end(stage)
-            if rep.settled:
+            begun = [(rep, rep.stage_begin(stage)) for rep in reps if not rep.settled]
+            observers = [obs for _, obs in begun if obs is not None]
+            if observers:
+                run_pass(stream, observers)
+            for rep, _ in begun:
+                rep.stage_end(stage)
+            if all(rep.settled for rep in reps):
                 break
-
-
-def _drive_shared(stream, reps: list[_Repetition]) -> None:
-    for stage in range(PASSES_PER_REPETITION):
-        begun = [(rep, rep.stage_begin(stage)) for rep in reps if not rep.settled]
-        observers = [obs for _, obs in begun if obs is not None]
-        if observers:
-            run_pass(stream, observers)
-        for rep, _ in begun:
-            rep.stage_end(stage)
-        if all(rep.settled for rep in reps):
-            break
 
 
 def _rep_report(rep: _Repetition, config: EstimatorConfig) -> RunReport:
@@ -555,7 +550,7 @@ def estimate_once(stream, config: EstimatorConfig,
         raise InputError("cannot estimate on a stream with no edges")
     rep = _Repetition(stats, config, rep=0, base_flags=base_flags,
                       forced_sample=_forced_sample)
-    _drive_sequential(stream, [rep])
+    _drive(stream, [[rep]])
     return rep.x, _rep_report(rep, config)
 
 
@@ -577,10 +572,7 @@ def estimate(stream, config: EstimatorConfig) -> tuple[float, RunReport]:
         _Repetition(stats, config, rep=i, base_flags=base_flags)
         for i in range(config.repetitions)
     ]
-    if config.share_passes:
-        _drive_shared(stream, reps)
-    else:
-        _drive_sequential(stream, reps)
+    _drive(stream, [reps] if config.share_passes else [[rep] for rep in reps])
     xs = [rep.x for rep in reps]
     final = float(statistics.median(xs))
     flags: list[str] = []

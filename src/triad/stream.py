@@ -4,13 +4,15 @@ A stream yields every edge exactly once per pass, in a fixed order for a
 fixed shuffle seed; the order is decided once, when the stream is opened.
 Passes follow an explicit begin / next / end protocol so estimator pass
 budgets can be audited, and `edges()` wraps the protocol for plain
-iteration. File-backed streams keep only line byte-offsets in memory and
-read through the file buffer; they never hold the parsed edge list.
+iteration. Opening a stream validates its edges once and holds them
+compactly (16 bytes per edge) in pass order; no pass rereads the source,
+so a file that changes or disappears after opening changes nothing.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -29,23 +31,24 @@ class StreamStats:
 
 
 class EdgeStream:
-    """Single-consumer cursor over an edge source.
+    """Single-consumer cursor over a validated edge list.
 
-    Use `from_file` or `from_edges`. Independent streams over the same
-    source may be consumed concurrently; one stream must not be.
+    Use `from_file` or `from_edges`. The edges are held as two int64
+    columns already in pass order, so a pass reads them back without
+    touching the source. Independent streams over the same source may be
+    consumed concurrently; one stream must not be.
     """
 
-    def __init__(self, *, mem: Optional[list[Edge]], path=None,
-                 offsets: Optional[list[int]] = None, order_seed: Optional[int] = None):
-        self._mem = mem
-        self._path = path
-        self._offsets = offsets
-        self._order_seed = order_seed
-        self._order: Optional[np.ndarray] = None
+    def __init__(self, edges: list[Edge], order_seed: Optional[int] = None):
+        m = len(edges)
+        u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
+        v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
         if order_seed is not None:
-            count = len(mem) if mem is not None else len(offsets)
-            self._order = np.random.default_rng(order_seed).permutation(count)
-        self._fh = None
+            order = np.random.default_rng(order_seed).permutation(m)
+            u, v = u[order], v[order]
+        # array('q') items read back as Python ints, numpy items would not
+        self._u = array("q", u.tobytes())
+        self._v = array("q", v.tobytes())
         self._active = False
         self._pos = 0
         self._passes = 0
@@ -53,15 +56,14 @@ class EdgeStream:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike, order_seed: Optional[int] = None) -> "EdgeStream":
-        offsets = edgelist.scan_offsets(path)
-        return cls(mem=None, path=path, offsets=offsets, order_seed=order_seed)
+        return cls(edgelist.read_edges(path), order_seed=order_seed)
 
     @classmethod
     def from_edges(cls, edges, order_seed: Optional[int] = None) -> "EdgeStream":
-        return cls(mem=edgelist.validate_edges(edges), order_seed=order_seed)
+        return cls(edgelist.validate_edges(edges), order_seed=order_seed)
 
     def __len__(self) -> int:
-        return len(self._mem) if self._mem is not None else len(self._offsets)
+        return len(self._u)
 
     @property
     def pass_counter(self) -> int:
@@ -73,23 +75,16 @@ class EdgeStream:
             raise StreamUsageError("begin_pass during an active pass")
         self._active = True
         self._pos = 0
-        if self._mem is None and self._fh is None:
-            self._fh = open(self._path, "rb")
 
     def next_edge(self) -> Optional[Edge]:
         """Next edge of the current pass, or None at end of pass."""
         if not self._active:
             raise StreamUsageError("next_edge outside a pass")
-        if self._pos >= len(self):
+        pos = self._pos
+        if pos >= len(self._u):
             return None
-        idx = int(self._order[self._pos]) if self._order is not None else self._pos
-        self._pos += 1
-        if self._mem is not None:
-            return self._mem[idx]
-        self._fh.seek(self._offsets[idx])
-        edge = edgelist.parse_line(self._fh.readline(), idx + 1)
-        assert edge is not None  # offsets point at validated edge lines
-        return edge
+        self._pos = pos + 1
+        return self._u[pos], self._v[pos]
 
     def end_pass(self) -> None:
         """Finish an exhausted pass; this is the only point the counter moves."""

@@ -180,6 +180,19 @@ class TestVertexIdRange:
             assert payload == {"T": 1, "kappa": 2, "d_E": 6, "m": 3, "n": 3}
 
 
+class TestVertexIdSpelling:
+    # an id is plain ASCII digits, so no two spellings name one vertex
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    @pytest.mark.parametrize("line", ["1_0 2", "+1 2"])
+    def test_non_digit_id_exits_3(self, tmp_path, command, line):
+        p = tmp_path / "spelled.el"
+        p.write_text(f"0 1\n0 2\n{line}\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 3
+        assert "line 3" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestEstimate:
     def test_main_mode_report(self, tmp_path):
         path, truth = write_book_file(tmp_path, 400)

@@ -121,14 +121,14 @@ class TestEstimateOnce:
     def test_estimate_support(self):
         # X is 0 or sits in [(m/r) d_R / ell, (m/r) d_R], a rational with
         # denominator ell
-        from triad.estimator import _Repetition, _drive_sequential
+        from triad.estimator import _Repetition, _drive
         g, truth = gen_book(400)
         for seed in range(8):
             cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
                                   seed=seed, scale=0.004)
             s = stream_for(g, order_seed=seed)
             rep = _Repetition(s.stats(), cfg, rep=0, base_flags=cfg.validate())
-            _drive_sequential(s, [rep])
+            _drive(s, [[rep]])
             if "exact-fallback" in rep.flags:
                 continue
             unit = (g.m / rep.r) * rep.d_r / rep.ell

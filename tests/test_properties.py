@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from triad.assignment import AssignmentTable, EdgeEstimate, INFINITY, is_assigned
-from triad.estimator import EstimatorConfig, _drive_sequential, _drive_shared, _Repetition
+from triad.estimator import EstimatorConfig, _drive, _Repetition
 from triad.graph import (
     degeneracy,
     per_edge_triangles,
@@ -84,10 +84,10 @@ def test_shared_passes_match_sequential_per_repetition(g, seed, order_seed):
                           kappa_hat=max(1, degeneracy(g)), repetitions=3,
                           seed=seed, scale=0.01, exact_fallback=False)
     outcomes = []
-    for drive in (_drive_sequential, _drive_shared):
+    for shared in (False, True):
         stream = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
         reps = [_Repetition(stream.stats(), cfg, rep=i) for i in range(cfg.repetitions)]
-        drive(stream, reps)
+        _drive(stream, [reps] if shared else [[rep] for rep in reps])
         outcomes.append([(rep.x, rep.flags, rep.peak_items, rep.ell, list(rep.table.items()))
                          for rep in reps])
     assert outcomes[0] == outcomes[1]

@@ -1,9 +1,14 @@
 """Pass protocol, replay determinism, and edge-list validation."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from triad.edgelist import parse_line
 from triad.errors import EdgeListError, StreamUsageError
-from triad.generators import gen_wheel
+from triad.estimator import EstimatorConfig, estimate
+from triad.generators import gen_book, gen_wheel
+from triad.ideal import DegreeOracle, ideal_estimate
 from triad.stream import EdgeStream, StreamStats
 
 
@@ -168,3 +173,126 @@ class TestReplayDeterminism:
         a.end_pass()
         b.end_pass()
         assert ea == eb
+
+
+class TestSourceChangesAfterOpen:
+    def test_passes_replay_the_edges_validated_at_open(self, tmp_path):
+        g, _ = gen_wheel(31)
+        p = tmp_path / "w.el"
+        text = "".join(f"{u} {v}\n" for u, v in g.edges())
+        p.write_text(text)
+        s = EdgeStream.from_file(p, order_seed=5)
+        reference = list(s.edges())
+
+        p.write_text("0 1\n")  # truncated
+        assert list(s.edges()) == reference
+        # other edges in lines of the same lengths
+        p.write_text(text.translate(str.maketrans("0123456789", "1234567890")))
+        assert list(s.edges()) == reference
+        p.unlink()
+        assert list(s.edges()) == reference
+        assert s.stats() == StreamStats(n=31, m=60)
+        assert s.pass_counter == 5
+
+
+# id-like fields: digits with an optional sign or comment mark in front and
+# an optional separator, non-ASCII digit (ARABIC-INDIC DIGIT ZERO) or high
+# byte inside, so the fuzz often builds lines that are almost edges
+_DIGITS = [b"0", b"1", b"7", b"42", b"9223372036854775807", b"9223372036854775808"]
+_FIELDS = st.tuples(
+    st.sampled_from([b""] * 4 + [b"+", b"-", b"#"]),
+    st.sampled_from(_DIGITS),
+    st.sampled_from([b""] * 4 + [b"_", b".", b"x", "\u0660".encode(), b"\xff"]),
+    st.sampled_from([b"", b"0", b"7"]),
+).map(b"".join)
+_GAPS = st.sampled_from([b" ", b"\t", b"  ", b"\r", b"\x0b", b"\x0c"])
+_NEAR_EDGES = st.tuples(
+    st.one_of(st.lists(_FIELDS, min_size=2, max_size=2), st.lists(_FIELDS, max_size=3)),
+    _GAPS,
+).map(lambda fg: fg[1].join(fg[0]))
+
+
+class TestParseLineFuzz:
+    @given(st.one_of(st.binary(max_size=40), _NEAR_EDGES))
+    @settings(max_examples=1000)
+    def test_only_skip_canonical_edge_or_edge_list_error(self, line):
+        try:
+            edge = parse_line(line + b"\n", 9)
+        except EdgeListError as exc:
+            assert "line 9" in str(exc)
+            return
+        fields = line.split()
+        if edge is None:
+            assert not fields or fields[0].startswith(b"#")
+            return
+        assert len(fields) == 2 and all(f.isdigit() for f in fields)
+        u, v = edge
+        assert 0 <= u < v < 2**63
+        assert sorted(int(f) for f in fields) == [u, v]
+
+    @pytest.mark.parametrize("line", [b"1_0 2", b"0_1 2", b"+2 3", b"1 0x2", b"\xd9\xa0 1"])
+    def test_non_digit_id_rejected(self, line):
+        with pytest.raises(EdgeListError, match="non-integer vertex id"):
+            parse_line(line, 1)
+
+    def test_leading_minus_is_a_negative_id(self):
+        with pytest.raises(EdgeListError, match="negative vertex id"):
+            parse_line(b"-3 4\n", 1)
+
+
+class ProtocolOnly:
+    """Forwards the pass protocol and nothing else, as a benchmark proxy does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __len__(self):
+        return len(self._inner)
+
+    @property
+    def pass_counter(self):
+        return self._inner.pass_counter
+
+    def stats(self):
+        return self._inner.stats()
+
+    def begin_pass(self):
+        self._inner.begin_pass()
+
+    def next_edge(self):
+        return self._inner.next_edge()
+
+    def end_pass(self):
+        self._inner.end_pass()
+
+    def abort_pass(self):
+        self._inner.abort_pass()
+
+    # plain iteration, built on the forwarded calls above
+    edges = EdgeStream.edges
+
+
+class TestEstimatorsUseOnlyThePassProtocol:
+    @pytest.mark.parametrize("share_passes", [False, True])
+    def test_main_mode(self, tmp_path, share_passes):
+        g, truth = gen_book(300)
+        p = tmp_path / "book.el"
+        p.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2, seed=4,
+                              scale=0.004, repetitions=3, share_passes=share_passes)
+        runs = []
+        for wrap in (lambda s: s, ProtocolOnly):
+            stream = wrap(EdgeStream.from_file(p, order_seed=2))
+            value, report = estimate(stream, cfg)
+            runs.append((value, report.to_json_dict(), report.flags, stream.pass_counter))
+        assert runs[0] == runs[1]
+
+    def test_ideal_mode(self):
+        g, truth = gen_wheel(201)
+        runs = []
+        for wrap in (lambda s: s, ProtocolOnly):
+            stream = wrap(EdgeStream.from_edges(g.edge_list(), order_seed=3))
+            value, report = ideal_estimate(stream, DegreeOracle(g), epsilon=0.3,
+                                           t_hat=truth.triangles, seed=6)
+            runs.append((value, report, stream.pass_counter))
+        assert runs[0] == runs[1]
