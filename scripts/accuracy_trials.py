@@ -14,21 +14,18 @@ Examples:
 import argparse
 import sys
 
+from triad.cli import generate_family
 from triad.estimator import EstimatorConfig, estimate
-from triad.generators import gen_book, gen_lb_instance, gen_wheel, lb_spec
 from triad.stream import EdgeStream
 
 
 def build_instance(args):
-    if args.family == "book":
-        return gen_book(args.size)
-    if args.family == "wheel":
-        return gen_wheel(args.size)
-    if args.family == "lb":
-        spec = lb_spec(p=args.p, q=args.q, blocks=args.size, kind="no",
-                       seed=args.seed)
-        return gen_lb_instance(spec)
-    raise SystemExit(f"unknown family {args.family}")
+    params = {
+        "book": {"k": args.size},
+        "wheel": {"n": args.size},
+        "lb": {"p": args.p, "q": args.q, "N": args.size, "kind": "no"},
+    }[args.family]
+    return generate_family(args.family, params, args.seed)
 
 
 def main() -> int:

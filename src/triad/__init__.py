@@ -27,7 +27,6 @@ from .estimator import (
     compute_ell,
     compute_r,
     estimate,
-    estimate_once,
 )
 from .generators import (
     GroundTruth,
@@ -44,8 +43,6 @@ from .graph import (
     Graph,
     classify_edges,
     degeneracy,
-    edge_anchor,
-    edge_degree,
     enumerate_triangles,
     per_edge_triangles,
     sum_edge_degrees,
@@ -65,8 +62,7 @@ __all__ = [
     "NeighborRequest", "RunReport", "SchedulingError", "SlotBank",
     "StreamStats", "StreamUsageError", "TriadError", "assign_triangle",
     "classify_edges", "compute_ell", "compute_r", "compute_s",
-    "degeneracy", "edge_anchor", "edge_degree",
-    "enumerate_triangles", "estimate", "estimate_once", "gen_book",
+    "degeneracy", "enumerate_triangles", "estimate", "gen_book",
     "gen_erdos_renyi", "gen_lb_instance", "gen_preferential_attachment",
     "gen_wheel", "ideal_estimate", "ideal_sample", "is_assigned",
     "lb_spec", "per_edge_triangles", "saturated_estimates", "substream",

@@ -33,13 +33,12 @@ def load_cutoff(epsilon: float, kappa_hat: int) -> float:
 
 
 def compute_s(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
-              c_s: float = 61.0, scale: float = 1.0,
-              max_degree: Optional[int] = None) -> int:
+              c_s: float = 61.0, scale: float = 1.0) -> int:
     """Wedge samples per estimated edge.
 
-    ceil(scale * c_s * log2(n) / eps^2 * m * kappa_hat / t_hat), capped at
-    the maximum degree when that is known; per-edge saturation (sampling the
-    whole neighborhood once s >= d_e) is handled at request time.
+    ceil(scale * c_s * log2(n) / eps^2 * m * kappa_hat / t_hat); per-edge
+    saturation (sampling the whole neighborhood once s >= d_e) is handled
+    at request time.
     """
     if t_hat < 1:
         raise ConfigError(f"t_hat must be >= 1, got {t_hat}")
@@ -47,10 +46,7 @@ def compute_s(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     log2n = math.log2(n) if n >= 2 else 1.0
     raw = c_s * log2n / (epsilon * epsilon) * m * kappa_hat / t_hat
-    s = max(1, math.ceil(scale * raw))
-    if max_degree is not None:
-        s = min(s, max_degree)
-    return s
+    return max(1, math.ceil(scale * raw))
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,6 @@ class AssignmentTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, tri: Triangle) -> bool:
-        return tri in self._entries
-
     def lookup(self, tri: Triangle):
         return self._entries.get(tri, _MISSING)
 
@@ -96,9 +89,6 @@ class AssignmentTable:
 
     def items(self) -> Iterator[tuple[Triangle, Optional[Edge]]]:
         return iter(self._entries.items())
-
-    def as_dict(self) -> dict[Triangle, Optional[Edge]]:
-        return dict(self._entries)
 
 
 def assign_triangle(tri: Sequence[int], estimates: Mapping[Edge, EdgeEstimate],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -168,15 +167,7 @@ def _run_main_mode(args) -> tuple[RunReport, dict]:
         share_passes=args.share_passes,
         abort_multiplier=args.abort_multiplier,
     )
-    value, report = estimate(stream, config)
-    if args.auto_t_hat:
-        # experimental geometric restart: halve the bound until the estimate
-        # clears it; no accuracy guarantee attaches to this loop
-        while value < config.t_hat and config.t_hat > 1:
-            config = dataclasses.replace(config, t_hat=max(1, config.t_hat // 2))
-            value, report = estimate(stream, config)
-        if "auto-t-hat" not in report.flags:
-            report.flags = tuple(report.flags) + ("auto-t-hat",)
+    _, report = estimate(stream, config)
     _say(args, f"passes including stats: {stream.pass_counter}")
     if report.flags:
         _say(args, "flags: " + ",".join(report.flags))
@@ -185,8 +176,9 @@ def _run_main_mode(args) -> tuple[RunReport, dict]:
 
 def _run_ideal_mode(args) -> tuple[RunReport, dict]:
     graph = Graph.from_file(args.path)
-    # stream the dense-relabelled edges so oracle lookups line up
-    stream = EdgeStream.from_edges(graph.edge_list(), order_seed=args.order_seed)
+    # stream the dense-relabelled edges so oracle lookups line up; the file
+    # scan already validated them
+    stream = EdgeStream(graph.edge_list(), order_seed=args.order_seed)
     oracle = DegreeOracle(graph)
     value, ideal_report = ideal_estimate(
         stream, oracle, epsilon=args.epsilon, t_hat=args.t_hat, seed=args.seed)
@@ -349,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--abort-multiplier", type=float, default=10.0)
     p_est.add_argument("--order-seed", type=int, default=None,
                        help="shuffle the stream order with this seed")
-    p_est.add_argument("--auto-t-hat", action="store_true",
-                       help="experimental: halve t-hat until the estimate clears it")
     p_est.add_argument("--debug-dump-assignments", action="store_true",
                        help="dump memoized triangle assignments to stderr")
     p_est.set_defaults(func=cmd_estimate)

@@ -19,9 +19,11 @@ A slot scores 1 when its wedge closed into a triangle that the assignment
 rule charges to the slot's own edge. The estimate is
 (m / r) * d_R * mean(scores).
 
-Degenerate regimes stay honest rather than failing: when r, ell, or the
-total wedge-sample budget reaches m, the repetition stores the whole edge
-set on its next pass and reports the exact count, flagged "exact-fallback".
+Degenerate regimes stay honest rather than failing: when r reaches m, the
+run stores the whole edge set on its first pass, once however many
+repetitions were asked for, and reports the exact count, flagged
+"exact-fallback". When ell or the total wedge-sample budget reaches m, the
+repetition does the same on its next pass.
 A repetition whose live storage exceeds abort_multiplier * (r + ell + s)
 aborts with estimate 0 and a "space-abort" flag. Each sampler draws from one
 generator keyed by (seed, role, repetition), so a fixed (source, order
@@ -205,15 +207,6 @@ class RunReport:
         return {k: getattr(self, k) for k in _REPORT_KEYS}
 
 
-@dataclass(frozen=True)
-class TriangleRecord:
-    """A discovered triangle with exact degrees for all three edges."""
-
-    vertices: Triangle
-    edge_degrees: tuple[tuple[Edge, int], ...]
-    first_slot: int
-
-
 class _GraphCollector:
     """Stores the whole stream; only used on the exact-fallback path."""
 
@@ -230,6 +223,8 @@ class _Repetition:
     stage_begin(k) returns the observer for the k-th pass (or None when the
     stage needs no pass), stage_end(k) folds the pass results in. A settled
     repetition has its value in `x` and returns no more observers.
+    `forced_sample` is a test hook that injects R directly, skipping pass 1
+    and the r >= m exact-fallback shortcut.
     """
 
     def __init__(self, stats: StreamStats, config: EstimatorConfig, rep: int,
@@ -260,7 +255,8 @@ class _Repetition:
         self.draw_edges: list[Edge] = []
         self.draw_anchors: list[int] = []
         self.neighbors: list[Optional[int]] = []
-        self.tri_records: dict[Triangle, TriangleRecord] = {}
+        # each discovered triangle's three edges with their exact degrees
+        self.tri_degrees: dict[Triangle, tuple[tuple[Edge, int], ...]] = {}
         self.slot_triangle: list[Optional[Triangle]] = []
         self.wedge_reqs: list[tuple[Triangle, Edge, int, Optional[int]]] = []
         self.wedge_samples: list[list[int]] = []
@@ -308,7 +304,7 @@ class _Repetition:
         if self.draws is not None:
             total += len(self.draws)
         total += len(self.neighbors)
-        total += 3 * len(self.tri_records)
+        total += 3 * len(self.tri_degrees)
         total += self.wedge_slots
         total += len(self.table)
         if self._collector is not None:
@@ -423,16 +419,15 @@ class _Repetition:
                 continue
             tri: Triangle = tuple(sorted((u, v, w)))
             self.slot_triangle[i] = tri
-            if tri not in self.tri_records:
-                ed = tuple(
+            if tri not in self.tri_degrees:
+                self.tri_degrees[tri] = tuple(
                     (f, min(deg[f[0]], deg[f[1]])) for f in triangle_edges(tri)
                 )
-                self.tri_records[tri] = TriangleRecord(tri, ed, i)
 
         cut = degree_cutoff(self.m, self.cfg.epsilon, self.cfg.t_hat, self.cfg.kappa_hat)
-        for tri, record in self.tri_records.items():
+        for tri, edge_degrees in self.tri_degrees.items():
             per_edge: dict[Edge, EdgeEstimate] = {}
-            for f, d_f in record.edge_degrees:
+            for f, d_f in edge_degrees:
                 if d_f > cut:
                     per_edge[f] = EdgeEstimate(f, d_f, INFINITY)
                     continue
@@ -520,40 +515,6 @@ def _drive(stream, groups: list[list[_Repetition]]) -> None:
                 break
 
 
-def _rep_report(rep: _Repetition, config: EstimatorConfig) -> RunReport:
-    return RunReport(
-        estimate=rep.x,
-        passes=rep.passes,
-        stored_edges_peak=rep.peak_items,
-        r=rep.r,
-        ell=rep.ell,
-        s=rep.s,
-        assignment_calls=rep.assignment_calls,
-        memo_size=len(rep.table),
-        seed=config.seed,
-        config=config.as_dict(),
-        flags=tuple(rep.flags),
-        tables=(rep.table,),
-    )
-
-
-def estimate_once(stream, config: EstimatorConfig,
-                  _forced_sample=None) -> tuple[float, RunReport]:
-    """One six-pass repetition; returns (X, per-repetition report).
-
-    `_forced_sample` is a test hook that injects R directly, skipping
-    pass 1 and the exact-fallback shortcut.
-    """
-    base_flags = config.validate()
-    stats = stream.stats()
-    if stats.m == 0:
-        raise InputError("cannot estimate on a stream with no edges")
-    rep = _Repetition(stats, config, rep=0, base_flags=base_flags,
-                      forced_sample=_forced_sample)
-    _drive(stream, [[rep]])
-    return rep.x, _rep_report(rep, config)
-
-
 def estimate(stream, config: EstimatorConfig) -> tuple[float, RunReport]:
     """Median over `repetitions` independent six-pass runs.
 
@@ -562,15 +523,20 @@ def estimate(stream, config: EstimatorConfig) -> tuple[float, RunReport]:
     randomness is keyed per repetition. The aggregate report echoes the
     shared r and s, the largest ell (it varies with each repetition's d_R),
     the peak storage across repetitions, and totals for assignment calls and
-    memo entries; tables are never shared between repetitions.
+    memo entries; tables are never shared between repetitions. When r
+    reaches m the run is one repetition, whatever `repetitions` says: one
+    pass stores the whole graph and its exact count is the estimate.
     """
     base_flags = config.validate()
     stats = stream.stats()
     if stats.m == 0:
         raise InputError("cannot estimate on a stream with no edges")
-    reps = [
+    first = _Repetition(stats, config, rep=0, base_flags=base_flags)
+    # r >= m: every repetition would store and count the same whole graph
+    count = 1 if first._fallback_next else config.repetitions
+    reps = [first] + [
         _Repetition(stats, config, rep=i, base_flags=base_flags)
-        for i in range(config.repetitions)
+        for i in range(1, count)
     ]
     _drive(stream, [reps] if config.share_passes else [[rep] for rep in reps])
     xs = [rep.x for rep in reps]

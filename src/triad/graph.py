@@ -103,13 +103,6 @@ class Graph:
         self._deg = counts.tolist()
 
     @classmethod
-    def from_edges(cls, edges, n: int | None = None) -> "Graph":
-        edges = list(edges)
-        if n is None:
-            n = 1 + max((max(u, v) for u, v in edges), default=-1)
-        return cls(n, edges)
-
-    @classmethod
     def from_file(cls, path) -> "Graph":
         """Load an edge list, remapping possibly-sparse ids to dense [0, n).
 
@@ -177,25 +170,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of the integer ranges [starts[i], starts[i] + lengths[i])."""
     offsets = np.cumsum(lengths) - lengths
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
-def _require_edge(g: Graph, e: tuple[int, int]) -> Edge:
-    u, v = canonical_edge(*e)
-    if not g.has_edge(u, v):
-        raise InputError(f"edge ({u}, {v}) not in graph")
-    return (u, v)
-
-
-def edge_degree(g: Graph, e: tuple[int, int]) -> int:
-    """min(d_u, d_v) for an edge present in g."""
-    u, v = _require_edge(g, e)
-    return min(g.degree(u), g.degree(v))
-
-
-def edge_anchor(g: Graph, e: tuple[int, int]) -> int:
-    """The endpoint whose neighborhood defines N(e)."""
-    u, v = _require_edge(g, e)
-    return pick_anchor(u, v, g.degree(u), g.degree(v))
 
 
 def sum_edge_degrees(g: Graph) -> int:

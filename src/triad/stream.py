@@ -33,7 +33,10 @@ class StreamStats:
 class EdgeStream:
     """Single-consumer cursor over a validated edge list.
 
-    Use `from_file` or `from_edges`. The edges are held as two int64
+    Use `from_file` or `from_edges`, which validate the edges. The
+    constructor takes edges that are already validated: canonical (u < v),
+    distinct, with ids in [0, 2**63), as an edge-list scan or a Graph
+    guarantees; they are not checked again. The edges are held as two int64
     columns already in pass order, so a pass reads them back without
     touching the source. Independent streams over the same source may be
     consumed concurrently; one stream must not be.

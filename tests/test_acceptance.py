@@ -21,7 +21,7 @@ from triad.assignment import (
     load_cutoff,
     saturated_estimates,
 )
-from triad.estimator import EstimatorConfig, estimate, estimate_once
+from triad.estimator import EstimatorConfig, estimate
 from triad.graph import (
     classify_edges,
     degeneracy,
@@ -145,7 +145,7 @@ def test_criterion_05_pass_accounting():
     s = EdgeStream.from_edges(edges)
     s.stats()
     base = s.pass_counter
-    _, report = estimate_once(s, cfg)
+    _, report = estimate(s, cfg)
     assert not ({"exact-fallback", "space-abort"} & set(report.flags))
     assert s.pass_counter - base == 6
     assert report.passes == 6

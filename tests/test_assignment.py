@@ -35,9 +35,6 @@ class TestComputeS:
         assert expected == 60831
         assert compute_s(1001, 1997, 0.2, 998, 2, c_s=61) == 60831
 
-    def test_degree_cap(self):
-        assert compute_s(1001, 1997, 0.2, 998, 2, c_s=61, max_degree=999) == 999
-
     def test_t_hat_scaling(self):
         base = compute_s(1001, 1997, 0.2, 998, 2)
         quartered = compute_s(1001, 1997, 0.2, 4 * 998, 2)

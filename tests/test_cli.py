@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from triad.assignment import compute_s
+from triad.estimator import EstimatorConfig
 from triad.generators import gen_book
 
 CLI = [sys.executable, "-m", "triad"]
@@ -208,6 +210,26 @@ class TestEstimate:
         assert payload["passes"] == 6
         assert payload["seed"] == 7
 
+    @pytest.mark.parametrize("reps,share", [(1, False), (5, False), (5, True)])
+    def test_r_reaching_m_collects_the_graph_once(self, tmp_path, reps, share):
+        # t_hat = 1 drives r to m, so the run stores the graph on the pass
+        # after stats and counts it exactly, whatever the repetition count
+        path, truth = write_book_file(tmp_path, 60)
+        res = run_cli("estimate", "--mode", "main", "--epsilon", "0.2",
+                      "--t-hat", "1", "--kappa-hat", "2", "--repetitions", str(reps),
+                      *(["--share-passes"] if share else []), str(path))
+        assert res.returncode == 0, res.stderr
+        config = EstimatorConfig(epsilon=0.2, t_hat=1, kappa_hat=2,
+                                 repetitions=reps, share_passes=share)
+        assert json.loads(res.stdout) == {
+            "estimate": float(truth.triangles), "passes": 1,
+            "stored_edges_peak": truth.m, "r": truth.m, "ell": 0,
+            "s": compute_s(truth.n, truth.m, 0.2, 1, 2), "assignment_calls": 0,
+            "memo_size": 0, "seed": 0, "config": config.as_dict(),
+        }
+        assert "passes including stats: 2" in res.stderr
+        assert "exact-fallback" in res.stderr
+
     def test_ideal_mode_three_passes(self, tmp_path):
         path, truth = write_book_file(tmp_path, 60)
         res = run_cli("estimate", "--mode", "ideal", "--epsilon", "0.3",
@@ -267,19 +289,6 @@ class TestEstimate:
                       "--t-hat", str(truth.triangles), str(path),
                       env_extra={"TRIAD_SEED": "123"})
         assert json.loads(res.stdout)["seed"] == 123
-
-    def test_auto_t_hat_restart(self, tmp_path):
-        # start with a bound far above T; the helper halves it until the
-        # estimate clears it
-        path, truth = write_book_file(tmp_path, 200)
-        res = run_cli("estimate", "--mode", "main", "--epsilon", "0.2",
-                      "--t-hat", str(8 * truth.triangles), "--kappa-hat", "2",
-                      "--seed", "1", "--auto-t-hat", str(path))
-        assert res.returncode == 0, res.stderr
-        payload = json.loads(res.stdout)
-        assert payload["config"]["t_hat"] <= truth.triangles
-        assert payload["estimate"] >= payload["config"]["t_hat"]
-        assert "auto-t-hat" in res.stderr
 
 
 MANIFEST = [

@@ -13,8 +13,9 @@ from triad.estimator import (
     EstimatorConfig,
     compute_ell,
     compute_r,
+    _Repetition,
+    _drive,
     estimate,
-    estimate_once,
 )
 from triad.graph import pick_anchor, triangles_exact_cn
 from triad.generators import gen_book, gen_wheel
@@ -103,7 +104,7 @@ class TestEstimateOnce:
         for seed in range(6):
             cfg = EstimatorConfig(epsilon=0.2, t_hat=5, kappa_hat=1,
                                   seed=seed, scale=0.05, exact_fallback=False)
-            x, report = estimate_once(stream_for(g), cfg)
+            x, report = estimate(stream_for(g), cfg)
             assert x == 0.0
             assert report.passes == 6
 
@@ -114,14 +115,13 @@ class TestEstimateOnce:
         before = s.pass_counter
         cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
                               seed=1, scale=0.004)
-        _, report = estimate_once(s, cfg)
+        _, report = estimate(s, cfg)
         assert s.pass_counter - before == 6
         assert report.passes == 6
 
     def test_estimate_support(self):
         # X is 0 or sits in [(m/r) d_R / ell, (m/r) d_R], a rational with
         # denominator ell
-        from triad.estimator import _Repetition, _drive
         g, truth = gen_book(400)
         for seed in range(8):
             cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
@@ -141,7 +141,7 @@ class TestEstimateOnce:
     def test_exact_fallback_on_tiny_graph(self):
         g = k_complete(4)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=1, kappa_hat=3, seed=0)
-        x, report = estimate_once(stream_for(g), cfg)
+        x, report = estimate(stream_for(g), cfg)
         assert "exact-fallback" in report.flags
         assert x == 4.0  # exact count, not an estimate
         assert report.passes == 1  # one collection pass
@@ -149,12 +149,12 @@ class TestEstimateOnce:
     def test_empty_stream_rejected(self):
         cfg = EstimatorConfig(epsilon=0.2, t_hat=1, kappa_hat=1)
         with pytest.raises(InputError):
-            estimate_once(EdgeStream.from_edges([]), cfg)
+            estimate(EdgeStream.from_edges([]), cfg)
 
     def test_report_json_keys_are_frozen(self):
         g, truth = gen_book(50)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2, seed=3)
-        _, report = estimate_once(stream_for(g), cfg)
+        _, report = estimate(stream_for(g), cfg)
         assert list(report.to_json_dict().keys()) == [
             "estimate", "passes", "stored_edges_peak", "r", "ell", "s",
             "assignment_calls", "memo_size", "seed", "config",
@@ -211,9 +211,12 @@ class TestForcedSampleIdentity:
         for seed in range(400):
             cfg = EstimatorConfig(epsilon=0.25, t_hat=4, kappa_hat=3, seed=seed,
                                   exact_fallback=False)
-            x, report = estimate_once(stream_for(g), cfg, _forced_sample=forced)
-            assert report.r == 6
-            xs.append(x)
+            s = stream_for(g)
+            rep = _Repetition(s.stats(), cfg, rep=0, base_flags=cfg.validate(),
+                              forced_sample=forced)
+            _drive(s, [[rep]])
+            assert rep.r == 6
+            xs.append(rep.x)
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / len(xs)
         se = (var / len(xs)) ** 0.5
@@ -231,7 +234,7 @@ class TestRepetitions:
         g, truth = gen_book(300)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
                               repetitions=1, seed=2, scale=0.004)
-        x1, _ = estimate_once(stream_for(g, order_seed=1), cfg)
+        x1, _ = estimate(stream_for(g, order_seed=1), cfg)
         x2, _ = estimate(stream_for(g, order_seed=1), cfg)
         assert x1 == x2
 
@@ -292,14 +295,30 @@ class TestDegradationPaths:
         cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
                               seed=1, scale=0.004, exact_fallback=False,
                               abort_multiplier=1.000001)
-        x, report = estimate_once(stream_for(g, order_seed=5), cfg)
+        x, report = estimate(stream_for(g, order_seed=5), cfg)
         assert "space-abort" in report.flags
         assert x == 0.0
         assert report.passes < 6
 
+    def test_r_reaching_m_falls_back_once_per_run(self):
+        # t_hat = 1 drives r to m: every repetition would collect the same
+        # graph, so the run collects it once
+        g, truth = gen_wheel(30)
+        s = stream_for(g)
+        s.stats()
+        before = s.pass_counter
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=1, kappa_hat=3, seed=0, repetitions=5)
+        x, report = estimate(s, cfg)
+        assert s.pass_counter - before == 1
+        assert len(report.tables) == 1
+        assert x == truth.triangles
+        assert report.passes == 1
+        assert report.stored_edges_peak == g.m
+        assert "exact-fallback" in report.flags
+
     def test_fallback_estimate_is_exact(self):
         g, truth = gen_wheel(30)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=1, kappa_hat=3, seed=0)
-        x, report = estimate_once(stream_for(g), cfg)
+        x, report = estimate(stream_for(g), cfg)
         assert "exact-fallback" in report.flags
         assert x == triangles_exact_cn(g) == truth.triangles

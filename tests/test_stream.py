@@ -174,6 +174,17 @@ class TestReplayDeterminism:
         b.end_pass()
         assert ea == eb
 
+    @pytest.mark.parametrize("order_seed", [None, 0, 7])
+    def test_constructor_matches_validating_from_edges(self, order_seed):
+        # ideal mode streams a Graph's already-checked edges through the
+        # plain constructor; it must order them as from_edges does
+        g, _ = gen_wheel(31)
+        plain = EdgeStream(g.edge_list(), order_seed=order_seed)
+        checked = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
+        for _ in range(2):
+            assert list(plain.edges()) == list(checked.edges())
+        assert plain.stats() == checked.stats()
+
 
 class TestSourceChangesAfterOpen:
     def test_passes_replay_the_edges_validated_at_open(self, tmp_path):
