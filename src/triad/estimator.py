@@ -1,17 +1,22 @@
 """Six-pass streaming triangle estimator.
 
 Schedule per repetition (one stats pass fixing n and m runs beforehand and
-is reported separately from the budget):
+is reported separately from the budget). Every sample whose total is known
+before its pass has its positions drawn up front, so each pass only
+collects them, block by block (see `triad.sampling`):
 
-  pass 1  uniform edge sample R: r one-slot reservoirs in one SlotBank
+  pass 1  uniform edge sample R: r iid uniform positions in [0, m), and the
+          pass collects the edges at those positions
   pass 2  exact degrees of R's endpoints -> d_e per sampled slot, d_R;
           then, consuming no pass, draw ell slots from R proportional to d_e
-  pass 3  one uniform neighbor of the drawn edge's anchor, per slot
+  pass 3  one uniform neighbor of each drawn edge's anchor: j uniform in
+          [0, d_a), the anchor's degree from pass 2, and the pass collects
+          the anchor's j-th incident edge
   pass 4  closure checks for the drawn wedges plus exact degrees of the
           third vertices -> discovered triangles with all three edge degrees
   pass 5  wedge sampling for every (triangle, edge) pair whose edge degree
-          is under the cheapness cutoff: s uniform neighbors of the edge's
-          anchor, or the full neighborhood once s covers it
+          is under the cheapness cutoff: s uniform positions among the
+          anchor's incident edges, or all of them once s covers the degree
   pass 6  closure checks for the wedge samples -> per-edge estimates ->
           memoized assignment decisions
 
@@ -22,21 +27,27 @@ rule charges to the slot's own edge. The estimate is
 Degenerate regimes stay honest rather than failing: when r reaches m, the
 run stores the whole edge set on its first pass, once however many
 repetitions were asked for, and reports the exact count, flagged
-"exact-fallback". When ell or the total wedge-sample budget reaches m, the
-repetition does the same on its next pass.
-A repetition whose live storage exceeds abort_multiplier * (r + ell + s)
-aborts with estimate 0 and a "space-abort" flag. Each sampler draws from one
-generator keyed by (seed, role, repetition), so a fixed (source, order
-seed, config) is bit-reproducible, and multiplexing repetitions onto shared
-passes does not change any repetition's outcome.
+"exact-fallback". When ell or the projected wedge-sample budget reaches m,
+the repetition drops what it has sampled and does the same on its next
+pass, so it never holds a sample and the graph at once; the planned wedge
+slots are never counted as stored. A repetition whose live storage exceeds
+abort_multiplier * (r + ell + s) aborts with estimate 0 and a
+"space-abort" flag. A settled repetition keeps only its value, flags,
+counters and assignment table. Each sampler draws from one generator keyed
+by (seed, role, repetition), so a fixed (source, order seed, config) is
+bit-reproducible, and multiplexing repetitions onto shared passes does not
+change any repetition's outcome.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .assignment import (
     AssignmentTable,
@@ -53,10 +64,12 @@ from .sampling import (
     ROLE_NEIGHBOR,
     ROLE_PICK,
     ROLE_WEDGE,
-    ClosureBank,
+    ClosureChecker,
+    DegreeCounter,
+    EdgePicker,
+    IncidentPicker,
     NeighborRequest,
-    NeighborSampleBank,
-    SlotBank,
+    neighbor_picker,
     run_pass,
     substream,
     weighted_pick,
@@ -207,22 +220,33 @@ class RunReport:
         return {k: getattr(self, k) for k in _REPORT_KEYS}
 
 
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
+_NO_EDGES.flags.writeable = False
+
+
 class _GraphCollector:
     """Stores the whole stream; only used on the exact-fallback path."""
 
     def __init__(self):
-        self.edges: list[Edge] = []
+        self._blocks: list[np.ndarray] = []
+        self.size = 0
 
-    def observe(self, u: int, v: int) -> None:
-        self.edges.append((u, v))
+    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
+        self._blocks.append(np.column_stack((u, v)))
+        self.size += len(u)
+
+    def graph(self) -> Graph:
+        # the stream validated every edge when it was opened
+        return Graph.from_checked_edges(np.concatenate(self._blocks or [_NO_EDGES]))
 
 
 class _Repetition:
     """State machine for one repetition; each stage is fed one stream pass.
 
-    stage_begin(k) returns the observer for the k-th pass (or None when the
-    stage needs no pass), stage_end(k) folds the pass results in. A settled
-    repetition has its value in `x` and returns no more observers.
+    stage_begin(k) returns the observers for the k-th pass (an empty list
+    when the stage needs no pass), stage_end(k) folds the pass results in.
+    A settled repetition has its value in `x`, returns no more observers,
+    and keeps only its value, flags, counters and assignment table.
     `forced_sample` is a test hook that injects R directly, skipping pass 1
     and the r >= m exact-fallback shortcut.
     """
@@ -247,26 +271,31 @@ class _Repetition:
                            config.kappa_hat, config.c_s, config.scale)
         self.ell = 0
         self.d_r = 0
-
-        self.sample: list[Edge] = []
-        self.slot_degrees: list[int] = []
-        self.deg: dict[int, int] = {}
-        self.draws = None
-        self.draw_edges: list[Edge] = []
-        self.draw_anchors: list[int] = []
-        self.neighbors: list[Optional[int]] = []
-        # each discovered triangle's three edges with their exact degrees
-        self.tri_degrees: dict[Triangle, tuple[tuple[Edge, int], ...]] = {}
-        self.slot_triangle: list[Optional[Triangle]] = []
-        self.wedge_reqs: list[tuple[Triangle, Edge, int, Optional[int]]] = []
-        self.wedge_samples: list[list[int]] = []
-        self.wedge_slots = 0
-        self.estimates: dict[Triangle, dict[Edge, EdgeEstimate]] = {}
-
-        self._bank = None
-        self._collector: Optional[_GraphCollector] = None
+        self._drop_samples()
         self._fallback_next = (config.exact_fallback and self.r >= self.m
                                and forced_sample is None)
+
+    def _drop_samples(self) -> None:
+        """Empty the sampled state; value, flags, counters and table stay."""
+        self.sample = _NO_EDGES  # R, one canonical edge per slot
+        self.slot_degrees = np.empty(0, dtype=np.int64)
+        self.deg: dict[int, int] = {}
+        self.draws: Optional[np.ndarray] = None  # indices into R
+        self.draw_edges = _NO_EDGES
+        self.draw_anchors = np.empty(0, dtype=np.int64)
+        self.neighbors = np.empty(0, dtype=np.int64)
+        # each discovered triangle's three edges with their exact degrees
+        self.tri_degrees: dict[Triangle, tuple[tuple[Edge, int], ...]] = {}
+        # draws whose wedge closed, per (drawn edge, triangle), in first-draw order
+        self.closed_draws: Counter[tuple[Edge, Triangle]] = Counter()
+        self.wedge_reqs: list[tuple[Triangle, Edge, int, Optional[int]]] = []
+        self.wedge_samples = np.empty(0, dtype=np.int64)
+        self.wedge_bounds = np.zeros(1, dtype=np.int64)
+        self.wedge_slots = 0
+        self.estimates: dict[Triangle, dict[Edge, EdgeEstimate]] = {}
+        self._observers: list = []
+        self._open = np.empty(0, dtype=np.int64)
+        self._collector: Optional[_GraphCollector] = None
 
     # -- driver interface ---------------------------------------------------
 
@@ -274,19 +303,20 @@ class _Repetition:
     def settled(self) -> bool:
         return self.x is not None
 
-    def stage_begin(self, stage: int):
+    def stage_begin(self, stage: int) -> list:
         if self.settled:
-            return None
+            return []
         if self._fallback_next:
+            # what the repetition held when it decided is already noted
+            self._drop_samples()
             self._fallback_next = False
             self._collector = _GraphCollector()
             self.passes += 1
-            return self._collector
-        obs = getattr(self, f"_begin_{stage}")()
-        self._bank = obs
-        if obs is not None:
+            return [self._collector]
+        self._observers = getattr(self, f"_begin_{stage}")()
+        if self._observers:
             self.passes += 1
-        return obs
+        return self._observers
 
     def stage_end(self, stage: int) -> None:
         if self.settled:
@@ -295,7 +325,10 @@ class _Repetition:
             self._finish_fallback()
         else:
             getattr(self, f"_end_{stage}")()
+        self._observers = []
         self._note_storage()
+        if self.settled:
+            self._drop_samples()
 
     # -- storage accounting ---------------------------------------------------
 
@@ -308,7 +341,7 @@ class _Repetition:
         total += self.wedge_slots
         total += len(self.table)
         if self._collector is not None:
-            total += len(self._collector.edges)
+            total += self._collector.size
         return total
 
     def _note_storage(self) -> None:
@@ -325,38 +358,37 @@ class _Repetition:
     # -- exact fallback -------------------------------------------------------
 
     def _finish_fallback(self) -> None:
-        # the stream validated every edge when it was opened
-        g = Graph.from_checked_edges(self._collector.edges)
         self.flags.append("exact-fallback")
-        self._settle(triangles_exact_cn(g))
+        self._settle(triangles_exact_cn(self._collector.graph()))
 
     # -- stage 0: uniform edge sample ----------------------------------------
 
-    def _begin_0(self):
+    def _begin_0(self) -> list:
         if self.forced is not None:
-            return None
-        return SlotBank(self.r, substream(self.cfg.seed, ROLE_EDGE_SAMPLE, self.rep))
+            return []
+        rng = substream(self.cfg.seed, ROLE_EDGE_SAMPLE, self.rep)
+        return [EdgePicker.uniform(self.m, self.r, rng)]
 
     def _end_0(self) -> None:
         if self.forced is not None:
-            self.sample = [canonical_edge(u, v) for u, v in self.forced]
+            self.sample = np.array([canonical_edge(u, v) for u, v in self.forced],
+                                   dtype=np.int64).reshape(-1, 2)
             self.r = len(self.sample)
         else:
-            self.sample = self._bank.samples()
-            self._bank = None
+            [picker] = self._observers
+            self.sample = picker.samples()
 
     # -- stage 1: exact degrees of R, then the degree-proportional draws ------
 
-    def _begin_1(self):
-        endpoints = {u for e in self.sample for u in e}
-        return ClosureBank(degree_vertices=endpoints)
+    def _begin_1(self) -> list:
+        return [DegreeCounter(self.sample.ravel())]
 
     def _end_1(self) -> None:
-        self.deg.update(self._bank.degrees)
-        self._bank = None
-        deg = self.deg
-        self.slot_degrees = [min(deg[u], deg[v]) for u, v in self.sample]
-        self.d_r = sum(self.slot_degrees)
+        [counter] = self._observers
+        self.deg.update(counter.degrees())
+        ends = counter.counts[np.searchsorted(counter.vertices, self.sample)]
+        self.slot_degrees = ends.min(axis=1)
+        self.d_r = int(self.slot_degrees.sum())
         if self.d_r <= 0:
             self.flags.append("sparse-sample")
             self._settle(0.0)
@@ -369,62 +401,49 @@ class _Repetition:
             return
         rng = substream(cfg.seed, ROLE_PICK, self.rep)
         self.draws = weighted_pick(self.slot_degrees, self.ell, rng)
-        deg = self.deg
-        for idx in self.draws:
-            u, v = self.sample[int(idx)]
-            self.draw_edges.append((u, v))
-            self.draw_anchors.append(pick_anchor(u, v, deg[u], deg[v]))
+        self.draw_edges = self.sample[self.draws]
+        ends = ends[self.draws]
+        # pick_anchor on canonical edges: the lower degree, the larger id on ties
+        self.draw_anchors = np.where(ends[:, 0] < ends[:, 1],
+                                     self.draw_edges[:, 0], self.draw_edges[:, 1])
 
     # -- stage 2: uniform neighbor per draw ------------------------------------
 
-    def _begin_2(self):
-        requests = [
-            NeighborRequest(e, a, 1)
-            for e, a in zip(self.draw_edges, self.draw_anchors)
-        ]
-        return NeighborSampleBank(requests, substream(self.cfg.seed, ROLE_NEIGHBOR, self.rep))
+    def _begin_2(self) -> list:
+        # the anchor is the lower-degree end, so its degree is the slot's d_e
+        rng = substream(self.cfg.seed, ROLE_NEIGHBOR, self.rep)
+        return [IncidentPicker(self.draw_anchors, rng.integers(self.slot_degrees[self.draws]))]
 
     def _end_2(self) -> None:
-        results = self._bank.results()
-        self._bank = None
-        self.neighbors = [res[0] if res else None for res in results]
+        [picker] = self._observers
+        self.neighbors = picker.results()
 
     # -- stage 3: wedge closure + third-vertex degrees -------------------------
 
-    def _begin_3(self):
-        pairs = set()
-        degree_queries = set()
-        for (u, v), a, w in zip(self.draw_edges, self.draw_anchors, self.neighbors):
-            if w is None:
-                continue
-            other = v if a == u else u
-            if w == other:
-                continue
-            pairs.add(canonical_edge(other, w))
-            degree_queries.add(w)
-        return ClosureBank(pairs=pairs, degree_vertices=degree_queries)
+    def _begin_3(self) -> list:
+        u, v = self.draw_edges.T
+        others = np.where(self.draw_anchors == u, v, u)
+        # a neighbor equal to the edge's other end makes no wedge
+        self._open = np.flatnonzero(self.neighbors != others)
+        w = self.neighbors[self._open]
+        return [ClosureChecker(others[self._open], w), DegreeCounter(w)]
 
     def _end_3(self) -> None:
-        present = self._bank.present
-        self.deg.update(self._bank.degrees)
-        self._bank = None
+        closure, counter = self._observers
+        self.deg.update(counter.degrees())
         deg = self.deg
-        self.slot_triangle = [None] * self.ell
-        for i, ((u, v), a, w) in enumerate(
-                zip(self.draw_edges, self.draw_anchors, self.neighbors)):
-            if w is None:
-                continue
-            other = v if a == u else u
-            if w == other or not present[canonical_edge(other, w)]:
-                continue
+        closed = self._open[closure.present()]
+        for (u, v), w in zip(self.draw_edges[closed].tolist(), self.neighbors[closed].tolist()):
             tri: Triangle = tuple(sorted((u, v, w)))
-            self.slot_triangle[i] = tri
+            self.closed_draws[(u, v), tri] += 1
             if tri not in self.tri_degrees:
                 self.tri_degrees[tri] = tuple(
                     (f, min(deg[f[0]], deg[f[1]])) for f in triangle_edges(tri)
                 )
 
         cut = degree_cutoff(self.m, self.cfg.epsilon, self.cfg.t_hat, self.cfg.kappa_hat)
+        wedge_reqs = []
+        wedge_slots = 0
         for tri, edge_degrees in self.tri_degrees.items():
             per_edge: dict[Edge, EdgeEstimate] = {}
             for f, d_f in edge_degrees:
@@ -433,13 +452,16 @@ class _Repetition:
                     continue
                 anchor = pick_anchor(f[0], f[1], deg[f[0]], deg[f[1]])
                 want = None if self.s >= d_f else self.s
-                self.wedge_reqs.append((tri, f, anchor, want))
-                self.wedge_slots += d_f if want is None else want
+                wedge_reqs.append((tri, f, anchor, want))
+                wedge_slots += d_f if want is None else want
             self.estimates[tri] = per_edge
 
-        if self.cfg.exact_fallback and self.wedge_slots > self.m:
+        # decide on the projected wedge budget before holding any of it
+        if self.cfg.exact_fallback and wedge_slots > self.m:
             self._fallback_next = True
             return
+        self.wedge_reqs = wedge_reqs
+        self.wedge_slots = wedge_slots
         self._note_storage()
         if self._live_items() > self._abort_budget():
             self.flags.append("space-abort")
@@ -447,52 +469,48 @@ class _Repetition:
 
     # -- stage 4: wedge sampling ------------------------------------------------
 
-    def _begin_4(self):
+    def _begin_4(self) -> list:
         requests = [
             NeighborRequest(f, anchor, want)
             for (_, f, anchor, want) in self.wedge_reqs
         ]
-        return NeighborSampleBank(requests, substream(self.cfg.seed, ROLE_WEDGE, self.rep))
+        rng = substream(self.cfg.seed, ROLE_WEDGE, self.rep)
+        picker, self.wedge_bounds = neighbor_picker(requests, self.deg, rng)
+        return [picker]
 
     def _end_4(self) -> None:
-        self.wedge_samples = self._bank.results()
-        self._bank = None
+        [picker] = self._observers
+        self.wedge_samples = picker.results()
 
     # -- stage 5: wedge closure, estimates, assignment, estimate ----------------
 
-    def _begin_5(self):
-        pairs = set()
-        for (tri, f, anchor, _), samples in zip(self.wedge_reqs, self.wedge_samples):
-            other = f[1] if anchor == f[0] else f[0]
-            for w in samples:
-                if w != other:
-                    pairs.add(canonical_edge(other, w))
-        return ClosureBank(pairs=pairs)
+    def _begin_5(self) -> list:
+        others = [f[1] if anchor == f[0] else f[0] for (_, f, anchor, _) in self.wedge_reqs]
+        other = np.repeat(np.array(others, dtype=np.int64), np.diff(self.wedge_bounds))
+        self._open = np.flatnonzero(self.wedge_samples != other)
+        return [ClosureChecker(other[self._open], self.wedge_samples[self._open])]
 
     def _end_5(self) -> None:
-        present = self._bank.present
-        self._bank = None
+        [closure] = self._observers
+        counts = np.diff(self.wedge_bounds)
+        owner = np.repeat(np.arange(len(self.wedge_reqs)), counts)
+        hits = np.bincount(owner[self._open[closure.present()]], minlength=len(self.wedge_reqs))
         deg = self.deg
-        for (tri, f, anchor, want), samples in zip(self.wedge_reqs, self.wedge_samples):
-            other = f[1] if anchor == f[0] else f[0]
-            hits = sum(
-                1 for w in samples
-                if w != other and present[canonical_edge(other, w)]
-            )
+        for (tri, f, anchor, want), h, count in zip(self.wedge_reqs, hits.tolist(), counts.tolist()):
             d_f = min(deg[f[0]], deg[f[1]])
-            s_eff = len(samples) if want is None else want
-            y = d_f * hits / s_eff if s_eff else 0.0
+            s_eff = count if want is None else want
+            y = d_f * h / s_eff if s_eff else 0.0
             self.estimates[tri][f] = EdgeEstimate(f, d_f, y)
 
         cfg = self.cfg
         score = 0
-        for i, tri in enumerate(self.slot_triangle):
-            if tri is None:
-                continue
-            self.assignment_calls += 1
-            if is_assigned(tri, self.draw_edges[i], self.estimates[tri],
+        # the table memoizes each triangle's assignment, so every draw of one
+        # (edge, triangle) pair gets the answer its first draw gets
+        for (edge, tri), draws in self.closed_draws.items():
+            self.assignment_calls += draws
+            if is_assigned(tri, edge, self.estimates[tri],
                            cfg.epsilon, cfg.kappa_hat, self.table):
-                score += 1
+                score += draws
         y_mean = score / self.ell
         self._settle((self.m / self.r) * self.d_r * y_mean)
 
@@ -506,7 +524,7 @@ def _drive(stream, groups: list[list[_Repetition]]) -> None:
     for reps in groups:
         for stage in range(PASSES_PER_REPETITION):
             begun = [(rep, rep.stage_begin(stage)) for rep in reps if not rep.settled]
-            observers = [obs for _, obs in begun if obs is not None]
+            observers = [ob for _, obs in begun for ob in obs]
             if observers:
                 run_pass(stream, observers)
             for rep, _ in begun:

@@ -111,8 +111,10 @@ class Graph:
         return cls.from_checked_edges(edgelist.read_edges(path))
 
     @classmethod
-    def from_checked_edges(cls, edges: Sequence[Edge]) -> "Graph":
+    def from_checked_edges(cls, edges: Sequence[Edge] | np.ndarray) -> "Graph":
         """Graph of already-validated edges, remapping ids to dense [0, n).
+
+        `edges` is a sequence of pairs or an (m, 2) int64 array.
 
         The edges must be canonical (u < v), distinct, and have ids in
         [0, 2**63), as an edge-list scan or an EdgeStream guarantees; they
@@ -153,8 +155,10 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _edge_array(edges: Sequence[Edge]) -> np.ndarray:
-    """(m, 2) int64 array of a sequence of edge pairs."""
+def _edge_array(edges: Sequence[Edge] | np.ndarray) -> np.ndarray:
+    """(m, 2) int64 array of a sequence of edge pairs or of an (m, 2) array."""
+    if isinstance(edges, np.ndarray):
+        return edges.astype(np.int64, copy=False).reshape(-1, 2)
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     return flat.reshape(-1, 2)
 

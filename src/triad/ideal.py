@@ -9,12 +9,17 @@ triangle count, with second moment at most d_E * T. Triangles are charged
 to their lowest-degree edge, canonical order breaking ties, so every
 triangle is charged exactly once.
 
-All instances' edge picks share one `SlotBank`, whose running weight is
-d_E: a slot refreshed at running weight W keeps its edge through running
-weight x with probability W/x, so it jumps to its next refresh at W/U,
-U ~ Uniform(0, 1]. An edge costs O(1) plus O(log k) per slot it refreshes,
-and a slot expects at most 1 + ln(d_E / d_first) refreshes, d_first being
-the first edge's d_e.
+Pass 1: all instances' edge picks share one `SlotBank`, whose running
+weight is d_E: a slot refreshed at running weight W keeps its edge through
+running weight x with probability W/x, so it jumps to its next refresh at
+W/U, U ~ Uniform(0, 1]. An edge costs O(1) plus O(log k) per slot it
+refreshes, and a slot expects at most 1 + ln(d_E / d_first) refreshes,
+d_first being the first edge's d_e.
+
+Pass 2: the pick carries its anchor's oracle degree d_a, so each instance
+draws j uniform in [0, d_a) up front and the pass collects the anchor's
+j-th incident edge. Pass 3 checks every live wedge's closing pair. Both
+passes are columnar block observers shared with the main estimator.
 
 Any number of instances ride the same three physical passes; the final
 estimate is a median of group means.
@@ -28,13 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graph import Graph, canonical_edge, pick_anchor
+from .graph import Graph, canonical_edge
 from .sampling import (
     ROLE_NEIGHBOR,
     ROLE_WEIGHTED_SAMPLE,
-    ClosureBank,
-    NeighborRequest,
-    NeighborSampleBank,
+    ClosureChecker,
+    IncidentPicker,
     SlotBank,
     run_pass,
     substream,
@@ -60,10 +64,13 @@ class _OracleWeights:
         self._bank = bank
         self._oracle = oracle
 
-    def observe(self, u: int, v: int) -> None:
-        d_u = self._oracle(u)
-        d_v = self._oracle(v)
-        self._bank.offer((u, v, d_u, d_v), d_u if d_u < d_v else d_v)
+    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
+        oracle = self._oracle
+        offer = self._bank.offer
+        for a, b in zip(u.tolist(), v.tolist()):
+            d_a = oracle(a)
+            d_b = oracle(b)
+            offer((a, b, d_a, d_b), d_a if d_a < d_b else d_b)
 
 
 @dataclass(frozen=True)
@@ -94,52 +101,37 @@ def ideal_sample(stream, oracle, count: int, seed: int) -> tuple[np.ndarray, int
     picks = bank.samples()
     d_e_total = bank.total
 
-    # pass 2: one uniform neighbor of each instance's anchor
-    requests = []
-    anchors = []
-    for (u, v, d_u, d_v) in picks:
-        a = pick_anchor(u, v, d_u, d_v)
-        anchors.append(a)
-        requests.append(NeighborRequest((u, v), a, 1))
-    nbr_bank = NeighborSampleBank(requests, substream(seed, ROLE_NEIGHBOR))
-    run_pass(stream, [nbr_bank])
-    sampled = nbr_bank.results()
+    # pass 2: one uniform neighbor of each instance's anchor, the lower-degree
+    # end (the larger id on ties, as pick_anchor has it), whose degree the
+    # pick already carries
+    u, v, d_u, d_v = np.array(picks, dtype=np.int64).T
+    anchors = np.where(d_u < d_v, u, v)
+    rng = substream(seed, ROLE_NEIGHBOR)
+    neighbors = IncidentPicker(anchors, rng.integers(np.minimum(d_u, d_v)))
+    run_pass(stream, [neighbors])
+    sampled = neighbors.results()
 
-    # pass 3: closure checks for every live wedge
-    pairs = set()
-    wedges: list = [None] * count
-    for i, ((u, v, _, _), a, res) in enumerate(zip(picks, anchors, sampled)):
-        if not res:
-            continue
-        w = res[0]
-        other = v if a == u else u
-        if w == other:
-            continue  # degenerate wedge, cannot close
-        pair = canonical_edge(other, w)
-        pairs.add(pair)
-        wedges[i] = (w, pair)
-    closure = ClosureBank(pairs=pairs)
+    # pass 3: closure checks for every live wedge; a neighbor equal to the
+    # edge's other end makes a degenerate wedge, which cannot close
+    others = np.where(anchors == u, v, u)
+    live = np.flatnonzero(sampled != others)
+    closure = ClosureChecker(others[live], sampled[live])
     run_pass(stream, [closure])
 
     xs = np.zeros(count, dtype=np.float64)
-    hits = 0
-    for i, wedge in enumerate(wedges):
-        if wedge is None:
-            continue
-        w, pair = wedge
-        if not closure.present[pair]:
-            continue
-        hits += 1
-        u, v, d_u, d_v = picks[i]
-        d_w = oracle(w)
+    closed = live[closure.present()]
+    for i, c in zip(closed.tolist(), sampled[closed].tolist()):
+        a, b, d_a, d_b = picks[i]
+        d_c = oracle(c)
         tri_edges = (
-            (min(d_u, d_v), canonical_edge(u, v)),
-            (min(d_u, d_w), canonical_edge(u, w)),
-            (min(d_v, d_w), canonical_edge(v, w)),
+            (min(d_a, d_b), canonical_edge(a, b)),
+            (min(d_a, d_c), canonical_edge(a, c)),
+            (min(d_b, d_c), canonical_edge(b, c)),
         )
         charged = min(tri_edges)[1]
-        if charged == canonical_edge(u, v):
+        if charged == canonical_edge(a, b):
             xs[i] = d_e_total
+    hits = len(closed)
     return xs, d_e_total, hits
 
 

@@ -1,18 +1,40 @@
-"""Seeded samplers batched onto shared stream passes.
+"""Seeded samplers and the columnar observers that ride on stream passes.
 
 All pseudo-randomness flows through `substream`, which derives an
 independent generator from (seed, role, key...) using SeedSequence spawn
-keys. Each bank takes one generator, keyed by (seed, role, repetition), so a
-fixed (seed, stream order) reproduces every output bit for bit.
+keys. Each sampler takes one generator, keyed by (seed, role, repetition),
+so a fixed (seed, stream order) reproduces every output bit for bit.
 
-Every streaming sample is a `SlotBank`: k independent one-slot reservoirs
-over a stream of (item, weight) offers. A slot refreshed when the running
-weight was W keeps its item through running weight x with probability W/x,
-so rather than flipping a coin per offer it jumps straight to its next
-refresh at W/U, U ~ Uniform(0, 1] (the skip-ahead of Vitter 1985 and Li
-1994, in weighted one-slot form). A min-heap of thresholds makes an offer
-that crosses none cost O(1); a refresh costs O(log k), and a slot expects
-at most 1 + ln(W / w_first) refreshes over a stream of total weight W whose
+`run_pass` feeds every observer the same blocks of edges, two int64
+columns (u, v) of at most BLOCK_EDGES edges, through `observe_block(u, v)`.
+A stream that offers `next_block` is read as zero-copy views of its own
+columns; any other stream that speaks the begin / next_edge / end protocol
+is read edge by edge into blocks. Each observer is a numpy kernel over the
+block:
+
+- `EdgePicker` collects the edges at given stream positions, matched
+  against the block's offset. r iid uniform positions in [0, m) are r
+  independent uniform edges: the law of r one-slot reservoirs.
+- `IncidentPicker` collects, per slot, the other endpoint of the j-th edge
+  incident to the slot's anchor, matched against per-anchor running
+  incidence counts. j uniform in [0, d_a) is a uniform neighbor, and every
+  j in [0, d_a) is the whole neighborhood.
+- `DegreeCounter` counts exact degrees of a query set, with `searchsorted`
+  and `bincount` against the sorted queries.
+- `ClosureChecker` tells which of a list of vertex pairs are edges. Ids
+  reach 2**63 - 1, so two of them do not pack into one int64 key; a pair's
+  key is built from the ranks of its ends among the queried vertices.
+
+So a sample whose total is known before its pass draws its positions up
+front, and the pass only collects them. `SlotBank` serves the one sample
+whose total is not known: k independent one-slot weighted reservoirs over
+a stream of (item, weight) offers. A slot refreshed when the running weight
+was W keeps its item through running weight x with probability W/x, so
+rather than flipping a coin per offer it jumps straight to its next refresh
+at W/U, U ~ Uniform(0, 1] (the skip-ahead of Vitter 1985 and Li 1994, in
+weighted one-slot form). A min-heap of thresholds makes an offer that
+crosses none cost O(1); a refresh costs O(log k), and a slot expects at
+most 1 + ln(W / w_first) refreshes over a stream of total weight W whose
 first positive offer weighs w_first.
 """
 
@@ -20,12 +42,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .graph import canonical_edge
+from .graph import _ranges
 
 Edge = tuple[int, int]
 
@@ -38,6 +61,9 @@ ROLE_NEIGHBOR = 4
 ROLE_WEDGE = 5
 ROLE_GENERATE = 6
 
+# edges per block that `run_pass` hands to its observers
+BLOCK_EDGES = 1 << 16
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key...); same inputs, same stream."""
@@ -48,20 +74,235 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def run_pass(stream, observers: Sequence) -> None:
-    """Drive one full pass, feeding every edge to every observer."""
+    """Drive one full pass, feeding every block of edges to every observer."""
     stream.begin_pass()
     try:
-        while True:
-            e = stream.next_edge()
-            if e is None:
-                break
-            u, v = e
+        for u, v in _blocks(stream):
             for ob in observers:
-                ob.observe(u, v)
+                ob.observe_block(u, v)
     except BaseException:
         stream.abort_pass()
         raise
     stream.end_pass()
+
+
+def _blocks(stream):
+    """The current pass as (u, v) int64 columns of at most BLOCK_EDGES edges."""
+    size = BLOCK_EDGES
+    read = getattr(stream, "next_block", None)
+    if read is not None:
+        while (block := read(size)) is not None:
+            yield block
+        return
+    while True:
+        edges = []
+        while len(edges) < size and (e := stream.next_edge()) is not None:
+            edges.append(e)
+        if not edges:
+            return
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+        yield flat[0::2], flat[1::2]
+        if len(edges) < size:
+            return
+
+
+def _distinct(values) -> np.ndarray:
+    """The distinct values, sorted. Plain `np.unique` takes a hash-table
+    path that is several times slower on int64 ids and imports numpy.ma on
+    its first call."""
+    ids = np.sort(np.asarray(values, dtype=np.int64))
+    return ids[np.concatenate(([True], ids[1:] != ids[:-1]))] if len(ids) else ids
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each value in the sorted array `keys`, and whether it is there."""
+    idx = np.searchsorted(keys, values)
+    if len(keys) == 0:
+        return idx, np.zeros(len(values), dtype=bool)
+    np.minimum(idx, len(keys) - 1, out=idx)
+    return idx, keys[idx] == values
+
+
+class EdgePicker:
+    """The edges at given positions of one pass (0-based, in stream order)."""
+
+    def __init__(self, positions):
+        positions = np.asarray(positions, dtype=np.int64)
+        self._order = np.argsort(positions, kind="stable")
+        self._sorted = positions[self._order]
+        # -1 marks a position the pass has not reached; ids are never negative
+        self._u = np.full(len(positions), -1, dtype=np.int64)
+        self._v = np.full(len(positions), -1, dtype=np.int64)
+        self._offset = 0
+
+    @classmethod
+    def uniform(cls, m: int, count: int, rng: np.random.Generator) -> "EdgePicker":
+        """`count` iid uniform positions over a pass of m edges: a
+        with-replacement uniform edge sample."""
+        if m < 1:
+            raise InputError("no edges to sample from")
+        return cls(rng.integers(m, size=count))
+
+    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
+        start = self._offset
+        self._offset = start + len(u)
+        lo, hi = np.searchsorted(self._sorted, (start, self._offset))
+        if lo < hi:
+            slots = self._order[lo:hi]
+            at = self._sorted[lo:hi] - start
+            self._u[slots] = u[at]
+            self._v[slots] = v[at]
+
+    def samples(self) -> np.ndarray:
+        """The picked edges as a (count, 2) int64 array, in slot order."""
+        if (self._u < 0).any():
+            raise InputError("a sampled position lies past the end of the pass")
+        return np.column_stack((self._u, self._v))
+
+
+@dataclass(frozen=True)
+class NeighborRequest:
+    """Ask for uniform neighbors of `anchor`, an endpoint of `edge`.
+
+    want=N draws N independent uniform samples from N(anchor); want=None
+    collects the whole neighborhood instead (used when a requested sample
+    count would cover every neighbor, making downstream estimates exact).
+    """
+
+    edge: Edge
+    anchor: int
+    want: Optional[int]
+
+    def __post_init__(self):
+        if self.anchor not in self.edge:
+            raise InputError(f"anchor {self.anchor} is not an endpoint of {self.edge}")
+        if self.want is not None and self.want < 1:
+            raise InputError(f"want must be >= 1 or None, got {self.want}")
+
+
+class IncidentPicker:
+    """Per slot i, the other endpoint of the positions[i]-th edge incident
+    to anchors[i] (0-based, in stream order), collected in one pass.
+
+    Slots are kept sorted by (anchor rank, position). Each block's
+    incidences with the anchors are ranked within their anchor by stream
+    order and offset by the anchor's running incidence count, which names
+    every incidence by the same (anchor rank, position) key as the slots
+    that want it.
+    """
+
+    def __init__(self, anchors, positions):
+        anchors = np.asarray(anchors, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        self._anchors, rank = np.unique(anchors, return_inverse=True)
+        # a position is below its anchor's degree, hence below m; rank * span
+        # stays far below 2**63 for any stream that fits in memory
+        self._span = int(positions.max()) + 1 if len(positions) else 1
+        keys = rank * self._span + positions
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        self._seen = np.zeros(len(self._anchors), dtype=np.int64)
+        # -1 marks a slot the pass has not filled; ids are never negative
+        self._found = np.full(len(positions), -1, dtype=np.int64)
+
+    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
+        k = len(self._anchors)
+        if k == 0:
+            return
+        ru, hu = _lookup(self._anchors, u)
+        rv, hv = _lookup(self._anchors, v)
+        iu = np.flatnonzero(hu)
+        iv = np.flatnonzero(hv)
+        rank = np.concatenate((ru[iu], rv[iv]))
+        if len(rank) == 0:
+            return
+        order = np.lexsort((np.concatenate((iu, iv)), rank))
+        rank = rank[order]
+        other = np.concatenate((v[iu], u[iv]))[order]
+        count = np.bincount(rank, minlength=k)
+        first = np.cumsum(count) - count
+        pos = self._seen[rank] + np.arange(len(rank)) - first[rank]
+        self._seen += count
+        wanted = pos < self._span
+        key = rank[wanted] * self._span + pos[wanted]
+        lo = np.searchsorted(self._keys, key, side="left")
+        n = np.searchsorted(self._keys, key, side="right") - lo
+        self._found[self._order[_ranges(lo, n)]] = np.repeat(other[wanted], n)
+
+    def results(self) -> np.ndarray:
+        """The other endpoint per slot, in slot order."""
+        if (self._found < 0).any():
+            raise InputError("a sampled position lies past its anchor's degree")
+        return self._found
+
+
+def neighbor_picker(requests: Sequence[NeighborRequest], degree: Mapping[int, int],
+                    rng: np.random.Generator) -> tuple[IncidentPicker, np.ndarray]:
+    """An `IncidentPicker` serving neighbor requests, and the slot bounds:
+    request i owns slots bounds[i]:bounds[i + 1].
+
+    A request for N samples gets N iid uniform positions in [0, d), a full
+    request every position in [0, d), where d = degree[anchor]; an anchor
+    of degree 0 gets no slot.
+    """
+    anchors = np.array([q.anchor for q in requests], dtype=np.int64)
+    d = np.array([degree.get(q.anchor, 0) for q in requests], dtype=np.int64)
+    full = np.array([q.want is None for q in requests], dtype=bool)
+    want = np.array([q.want or 0 for q in requests], dtype=np.int64)
+    count = np.where(full, d, want)
+    count[d == 0] = 0
+    bounds = np.concatenate(([0], np.cumsum(count)))
+    positions = np.arange(int(bounds[-1])) - np.repeat(bounds[:-1], count)
+    sampled = ~np.repeat(full, count)
+    positions[sampled] = rng.integers(np.repeat(d, count)[sampled])
+    return IncidentPicker(np.repeat(anchors, count), positions), bounds
+
+
+class DegreeCounter:
+    """Exact degrees of a set of query vertices, in one pass."""
+
+    def __init__(self, vertices):
+        self.vertices = _distinct(vertices)
+        self.counts = np.zeros(len(self.vertices), dtype=np.int64)
+
+    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
+        k = len(self.vertices)
+        for col in (u, v):
+            idx, hit = _lookup(self.vertices, col)
+            self.counts += np.bincount(idx[hit], minlength=k)
+
+    def degrees(self) -> dict[int, int]:
+        return dict(zip(self.vertices.tolist(), self.counts.tolist()))
+
+
+class ClosureChecker:
+    """Whether each of a list of vertex pairs (a[i], b[i]) is an edge."""
+
+    def __init__(self, a, b):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        self._vertices = _distinct(np.concatenate((a, b)))
+        keys = self._key(np.searchsorted(self._vertices, a), np.searchsorted(self._vertices, b))
+        self._keys, self._slot = np.unique(keys, return_inverse=True)
+        self._hit = np.zeros(len(self._keys), dtype=bool)
+
+    def _key(self, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+        # ranks lie below k = len(vertices), so lo * k + hi names an
+        # unordered pair and fits in int64 while k < 3e9
+        return np.minimum(ra, rb) * len(self._vertices) + np.maximum(ra, rb)
+
+    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
+        if len(self._keys) == 0:
+            return
+        ru, hu = _lookup(self._vertices, u)
+        rv, hv = _lookup(self._vertices, v)
+        both = hu & hv
+        idx, hit = _lookup(self._keys, self._key(ru[both], rv[both]))
+        self._hit[idx[hit]] = True
+
+    def present(self) -> np.ndarray:
+        """Per pair, in the order given: whether it is an edge."""
+        return self._hit[self._slot]
 
 
 class SlotBank:
@@ -70,9 +311,7 @@ class SlotBank:
     After offers of total weight W, each slot holds item e with probability
     w_e / W, independently of the other slots. Thresholds start at 0, so the
     first positive-weight offer fills every slot; a zero-weight offer never
-    fires. `total` is the running weight W. As a pass observer the bank
-    offers each edge with weight 1, making the slots a with-replacement
-    uniform edge sample.
+    fires. `total` is the running weight W.
     """
 
     def __init__(self, k: int, rng: np.random.Generator):
@@ -103,9 +342,6 @@ class SlotBank:
             items[i] = item
             heapq.heappush(heap, (threshold, i))
 
-    def observe(self, u: int, v: int) -> None:
-        self.offer((u, v))
-
     def samples(self) -> list:
         """The item in each slot, in slot order."""
         if self.total <= 0:
@@ -127,97 +363,3 @@ def weighted_pick(weights: Sequence[float], count: int, rng: np.random.Generator
     if total <= 0:
         raise InputError("weights sum to zero")
     return rng.choice(w.size, size=count, replace=True, p=w / total)
-
-
-@dataclass(frozen=True)
-class NeighborRequest:
-    """Ask for uniform neighbors of `anchor`, an endpoint of `edge`.
-
-    want=N draws N independent uniform samples from N(anchor); want=None
-    collects the whole neighborhood instead (used when a requested sample
-    count would cover every neighbor, making downstream estimates exact).
-    """
-
-    edge: Edge
-    anchor: int
-    want: Optional[int]
-
-    def __post_init__(self):
-        if self.anchor not in self.edge:
-            raise InputError(f"anchor {self.anchor} is not an endpoint of {self.edge}")
-        if self.want is not None and self.want < 1:
-            raise InputError(f"want must be >= 1 or None, got {self.want}")
-
-
-class NeighborSampleBank:
-    """Service many neighbor requests simultaneously in one pass.
-
-    Sampled requests anchored at the same vertex share one `SlotBank`, which
-    is offered every neighbor of the anchor with weight 1, so each slot is a
-    uniform reservoir over N(anchor) and a request owns a contiguous run of
-    slots. By the threshold-jump law an incident edge costs O(1) plus
-    O(log k) per slot it refreshes, and a slot expects at most 1 + ln(d)
-    refreshes at an anchor of degree d. All anchors draw from the one
-    generator `rng`; full-scan collections are shared per anchor.
-    """
-
-    def __init__(self, requests: Iterable[NeighborRequest], rng: np.random.Generator):
-        self._slots_of: list = []  # per request: (anchor, start, want); want None = full
-        slot_counts: dict[int, int] = {}
-        self._full: dict[int, list[int]] = {}
-        for req in requests:
-            if req.want is None:
-                self._full.setdefault(req.anchor, [])
-                self._slots_of.append((req.anchor, 0, None))
-            else:
-                start = slot_counts.get(req.anchor, 0)
-                slot_counts[req.anchor] = start + req.want
-                self._slots_of.append((req.anchor, start, req.want))
-        self._banks = {anchor: SlotBank(k, rng) for anchor, k in slot_counts.items()}
-
-    def observe(self, u: int, v: int) -> None:
-        banks = self._banks
-        full = self._full
-        if u in banks or u in full:
-            self._feed(u, v)
-        if v in banks or v in full:
-            self._feed(v, u)
-
-    def _feed(self, anchor: int, nbr: int) -> None:
-        bank = self._banks.get(anchor)
-        if bank is not None:
-            bank.offer(nbr)
-        bucket = self._full.get(anchor)
-        if bucket is not None:
-            bucket.append(nbr)
-
-    def results(self) -> list[list[int]]:
-        """Per request: the sampled neighbors, in slot order.
-
-        A request whose anchor saw no incident edge yields an empty list.
-        """
-        sampled = {anchor: bank.samples() if bank.total else []
-                   for anchor, bank in self._banks.items()}
-        return [list(self._full[anchor]) if want is None
-                else sampled[anchor][start:start + want]
-                for anchor, start, want in self._slots_of]
-
-
-class ClosureBank:
-    """Answer pair-membership and degree queries exactly in one pass."""
-
-    def __init__(self, pairs: Iterable[tuple[int, int]] = (),
-                 degree_vertices: Iterable[int] = ()):
-        self.present: dict[Edge, bool] = {canonical_edge(*p): False for p in pairs}
-        self.degrees: dict[int, int] = {v: 0 for v in degree_vertices}
-
-    def observe(self, u: int, v: int) -> None:
-        deg = self.degrees
-        if u in deg:
-            deg[u] += 1
-        if v in deg:
-            deg[v] += 1
-        pres = self.present
-        e = (u, v) if u < v else (v, u)
-        if e in pres:
-            pres[e] = True

@@ -4,9 +4,11 @@ A stream yields every edge exactly once per pass, in a fixed order for a
 fixed shuffle seed; the order is decided once, when the stream is opened.
 Passes follow an explicit begin / next / end protocol so estimator pass
 budgets can be audited, and `edges()` wraps the protocol for plain
-iteration. Opening a stream validates its edges once and holds them
-compactly (16 bytes per edge) in pass order; no pass rereads the source,
-so a file that changes or disappears after opening changes nothing.
+iteration, and `next_block` hands out read-only numpy views of the next
+run of edges for consumers that work on columns. Opening a stream
+validates its edges once and holds them compactly (16 bytes per edge) in
+pass order; no pass rereads the source, so a file that changes or
+disappears after opening changes nothing.
 """
 
 from __future__ import annotations
@@ -89,6 +91,19 @@ class EdgeStream:
         self._pos = pos + 1
         return self._u[pos], self._v[pos]
 
+    def next_block(self, size: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Up to `size` next edges of the current pass as two read-only
+        int64 columns (views of the stream's own storage, no copy), or None
+        at end of pass."""
+        if not self._active:
+            raise StreamUsageError("next_block outside a pass")
+        pos = self._pos
+        count = min(size, len(self._u) - pos)
+        if count <= 0:
+            return None
+        self._pos = pos + count
+        return _view(self._u, pos, count), _view(self._v, pos, count)
+
     def end_pass(self) -> None:
         """Finish an exhausted pass; this is the only point the counter moves."""
         if not self._active:
@@ -124,15 +139,24 @@ class EdgeStream:
     def stats(self) -> StreamStats:
         """Exact (n, m) where n counts distinct endpoints.
 
-        The first call consumes one pass; the result is cached after that,
-        since it cannot change for an immutable source.
+        The first call consumes one pass, read as one block; the result is
+        cached after that, since it cannot change for an immutable source.
         """
         if self._stats is None:
-            verts: set[int] = set()
-            m = 0
-            for u, v in self.edges():
-                verts.add(u)
-                verts.add(v)
-                m += 1
-            self._stats = StreamStats(n=len(verts), m=m)
+            self.begin_pass()
+            block = self.next_block(len(self))
+            self.end_pass()
+            if block is None:
+                self._stats = StreamStats(n=0, m=0)
+            else:
+                # distinct ids start where the sorted ids change
+                ids = np.sort(np.concatenate(block))
+                n = 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
+                self._stats = StreamStats(n=n, m=len(block[0]))
         return self._stats
+
+
+def _view(column: array, start: int, count: int) -> np.ndarray:
+    view = np.frombuffer(column, dtype=np.int64, count=count, offset=8 * start)
+    view.flags.writeable = False
+    return view

@@ -2,6 +2,7 @@
 paths, and the conditional expectation identity on a forced sample."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from triad.estimator import (
     _drive,
     estimate,
 )
-from triad.graph import pick_anchor, triangles_exact_cn
-from triad.generators import gen_book, gen_wheel
+from triad.graph import degeneracy, pick_anchor, triangles_exact_cn
+from triad.generators import gen_book, gen_lb_instance, gen_wheel, lb_spec
+from triad.sampling import run_pass
 from triad.stream import EdgeStream
 
 from conftest import k_complete, path_graph
@@ -322,3 +324,60 @@ class TestDegradationPaths:
         x, report = estimate(stream_for(g), cfg)
         assert "exact-fallback" in report.flags
         assert x == triangles_exact_cn(g) == truth.triangles
+
+
+class TestFallbackStorage:
+    """On the lb NO gadget (p = q = 20, 81 blocks, m = 22,000) at eps 0.2,
+    scale 0.005, every repetition decides in mid-run that its sample would
+    cost more than the graph, and collects the graph instead."""
+
+    @staticmethod
+    def gadget():
+        g, truth = gen_lb_instance(lb_spec(20, 20, 81, "no", seed=1))
+        return g, truth, degeneracy(g)
+
+    @staticmethod
+    def config(truth, kappa, repetitions):
+        return EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=kappa, seed=1,
+                               scale=0.005, repetitions=repetitions)
+
+    def test_collecting_pass_holds_no_sampled_state(self):
+        # the planned wedge slots are never counted, and the sampled state
+        # is dropped before the collecting pass: the peak is m or what the
+        # repetition held when it decided, whichever is larger
+        g, truth, kappa = self.gadget()
+        s = stream_for(g, order_seed=1)
+        rep = _Repetition(s.stats(), self.config(truth, kappa, 1), rep=0)
+        held = None
+        for stage in range(6):
+            observers = rep.stage_begin(stage)
+            if rep._collector is not None:
+                held = rep.peak_items
+            if observers:
+                run_pass(s, observers)
+            rep.stage_end(stage)
+            if rep.settled:
+                break
+        assert "exact-fallback" in rep.flags
+        assert rep.x == truth.triangles
+        assert held is not None
+        assert rep.peak_items <= max(held, g.m)
+
+    def test_settled_repetitions_release_their_state(self):
+        # a settled repetition keeps only its outcome, so three sequential
+        # repetitions that each collect the graph peak where one does
+        g, truth, kappa = self.gadget()
+        peaks = []
+        for repetitions in (1, 3):
+            s = stream_for(g, order_seed=1)
+            s.stats()
+            tracemalloc.start()
+            try:
+                x, report = estimate(s, self.config(truth, kappa, repetitions))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert "exact-fallback" in report.flags
+            assert report.passes < 6
+            assert x == truth.triangles
+        assert peaks[1] <= 1.25 * peaks[0]

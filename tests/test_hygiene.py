@@ -1,4 +1,5 @@
-"""Static hygiene of the library: no unused imports, every export resolves."""
+"""Static hygiene of the library: no unused imports, every export resolves,
+and one observer protocol: pass observers take blocks of edges."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,15 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def per_edge_observers(source: str) -> list[str]:
+    """Classes that define a per-edge `observe` method."""
+    tree = ast.parse(source)
+    return [f"{node.name}.observe (line {item.lineno})"
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "observe"]
+
+
 def test_modules_are_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "estimator.py", "cli.py"}
 
@@ -49,3 +59,14 @@ def test_all_names_resolve():
     missing = [name for name in triad.__all__ if not hasattr(triad, name)]
     assert missing == []
     assert len(set(triad.__all__)) == len(triad.__all__)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_per_edge_observers(path):
+    assert per_edge_observers(path.read_text(encoding="utf-8")) == []
+
+
+def test_per_edge_observer_is_caught():
+    source = "class Sink:\n    def observe_block(self, u, v):\n        pass\n\n" \
+             "    def observe(self, u, v):\n        pass\n"
+    assert per_edge_observers(source) == ["Sink.observe (line 5)"]

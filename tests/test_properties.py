@@ -1,9 +1,12 @@
 """Property-based checks of the oracle invariants and the sampling/
 assignment contracts, over randomly generated small graphs."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
+from triad import sampling
 from triad.assignment import AssignmentTable, EdgeEstimate, INFINITY, is_assigned
 from triad.estimator import EstimatorConfig, _drive, _Repetition
 from triad.graph import (
@@ -14,6 +17,7 @@ from triad.graph import (
     triangles_exact_cn,
     triangles_exact_naive,
 )
+from triad.sampling import ClosureChecker, DegreeCounter, EdgePicker, IncidentPicker, run_pass
 from triad.stream import EdgeStream
 
 from conftest import brute_degeneracy, brute_triangle_count, small_graphs
@@ -91,6 +95,52 @@ def test_shared_passes_match_sequential_per_repetition(g, seed, order_seed):
         outcomes.append([(rep.x, rep.flags, rep.peak_items, rep.ell, list(rep.table.items()))
                          for rep in reps])
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def observer_cases(draw):
+    """A small graph under distinct ids up to 2**63 - 1, a stream order, a
+    block size, and queries: picked positions, incident positions, degree
+    vertices and vertex pairs, some of them about absent vertices."""
+    g = draw(small_graphs(min_n=2))
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=g.n + 2, max_size=g.n + 2,
+                        unique=True))
+    edges = [(ids[u], ids[v]) for u, v in g.edge_list()]
+    stream = EdgeStream.from_edges(edges, order_seed=draw(st.integers(0, 2**20)))
+    order = list(stream.edges())  # the pass order every later pass repeats
+    incident = {x: [] for x in ids}
+    for u, v in order:
+        incident[u].append(v)
+        incident[v].append(u)
+    vertex = st.sampled_from(ids)
+    positions = draw(st.lists(st.integers(0, len(order) - 1), max_size=12)) if order else []
+    with_edges = [x for x in ids if incident[x]]
+    slots = draw(st.lists(
+        st.sampled_from(with_edges).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(0, len(incident[a]) - 1))),
+        max_size=20)) if with_edges else []
+    degree_vertices = draw(st.lists(vertex, max_size=10))
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                          max_size=15))
+    block = draw(st.sampled_from([1, 2, 3, 7, 1 << 16]))
+    return stream, order, incident, positions, slots, degree_vertices, pairs, block
+
+
+@given(observer_cases())
+@settings(max_examples=150, deadline=None)
+def test_block_observers_match_brute_force(case):
+    stream, order, incident, positions, slots, degree_vertices, pairs, block = case
+    picker = EdgePicker(positions)
+    neighbors = IncidentPicker([a for a, _ in slots], [j for _, j in slots])
+    counter = DegreeCounter(degree_vertices)
+    closure = ClosureChecker([a for a, _ in pairs], [b for _, b in pairs])
+    with mock.patch.object(sampling, "BLOCK_EDGES", block):
+        run_pass(stream, [picker, neighbors, counter, closure])
+    assert [tuple(e) for e in picker.samples().tolist()] == [order[p] for p in positions]
+    assert neighbors.results().tolist() == [incident[a][j] for a, j in slots]
+    assert counter.degrees() == {x: len(incident[x]) for x in degree_vertices}
+    edge_set = set(order)
+    assert closure.present().tolist() == [(min(p), max(p)) in edge_set for p in pairs]
 
 
 @given(

@@ -1,17 +1,23 @@
 """Sampler distribution checks at fixed seed schedules, plus the batching
-and reproducibility contracts. Every bank is driven through `run_pass`."""
+and reproducibility contracts. Every observer is driven through `run_pass`."""
+
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from triad.errors import InputError
+from triad.graph import canonical_edge
 from triad.sampling import (
     ROLE_EDGE_SAMPLE,
     ROLE_NEIGHBOR,
-    ClosureBank,
+    ClosureChecker,
+    DegreeCounter,
+    EdgePicker,
     NeighborRequest,
-    NeighborSampleBank,
     SlotBank,
+    neighbor_picker,
     run_pass,
     substream,
     weighted_pick,
@@ -24,21 +30,28 @@ def stream_of(edges, seed=None):
 
 
 def edge_sample(stream, r, seed):
-    bank = SlotBank(r, substream(seed, ROLE_EDGE_SAMPLE))
-    run_pass(stream, [bank])
-    return bank.samples()
+    picker = EdgePicker.uniform(len(stream), r, substream(seed, ROLE_EDGE_SAMPLE))
+    run_pass(stream, [picker])
+    return [tuple(e) for e in picker.samples().tolist()]
 
 
-def neighbor_samples(stream, requests, seed):
-    bank = NeighborSampleBank(requests, substream(seed, ROLE_NEIGHBOR))
-    run_pass(stream, [bank])
-    return bank.results()
+def neighbor_samples(edges, requests, seed, stream=None):
+    # positions are drawn against the anchors' degrees, which the estimator
+    # knows from an earlier pass; here they come from the edge list itself
+    degree = Counter(x for e in edges for x in e)
+    picker, bounds = neighbor_picker(requests, degree, substream(seed, ROLE_NEIGHBOR))
+    run_pass(stream_of(edges) if stream is None else stream, [picker])
+    found, b = picker.results().tolist(), bounds.tolist()
+    return [found[b[i]:b[i + 1]] for i in range(len(requests))]
 
 
 def closure(stream, pairs=(), degree_vertices=()):
-    bank = ClosureBank(pairs, degree_vertices)
-    run_pass(stream, [bank])
-    return bank
+    pairs = [canonical_edge(*p) for p in pairs]
+    checker = ClosureChecker([a for a, _ in pairs], [b for _, b in pairs])
+    counter = DegreeCounter(list(degree_vertices))
+    run_pass(stream, [checker, counter])
+    return SimpleNamespace(present=dict(zip(pairs, checker.present().tolist())),
+                           degrees=counter.degrees())
 
 
 class TestSubstream:
@@ -157,34 +170,35 @@ class TestNeighborSamplePass:
     def test_support_on_k3(self):
         req = NeighborRequest((0, 1), 0, 1)
         for seed in range(20):
-            res = neighbor_samples(stream_of([(0, 1), (0, 2), (1, 2)]), [req], seed)
+            res = neighbor_samples([(0, 1), (0, 2), (1, 2)], [req], seed)
             assert res[0][0] in (1, 2)
 
     def test_star_center_uniform(self):
         star = [(0, leaf) for leaf in range(1, 5)]
         req = NeighborRequest((0, 1), 0, 40_000)
-        res = neighbor_samples(stream_of(star), [req], seed=6)
+        res = neighbor_samples(star, [req], seed=6)
         draws = np.array(res[0])
         assert len(draws) == 40_000
         for leaf in range(1, 5):
             assert abs(np.mean(draws == leaf) - 0.25) < 0.02
 
     def test_many_requests_one_pass(self):
-        s = stream_of([(0, 1), (2, 3), (4, 5)])
+        edges = [(0, 1), (2, 3), (4, 5)]
+        s = stream_of(edges)
         reqs = [NeighborRequest((0, 1), 0, 1), NeighborRequest((2, 3), 3, 1)]
-        res = neighbor_samples(s, reqs, seed=0)
+        res = neighbor_samples(edges, reqs, seed=0, stream=s)
         assert s.pass_counter == 1
         assert res[0] == [1] and res[1] == [2]
 
     def test_full_scan_collects_whole_neighborhood(self):
         star = [(0, leaf) for leaf in range(1, 6)]
         req = NeighborRequest((0, 2), 0, None)
-        res = neighbor_samples(stream_of(star), [req], seed=0)
+        res = neighbor_samples(star, [req], seed=0)
         assert sorted(res[0]) == [1, 2, 3, 4, 5]
 
     def test_absent_anchor_yields_empty(self):
         req = NeighborRequest((7, 8), 7, 3)
-        res = neighbor_samples(stream_of([(0, 1)]), [req], seed=0)
+        res = neighbor_samples([(0, 1)], [req], seed=0)
         assert res[0] == []
 
     def test_anchor_must_belong_to_edge(self):
@@ -194,8 +208,8 @@ class TestNeighborSamplePass:
     def test_bitwise_reproducible(self):
         edges = [(0, i) for i in range(1, 9)]
         reqs = [NeighborRequest((0, 1), 0, 4), NeighborRequest((0, 2), 0, None)]
-        a = neighbor_samples(stream_of(edges), reqs, seed=13)
-        b = neighbor_samples(stream_of(edges), reqs, seed=13)
+        a = neighbor_samples(edges, reqs, seed=13)
+        b = neighbor_samples(edges, reqs, seed=13)
         assert a == b
 
     def test_slots_within_one_request_are_independent(self):
@@ -203,7 +217,7 @@ class TestNeighborSamplePass:
         edges = [(0, 1), (0, 2)]
         outcomes = set()
         for seed in range(60):
-            res = neighbor_samples(stream_of(edges), [NeighborRequest((0, 1), 0, 2)], seed)
+            res = neighbor_samples(edges, [NeighborRequest((0, 1), 0, 2)], seed)
             outcomes.add(tuple(res[0]))
         assert outcomes == {(1, 1), (1, 2), (2, 1), (2, 2)}
 

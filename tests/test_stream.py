@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from triad import sampling
 from triad.edgelist import parse_line
 from triad.errors import EdgeListError, StreamUsageError
 from triad.estimator import EstimatorConfig, estimate
@@ -307,3 +308,44 @@ class TestEstimatorsUseOnlyThePassProtocol:
                                            t_hat=truth.triangles, seed=6)
             runs.append((value, report, stream.pass_counter))
         assert runs[0] == runs[1]
+
+
+class TestBlockSize:
+    """A pass hands its observers the same edges whatever the block size,
+    so no outcome may depend on it."""
+
+    @staticmethod
+    def main_run(path, share_passes):
+        # at seed 1 one repetition of three takes the wedge-budget exact
+        # fallback, so the graph collector sees blocks too
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=300, kappa_hat=2, seed=1, scale=0.004,
+                              repetitions=3, share_passes=share_passes)
+        stream = EdgeStream.from_file(path, order_seed=2)
+        value, report = estimate(stream, cfg)
+        return value, report.to_json_dict(), report.flags, stream.pass_counter
+
+    @pytest.mark.parametrize("share_passes", [False, True])
+    def test_main_mode(self, tmp_path, monkeypatch, share_passes):
+        g, truth = gen_book(300)
+        assert truth.triangles == 300
+        p = tmp_path / "book.el"
+        p.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        default = self.main_run(p, share_passes)
+        assert "exact-fallback" in default[2]
+        for size in (1, 2, 7):
+            monkeypatch.setattr(sampling, "BLOCK_EDGES", size)
+            assert self.main_run(p, share_passes) == default, size
+
+    def test_ideal_mode(self, monkeypatch):
+        g, truth = gen_wheel(201)
+
+        def run():
+            stream = EdgeStream.from_edges(g.edge_list(), order_seed=3)
+            value, report = ideal_estimate(stream, DegreeOracle(g), epsilon=0.3,
+                                           t_hat=truth.triangles, seed=6)
+            return value, report, stream.pass_counter
+
+        default = run()
+        for size in (1, 2, 7):
+            monkeypatch.setattr(sampling, "BLOCK_EDGES", size)
+            assert run() == default, size
