@@ -50,7 +50,7 @@ from .graph import (
     triangles_exact_naive,
 )
 from .ideal import DegreeOracle, IdealReport, ideal_estimate, ideal_sample
-from .sampling import NeighborRequest, SlotBank, substream, weighted_pick
+from .sampling import NeighborRequest, substream, weighted_pick
 from .stream import EdgeStream, StreamStats
 
 __version__ = "0.1.0"
@@ -59,8 +59,8 @@ __all__ = [
     "AssignmentTable", "ConfigError", "DegreeOracle", "EdgeEstimate",
     "EdgeListError", "EdgeProfile", "EdgeStream", "EstimatorConfig",
     "Graph", "GroundTruth", "IdealReport", "InputError", "LbSpec",
-    "NeighborRequest", "RunReport", "SchedulingError", "SlotBank",
-    "StreamStats", "StreamUsageError", "TriadError", "assign_triangle",
+    "NeighborRequest", "RunReport", "SchedulingError", "StreamStats",
+    "StreamUsageError", "TriadError", "assign_triangle",
     "classify_edges", "compute_ell", "compute_r", "compute_s",
     "degeneracy", "enumerate_triangles", "estimate", "gen_book",
     "gen_erdos_renyi", "gen_lb_instance", "gen_preferential_attachment",

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,20 +137,7 @@ class EstimatorConfig:
         return flags
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "t_hat": self.t_hat,
-            "kappa_hat": self.kappa_hat,
-            "c_r": self.c_r,
-            "c_ell": self.c_ell,
-            "c_s": self.c_s,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "scale": self.scale,
-            "share_passes": self.share_passes,
-            "abort_multiplier": self.abort_multiplier,
-            "exact_fallback": self.exact_fallback,
-        }
+        return asdict(self)
 
 
 def _log2n(n: int) -> float:

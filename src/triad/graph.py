@@ -176,6 +176,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct values, sorted. Plain `np.unique` takes a hash-table
+    path that is several times slower on int64 ids and imports numpy.ma on
+    its first call."""
+    ids = np.sort(np.asarray(values, dtype=np.int64))
+    return ids[np.concatenate(([True], ids[1:] != ids[:-1]))] if len(ids) else ids
+
+
 def sum_edge_degrees(g: Graph) -> int:
     """Total edge degree; at most 2 * m * degeneracy for every graph."""
     u, v = _edge_ends(g)
@@ -210,7 +218,7 @@ def degeneracy(g: Graph) -> int:
             nbrs = g.indices[_ranges(starts, g.indptr[frontier + 1] - starts)]
             nbrs = nbrs[alive[nbrs]]
             np.subtract.at(deg, nbrs, 1)
-            frontier = np.unique(nbrs[deg[nbrs] <= k])
+            frontier = _distinct(nbrs[deg[nbrs] <= k])
 
 
 def triangles_exact_naive(g: Graph) -> int:

@@ -1,25 +1,25 @@
 """Degree-oracle triangle estimator: three passes, degree-biased sampling.
 
-One instance samples an edge with probability d_e / d_E from a one-slot
-weighted reservoir (weights come from the oracle as edges arrive), then
-draws a uniform neighbor of the edge's anchor, then closure-checks the
-wedge. The instance's value is d_E when the wedge closed into a triangle
-that the fixed rule charges to the sampled edge, else 0: unbiased for the
-triangle count, with second moment at most d_E * T. Triangles are charged
-to their lowest-degree edge, canonical order breaking ties, so every
-triangle is charged exactly once.
+One instance samples an edge with probability d_e / d_E, then draws a
+uniform neighbor of the edge's anchor, then closure-checks the wedge. The
+instance's value is d_E when the wedge closed into a triangle that the
+fixed rule charges to the sampled edge, else 0: unbiased for the triangle
+count, with second moment at most d_E * T. Triangles are charged to their
+lowest-degree edge, canonical order breaking ties, so every triangle is
+charged exactly once.
 
-Pass 1: all instances' edge picks share one `SlotBank`, whose running
-weight is d_E: a slot refreshed at running weight W keeps its edge through
-running weight x with probability W/x, so it jumps to its next refresh at
-W/U, U ~ Uniform(0, 1]. An edge costs O(1) plus O(log k) per slot it
-refreshes, and a slot expects at most 1 + ln(d_E / d_first) refreshes,
-d_first being the first edge's d_e.
+Every pass is a columnar block observer. The oracle gives each edge's
+d_e = min(d_u, d_v), and the edges in stream order lay out a running
+integer axis on which edge e spans d_e consecutive positions. The sizing
+pass measures the axis length d_E. Pass 1 then collects, for each
+instance, the edge at a position drawn uniformly from [0, d_E) up front:
+edge e owns d_e of the d_E positions, so it is picked with probability
+exactly d_e / d_E.
 
 Pass 2: the pick carries its anchor's oracle degree d_a, so each instance
 draws j uniform in [0, d_a) up front and the pass collects the anchor's
 j-th incident edge. Pass 3 checks every live wedge's closing pair. Both
-passes are columnar block observers shared with the main estimator.
+passes are shared with the main estimator.
 
 Any number of instances ride the same three physical passes; the final
 estimate is a median of group means.
@@ -38,39 +38,44 @@ from .sampling import (
     ROLE_NEIGHBOR,
     ROLE_WEIGHTED_SAMPLE,
     ClosureChecker,
+    EdgePicker,
     IncidentPicker,
-    SlotBank,
     run_pass,
     substream,
 )
 
 
 class DegreeOracle:
-    """Exact degree lookups backed by an in-memory graph; calls are counted."""
+    """Exact degree lookups backed by an in-memory graph; each vertex looked
+    up counts as one query."""
 
     def __init__(self, graph: Graph):
-        self._graph = graph
+        self._degrees = np.diff(graph.indptr)
         self.queries = 0
 
-    def __call__(self, v: int) -> int:
-        self.queries += 1
-        return self._graph.degree(v)
+    def __call__(self, vertices: np.ndarray) -> np.ndarray:
+        """The degree of each vertex, as an int64 array."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        n = len(self._degrees)
+        out = (vertices < 0) | (vertices >= n)
+        if out.any():
+            raise InputError(f"vertex {int(vertices[out][0])} out of range [0, {n})")
+        self.queries += len(vertices)
+        return self._degrees[vertices]
 
 
 class _OracleWeights:
-    """Offers each edge to the bank as (u, v, d_u, d_v) with weight d_e."""
+    """Feeds the picker each edge as the row (u, v, d_u, d_v), weighted by
+    d_e = min(d_u, d_v)."""
 
-    def __init__(self, bank: SlotBank, oracle):
-        self._bank = bank
+    def __init__(self, picker: EdgePicker, oracle):
+        self._picker = picker
         self._oracle = oracle
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        oracle = self._oracle
-        offer = self._bank.offer
-        for a, b in zip(u.tolist(), v.tolist()):
-            d_a = oracle(a)
-            d_b = oracle(b)
-            offer((a, b, d_a, d_b), d_a if d_a < d_b else d_b)
+        d_u = self._oracle(u)
+        d_v = self._oracle(v)
+        self._picker.observe_rows((u, v, d_u, d_v), np.minimum(d_u, d_v))
 
 
 @dataclass(frozen=True)
@@ -86,25 +91,30 @@ class IdealReport:
     seed: int
 
 
-def ideal_sample(stream, oracle, count: int, seed: int) -> tuple[np.ndarray, int, int]:
-    """`count` independent instance values over three shared passes.
+def ideal_sample(stream, oracle, count: int, seed: int,
+                 d_e_total: int) -> tuple[np.ndarray, int, int]:
+    """`count` independent instance values over three shared passes, given
+    the stream's total edge degree d_E.
 
     Returns (values, d_E, closure hits). Each value is 0 or d_E.
     """
     if count < 1:
         raise InputError(f"instance count must be >= 1, got {count}")
+    if d_e_total < 1:
+        raise InputError("cannot sample from a stream with no edges")
 
-    # pass 1: weighted edge pick per instance; every edge has d_e >= 1, so
-    # samples() raises only on an empty stream
-    bank = SlotBank(count, substream(seed, ROLE_WEIGHTED_SAMPLE))
-    run_pass(stream, [_OracleWeights(bank, oracle)])
-    picks = bank.samples()
-    d_e_total = bank.total
+    # pass 1: the edge at a uniform position of the d_e axis, per instance
+    positions = substream(seed, ROLE_WEIGHTED_SAMPLE).integers(d_e_total, size=count)
+    picker = EdgePicker(positions)
+    run_pass(stream, [_OracleWeights(picker, oracle)])
+    if picker.total != d_e_total:
+        raise InputError(f"the stream's total edge degree is {picker.total}, not {d_e_total}")
+    picks = picker.samples()
 
     # pass 2: one uniform neighbor of each instance's anchor, the lower-degree
     # end (the larger id on ties, as pick_anchor has it), whose degree the
     # pick already carries
-    u, v, d_u, d_v = np.array(picks, dtype=np.int64).T
+    u, v, d_u, d_v = picks.T
     anchors = np.where(d_u < d_v, u, v)
     rng = substream(seed, ROLE_NEIGHBOR)
     neighbors = IncidentPicker(anchors, rng.integers(np.minimum(d_u, d_v)))
@@ -120,9 +130,9 @@ def ideal_sample(stream, oracle, count: int, seed: int) -> tuple[np.ndarray, int
 
     xs = np.zeros(count, dtype=np.float64)
     closed = live[closure.present()]
-    for i, c in zip(closed.tolist(), sampled[closed].tolist()):
-        a, b, d_a, d_b = picks[i]
-        d_c = oracle(c)
+    third = sampled[closed]
+    for i, c, d_c in zip(closed.tolist(), third.tolist(), oracle(third).tolist()):
+        a, b, d_a, d_b = picks[i].tolist()
         tri_edges = (
             (min(d_a, d_b), canonical_edge(a, b)),
             (min(d_a, d_c), canonical_edge(a, c)),
@@ -140,9 +150,9 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int, seed: int,
     """Median of group means over ceil(c * d_E / (eps^2 * t_hat)) instances
     per group.
 
-    d_E is harvested from the stats pass using the oracle, so sizing the
-    instance bank costs nothing extra; the estimator itself still takes
-    exactly three passes.
+    d_E comes from a sizing pass through the oracle; it sets the instance
+    count and the axis pass 1 draws its positions on. The estimator itself
+    still takes exactly three passes.
     """
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -151,19 +161,16 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int, seed: int,
     if groups < 1 or groups % 2 == 0:
         raise ConfigError(f"groups must be odd and positive, got {groups}")
 
-    # sizing pass, not charged to the 3-pass budget
-    d_e_total = 0
-    m = 0
-    for u, v in stream.edges():
-        d_e_total += min(oracle(u), oracle(v))
-        m += 1
-    if m == 0:
+    # sizing pass, not charged to the 3-pass budget: the d_e axis's length
+    sizing = EdgePicker(())
+    run_pass(stream, [_OracleWeights(sizing, oracle)])
+    d_e_total = sizing.total
+    if d_e_total == 0:
         raise InputError("cannot estimate on a stream with no edges")
 
     group_size = max(1, math.ceil(c * d_e_total / (epsilon * epsilon * t_hat)))
     count = groups * group_size
-    xs, d_e_check, hits = ideal_sample(stream, oracle, count, seed)
-    assert d_e_check == d_e_total
+    xs, _, hits = ideal_sample(stream, oracle, count, seed, d_e_total)
     means = xs.reshape(groups, group_size).mean(axis=1)
     estimate = float(np.median(means))
     report = IdealReport(

@@ -12,9 +12,12 @@ columns; any other stream that speaks the begin / next_edge / end protocol
 is read edge by edge into blocks. Each observer is a numpy kernel over the
 block:
 
-- `EdgePicker` collects the edges at given stream positions, matched
-  against the block's offset. r iid uniform positions in [0, m) are r
-  independent uniform edges: the law of r one-slot reservoirs.
+- `EdgePicker` collects the rows at given positions of a running integer
+  axis on which row i spans w_i consecutive positions. An edge block is
+  the weight-1 case, so a position is a stream position, and r iid uniform
+  positions in [0, m) are r independent uniform edges. Rows weighted by
+  d_e, with r iid uniform positions in [0, d_E), are r independent edges
+  of law d_e / d_E; a zero-weight row owns no position and is never picked.
 - `IncidentPicker` collects, per slot, the other endpoint of the j-th edge
   incident to the slot's anchor, matched against per-anchor running
   incidence counts. j uniform in [0, d_a) is a uniform neighbor, and every
@@ -25,22 +28,13 @@ block:
   reach 2**63 - 1, so two of them do not pack into one int64 key; a pair's
   key is built from the ranks of its ends among the queried vertices.
 
-So a sample whose total is known before its pass draws its positions up
-front, and the pass only collects them. `SlotBank` serves the one sample
-whose total is not known: k independent one-slot weighted reservoirs over
-a stream of (item, weight) offers. A slot refreshed when the running weight
-was W keeps its item through running weight x with probability W/x, so
-rather than flipping a coin per offer it jumps straight to its next refresh
-at W/U, U ~ Uniform(0, 1] (the skip-ahead of Vitter 1985 and Li 1994, in
-weighted one-slot form). A min-heap of thresholds makes an offer that
-crosses none cost O(1); a refresh costs O(log k), and a slot expects at
-most 1 + ln(W / w_first) refreshes over a stream of total weight W whose
-first positive offer weighs w_first.
+Every sample's total is known before its pass (m from the stats pass, d_E
+from ideal mode's sizing pass, an anchor's degree from a degree pass), so
+its positions are drawn up front and the pass only collects them.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Optional, Sequence
@@ -48,7 +42,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import _ranges
+from .graph import _distinct, _ranges
 
 Edge = tuple[int, int]
 
@@ -106,14 +100,6 @@ def _blocks(stream):
             return
 
 
-def _distinct(values) -> np.ndarray:
-    """The distinct values, sorted. Plain `np.unique` takes a hash-table
-    path that is several times slower on int64 ids and imports numpy.ma on
-    its first call."""
-    ids = np.sort(np.asarray(values, dtype=np.int64))
-    return ids[np.concatenate(([True], ids[1:] != ids[:-1]))] if len(ids) else ids
-
-
 def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of each value in the sorted array `keys`, and whether it is there."""
     idx = np.searchsorted(keys, values)
@@ -124,16 +110,20 @@ def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 class EdgePicker:
-    """The edges at given positions of one pass (0-based, in stream order)."""
+    """The rows at given positions of a running integer axis (0-based).
+
+    Each `observe_rows` call appends rows, row i spanning `weights[i]`
+    consecutive positions; `total` is the axis length so far. An edge block
+    is the weight-1 case, so a position is then a stream position.
+    """
 
     def __init__(self, positions):
         positions = np.asarray(positions, dtype=np.int64)
         self._order = np.argsort(positions, kind="stable")
         self._sorted = positions[self._order]
-        # -1 marks a position the pass has not reached; ids are never negative
-        self._u = np.full(len(positions), -1, dtype=np.int64)
-        self._v = np.full(len(positions), -1, dtype=np.int64)
-        self._offset = 0
+        # (count, columns), allocated by the first rows observed
+        self._picked: Optional[np.ndarray] = None
+        self.total = 0
 
     @classmethod
     def uniform(cls, m: int, count: int, rng: np.random.Generator) -> "EdgePicker":
@@ -144,20 +134,29 @@ class EdgePicker:
         return cls(rng.integers(m, size=count))
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        start = self._offset
-        self._offset = start + len(u)
-        lo, hi = np.searchsorted(self._sorted, (start, self._offset))
+        self.observe_rows((u, v), np.ones(len(u), dtype=np.int64))
+
+    def observe_rows(self, columns: Sequence[np.ndarray], weights: np.ndarray) -> None:
+        """Append rows `columns[j][i]`, row i weighing `weights[i]` >= 0."""
+        if self._picked is None:
+            self._picked = np.zeros((len(self._sorted), len(columns)), dtype=np.int64)
+        start = self.total
+        # row i spans [ends[i] - weights[i], ends[i]) on the axis
+        ends = start + np.cumsum(weights, dtype=np.int64)
+        if len(ends):
+            self.total = int(ends[-1])
+        lo, hi = np.searchsorted(self._sorted, (start, self.total))
         if lo < hi:
-            slots = self._order[lo:hi]
-            at = self._sorted[lo:hi] - start
-            self._u[slots] = u[at]
-            self._v[slots] = v[at]
+            rows = np.searchsorted(ends, self._sorted[lo:hi], side="right")
+            self._picked[self._order[lo:hi]] = np.column_stack([c[rows] for c in columns])
 
     def samples(self) -> np.ndarray:
-        """The picked edges as a (count, 2) int64 array, in slot order."""
-        if (self._u < 0).any():
+        """The picked rows as a (count, columns) int64 array, in slot order."""
+        if len(self._sorted) and self._sorted[-1] >= self.total:
             raise InputError("a sampled position lies past the end of the pass")
-        return np.column_stack((self._u, self._v))
+        if self._picked is None:
+            return np.zeros((0, 2), dtype=np.int64)
+        return self._picked
 
 
 @dataclass(frozen=True)
@@ -303,50 +302,6 @@ class ClosureChecker:
     def present(self) -> np.ndarray:
         """Per pair, in the order given: whether it is an edge."""
         return self._hit[self._slot]
-
-
-class SlotBank:
-    """k independent one-slot weighted reservoirs over one stream of offers.
-
-    After offers of total weight W, each slot holds item e with probability
-    w_e / W, independently of the other slots. Thresholds start at 0, so the
-    first positive-weight offer fills every slot; a zero-weight offer never
-    fires. `total` is the running weight W.
-    """
-
-    def __init__(self, k: int, rng: np.random.Generator):
-        if k < 1:
-            raise InputError(f"slot count must be >= 1, got {k}")
-        self.total = 0
-        self._items: list = [None] * k
-        self._rng = rng
-        # (running weight past which the slot refreshes, slot index)
-        self._heap = [(0.0, i) for i in range(k)]
-
-    def offer(self, item, weight=1) -> None:
-        if weight < 0:
-            raise InputError(f"negative weight {weight}")
-        total = self.total + weight
-        self.total = total
-        heap = self._heap
-        if heap[0][0] >= total:
-            return
-        fired = []
-        while heap and heap[0][0] < total:
-            fired.append(heapq.heappop(heap)[1])
-        # U in (0, 1]; the slot keeps `item` through running weight x
-        # with probability total / x
-        thresholds = (total / (1.0 - self._rng.random(len(fired)))).tolist()
-        items = self._items
-        for i, threshold in zip(fired, thresholds):
-            items[i] = item
-            heapq.heappush(heap, (threshold, i))
-
-    def samples(self) -> list:
-        """The item in each slot, in slot order."""
-        if self.total <= 0:
-            raise InputError("no positive-weight items were offered")
-        return list(self._items)
 
 
 def weighted_pick(weights: Sequence[float], count: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import edgelist
 from .errors import StreamUsageError
+from .graph import _distinct
 
 Edge = tuple[int, int]
 
@@ -149,9 +150,7 @@ class EdgeStream:
             if block is None:
                 self._stats = StreamStats(n=0, m=0)
             else:
-                # distinct ids start where the sorted ids change
-                ids = np.sort(np.concatenate(block))
-                n = 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
+                n = len(_distinct(np.concatenate(block)))
                 self._stats = StreamStats(n=n, m=len(block[0]))
         return self._stats
 

@@ -121,7 +121,8 @@ def test_criterion_04_ideal_unbiasedness_and_variance():
     # wheel(101): 1e5 multiplexed instance runs at a fixed seed
     g, truth = gen_wheel(101)
     stream = EdgeStream.from_edges(g.edge_list())
-    xs, d_e_total, _ = ideal_sample(stream, DegreeOracle(g), 100_000, seed=404)
+    xs, d_e_total, _ = ideal_sample(stream, DegreeOracle(g), 100_000, seed=404,
+                                    d_e_total=sum_edge_degrees(g))
     assert d_e_total == 600
     se = xs.std() / np.sqrt(xs.size)
     assert abs(xs.mean() - truth.triangles) <= 4 * se
@@ -137,7 +138,7 @@ def test_criterion_05_pass_accounting():
     edges = g.edge_list()
 
     s = EdgeStream.from_edges(edges)
-    ideal_sample(s, DegreeOracle(g), 64, seed=0)
+    ideal_sample(s, DegreeOracle(g), 64, seed=0, d_e_total=sum_edge_degrees(g))
     assert s.pass_counter == 3  # oracle mode: exactly three passes
 
     cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=3,

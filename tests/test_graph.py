@@ -1,6 +1,11 @@
 """Exact oracle tests. Derived values are recomputed here by hand or by a
 second, independent method before being asserted."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import triad.graph
@@ -171,6 +176,24 @@ class TestDegeneracy:
         for seed in range(12):
             g = gen_erdos_renyi(7, 0.45, seed=seed)
             assert degeneracy(g) == brute_degeneracy(g)
+
+
+    def test_peel_and_stream_stats_leave_numpy_ma_unimported(self):
+        # plain np.unique imports numpy.ma on its first call, which costs
+        # a fresh `triad exact` process about 17 ms
+        code = ("import sys\n"
+                "from triad.generators import gen_wheel\n"
+                "from triad.graph import degeneracy\n"
+                "from triad.stream import EdgeStream\n"
+                "g, _ = gen_wheel(50)\n"
+                "assert degeneracy(g) == 3\n"
+                "assert EdgeStream.from_edges(g.edge_list()).stats().n == 50\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(triad.graph.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
 
 
 class TestTriangleCounts:

@@ -1,5 +1,7 @@
 """Static hygiene of the library: no unused imports, every export resolves,
-and one observer protocol: pass observers take blocks of edges."""
+one observer protocol (pass observers take blocks of edges), and one pass
+driver (only `sampling.run_pass` and its reader `_blocks` drive a stream's
+passes)."""
 
 import ast
 from pathlib import Path
@@ -41,6 +43,29 @@ def per_edge_observers(source: str) -> list[str]:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "observe"]
 
 
+PASS_PROTOCOL = {"begin_pass", "next_edge", "next_block", "end_pass", "abort_pass", "edges"}
+PASS_DRIVERS = {("sampling.py", "run_pass"), ("sampling.py", "_blocks")}
+
+
+def pass_protocol_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, call) for each pass-protocol call on `stream`."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            call = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(call, ast.Attribute) and call.attr in PASS_PROTOCOL
+                    and isinstance(call.value, ast.Name) and call.value.id == "stream"):
+                found.append((function, f"stream.{call.attr} (line {child.lineno})"))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_modules_are_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "estimator.py", "cli.py"}
 
@@ -70,3 +95,17 @@ def test_per_edge_observer_is_caught():
     source = "class Sink:\n    def observe_block(self, u, v):\n        pass\n\n" \
              "    def observe(self, u, v):\n        pass\n"
     assert per_edge_observers(source) == ["Sink.observe (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "stream.py"],
+                         ids=lambda p: p.name)
+def test_only_run_pass_drives_passes(path):
+    calls = pass_protocol_calls(path.read_text(encoding="utf-8"))
+    assert [call for function, call in calls if (path.name, function) not in PASS_DRIVERS] == []
+
+
+def test_pass_protocol_call_is_caught():
+    source = "def size(stream):\n    return sum(1 for _ in stream.edges())\n\n" \
+             "def run_pass(stream):\n    stream.begin_pass()\n"
+    assert pass_protocol_calls(source) == [("size", "stream.edges (line 2)"),
+                                           ("run_pass", "stream.begin_pass (line 5)")]

@@ -38,6 +38,21 @@ class TestExactEnumeration:
         assert exact_expected_x(g) == truth.triangles
 
 
+class TestDegreeOracle:
+    def test_each_lookup_counts_one_query(self):
+        g = path_graph(4)
+        oracle = DegreeOracle(g)
+        assert oracle(np.array([0, 1, 1, 3])).tolist() == [1, 2, 2, 1]
+        assert oracle(np.array([], dtype=np.int64)).tolist() == []
+        assert oracle.queries == 4
+
+    def test_out_of_range_vertex_rejected(self):
+        g = path_graph(4)
+        for bad in (4, -1):
+            with pytest.raises(InputError):
+                DegreeOracle(g)(np.array([0, bad]))
+
+
 class TestSingleInstance:
     def test_k3_support_and_frequency(self):
         g = k_complete(3)
@@ -45,7 +60,8 @@ class TestSingleInstance:
         hits = 0
         trials = 6000
         for seed in range(trials):
-            [x], _, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed)
+            [x], _, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed,
+                                     d_e_total=sum_edge_degrees(g))
             values.add(x)
             hits += x == 6.0
         assert values == {0.0, 6.0}
@@ -55,26 +71,35 @@ class TestSingleInstance:
     def test_triangle_free_always_zero(self):
         g = path_graph(6)
         for seed in range(25):
-            xs, _, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed)
+            xs, _, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed,
+                                    d_e_total=sum_edge_degrees(g))
             assert xs[0] == 0.0
 
     def test_exactly_three_passes(self):
         g = k_complete(4)
         s = fresh_stream(g)
-        ideal_sample(s, DegreeOracle(g), 1, seed=0)
+        ideal_sample(s, DegreeOracle(g), 1, seed=0, d_e_total=sum_edge_degrees(g))
         assert s.pass_counter == 3
 
     def test_empty_stream_errors(self):
         g = Graph(3, [])
         with pytest.raises(InputError):
-            ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed=0)
+            ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed=0,
+                         d_e_total=sum_edge_degrees(g))
+
+    def test_wrong_edge_degree_total_rejected(self):
+        g = k_complete(4)
+        for wrong in (sum_edge_degrees(g) - 1, sum_edge_degrees(g) + 1):
+            with pytest.raises(InputError):
+                ideal_sample(fresh_stream(g), DegreeOracle(g), 8, seed=0, d_e_total=wrong)
 
 
 class TestSampledMoments:
     def test_book2_empirical_mean_matches_enumeration(self):
         g, _ = gen_book(2)
         n = 40_000
-        xs, d_e_total, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), n, seed=3)
+        xs, d_e_total, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), n, seed=3,
+                                        d_e_total=sum_edge_degrees(g))
         assert d_e_total == 11
         se = xs.std() / np.sqrt(n)
         assert abs(xs.mean() - 2.0) <= 4 * se
@@ -82,25 +107,28 @@ class TestSampledMoments:
     def test_variance_bounded_by_de_times_t(self):
         g, truth = gen_wheel(21)
         n = 30_000
-        xs, d_e_total, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), n, seed=8)
+        xs, d_e_total, _ = ideal_sample(fresh_stream(g), DegreeOracle(g), n, seed=8,
+                                        d_e_total=sum_edge_degrees(g))
         assert xs.var() <= 1.1 * d_e_total * truth.triangles
 
     def test_instances_share_three_passes(self):
         g, _ = gen_book(10)
         s = fresh_stream(g)
-        ideal_sample(s, DegreeOracle(g), 5000, seed=1)
+        ideal_sample(s, DegreeOracle(g), 5000, seed=1, d_e_total=sum_edge_degrees(g))
         assert s.pass_counter == 3
 
     def test_pass_one_makes_two_queries_per_edge(self):
         g = path_graph(8)  # triangle-free: no third-vertex queries
         oracle = DegreeOracle(g)
-        ideal_sample(fresh_stream(g), oracle, 10, seed=0)
+        ideal_sample(fresh_stream(g), oracle, 10, seed=0, d_e_total=sum_edge_degrees(g))
         assert oracle.queries == 2 * g.m
 
     def test_reproducible(self):
         g, _ = gen_book(6)
-        a = ideal_sample(fresh_stream(g), DegreeOracle(g), 64, seed=21)[0]
-        b = ideal_sample(fresh_stream(g), DegreeOracle(g), 64, seed=21)[0]
+        a = ideal_sample(fresh_stream(g), DegreeOracle(g), 64, seed=21,
+                         d_e_total=sum_edge_degrees(g))[0]
+        b = ideal_sample(fresh_stream(g), DegreeOracle(g), 64, seed=21,
+                         d_e_total=sum_edge_degrees(g))[0]
         assert np.array_equal(a, b)
 
 

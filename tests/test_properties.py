@@ -4,6 +4,7 @@ assignment contracts, over randomly generated small graphs."""
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import assume, given, settings
 
 from triad import sampling
@@ -101,7 +102,8 @@ def test_shared_passes_match_sequential_per_repetition(g, seed, order_seed):
 def observer_cases(draw):
     """A small graph under distinct ids up to 2**63 - 1, a stream order, a
     block size, and queries: picked positions, incident positions, degree
-    vertices and vertex pairs, some of them about absent vertices."""
+    vertices and vertex pairs, some of them about absent vertices, and
+    per-edge weights (zeros included) with positions on their axis."""
     g = draw(small_graphs(min_n=2))
     ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=g.n + 2, max_size=g.n + 2,
                         unique=True))
@@ -123,24 +125,50 @@ def observer_cases(draw):
     pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
                           max_size=15))
     block = draw(st.sampled_from([1, 2, 3, 7, 1 << 16]))
-    return stream, order, incident, positions, slots, degree_vertices, pairs, block
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order)))
+    axis = sum(weights)
+    weighted = draw(st.lists(st.integers(0, axis - 1), max_size=12)) if axis else []
+    return (stream, order, incident, positions, slots, degree_vertices, pairs, block,
+            weights, weighted)
+
+
+class WeightedRows:
+    """Feeds a picker the i-th edge of the pass as the row (u, v, w),
+    weighted by w = weights[i]."""
+
+    def __init__(self, picker, weights):
+        self.picker = picker
+        self.weights = np.array(weights, dtype=np.int64)
+        self.seen = 0
+
+    def observe_block(self, u, v):
+        w = self.weights[self.seen:self.seen + len(u)]
+        self.seen += len(u)
+        self.picker.observe_rows((u, v, w), w)
 
 
 @given(observer_cases())
 @settings(max_examples=150, deadline=None)
 def test_block_observers_match_brute_force(case):
-    stream, order, incident, positions, slots, degree_vertices, pairs, block = case
+    (stream, order, incident, positions, slots, degree_vertices, pairs, block,
+     weights, weighted) = case
     picker = EdgePicker(positions)
     neighbors = IncidentPicker([a for a, _ in slots], [j for _, j in slots])
     counter = DegreeCounter(degree_vertices)
     closure = ClosureChecker([a for a, _ in pairs], [b for _, b in pairs])
+    weighted_picker = EdgePicker(weighted)
     with mock.patch.object(sampling, "BLOCK_EDGES", block):
-        run_pass(stream, [picker, neighbors, counter, closure])
+        run_pass(stream, [picker, neighbors, counter, closure,
+                          WeightedRows(weighted_picker, weights)])
     assert [tuple(e) for e in picker.samples().tolist()] == [order[p] for p in positions]
     assert neighbors.results().tolist() == [incident[a][j] for a, j in slots]
     assert counter.degrees() == {x: len(incident[x]) for x in degree_vertices}
     edge_set = set(order)
     assert closure.present().tolist() == [(min(p), max(p)) in edge_set for p in pairs]
+    # brute force: row (u, v, w) repeated w times, indexed by position
+    rows = [(u, v, w) for (u, v), w in zip(order, weights) for _ in range(w)]
+    assert weighted_picker.total == len(rows)
+    assert [tuple(r) for r in weighted_picker.samples().tolist()] == [rows[p] for p in weighted]
 
 
 @given(

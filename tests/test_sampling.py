@@ -16,7 +16,6 @@ from triad.sampling import (
     DegreeCounter,
     EdgePicker,
     NeighborRequest,
-    SlotBank,
     neighbor_picker,
     run_pass,
     substream,
@@ -70,48 +69,6 @@ class TestSubstream:
             substream(-1)
 
 
-class TestSlotBank:
-    @staticmethod
-    def fill(bank, offers):
-        for item, weight in offers:
-            bank.offer(item, weight)
-        return bank.samples()
-
-    def test_size_one_over_three_items_is_uniform_over_seed_grid(self):
-        # enumerate behavior over a fine seed grid; each item ~ 1/3 +- 2%
-        counts = {0: 0, 1: 0, 2: 0}
-        trials = 6000
-        for seed in range(trials):
-            [item] = self.fill(SlotBank(1, substream(seed)), [(x, 1) for x in range(3)])
-            counts[item] += 1
-        for c in counts.values():
-            assert abs(c / trials - 1 / 3) < 0.02
-
-    def test_weighted_frequencies_follow_w_over_total(self):
-        weights = {"a": 3, "b": 1, "z": 0, "c": 4}
-        counts = dict.fromkeys(weights, 0)
-        trials = 6000
-        for seed in range(trials):
-            [item] = self.fill(SlotBank(1, substream(seed)), weights.items())
-            counts[item] += 1
-        assert counts["z"] == 0
-        for item, w in weights.items():
-            assert abs(counts[item] / trials - w / 8) < 0.02
-
-    def test_first_positive_offer_fills_every_slot(self):
-        bank = SlotBank(5, substream(0))
-        bank.offer("zero", 0)
-        assert bank.total == 0
-        bank.offer("first", 2)
-        assert bank.samples() == ["first"] * 5
-        bank.offer("never", 0)
-        assert bank.samples() == ["first"] * 5
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InputError):
-            SlotBank(2, substream(0)).offer("x", -1)
-
-
 class TestUniformEdgeSample:
     def test_support_on_k3(self):
         sample = edge_sample(stream_of([(0, 1), (0, 2), (1, 2)]), 3, seed=5)
@@ -140,6 +97,26 @@ class TestUniformEdgeSample:
         a = edge_sample(stream_of(edges), 40, seed=9)
         b = edge_sample(stream_of(edges), 40, seed=9)
         assert a == b
+
+
+class TestWeightedRows:
+    def test_every_position_maps_to_its_row(self):
+        # rows 0..5 weighing 2, 0, 3, 1, 0, 2 over two calls: the axis
+        # [0, 8) is every position once, so each row is picked exactly
+        # weight times and the zero-weight rows never
+        weights = np.array([2, 0, 3, 1, 0, 2])
+        picker = EdgePicker(np.arange(weights.sum())[::-1])
+        rows = np.arange(6)
+        picker.observe_rows((rows[:3], 10 * rows[:3]), weights[:3])
+        picker.observe_rows((rows[3:], 10 * rows[3:]), weights[3:])
+        assert picker.total == 8
+        assert picker.samples().tolist() == [[r, 10 * r] for r in [5, 5, 3, 2, 2, 2, 0, 0]]
+
+    def test_position_past_the_total_rejected(self):
+        picker = EdgePicker([3])
+        picker.observe_rows((np.array([7]),), np.array([3]))
+        with pytest.raises(InputError):
+            picker.samples()
 
 
 class TestWeightedPick:
