@@ -178,7 +178,7 @@ def _run_ideal_mode(args) -> tuple[RunReport, dict]:
     graph = Graph.from_file(args.path)
     # stream the dense-relabelled edges so oracle lookups line up; the file
     # scan already validated them
-    stream = EdgeStream(graph.edge_list(), order_seed=args.order_seed)
+    stream = EdgeStream(graph.edge_array(), order_seed=args.order_seed)
     oracle = DegreeOracle(graph)
     value, ideal_report = ideal_estimate(
         stream, oracle, epsilon=args.epsilon, t_hat=args.t_hat, seed=args.seed)
@@ -255,7 +255,7 @@ def cmd_bench(args) -> int:
         trials = int(entry.get("trials", 1))
         base_seed = int(entry.get("seed", args.seed))
         graph, truth = generate_family(family, params, base_seed)
-        edges = graph.edge_list()
+        edges = graph.edge_array()
         t_hat = cfg.get("t_hat", "exact")
         kappa_hat = cfg.get("kappa_hat", "exact")
         t_hat = truth.triangles if t_hat == "exact" else int(t_hat)
@@ -271,7 +271,8 @@ def cmd_bench(args) -> int:
                 scale=float(cfg.get("scale", 1.0)),
                 share_passes=bool(cfg.get("share_passes", False)),
             )
-            stream = EdgeStream.from_edges(edges, order_seed=seed)
+            # a Graph's edges are canonical and distinct already
+            stream = EdgeStream(edges, order_seed=seed)
             started = time.perf_counter()
             value, report = estimate(stream, config)
             elapsed_ms = 0.0 if args.fixed_clock else (time.perf_counter() - started) * 1e3

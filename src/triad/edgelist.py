@@ -1,15 +1,26 @@
 """Shared edge-list text format.
 
 One edge per line: two vertex ids in [0, 2**63), each written as plain
-ASCII digits, separated by whitespace. Lines starting with '#' are
-comments; blank lines are skipped. Self-loops and repeated edges (in either
-orientation) are rejected with the offending line number.
+ASCII digits, separated by ASCII whitespace. Lines end at b"\n"; a line
+whose first field starts with '#' is a comment, and blank lines are
+skipped. Self-loops and repeated edges (in either orientation) are
+rejected with the offending line number.
+
+`read_edges` parses a file in bounded chunks of whole lines, a few numpy
+passes over each chunk's bytes and fields, and returns the canonical edges
+as one (m, 2) int64 array, so it holds the result, each edge's line number
+and a few chunks' worth of scratch, and reads the file once. `parse_line`
+is the specification of one line: the first bad line in file order is
+re-parsed by it, so its message and line number are the ones reported. A
+repeated edge is reported at its second occurrence.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import EdgeListError
 
@@ -17,6 +28,13 @@ Edge = tuple[int, int]
 
 # vertex ids must fit a signed 64-bit integer, the graph arrays' dtype
 ID_LIMIT = 1 << 63
+
+# bytes read per chunk; a chunk is cut after its last b"\n"
+CHUNK_BYTES = 1 << 20
+
+# 19 digits fit uint64 exactly (10**19 - 1 < 2**64); longer ids are rare
+# (only leading zeros keep them below 2**63) and are read by int()
+_UINT64_DIGITS = 19
 
 
 def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
@@ -45,22 +63,145 @@ def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
     return (u, v) if u < v else (v, u)
 
 
-def read_edges(path: str | os.PathLike) -> list[Edge]:
+def read_edges(path: str | os.PathLike) -> np.ndarray:
     """Load and fully validate an edge-list file.
 
-    Lines end at b"\n"; duplicates are rejected with their line number.
+    Returns the canonical edges (u < v) in file order as an (m, 2) int64
+    array. Raises EdgeListError for the first bad line in file order.
     """
-    out: list[Edge] = []
-    seen: set[Edge] = set()
+    blocks, line_blocks = [], []
+    bad = None
+    for ends, lines, bad in _chunks(path):
+        blocks.append(ends)
+        line_blocks.append(lines)
+        if bad is not None:
+            break
+    edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    del blocks
+    # every row precedes the first bad line, so a repeat among them comes first
+    row = _first_repeat(edges)
+    if row is not None:
+        u, v = edges[row].tolist()
+        raise EdgeListError(f"duplicate edge {u} {v}", int(np.concatenate(line_blocks)[row]))
+    if bad is not None:
+        lineno, line = bad
+        parse_line(line, lineno)
+        raise AssertionError(f"line {lineno} failed the columnar checks only")
+    return edges
+
+
+def _chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[tuple[int, bytes]]]]:
+    """Per chunk of whole lines, in file order: its canonical edges, their
+    1-based line numbers, and (line number, raw line) of its first bad line
+    or None. The edges stop at the first bad line, and so does the scan."""
+    first = 1
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            edge = parse_line(raw, lineno)
-            if edge is not None:
-                if edge in seen:
-                    raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", lineno)
-                seen.add(edge)
-                out.append(edge)
-    return out
+        for text in _whole_lines(fh):
+            ends, lines, bad = _parse_chunk(text)
+            if bad is not None:
+                yield ends, lines + first, (bad[0] + first, bad[1])
+                return
+            yield ends, lines + first, None
+            first += text.count(b"\n")
+
+
+def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The file's bytes as runs of whole lines of about CHUNK_BYTES each;
+    the last run may lack its final b"\n"."""
+    # pieces of the unfinished line, joined once its b"\n" or the end arrives
+    tail: list[bytes | memoryview] = []
+    while data := fh.read(CHUNK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            tail.append(data)
+            continue
+        tail.append(memoryview(data)[:cut])
+        text, tail = b"".join(tail), [data[cut:]]
+        del data
+        yield text
+    if text := b"".join(tail):
+        yield text
+
+
+def _parse_chunk(text: bytes) -> tuple[np.ndarray, np.ndarray, Optional[tuple[int, bytes]]]:
+    """Edges, their 0-based line indices, and the first bad line of a run
+    of whole lines, with every check of `parse_line` done on arrays."""
+    buf = np.frombuffer(text, dtype=np.uint8)
+    line_starts = np.flatnonzero(buf == ord("\n")) + 1
+    line_starts = np.concatenate(([0], line_starts[:-1] if text.endswith(b"\n") else line_starts))
+    # ASCII whitespace is b" " and b"\t" through b"\r", the set bytes.split()
+    # uses; uint8 differences wrap, so one comparison tests a byte range
+    word = (buf != ord(" ")) & ((buf - 9) > 4)
+    # a line with a byte that is neither a digit nor a space is no edge
+    junk = np.logical_or.reduceat(word & ((buf - ord("0")) > 9), line_starts)
+    # fields are the maximal runs of non-space bytes
+    before = np.zeros_like(word)
+    before[1:] = word[:-1]
+    starts = np.flatnonzero(word > before)
+    before[:-1] = word[1:]
+    before[-1] = False
+    stops = np.flatnonzero(word > before) + 1
+    del word, before
+    # each line's first field and field count; blank and comment lines drop out
+    first = np.searchsorted(starts, line_starts)
+    counts = np.diff(first, append=len(starts))
+    lines = np.flatnonzero(counts)
+    lines = lines[buf[starts[first[lines]]] != ord("#")]
+    bad = (counts[lines] != 2) | junk[lines]
+    pair = first[lines[~bad]]
+    del first, counts, junk
+    u_ends, v_ends = (starts[pair], stops[pair]), (starts[pair + 1], stops[pair + 1])
+    del starts, stops, pair
+    u, u_over = _ids(text, buf, *u_ends)
+    v, v_over = _ids(text, buf, *v_ends)
+    del u_ends, v_ends
+    wrong = u_over | v_over | (u == v)
+    bad[~bad] = wrong
+    # every edge line before the first bad one is an edge
+    cut = int(np.argmax(bad)) if bad.any() else len(bad)
+    # the ids are below 2**63, so their int64 bits are the same
+    u = u[~wrong][:cut].view(np.int64)
+    v = v[~wrong][:cut].view(np.int64)
+    ends = np.column_stack((np.minimum(u, v), np.maximum(u, v)))
+    if cut == len(bad):
+        return ends, lines, None
+    line = int(lines[cut])
+    end = line_starts[line + 1] if line + 1 < len(line_starts) else len(text)
+    return ends, lines[:cut], (line, text[line_starts[line]:end])
+
+
+def _ids(text: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Values of digit-only fields as uint64, and which are not below 2**63."""
+    width = stops - starts
+    digits = min(int(width.max(initial=0)), _UINT64_DIGITS)
+    values = np.zeros(len(starts), dtype=np.uint64)
+    pos = stops - digits
+    for back in range(digits, 0, -1):
+        # a field narrower than `back` has a 0 there; `clip` keeps pos >= 0
+        digit = np.where(width >= back, buf.take(pos, mode="clip") - ord("0"), 0)
+        values *= 10
+        values += digit
+        pos += 1
+    over = values >= ID_LIMIT
+    for i in np.flatnonzero(width > _UINT64_DIGITS).tolist():
+        value = int(text[starts[i]:stops[i]])
+        over[i] = value >= ID_LIMIT
+        values[i] = 0 if over[i] else value
+    return values, over
+
+
+def _first_repeat(edges: np.ndarray) -> Optional[int]:
+    """Row of the first edge in file order that repeats an earlier row."""
+    if len(edges) < 2:
+        return None
+    order = np.lexsort((edges[:, 1], edges[:, 0]))  # stable: ties keep file order
+    column = edges[order, 0]
+    same = column[1:] == column[:-1]
+    column = edges[order, 1]
+    same &= column[1:] == column[:-1]
+    del column
+    return int(order[1:][same].min()) if same.any() else None
 
 
 def validate_edges(edges: Iterable[tuple[int, int]]) -> list[Edge]:

@@ -32,9 +32,11 @@ the repetition drops what it has sampled and does the same on its next
 pass, so it never holds a sample and the graph at once; the planned wedge
 slots are never counted as stored. A repetition whose live storage exceeds
 abort_multiplier * (r + ell + s) aborts with estimate 0 and a
-"space-abort" flag. A settled repetition keeps only its value, flags,
-counters and assignment table. Each sampler draws from one generator keyed
-by (seed, role, repetition), so a fixed (source, order seed, config) is
+"space-abort" flag. A sampled repetition whose peak storage exceeds m,
+what storing the graph costs, is flagged "no-space-advantage"; its value
+stands. A settled repetition keeps only its value, flags, counters and
+assignment table. Each sampler draws from one generator keyed by (seed,
+role, repetition), so a fixed (source, order seed, config) is
 bit-reproducible, and multiplexing repetitions onto shared passes does not
 change any repetition's outcome.
 """
@@ -316,6 +318,8 @@ class _Repetition:
         self._note_storage()
         if self.settled:
             self._drop_samples()
+            if self.peak_items > self.m and "exact-fallback" not in self.flags:
+                self.flags.append("no-space-advantage")
 
     # -- storage accounting ---------------------------------------------------
 

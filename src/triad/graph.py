@@ -148,6 +148,10 @@ class Graph:
         u, v = _edge_ends(self)
         return zip(u.tolist(), v.tolist())
 
+    def edge_array(self) -> np.ndarray:
+        """Canonical edges in sorted order, as an (m, 2) int64 array."""
+        return np.column_stack(_edge_ends(self))
+
     def edge_list(self) -> list[Edge]:
         return list(self.edges())
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import edgelist
 from .errors import StreamUsageError
-from .graph import _distinct
+from .graph import _distinct, _edge_array
 
 Edge = tuple[int, int]
 
@@ -37,20 +37,20 @@ class EdgeStream:
     """Single-consumer cursor over a validated edge list.
 
     Use `from_file` or `from_edges`, which validate the edges. The
-    constructor takes edges that are already validated: canonical (u < v),
-    distinct, with ids in [0, 2**63), as an edge-list scan or a Graph
-    guarantees; they are not checked again. The edges are held as two int64
-    columns already in pass order, so a pass reads them back without
-    touching the source. Independent streams over the same source may be
-    consumed concurrently; one stream must not be.
+    constructor takes edges that are already validated, as pairs or an
+    (m, 2) int64 array: canonical (u < v), distinct, with ids in
+    [0, 2**63), as an edge-list scan or a Graph guarantees; they are not
+    checked again. The edges are held as two int64 columns already in pass
+    order, so a pass reads them back without touching the source.
+    Independent streams over the same source may be consumed concurrently;
+    one stream must not be.
     """
 
-    def __init__(self, edges: list[Edge], order_seed: Optional[int] = None):
-        m = len(edges)
-        u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
-        v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
+    def __init__(self, edges: Sequence[Edge] | np.ndarray, order_seed: Optional[int] = None):
+        ends = _edge_array(edges)
+        u, v = ends[:, 0], ends[:, 1]
         if order_seed is not None:
-            order = np.random.default_rng(order_seed).permutation(m)
+            order = np.random.default_rng(order_seed).permutation(len(ends))
             u, v = u[order], v[order]
         # array('q') items read back as Python ints, numpy items would not
         self._u = array("q", u.tobytes())

@@ -194,6 +194,26 @@ class TestVertexIdSpelling:
         assert "line 3" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_leading_zeros_past_19_digits_name_the_same_id(self, tmp_path, command):
+        # int() reads 22 digits with 21 leading zeros as 7, so the third
+        # line closes the triangle {0, 7, 9}; a digit count alone would
+        # call the id out of range or drop the line
+        p = tmp_path / "zeros.el"
+        p.write_text("0 7\n0 9\n0000000000000000000007 9\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 0, res.stderr
+        if command == "exact":
+            assert json.loads(res.stdout) == {"T": 1, "kappa": 2, "d_E": 6, "m": 3, "n": 3}
+
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_leading_zeros_repeat_an_edge(self, tmp_path, command):
+        p = tmp_path / "zeros.el"
+        p.write_text("0 7\n0 9\n9 0000000000000000000000\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 3
+        assert "line 3: duplicate edge 0 9" in res.stderr
+
 
 class TestEstimate:
     def test_main_mode_report(self, tmp_path):
@@ -256,6 +276,22 @@ class TestEstimate:
         res = run_cli("estimate", "--mode", "main", "--epsilon", "0.7",
                       "--t-hat", "30", "--kappa-hat", "2", str(path))
         assert res.returncode == 2
+
+    def test_no_space_advantage_is_flagged_on_stderr_only(self, tmp_path):
+        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 2.3 m
+        out = tmp_path / "pa.el"
+        assert run_cli("gen", "pa", "--n", "5000", "--attach", "4", "--out", str(out)).returncode == 0
+        truth = json.loads((tmp_path / "pa.el.json").read_text())
+        res = run_cli("estimate", str(out), "--epsilon", "0.2", "--t-hat", str(truth["T"]),
+                      "--kappa-hat", str(truth["kappa"]), "--scale", "0.005", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        flags = [line for line in res.stderr.splitlines() if line.startswith("flags: ")]
+        assert flags and "no-space-advantage" in flags[0].split(": ")[1].split(",")
+        assert "exact-fallback" not in flags[0]
+        payload = json.loads(res.stdout)
+        assert list(payload) == ["estimate", "passes", "stored_edges_peak", "r", "ell", "s",
+                                 "assignment_calls", "memo_size", "seed", "config"]
+        assert payload["stored_edges_peak"] > truth["m"]
 
     def test_quiet_silences_stderr(self, tmp_path):
         path, truth = write_book_file(tmp_path, 60)

@@ -19,7 +19,13 @@ from triad.estimator import (
     estimate,
 )
 from triad.graph import degeneracy, pick_anchor, triangles_exact_cn
-from triad.generators import gen_book, gen_lb_instance, gen_wheel, lb_spec
+from triad.generators import (
+    gen_book,
+    gen_lb_instance,
+    gen_preferential_attachment,
+    gen_wheel,
+    lb_spec,
+)
 from triad.sampling import run_pass
 from triad.stream import EdgeStream
 
@@ -324,6 +330,41 @@ class TestDegradationPaths:
         x, report = estimate(stream_for(g), cfg)
         assert "exact-fallback" in report.flags
         assert x == triangles_exact_cn(g) == truth.triangles
+
+
+class TestNoSpaceAdvantage:
+    """A sampled repetition that stores more than the graph is flagged, and
+    its value stands: it is not turned into a fallback."""
+
+    def test_flagged_above_m(self):
+        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 2.3 m
+        g = gen_preferential_attachment(5000, 4, seed=0)
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=triangles_exact_cn(g),
+                              kappa_hat=degeneracy(g), seed=1, scale=0.005)
+        x, report = estimate(stream_for(g, order_seed=1), cfg)
+        assert report.stored_edges_peak > g.m
+        assert "no-space-advantage" in report.flags
+        assert "exact-fallback" not in report.flags
+        assert x > 0
+        assert list(report.to_json_dict()) == [
+            "estimate", "passes", "stored_edges_peak", "r", "ell", "s",
+            "assignment_calls", "memo_size", "seed", "config"]
+
+    def test_not_flagged_below_m(self):
+        # book(64000) at scale 0.004 stores under 2 % of m
+        g, truth = gen_book(64000)
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=truth.kappa,
+                              seed=1, scale=0.004)
+        _, report = estimate(stream_for(g, order_seed=1), cfg)
+        assert report.stored_edges_peak < g.m
+        assert "no-space-advantage" not in report.flags
+
+    def test_fallback_is_not_flagged(self):
+        g, truth = gen_wheel(30)
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=1, kappa_hat=3, seed=0)
+        _, report = estimate(stream_for(g), cfg)
+        assert "exact-fallback" in report.flags
+        assert "no-space-advantage" not in report.flags
 
 
 class TestFallbackStorage:

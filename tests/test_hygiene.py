@@ -1,7 +1,8 @@
 """Static hygiene of the library: no unused imports, every export resolves,
-one observer protocol (pass observers take blocks of edges), and one pass
+one observer protocol (pass observers take blocks of edges), one pass
 driver (only `sampling.run_pass` and its reader `_blocks` drive a stream's
-passes)."""
+passes), and one edge-list parser (only `edgelist.py` reads files as bytes
+or calls `parse_line`)."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,34 @@ def test_pass_protocol_call_is_caught():
              "def run_pass(stream):\n    stream.begin_pass()\n"
     assert pass_protocol_calls(source) == [("size", "stream.edges (line 2)"),
                                            ("run_pass", "stream.begin_pass (line 5)")]
+
+
+def edge_list_readers(source: str) -> list[str]:
+    """Calls to `parse_line`, and `open` calls with a binary read mode."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        modes = [arg.value for arg in node.args + [k.value for k in node.keywords]
+                 if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        if name == "parse_line" or (name == "open" and any(
+                set(mode) <= set("rwxab+t") and {"r", "b"} <= set(mode) for mode in modes)):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "edgelist.py"],
+                         ids=lambda p: p.name)
+def test_one_edge_list_parser(path):
+    assert edge_list_readers(path.read_text(encoding="utf-8")) == []
+
+
+def test_second_parser_is_caught():
+    source = "from triad.edgelist import parse_line\n\n" \
+             "def load(path):\n    with open(path, 'rb') as fh:\n" \
+             "        return [parse_line(raw, i) for i, raw in enumerate(fh)]\n\n" \
+             "def text(path):\n    return open(path, 'r').read() + path.open(mode='br').read()\n"
+    assert edge_list_readers(source) == ["open (line 4)", "parse_line (line 5)",
+                                         "open (line 8)"]

@@ -1,14 +1,19 @@
 """Property-based checks of the oracle invariants and the sampling/
-assignment contracts, over randomly generated small graphs."""
+assignment contracts, over randomly generated small graphs, and of the
+columnar edge-list parse against the per-line specification."""
 
+import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import assume, given, settings
 
-from triad import sampling
+from triad import edgelist, sampling
 from triad.assignment import AssignmentTable, EdgeEstimate, INFINITY, is_assigned
+from triad.errors import EdgeListError
 from triad.estimator import EstimatorConfig, _drive, _Repetition
 from triad.graph import (
     degeneracy,
@@ -203,3 +208,75 @@ def test_infinite_estimates_never_assign(n_unused, seed_unused):
     est = {e: EdgeEstimate(e, 3, INFINITY) for e in edges}
     table = AssignmentTable()
     assert not any(is_assigned(tri, e, est, 0.25, 2, table) for e in edges)
+
+
+# ids from a small pool, so repeats and self-loops are common, plus the
+# edges of the id range: 2**63 - 1 and 2**63, leading zeros past 19 digits
+# on both sides of it, and 2**64
+_IDS = st.one_of(
+    st.sampled_from([b"0", b"1", b"2", b"7", b"07", b"9223372036854775807",
+                     b"9223372036854775808", b"18446744073709551616",
+                     b"0000000000000000000007", b"00000000000000000000009223372036854775807",
+                     b"00000000000000000000009223372036854775808"]),
+    st.integers(0, 2**64).map(lambda i: str(i).encode()),
+)
+_ID_FIELDS = st.tuples(
+    st.sampled_from([b""] * 24 + [b"-", b"+", b"#"]),
+    _IDS,
+    st.sampled_from([b""] * 24 + [b"_0", "\u0660".encode(), b"\xc3\xa9", b"\xff", b"x"]),
+).map(b"".join)
+_SPACES = st.sampled_from([b" ", b"\t", b"  ", b"\x0b", b"\x0c", b" \r "])
+_EDGE_LINES = st.tuples(
+    st.sampled_from([b""] * 3 + [b" ", b"\t"]),
+    st.one_of(*[st.lists(_ID_FIELDS, min_size=2, max_size=2)] * 4, st.lists(_ID_FIELDS, max_size=3)),
+    _SPACES,
+    st.sampled_from([b""] * 3 + [b"\r", b" "]),
+).map(lambda p: p[0] + p[2].join(p[1]) + p[3])
+_OTHER_LINES = st.sampled_from([
+    b"", b"  ", b"\r", b"# comment", b"#\xff caf\xc3\xa9", b"  # 1 2", b"#", b"\x0c",
+    b"1 1", b"01 1", b"2 1", b"1 2", b"1 02", b"-3 4", b"+3 4", b"1_0 2",
+    b"0 1\r0 2", b"caf\xc3\xa9 1",
+])
+# plain edges over a few ids, so files of many good lines and repeats are common
+_PLAIN_LINES = st.tuples(st.integers(0, 30), _SPACES, st.integers(0, 30)).map(
+    lambda p: b"%d%s%d" % p)
+_FILES = st.tuples(
+    st.lists(st.one_of(*[_PLAIN_LINES] * 12, *[_EDGE_LINES] * 2, _OTHER_LINES), max_size=30),
+    st.booleans(),
+).map(lambda p: b"\n".join(p[0]) + (b"\n" if p[1] and p[0] else b""))
+
+
+def per_line_parse(data: bytes):
+    """The specification: `parse_line` on each line, and a seen-set that
+    reports a repeated edge at its second occurrence."""
+    out, seen = [], set()
+    try:
+        for lineno, raw in enumerate(io.BytesIO(data), start=1):
+            edge = edgelist.parse_line(raw, lineno)
+            if edge is not None:
+                if edge in seen:
+                    raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", lineno)
+                seen.add(edge)
+                out.append(edge)
+    except EdgeListError as exc:
+        return str(exc)
+    return out
+
+
+@given(_FILES)
+@settings(max_examples=400, deadline=None)
+def test_columnar_parse_matches_the_per_line_specification(data):
+    want = per_line_parse(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.el"
+        path.write_bytes(data)
+        for chunk in (1, 2, 7, 16, edgelist.CHUNK_BYTES):
+            with mock.patch.object(edgelist, "CHUNK_BYTES", chunk):
+                try:
+                    edges = edgelist.read_edges(path)
+                except EdgeListError as exc:
+                    got = str(exc)
+                else:
+                    assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+                    got = [tuple(e) for e in edges.tolist()]
+            assert got == want, chunk

@@ -1,11 +1,13 @@
 """Pass protocol, replay determinism, and edge-list validation."""
 
+import tracemalloc
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from triad import sampling
-from triad.edgelist import parse_line
+from triad import edgelist, sampling
+from triad.edgelist import parse_line, read_edges
 from triad.errors import EdgeListError, StreamUsageError
 from triad.estimator import EstimatorConfig, estimate
 from triad.generators import gen_book, gen_wheel
@@ -186,6 +188,14 @@ class TestReplayDeterminism:
             assert list(plain.edges()) == list(checked.edges())
         assert plain.stats() == checked.stats()
 
+    @pytest.mark.parametrize("order_seed", [None, 0, 7])
+    def test_edge_array_opens_the_stream_the_pairs_open(self, order_seed):
+        # ideal mode hands the stream the graph's (m, 2) int64 array
+        g, _ = gen_wheel(31)
+        from_array = EdgeStream(g.edge_array(), order_seed=order_seed)
+        from_pairs = EdgeStream(g.edge_list(), order_seed=order_seed)
+        assert list(from_array.edges()) == list(from_pairs.edges())
+
 
 class TestSourceChangesAfterOpen:
     def test_passes_replay_the_edges_validated_at_open(self, tmp_path):
@@ -250,6 +260,38 @@ class TestParseLineFuzz:
     def test_leading_minus_is_a_negative_id(self):
         with pytest.raises(EdgeListError, match="negative vertex id"):
             parse_line(b"-3 4\n", 1)
+
+
+class TestColumnarParse:
+    def test_peak_memory_is_a_small_multiple_of_the_result(self, tmp_path):
+        # a list of tuples and a seen-set cost about ten times the 16 bytes
+        # per edge of the int64 result; the chunked parse holds the result,
+        # its concatenation and one chunk's scratch
+        m = 200_000
+        p = tmp_path / "big.el"
+        p.write_text("".join(f"{i} {i + 1 + i % 1000}\n" for i in range(m)))
+        tracemalloc.start()
+        try:
+            edges = read_edges(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(edges) == m
+        assert peak < 5 * 16 * m
+
+    def test_a_line_many_chunks_long(self, tmp_path, monkeypatch):
+        # a line with no b"\n" in a chunk is carried whole into the next
+        # chunks: a long comment, a long leading-zero id, a spaced-out last
+        # line with no b"\n", and a repeat placed after all three
+        monkeypatch.setattr(edgelist, "CHUNK_BYTES", 64)
+        head = b"#" + b"x" * 100_000 + b"\n" + b"0" * 3000 + b"7 9\n1 2\n"
+        p = tmp_path / "long.el"
+        p.write_bytes(head + b"8" + b" " * 10_000 + b"7")
+        assert read_edges(p).tolist() == [[7, 9], [1, 2], [7, 8]]
+        p.write_bytes(head + b"8" + b" " * 10_000 + b"7\n9 7")
+        with pytest.raises(EdgeListError, match="duplicate edge 7 9") as err:
+            read_edges(p)
+        assert err.value.lineno == 5
 
 
 class ProtocolOnly:
