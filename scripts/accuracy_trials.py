@@ -45,7 +45,7 @@ def main() -> int:
     args = parser.parse_args()
 
     graph, truth = build_instance(args)
-    edges = graph.edge_list()
+    edges = graph.edge_array()
     print(f"{args.family}: n={truth.n} m={truth.m} T={truth.triangles} "
           f"kappa={truth.kappa}", file=sys.stderr)
 
@@ -53,7 +53,7 @@ def main() -> int:
           f"{'peak':>7}  flags")
     good = 0
     for trial in range(args.trials):
-        stream = EdgeStream.from_edges(edges, order_seed=trial)
+        stream = EdgeStream(edges, order_seed=trial)
         config = EstimatorConfig(
             epsilon=args.epsilon,
             t_hat=truth.triangles,

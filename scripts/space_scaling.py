@@ -32,7 +32,7 @@ def main() -> int:
     ratios = []
     for k in args.sizes:
         graph, truth = gen_book(k)
-        stream = EdgeStream.from_edges(graph.edge_list(), order_seed=args.seed)
+        stream = EdgeStream(graph.edge_array(), order_seed=args.seed)
         config = EstimatorConfig(
             epsilon=args.epsilon,
             t_hat=truth.triangles,

@@ -10,7 +10,6 @@ from .assignment import (
     EdgeEstimate,
     assign_triangle,
     compute_s,
-    is_assigned,
     saturated_estimates,
 )
 from .errors import (
@@ -50,7 +49,7 @@ from .graph import (
     triangles_exact_naive,
 )
 from .ideal import DegreeOracle, IdealReport, ideal_estimate, ideal_sample
-from .sampling import NeighborRequest, substream, weighted_pick
+from .sampling import substream
 from .stream import EdgeStream, StreamStats
 
 __version__ = "0.1.0"
@@ -59,13 +58,12 @@ __all__ = [
     "AssignmentTable", "ConfigError", "DegreeOracle", "EdgeEstimate",
     "EdgeListError", "EdgeProfile", "EdgeStream", "EstimatorConfig",
     "Graph", "GroundTruth", "IdealReport", "InputError", "LbSpec",
-    "NeighborRequest", "RunReport", "SchedulingError", "StreamStats",
-    "StreamUsageError", "TriadError", "assign_triangle",
-    "classify_edges", "compute_ell", "compute_r", "compute_s",
-    "degeneracy", "enumerate_triangles", "estimate", "gen_book",
-    "gen_erdos_renyi", "gen_lb_instance", "gen_preferential_attachment",
-    "gen_wheel", "ideal_estimate", "ideal_sample", "is_assigned",
-    "lb_spec", "per_edge_triangles", "saturated_estimates", "substream",
-    "sum_edge_degrees", "triangles_exact_cn", "triangles_exact_naive",
-    "weighted_pick",
+    "RunReport", "SchedulingError", "StreamStats", "StreamUsageError",
+    "TriadError", "assign_triangle", "classify_edges", "compute_ell",
+    "compute_r", "compute_s", "degeneracy", "enumerate_triangles",
+    "estimate", "gen_book", "gen_erdos_renyi", "gen_lb_instance",
+    "gen_preferential_attachment", "gen_wheel", "ideal_estimate",
+    "ideal_sample", "lb_spec", "per_edge_triangles",
+    "saturated_estimates", "substream", "sum_edge_degrees",
+    "triangles_exact_cn", "triangles_exact_naive",
 ]

@@ -5,9 +5,12 @@ fraction of wedge samples from its anchor that closed, scaled by the edge
 degree, or infinity outright when the edge degree exceeds the cheapness
 cutoff m * kappa^2 / (eps^2 * T). The edge with the smallest estimate wins
 (ties by canonical edge order) unless even that estimate exceeds the load
-cutoff kappa / (2 * eps), in which case the triangle stays unassigned. A
-write-once memo table pins the first decision per triangle, so repeated
-queries are consistent and each triangle is charged to at most one edge.
+cutoff kappa / (2 * eps), in which case the triangle stays unassigned.
+
+`assign_rows` is the rule over a (k, 3) array of estimates, and
+`assign_triangle` applies it to one row. A write-once memo table pins the
+first decision per triangle, so repeated queries are consistent and each
+triangle is charged to at most one of its own edges.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, InputError, SchedulingError
 from .graph import Graph, Edge, Triangle, per_edge_triangles, triangle_edges
@@ -82,6 +87,8 @@ class AssignmentTable:
         return self._entries.get(tri, _MISSING)
 
     def record(self, tri: Triangle, result: Optional[Edge]) -> None:
+        if result is not None and result not in triangle_edges(tri):
+            raise InputError(f"edge {result} is not part of triangle {tri}")
         prior = self._entries.get(tri, _MISSING)
         if prior is not _MISSING and prior != result:
             raise SchedulingError(f"conflicting assignment recorded for {tri}")
@@ -89,6 +96,19 @@ class AssignmentTable:
 
     def items(self) -> Iterator[tuple[Triangle, Optional[Edge]]]:
         return iter(self._entries.items())
+
+
+def assign_rows(y, epsilon: float, kappa_hat: int) -> np.ndarray:
+    """The assignment rule over rows of estimates, one row per triangle.
+
+    Row i holds the estimates of triangle i's edges in canonical order, the
+    order of `triangle_edges`. Per row: the column of the edge with the
+    smallest estimate, ties to the canonical-first edge, or -1 when even
+    that estimate exceeds the load cutoff.
+    """
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 3)
+    best = y.argmin(axis=1)  # the first column holding the minimum
+    return np.where(y[np.arange(len(y)), best] > load_cutoff(epsilon, kappa_hat), -1, best)
 
 
 def assign_triangle(tri: Sequence[int], estimates: Mapping[Edge, EdgeEstimate],
@@ -107,21 +127,10 @@ def assign_triangle(tri: Sequence[int], estimates: Mapping[Edge, EdgeEstimate],
     for f in edges:
         if f not in estimates:
             raise SchedulingError(f"no wedge estimate for edge {f} of triangle {key}")
-    e_min = min(edges, key=lambda f: (estimates[f].y, f))
-    result = None if estimates[e_min].y > load_cutoff(epsilon, kappa_hat) else e_min
+    [column] = assign_rows([estimates[f].y for f in edges], epsilon, kappa_hat).tolist()
+    result = edges[column] if column >= 0 else None
     table.record(key, result)
     return result
-
-
-def is_assigned(tri: Sequence[int], edge: tuple[int, int],
-                estimates: Mapping[Edge, EdgeEstimate], epsilon: float,
-                kappa_hat: int, table: AssignmentTable) -> bool:
-    """True iff the triangle is charged to exactly this edge."""
-    key: Triangle = tuple(sorted(tri))
-    e = (edge[0], edge[1]) if edge[0] < edge[1] else (edge[1], edge[0])
-    if e not in triangle_edges(key):
-        raise InputError(f"edge {e} is not part of triangle {key}")
-    return assign_triangle(key, estimates, epsilon, kappa_hat, table) == e
 
 
 def saturated_estimates(g: Graph, epsilon: float, t_hat: int,

@@ -32,8 +32,8 @@ ID_LIMIT = 1 << 63
 # bytes read per chunk; a chunk is cut after its last b"\n"
 CHUNK_BYTES = 1 << 20
 
-# 19 digits fit uint64 exactly (10**19 - 1 < 2**64); longer ids are rare
-# (only leading zeros keep them below 2**63) and are read by int()
+# 19 digits fit uint64 exactly (10**19 - 1 < 2**64); longer fields are rare
+# (only leading zeros keep them below 2**63) and are read one at a time
 _UINT64_DIGITS = 19
 
 
@@ -55,9 +55,13 @@ def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
         signed = all(p.removeprefix(b"-").isdigit() for p in parts)
         raise EdgeListError(
             f"{'negative' if signed else 'non-integer'} vertex id in {fields!r}", lineno)
-    u, v = int(parts[0]), int(parts[1])
-    if u >= ID_LIMIT or v >= ID_LIMIT:
-        raise EdgeListError(f"vertex id in {[u, v]!r} is not below 2**63", lineno)
+    # leading zeros do not count, and past 19 significant digits an id is at
+    # least 10**19 > 2**63; int() would refuse a string of 4,301 digits
+    digits = [p.lstrip(b"0") or b"0" for p in parts]
+    if any(len(d) > _UINT64_DIGITS or int(d) >= ID_LIMIT for d in digits):
+        raise EdgeListError(
+            f"vertex id in [{', '.join(d.decode() for d in digits)}] is not below 2**63", lineno)
+    u, v = int(digits[0]), int(digits[1])
     if u == v:
         raise EdgeListError(f"self-loop at vertex {u}", lineno)
     return (u, v) if u < v else (v, u)
@@ -185,9 +189,9 @@ def _ids(text: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
         pos += 1
     over = values >= ID_LIMIT
     for i in np.flatnonzero(width > _UINT64_DIGITS).tolist():
-        value = int(text[starts[i]:stops[i]])
-        over[i] = value >= ID_LIMIT
-        values[i] = 0 if over[i] else value
+        digits = text[starts[i]:stops[i]].lstrip(b"0") or b"0"  # as parse_line
+        over[i] = len(digits) > _UINT64_DIGITS or int(digits) >= ID_LIMIT
+        values[i] = 0 if over[i] else int(digits)
     return values, over
 
 

@@ -8,21 +8,28 @@ collects them, block by block (see `triad.sampling`):
   pass 1  uniform edge sample R: r iid uniform positions in [0, m), and the
           pass collects the edges at those positions
   pass 2  exact degrees of R's endpoints -> d_e per sampled slot, d_R;
-          then, consuming no pass, draw ell slots from R proportional to d_e
+          then, consuming no pass, ell slots of law d_e / d_R: R's slots
+          lay out an integer axis on which slot i spans d_e(i) positions,
+          and the slots at ell uniform positions in [0, d_R) are collected
+          by the same `EdgePicker` as ideal mode's pass 1
   pass 3  one uniform neighbor of each drawn edge's anchor: j uniform in
           [0, d_a), the anchor's degree from pass 2, and the pass collects
           the anchor's j-th incident edge
   pass 4  closure checks for the drawn wedges plus exact degrees of the
-          third vertices -> discovered triangles with all three edge degrees
+          third vertices pass 2 did not count -> discovered triangles with
+          all three edge degrees
   pass 5  wedge sampling for every (triangle, edge) pair whose edge degree
           is under the cheapness cutoff: s uniform positions among the
           anchor's incident edges, or all of them once s covers the degree
   pass 6  closure checks for the wedge samples -> per-edge estimates ->
-          memoized assignment decisions
+          one assignment decision per triangle, kept in the memo table
 
-A slot scores 1 when its wedge closed into a triangle that the assignment
-rule charges to the slot's own edge. The estimate is
-(m / r) * d_R * mean(scores).
+Between passes the state is arrays: the degrees counted so far as sorted
+(vertex, degree) columns, the discovered triangles as a (k, 3) array in
+first-closed-draw order with each edge's degree and closed-draw count, and
+one wedge request per cheap (triangle, edge) cell. A draw scores 1 when its
+wedge closed into a triangle that the assignment rule charges to the
+draw's own edge. The estimate is (m / r) * d_R * mean(scores).
 
 Degenerate regimes stay honest rather than failing: when r reaches m, the
 run stores the whole edge set on its first pass, once however many
@@ -45,22 +52,14 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .assignment import (
-    AssignmentTable,
-    EdgeEstimate,
-    INFINITY,
-    compute_s,
-    degree_cutoff,
-    is_assigned,
-)
+from .assignment import AssignmentTable, INFINITY, assign_rows, compute_s, degree_cutoff
 from .errors import ConfigError, InputError
-from .graph import Edge, Graph, Triangle, canonical_edge, pick_anchor, triangle_edges, triangles_exact_cn
+from .graph import Graph, canonical_edge, triangle_edges, triangles_exact_cn
 from .sampling import (
     ROLE_EDGE_SAMPLE,
     ROLE_NEIGHBOR,
@@ -70,11 +69,10 @@ from .sampling import (
     DegreeCounter,
     EdgePicker,
     IncidentPicker,
-    NeighborRequest,
+    _lookup,
     neighbor_picker,
     run_pass,
     substream,
-    weighted_pick,
 )
 from .stream import StreamStats
 
@@ -209,8 +207,23 @@ class RunReport:
         return {k: getattr(self, k) for k in _REPORT_KEYS}
 
 
+_NO_IDS = np.empty(0, dtype=np.int64)
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
-_NO_EDGES.flags.writeable = False
+_NO_TRIANGLES = np.empty((0, 3), dtype=np.int64)
+
+# cell 3 * i + j is edge j of triangle i = (a, b, c) in the canonical order
+# of `triangle_edges`, ab, ac, bc; these are each edge's two corners
+_EDGE_LO, _EDGE_HI = zip(*triangle_edges((0, 1, 2)))
+
+
+def _first_seen_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in order of first occurrence, and the index of
+    each row among them."""
+    _, first, which = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rows[first[order]], rank[which.ravel()]
 
 
 class _GraphCollector:
@@ -267,23 +280,28 @@ class _Repetition:
     def _drop_samples(self) -> None:
         """Empty the sampled state; value, flags, counters and table stay."""
         self.sample = _NO_EDGES  # R, one canonical edge per slot
-        self.slot_degrees = np.empty(0, dtype=np.int64)
-        self.deg: dict[int, int] = {}
-        self.draws: Optional[np.ndarray] = None  # indices into R
+        self.slot_degrees = _NO_IDS
+        # exact degrees of every vertex counted so far, sorted by vertex
+        self.deg_vertices = _NO_IDS
+        self.deg_counts = _NO_IDS
+        self.draws = _NO_IDS  # indices into R
         self.draw_edges = _NO_EDGES
-        self.draw_anchors = np.empty(0, dtype=np.int64)
-        self.neighbors = np.empty(0, dtype=np.int64)
-        # each discovered triangle's three edges with their exact degrees
-        self.tri_degrees: dict[Triangle, tuple[tuple[Edge, int], ...]] = {}
-        # draws whose wedge closed, per (drawn edge, triangle), in first-draw order
-        self.closed_draws: Counter[tuple[Edge, Triangle]] = Counter()
-        self.wedge_reqs: list[tuple[Triangle, Edge, int, Optional[int]]] = []
-        self.wedge_samples = np.empty(0, dtype=np.int64)
+        self.draw_anchors = _NO_IDS
+        self.neighbors = _NO_IDS
+        # discovered triangles in first-closed-draw order; per cell (triangle
+        # edge): its degree, and how many drawn wedges on it closed
+        self.triangles = _NO_TRIANGLES
+        self.edge_degrees = _NO_IDS
+        self.closed_counts = _NO_IDS
+        # one wedge request per cheap cell, in cell order
+        self.wedge_cells = _NO_IDS
+        self.wedge_anchors = _NO_IDS
+        self.wedge_others = _NO_IDS
+        self.wedge_samples = _NO_IDS
         self.wedge_bounds = np.zeros(1, dtype=np.int64)
         self.wedge_slots = 0
-        self.estimates: dict[Triangle, dict[Edge, EdgeEstimate]] = {}
         self._observers: list = []
-        self._open = np.empty(0, dtype=np.int64)
+        self._open = _NO_IDS
         self._collector: Optional[_GraphCollector] = None
 
     # -- driver interface ---------------------------------------------------
@@ -324,11 +342,9 @@ class _Repetition:
     # -- storage accounting ---------------------------------------------------
 
     def _live_items(self) -> int:
-        total = len(self.sample) + len(self.deg)
-        if self.draws is not None:
-            total += len(self.draws)
+        total = len(self.sample) + len(self.deg_vertices) + len(self.draws)
         total += len(self.neighbors)
-        total += 3 * len(self.tri_degrees)
+        total += 3 * len(self.triangles)
         total += self.wedge_slots
         total += len(self.table)
         if self._collector is not None:
@@ -339,6 +355,10 @@ class _Repetition:
         live = self._live_items()
         if live > self.peak_items:
             self.peak_items = live
+
+    def _degrees(self, vertices: np.ndarray) -> np.ndarray:
+        """Exact degrees of vertices a degree pass has counted."""
+        return self.deg_counts[np.searchsorted(self.deg_vertices, vertices)]
 
     def _settle(self, value: float) -> None:
         self.x = float(value)
@@ -376,8 +396,8 @@ class _Repetition:
 
     def _end_1(self) -> None:
         [counter] = self._observers
-        self.deg.update(counter.degrees())
-        ends = counter.counts[np.searchsorted(counter.vertices, self.sample)]
+        self.deg_vertices, self.deg_counts = counter.vertices, counter.counts
+        ends = self._degrees(self.sample)
         self.slot_degrees = ends.min(axis=1)
         self.d_r = int(self.slot_degrees.sum())
         if self.d_r <= 0:
@@ -390,8 +410,12 @@ class _Repetition:
         if cfg.exact_fallback and self.ell > self.m:
             self._fallback_next = True
             return
+        # ell uniform positions on R's d_e axis, on which slot i spans d_e(i)
+        # positions: ell independent slots of law d_e / d_R
         rng = substream(cfg.seed, ROLE_PICK, self.rep)
-        self.draws = weighted_pick(self.slot_degrees, self.ell, rng)
+        picker = EdgePicker(rng.integers(self.d_r, size=self.ell))
+        picker.observe_rows((np.arange(self.r),), self.slot_degrees)
+        self.draws = picker.samples()[:, 0]
         self.draw_edges = self.sample[self.draws]
         ends = ends[self.draws]
         # pick_anchor on canonical edges: the lower degree, the larger id on ties
@@ -417,41 +441,42 @@ class _Repetition:
         # a neighbor equal to the edge's other end makes no wedge
         self._open = np.flatnonzero(self.neighbors != others)
         w = self.neighbors[self._open]
-        return [ClosureChecker(others[self._open], w), DegreeCounter(w)]
+        # only third vertices whose degree pass 2 did not count
+        _, known = _lookup(self.deg_vertices, w)
+        return [ClosureChecker(others[self._open], w), DegreeCounter(w[~known])]
 
     def _end_3(self) -> None:
         closure, counter = self._observers
-        self.deg.update(counter.degrees())
-        deg = self.deg
+        vertices = np.concatenate((self.deg_vertices, counter.vertices))
+        order = np.argsort(vertices)
+        self.deg_vertices = vertices[order]
+        self.deg_counts = np.concatenate((self.deg_counts, counter.counts))[order]
+
         closed = self._open[closure.present()]
-        for (u, v), w in zip(self.draw_edges[closed].tolist(), self.neighbors[closed].tolist()):
-            tri: Triangle = tuple(sorted((u, v, w)))
-            self.closed_draws[(u, v), tri] += 1
-            if tri not in self.tri_degrees:
-                self.tri_degrees[tri] = tuple(
-                    (f, min(deg[f[0]], deg[f[1]])) for f in triangle_edges(tri)
-                )
+        w = self.neighbors[closed]
+        tri = np.sort(np.column_stack((self.draw_edges[closed], w)), axis=1)
+        self.triangles, which = _first_seen_rows(tri)
+        # the drawn edge is the triangle's edge without w: bc, ac or ab
+        edge = 2 - (tri == w[:, None]).argmax(axis=1)
+        self.closed_counts = np.bincount(3 * which + edge, minlength=self.triangles.size)
+        lo = self.triangles[:, _EDGE_LO].ravel()
+        hi = self.triangles[:, _EDGE_HI].ravel()
+        d_lo, d_hi = self._degrees(lo), self._degrees(hi)
+        self.edge_degrees = np.minimum(d_lo, d_hi)
 
+        # every edge at most the cheapness cutoff asks for wedge samples
         cut = degree_cutoff(self.m, self.cfg.epsilon, self.cfg.t_hat, self.cfg.kappa_hat)
-        wedge_reqs = []
-        wedge_slots = 0
-        for tri, edge_degrees in self.tri_degrees.items():
-            per_edge: dict[Edge, EdgeEstimate] = {}
-            for f, d_f in edge_degrees:
-                if d_f > cut:
-                    per_edge[f] = EdgeEstimate(f, d_f, INFINITY)
-                    continue
-                anchor = pick_anchor(f[0], f[1], deg[f[0]], deg[f[1]])
-                want = None if self.s >= d_f else self.s
-                wedge_reqs.append((tri, f, anchor, want))
-                wedge_slots += d_f if want is None else want
-            self.estimates[tri] = per_edge
-
+        cells = np.flatnonzero(self.edge_degrees <= cut)
+        wedge_slots = int(np.minimum(self.edge_degrees[cells], self.s).sum())
         # decide on the projected wedge budget before holding any of it
         if self.cfg.exact_fallback and wedge_slots > self.m:
             self._fallback_next = True
             return
-        self.wedge_reqs = wedge_reqs
+        # pick_anchor on canonical edges: the lower degree, the larger id on ties
+        low = d_lo[cells] < d_hi[cells]
+        self.wedge_cells = cells
+        self.wedge_anchors = np.where(low, lo[cells], hi[cells])
+        self.wedge_others = np.where(low, hi[cells], lo[cells])
         self.wedge_slots = wedge_slots
         self._note_storage()
         if self._live_items() > self._abort_budget():
@@ -461,12 +486,10 @@ class _Repetition:
     # -- stage 4: wedge sampling ------------------------------------------------
 
     def _begin_4(self) -> list:
-        requests = [
-            NeighborRequest(f, anchor, want)
-            for (_, f, anchor, want) in self.wedge_reqs
-        ]
+        # the anchor is the lower-degree end, so its degree is the edge's d_e
+        degrees = self.edge_degrees[self.wedge_cells]
         rng = substream(self.cfg.seed, ROLE_WEDGE, self.rep)
-        picker, self.wedge_bounds = neighbor_picker(requests, self.deg, rng)
+        picker, self.wedge_bounds = neighbor_picker(self.wedge_anchors, degrees, self.s, rng)
         return [picker]
 
     def _end_4(self) -> None:
@@ -476,32 +499,28 @@ class _Repetition:
     # -- stage 5: wedge closure, estimates, assignment, estimate ----------------
 
     def _begin_5(self) -> list:
-        others = [f[1] if anchor == f[0] else f[0] for (_, f, anchor, _) in self.wedge_reqs]
-        other = np.repeat(np.array(others, dtype=np.int64), np.diff(self.wedge_bounds))
+        other = np.repeat(self.wedge_others, np.diff(self.wedge_bounds))
         self._open = np.flatnonzero(self.wedge_samples != other)
         return [ClosureChecker(other[self._open], self.wedge_samples[self._open])]
 
     def _end_5(self) -> None:
         [closure] = self._observers
         counts = np.diff(self.wedge_bounds)
-        owner = np.repeat(np.arange(len(self.wedge_reqs)), counts)
-        hits = np.bincount(owner[self._open[closure.present()]], minlength=len(self.wedge_reqs))
-        deg = self.deg
-        for (tri, f, anchor, want), h, count in zip(self.wedge_reqs, hits.tolist(), counts.tolist()):
-            d_f = min(deg[f[0]], deg[f[1]])
-            s_eff = count if want is None else want
-            y = d_f * h / s_eff if s_eff else 0.0
-            self.estimates[tri][f] = EdgeEstimate(f, d_f, y)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        hits = np.bincount(owner[self._open[closure.present()]], minlength=len(counts))
+        # a request holds d_e slots, or s once s falls below d_e
+        y = np.full(len(self.edge_degrees), INFINITY)
+        y[self.wedge_cells] = self.edge_degrees[self.wedge_cells] * hits / counts
 
         cfg = self.cfg
-        score = 0
-        # the table memoizes each triangle's assignment, so every draw of one
-        # (edge, triangle) pair gets the answer its first draw gets
-        for (edge, tri), draws in self.closed_draws.items():
-            self.assignment_calls += draws
-            if is_assigned(tri, edge, self.estimates[tri],
-                           cfg.epsilon, cfg.kappa_hat, self.table):
-                score += draws
+        # each triangle is decided once and recorded; every closed draw on it
+        # scores against that one decision
+        charged = assign_rows(y, cfg.epsilon, cfg.kappa_hat)
+        for tri, column in zip(self.triangles.tolist(), charged.tolist()):
+            self.table.record(tuple(tri), triangle_edges(tri)[column] if column >= 0 else None)
+        self.assignment_calls += int(self.closed_counts.sum())
+        rows = np.flatnonzero(charged >= 0)
+        score = int(self.closed_counts[3 * rows + charged[rows]].sum())
         y_mean = score / self.ell
         self._settle((self.m / self.r) * self.d_r * y_mean)
 

@@ -76,15 +76,15 @@ class Graph:
 
     __slots__ = ("n", "m", "labels", "indptr", "indices", "_deg")
 
-    def __init__(self, n: int, edges, labels: Sequence[int] | None = None):
+    def __init__(self, n: int, edges):
         if n < 0:
             raise InputError(f"negative vertex count {n}")
         ends = _edge_array(edgelist.validate_edges(edges))
         if ends.size and ends.max() >= n:
             raise InputError(f"vertex {int(ends.max())} out of range for n={n}")
-        self._fill(n, ends, labels)
+        self._fill(n, ends)
 
-    def _fill(self, n: int, ends: np.ndarray, labels) -> None:
+    def _fill(self, n: int, ends: np.ndarray) -> None:
         """Build the CSR from an (m, 2) array of canonical edges on [0, n)."""
         src = np.concatenate((ends[:, 0], ends[:, 1]))
         dst = np.concatenate((ends[:, 1], ends[:, 0]))
@@ -97,7 +97,7 @@ class Graph:
         indices.flags.writeable = False
         self.n = n
         self.m = len(ends)
-        self.labels = tuple(labels) if labels is not None else None
+        self.labels = None
         self.indptr = indptr
         self.indices = indices
         self._deg = counts.tolist()
@@ -123,7 +123,8 @@ class Graph:
         """
         ids, dense = np.unique(_edge_array(edges), return_inverse=True)
         g = cls.__new__(cls)
-        g._fill(len(ids), dense.reshape(-1, 2), ids.tolist())
+        g._fill(len(ids), dense.reshape(-1, 2))
+        g.labels = tuple(ids.tolist())
         return g
 
     def degree(self, v: int) -> int:

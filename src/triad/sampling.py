@@ -18,10 +18,14 @@ block:
   positions in [0, m) are r independent uniform edges. Rows weighted by
   d_e, with r iid uniform positions in [0, d_E), are r independent edges
   of law d_e / d_E; a zero-weight row owns no position and is never picked.
+  This is the package's one weighted sampler: ideal mode's pass 1 and the
+  main estimator's degree-proportional draws from its sample R use it.
 - `IncidentPicker` collects, per slot, the other endpoint of the j-th edge
   incident to the slot's anchor, matched against per-anchor running
   incidence counts. j uniform in [0, d_a) is a uniform neighbor, and every
-  j in [0, d_a) is the whole neighborhood.
+  j in [0, d_a) is the whole neighborhood. `neighbor_picker` builds one
+  for arrays of anchors and their degrees with one sample size s: s
+  uniform positions per anchor, or every position once s covers d_a.
 - `DegreeCounter` counts exact degrees of a query set, with `searchsorted`
   and `bincount` against the sorted queries.
 - `ClosureChecker` tells which of a list of vertex pairs are edges. Ids
@@ -35,16 +39,13 @@ its positions are drawn up front and the pass only collects them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .graph import _distinct, _ranges
-
-Edge = tuple[int, int]
 
 # Role tags keep substreams for different duties disjoint under one seed.
 ROLE_SHUFFLE = 0
@@ -159,26 +160,6 @@ class EdgePicker:
         return self._picked
 
 
-@dataclass(frozen=True)
-class NeighborRequest:
-    """Ask for uniform neighbors of `anchor`, an endpoint of `edge`.
-
-    want=N draws N independent uniform samples from N(anchor); want=None
-    collects the whole neighborhood instead (used when a requested sample
-    count would cover every neighbor, making downstream estimates exact).
-    """
-
-    edge: Edge
-    anchor: int
-    want: Optional[int]
-
-    def __post_init__(self):
-        if self.anchor not in self.edge:
-            raise InputError(f"anchor {self.anchor} is not an endpoint of {self.edge}")
-        if self.want is not None and self.want < 1:
-            raise InputError(f"want must be >= 1 or None, got {self.want}")
-
-
 class IncidentPicker:
     """Per slot i, the other endpoint of the positions[i]-th edge incident
     to anchors[i] (0-based, in stream order), collected in one pass.
@@ -235,30 +216,28 @@ class IncidentPicker:
         return self._found
 
 
-def neighbor_picker(requests: Sequence[NeighborRequest], degree: Mapping[int, int],
+def neighbor_picker(anchors, degrees, s: int,
                     rng: np.random.Generator) -> tuple[IncidentPicker, np.ndarray]:
-    """An `IncidentPicker` serving neighbor requests, and the slot bounds:
-    request i owns slots bounds[i]:bounds[i + 1].
+    """An `IncidentPicker` serving one request per anchor, and the slot
+    bounds: request i owns slots bounds[i]:bounds[i + 1].
 
-    A request for N samples gets N iid uniform positions in [0, d), a full
-    request every position in [0, d), where d = degree[anchor]; an anchor
-    of degree 0 gets no slot.
+    `degrees[i]` is the degree of `anchors[i]`. An anchor of degree at most
+    s gets every position in [0, d), its whole neighborhood; any other gets
+    s iid uniform positions in [0, d). An anchor of degree 0 gets no slot.
     """
-    anchors = np.array([q.anchor for q in requests], dtype=np.int64)
-    d = np.array([degree.get(q.anchor, 0) for q in requests], dtype=np.int64)
-    full = np.array([q.want is None for q in requests], dtype=bool)
-    want = np.array([q.want or 0 for q in requests], dtype=np.int64)
-    count = np.where(full, d, want)
-    count[d == 0] = 0
+    anchors = np.asarray(anchors, dtype=np.int64)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    count = np.minimum(degrees, s)
     bounds = np.concatenate(([0], np.cumsum(count)))
     positions = np.arange(int(bounds[-1])) - np.repeat(bounds[:-1], count)
-    sampled = ~np.repeat(full, count)
-    positions[sampled] = rng.integers(np.repeat(d, count)[sampled])
+    sampled = np.repeat(degrees > s, count)
+    positions[sampled] = rng.integers(np.repeat(degrees, count)[sampled])
     return IncidentPicker(np.repeat(anchors, count), positions), bounds
 
 
 class DegreeCounter:
-    """Exact degrees of a set of query vertices, in one pass."""
+    """Exact degrees of a set of query vertices, in one pass: `counts[i]` is
+    the degree of `vertices[i]`, the distinct queries in sorted order."""
 
     def __init__(self, vertices):
         self.vertices = _distinct(vertices)
@@ -269,9 +248,6 @@ class DegreeCounter:
         for col in (u, v):
             idx, hit = _lookup(self.vertices, col)
             self.counts += np.bincount(idx[hit], minlength=k)
-
-    def degrees(self) -> dict[int, int]:
-        return dict(zip(self.vertices.tolist(), self.counts.tolist()))
 
 
 class ClosureChecker:
@@ -303,18 +279,3 @@ class ClosureChecker:
         """Per pair, in the order given: whether it is an edge."""
         return self._hit[self._slot]
 
-
-def weighted_pick(weights: Sequence[float], count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` independent indices drawn proportionally to `weights`.
-
-    Consumes no pass; the weights are already in memory.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise InputError("empty weight vector")
-    if (w < 0).any():
-        raise InputError("negative weight")
-    total = w.sum()
-    if total <= 0:
-        raise InputError("weights sum to zero")
-    return rng.choice(w.size, size=count, replace=True, p=w / total)

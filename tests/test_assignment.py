@@ -11,7 +11,6 @@ from triad.assignment import (
     assign_triangle,
     compute_s,
     degree_cutoff,
-    is_assigned,
     load_cutoff,
     saturated_estimates,
 )
@@ -102,27 +101,27 @@ class TestIsAssigned:
         table = AssignmentTable()
         est = estimates_for((0, 1, 2), [INFINITY, INFINITY, INFINITY])
         for e in triangle_edges((0, 1, 2)):
-            assert not is_assigned((0, 1, 2), e, est, 0.5, 2, table)
+            assert assign_triangle((0, 1, 2), est, 0.5, 2, table) != e
 
     def test_yes_for_winner_no_for_others(self):
         table = AssignmentTable()
         est = estimates_for((0, 1, 2), [2.0, 1.0, 2.0])
-        assert is_assigned((0, 1, 2), (0, 2), est, 0.5, 2, table)
-        assert not is_assigned((0, 1, 2), (0, 1), est, 0.5, 2, table)
-        assert not is_assigned((0, 1, 2), (1, 2), est, 0.5, 2, table)
+        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) == (0, 2)
+        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) != (0, 1)
+        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) != (1, 2)
 
     def test_k3_saturated(self):
         g = k_complete(3)
         est = saturated_estimates(g, 0.5, t_hat=1, kappa_hat=2)
         table = AssignmentTable()
         # every edge has exactly one triangle; cutoff 2/(2*0.5) = 2 passes
-        assert is_assigned((0, 1, 2), (0, 1), est, 0.5, 2, table)
+        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) == (0, 1)
 
     def test_edge_outside_triangle_rejected(self):
+        # the table takes only one of the triangle's own edges, or None
         table = AssignmentTable()
-        est = estimates_for((0, 1, 2), [1.0, 1.0, 1.0])
         with pytest.raises(InputError):
-            is_assigned((0, 1, 2), (0, 5), est, 0.5, 2, table)
+            table.record((0, 1, 2), (0, 5))
 
 
 class TestCutoffs:

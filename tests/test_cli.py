@@ -207,6 +207,25 @@ class TestVertexIdSpelling:
             assert json.loads(res.stdout) == {"T": 1, "kappa": 2, "d_E": 6, "m": 3, "n": 3}
 
     @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_thousands_of_leading_zeros_name_the_same_id(self, tmp_path, command):
+        # 5,000 digits is past int()'s default limit of 4,300
+        padded, plain = tmp_path / "padded.el", tmp_path / "plain.el"
+        padded.write_text("0" * 5000 + "7 9\n")
+        plain.write_text("7 9\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(padded))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run_cli(*PARSING_COMMANDS[command], str(plain)).stdout
+
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_thousands_of_digits_are_out_of_range(self, tmp_path, command):
+        p = tmp_path / "long.el"
+        p.write_text("0 1\n" + "1" * 5000 + " 9\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 3
+        assert "line 2: vertex id in [" + "1" * 5000 + ", 9] is not below 2**63" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
     def test_leading_zeros_repeat_an_edge(self, tmp_path, command):
         p = tmp_path / "zeros.el"
         p.write_text("0 7\n0 9\n9 0000000000000000000000\n")

@@ -237,6 +237,70 @@ class TestForcedSampleIdentity:
         assert ey == Fraction(assigned, d_r)
 
 
+class TestStorageAccounting:
+    """Live items by role on K4 with R forced to E, counted in closed form."""
+
+    def test_live_items_per_stage_and_peak(self):
+        g = k_complete(4)
+        eps, t_hat, kappa_hat = 0.25, 4, 3
+        cfg = EstimatorConfig(epsilon=eps, t_hat=t_hat, kappa_hat=kappa_hat, seed=0,
+                              exact_fallback=False)
+        s = stream_for(g)
+        rep = _Repetition(s.stats(), cfg, rep=0, base_flags=cfg.validate(),
+                          forced_sample=g.edge_list())
+        live = []
+        for stage in range(6):
+            observers = rep.stage_begin(stage)
+            if observers:
+                run_pass(s, observers)
+            rep.stage_end(stage)
+            live.append(rep._live_items())
+
+        # every vertex has degree 3, so every edge degree is 3 and d_R = 18
+        m, n, r, d_e = 6, 4, 6, 3
+        ell = math.ceil(21 * math.log2(n) / eps**2 * m * (r * d_e) / (r * (1 - 2 * eps) * t_hat))
+        assert rep.ell == ell == 6048
+        # s is far above d_e and the degree cutoff far above d_e, so each of a
+        # triangle's edges collects its anchor's whole neighborhood
+        triangles = 4
+        wedge_slots = triangles * 3 * d_e
+        sampled = r + n + ell                   # R, its endpoints' degrees, draws
+        with_neighbors = sampled + ell          # one neighbor per draw
+        with_wedges = with_neighbors + 3 * triangles + wedge_slots
+        # the settled repetition keeps only its table, one entry per triangle
+        assert live == [r, sampled, with_neighbors, with_wedges, with_wedges, triangles]
+        assert rep.peak_items == with_wedges + triangles
+        assert len(rep.table) == triangles
+
+
+class TestScoring:
+    def test_each_closed_draw_scores_by_the_table(self):
+        # recount the score draw by draw: a drawn wedge that closes scores 1
+        # when the table charges its triangle to the drawn edge itself
+        g, truth = gen_wheel(30)
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=3, seed=5,
+                              scale=0.01, exact_fallback=False)
+        s = stream_for(g, order_seed=2)
+        rep = _Repetition(s.stats(), cfg, rep=0, base_flags=cfg.validate(),
+                          forced_sample=g.edge_list())
+        for stage in range(6):
+            observers = rep.stage_begin(stage)
+            if observers:
+                run_pass(s, observers)
+            if stage == 5:
+                draws = list(zip(rep.draw_edges.tolist(), rep.neighbors.tolist()))
+            rep.stage_end(stage)
+        table = dict(rep.table.items())
+        score = 0
+        for (u, v), w in draws:
+            anchor = pick_anchor(u, v, g.degree(u), g.degree(v))
+            other = v if anchor == u else u
+            if w != other and g.has_edge(other, w):
+                score += table[tuple(sorted((u, v, w)))] == (u, v)
+        assert 0 < score < rep.ell
+        assert rep.x == (g.m / rep.r) * rep.d_r * (score / rep.ell)
+
+
 class TestRepetitions:
     def test_single_repetition_is_the_estimate(self):
         g, truth = gen_book(300)

@@ -1,8 +1,10 @@
 """Static hygiene of the library: no unused imports, every export resolves,
 one observer protocol (pass observers take blocks of edges), one pass
 driver (only `sampling.run_pass` and its reader `_blocks` drive a stream's
-passes), and one edge-list parser (only `edgelist.py` reads files as bytes
-or calls `parse_line`)."""
+passes), one edge-list parser (only `edgelist.py` reads files as bytes
+or calls `parse_line`), and one weighted sampler (no module calls a
+generator's `choice`: weighted draws are positions on an integer axis that
+`EdgePicker` collects)."""
 
 import ast
 from pathlib import Path
@@ -141,3 +143,22 @@ def test_second_parser_is_caught():
              "def text(path):\n    return open(path, 'r').read() + path.open(mode='br').read()\n"
     assert edge_list_readers(source) == ["open (line 4)", "parse_line (line 5)",
                                          "open (line 8)"]
+
+
+def choice_calls(source: str) -> list[str]:
+    """Calls of a `choice` method, such as `rng.choice(k, p=weights)`."""
+    return [f"choice (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_weighted_sampler(path):
+    assert choice_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_second_weighted_sampler_is_caught():
+    source = "import numpy as np\n\n" \
+             "def pick(w, k, rng):\n    return rng.choice(len(w), size=k, p=w / w.sum())\n\n" \
+             "def one(xs):\n    return np.random.default_rng(0).choice(xs)\n"
+    assert choice_calls(source) == ["choice (line 4)", "choice (line 7)"]

@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 
 from triad import edgelist, sampling
-from triad.assignment import AssignmentTable, EdgeEstimate, INFINITY, is_assigned
+from triad.assignment import (
+    AssignmentTable, EdgeEstimate, INFINITY, assign_rows, assign_triangle, load_cutoff)
 from triad.errors import EdgeListError
 from triad.estimator import EstimatorConfig, _drive, _Repetition
 from triad.graph import (
@@ -167,7 +168,8 @@ def test_block_observers_match_brute_force(case):
                           WeightedRows(weighted_picker, weights)])
     assert [tuple(e) for e in picker.samples().tolist()] == [order[p] for p in positions]
     assert neighbors.results().tolist() == [incident[a][j] for a, j in slots]
-    assert counter.degrees() == {x: len(incident[x]) for x in degree_vertices}
+    assert dict(zip(counter.vertices.tolist(), counter.counts.tolist())) == {
+        x: len(incident[x]) for x in degree_vertices}
     edge_set = set(order)
     assert closure.present().tolist() == [(min(p), max(p)) in edge_set for p in pairs]
     # brute force: row (u, v, w) repeated w times, indexed by position
@@ -195,9 +197,27 @@ def test_unique_assignment_under_arbitrary_call_sequences(calls, eps, kappa_hat)
     yes_edges = set()
     for which, ys in calls:
         est = {e: EdgeEstimate(e, 2, y) for e, y in zip(edges, ys)}
-        if is_assigned(tri, edges[which], est, eps, kappa_hat, table):
+        if assign_triangle(tri, est, eps, kappa_hat, table) == edges[which]:
             yes_edges.add(edges[which])
     assert len(yes_edges) <= 1
+
+
+@given(
+    st.lists(st.tuples(*[st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, INFINITY])] * 3),
+             max_size=20),
+    st.floats(0.05, 0.45),
+    st.integers(1, 4),
+)
+@settings(max_examples=150)
+def test_columnar_rule_matches_the_per_triangle_minimum(rows, eps, kappa_hat):
+    # the reference: the smallest (estimate, edge) pair, canonical edges
+    # breaking ties, and no edge when that estimate exceeds the load cutoff
+    edges = triangle_edges((0, 1, 2))
+    want = []
+    for ys in rows:
+        y, edge = min(zip(ys, edges))
+        want.append(-1 if y > load_cutoff(eps, kappa_hat) else edges.index(edge))
+    assert assign_rows(np.array(rows).reshape(-1, 3), eps, kappa_hat).tolist() == want
 
 
 @given(st.integers(3, 40), st.integers(0, 2**16))
@@ -207,7 +227,7 @@ def test_infinite_estimates_never_assign(n_unused, seed_unused):
     edges = triangle_edges(tri)
     est = {e: EdgeEstimate(e, 3, INFINITY) for e in edges}
     table = AssignmentTable()
-    assert not any(is_assigned(tri, e, est, 0.25, 2, table) for e in edges)
+    assert not any(assign_triangle(tri, est, 0.25, 2, table) == e for e in edges)
 
 
 # ids from a small pool, so repeats and self-loops are common, plus the

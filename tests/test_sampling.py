@@ -15,11 +15,9 @@ from triad.sampling import (
     ClosureChecker,
     DegreeCounter,
     EdgePicker,
-    NeighborRequest,
     neighbor_picker,
     run_pass,
     substream,
-    weighted_pick,
 )
 from triad.stream import EdgeStream
 
@@ -34,14 +32,15 @@ def edge_sample(stream, r, seed):
     return [tuple(e) for e in picker.samples().tolist()]
 
 
-def neighbor_samples(edges, requests, seed, stream=None):
+def neighbor_samples(edges, anchors, s, seed, stream=None):
     # positions are drawn against the anchors' degrees, which the estimator
     # knows from an earlier pass; here they come from the edge list itself
     degree = Counter(x for e in edges for x in e)
-    picker, bounds = neighbor_picker(requests, degree, substream(seed, ROLE_NEIGHBOR))
+    picker, bounds = neighbor_picker(anchors, [degree[a] for a in anchors], s,
+                                     substream(seed, ROLE_NEIGHBOR))
     run_pass(stream_of(edges) if stream is None else stream, [picker])
     found, b = picker.results().tolist(), bounds.tolist()
-    return [found[b[i]:b[i + 1]] for i in range(len(requests))]
+    return [found[b[i]:b[i + 1]] for i in range(len(anchors))]
 
 
 def closure(stream, pairs=(), degree_vertices=()):
@@ -50,7 +49,7 @@ def closure(stream, pairs=(), degree_vertices=()):
     counter = DegreeCounter(list(degree_vertices))
     run_pass(stream, [checker, counter])
     return SimpleNamespace(present=dict(zip(pairs, checker.present().tolist())),
-                           degrees=counter.degrees())
+                           degrees=dict(zip(counter.vertices.tolist(), counter.counts.tolist())))
 
 
 class TestSubstream:
@@ -119,42 +118,17 @@ class TestWeightedRows:
             picker.samples()
 
 
-class TestWeightedPick:
-    def test_uniform_weights(self):
-        picks = weighted_pick((2, 2, 2), 30_000, substream(2))
-        for idx in range(3):
-            assert abs(np.mean(picks == idx) - 1 / 3) < 0.02
-
-    def test_zero_weight_never_picked(self):
-        picks = weighted_pick((1, 0), 500, substream(3))
-        assert set(picks.tolist()) == {0}
-
-    def test_three_to_one(self):
-        picks = weighted_pick((3, 1), 40_000, substream(4))
-        assert abs(np.mean(picks == 0) - 0.75) < 0.02
-        assert abs(np.mean(picks == 1) - 0.25) < 0.02
-
-    def test_all_zero_weights_error(self):
-        with pytest.raises(InputError):
-            weighted_pick((0, 0), 5, substream(0))
-
-    def test_negative_weight_error(self):
-        with pytest.raises(InputError):
-            weighted_pick((1, -1), 5, substream(0))
-
-
 class TestNeighborSamplePass:
     def test_support_on_k3(self):
-        req = NeighborRequest((0, 1), 0, 1)
         for seed in range(20):
-            res = neighbor_samples([(0, 1), (0, 2), (1, 2)], [req], seed)
+            res = neighbor_samples([(0, 1), (0, 2), (1, 2)], [0], 1, seed)
             assert res[0][0] in (1, 2)
 
     def test_star_center_uniform(self):
+        # 40,000 one-slot requests on a center of degree 4 > s
         star = [(0, leaf) for leaf in range(1, 5)]
-        req = NeighborRequest((0, 1), 0, 40_000)
-        res = neighbor_samples(star, [req], seed=6)
-        draws = np.array(res[0])
+        res = neighbor_samples(star, [0] * 40_000, 1, seed=6)
+        draws = np.array([slots[0] for slots in res])
         assert len(draws) == 40_000
         for leaf in range(1, 5):
             assert abs(np.mean(draws == leaf) - 0.25) < 0.02
@@ -162,41 +136,37 @@ class TestNeighborSamplePass:
     def test_many_requests_one_pass(self):
         edges = [(0, 1), (2, 3), (4, 5)]
         s = stream_of(edges)
-        reqs = [NeighborRequest((0, 1), 0, 1), NeighborRequest((2, 3), 3, 1)]
-        res = neighbor_samples(edges, reqs, seed=0, stream=s)
+        res = neighbor_samples(edges, [0, 3], 1, seed=0, stream=s)
         assert s.pass_counter == 1
         assert res[0] == [1] and res[1] == [2]
 
     def test_full_scan_collects_whole_neighborhood(self):
+        # s at or above the degree collects every neighbor once
         star = [(0, leaf) for leaf in range(1, 6)]
-        req = NeighborRequest((0, 2), 0, None)
-        res = neighbor_samples(star, [req], seed=0)
-        assert sorted(res[0]) == [1, 2, 3, 4, 5]
+        for s in (5, 9):
+            res = neighbor_samples(star, [0], s, seed=0)
+            assert sorted(res[0]) == [1, 2, 3, 4, 5]
 
     def test_absent_anchor_yields_empty(self):
-        req = NeighborRequest((7, 8), 7, 3)
-        res = neighbor_samples([(0, 1)], [req], seed=0)
+        res = neighbor_samples([(0, 1)], [7], 3, seed=0)
         assert res[0] == []
 
-    def test_anchor_must_belong_to_edge(self):
-        with pytest.raises(InputError):
-            NeighborRequest((0, 1), 5, 1)
-
     def test_bitwise_reproducible(self):
-        edges = [(0, i) for i in range(1, 9)]
-        reqs = [NeighborRequest((0, 1), 0, 4), NeighborRequest((0, 2), 0, None)]
-        a = neighbor_samples(edges, reqs, seed=13)
-        b = neighbor_samples(edges, reqs, seed=13)
+        # anchor 0 (degree 8) is sampled, anchor 9 (degree 2) scanned whole
+        edges = [(0, i) for i in range(1, 9)] + [(9, 10), (9, 11)]
+        a = neighbor_samples(edges, [0, 9], 4, seed=13)
+        b = neighbor_samples(edges, [0, 9], 4, seed=13)
         assert a == b
+        assert [len(slots) for slots in a] == [4, 2]
 
     def test_slots_within_one_request_are_independent(self):
-        # two slots over a two-neighbor anchor: all four outcomes appear
-        edges = [(0, 1), (0, 2)]
+        # two slots over a three-neighbor anchor: all nine outcomes appear
+        edges = [(0, 1), (0, 2), (0, 3)]
         outcomes = set()
         for seed in range(60):
-            res = neighbor_samples(edges, [NeighborRequest((0, 1), 0, 2)], seed)
+            res = neighbor_samples(edges, [0], 2, seed)
             outcomes.add(tuple(res[0]))
-        assert outcomes == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        assert outcomes == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)}
 
 
 class TestClosureCheckPass:
