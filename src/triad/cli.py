@@ -186,7 +186,7 @@ def _run_ideal_mode(args) -> tuple[RunReport, dict]:
     report = RunReport(
         estimate=value,
         passes=ideal_report.passes,
-        stored_edges_peak=ideal_report.instances,
+        stored_edges_peak=ideal_report.stored_edges_peak,
         r=ideal_report.instances,
         ell=0,
         s=0,
@@ -369,13 +369,10 @@ def main(argv=None) -> int:
         args.fixed_clock = _env_flag("FIXED_CLOCK")
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"triad: config error: {exc}", file=sys.stderr)
-        return 2
     except EdgeListError as exc:
         print(f"triad: parse error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
+    except InputError as exc:  # ConfigError included
         print(f"triad: config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

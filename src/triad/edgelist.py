@@ -17,6 +17,7 @@ repeated edge is reported at its second occurrence.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import BinaryIO, Iterable, Iterator, Optional
 
@@ -32,9 +33,31 @@ ID_LIMIT = 1 << 63
 # bytes read per chunk; a chunk is cut after its last b"\n"
 CHUNK_BYTES = 1 << 20
 
+# a quoted id or field longer than this shows only its head and its length
+QUOTE_CHARS = 40
+
 # 19 digits fit uint64 exactly (10**19 - 1 < 2**64); longer fields are rare
 # (only leading zeros keep them below 2**63) and are read one at a time
 _UINT64_DIGITS = 19
+
+
+def quote(token: bytes | int) -> str:
+    """An id or a field for a message: itself when it is at most QUOTE_CHARS
+    characters long, else its first QUOTE_CHARS and its length, so that a
+    message stays short however long the input is."""
+    if isinstance(token, bytes):
+        text, size = token[:QUOTE_CHARS].decode("ascii", "replace"), len(token)
+    elif -10 ** QUOTE_CHARS < token < 10 ** QUOTE_CHARS:
+        return str(token)
+    else:
+        # str() refuses an int of more than 4,300 digits; the bit length
+        # gives the digit count to within one
+        magnitude = abs(token)
+        digits = int((magnitude.bit_length() - 1) * math.log10(2)) + 1
+        digits += magnitude >= 10 ** digits
+        text = "-" * (token < 0) + str(magnitude // 10 ** (digits - QUOTE_CHARS))
+        size = digits + (token < 0)
+    return text if size <= QUOTE_CHARS else f"{text}... ({size} characters)"
 
 
 def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
@@ -51,7 +74,7 @@ def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
     if len(parts) != 2:
         raise EdgeListError(f"expected two vertex ids, got {len(parts)} fields", lineno)
     if not (parts[0].isdigit() and parts[1].isdigit()):
-        fields = [p.decode("ascii", "replace") for p in parts]
+        fields = [quote(p) for p in parts]
         signed = all(p.removeprefix(b"-").isdigit() for p in parts)
         raise EdgeListError(
             f"{'negative' if signed else 'non-integer'} vertex id in {fields!r}", lineno)
@@ -60,7 +83,7 @@ def parse_line(line: bytes, lineno: int) -> Optional[Edge]:
     digits = [p.lstrip(b"0") or b"0" for p in parts]
     if any(len(d) > _UINT64_DIGITS or int(d) >= ID_LIMIT for d in digits):
         raise EdgeListError(
-            f"vertex id in [{', '.join(d.decode() for d in digits)}] is not below 2**63", lineno)
+            f"vertex id in [{', '.join(quote(d) for d in digits)}] is not below 2**63", lineno)
     u, v = int(digits[0]), int(digits[1])
     if u == v:
         raise EdgeListError(f"self-loop at vertex {u}", lineno)
@@ -214,9 +237,9 @@ def validate_edges(edges: Iterable[tuple[int, int]]) -> list[Edge]:
     seen: set[Edge] = set()
     for idx, (u, v) in enumerate(edges, start=1):
         if u < 0 or v < 0:
-            raise EdgeListError(f"negative vertex id ({u}, {v})", idx)
+            raise EdgeListError(f"negative vertex id ({quote(u)}, {quote(v)})", idx)
         if u >= ID_LIMIT or v >= ID_LIMIT:
-            raise EdgeListError(f"vertex id in ({u}, {v}) is not below 2**63", idx)
+            raise EdgeListError(f"vertex id in ({quote(u)}, {quote(v)}) is not below 2**63", idx)
         if u == v:
             raise EdgeListError(f"self-loop at vertex {u}", idx)
         edge = (u, v) if u < v else (v, u)

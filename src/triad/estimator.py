@@ -24,6 +24,8 @@ collects them, block by block (see `triad.sampling`):
   pass 6  closure checks for the wedge samples -> per-edge estimates ->
           one assignment decision per triangle, kept in the memo table
 
+Pass 3 and pass 4's closure checks live on `_StageMachine`, which ideal
+mode's three-pass run shares with its own pass 1 in place of passes 1-2.
 Between passes the state is arrays: the degrees counted so far as sorted
 (vertex, degree) columns, the discovered triangles as a (k, 3) array in
 first-closed-draw order with each edge's degree and closed-draw count, and
@@ -59,7 +61,7 @@ import numpy as np
 
 from .assignment import AssignmentTable, INFINITY, assign_rows, compute_s, degree_cutoff
 from .errors import ConfigError, InputError
-from .graph import Graph, canonical_edge, triangle_edges, triangles_exact_cn
+from .graph import Graph, triangle_edges, triangles_exact_cn
 from .sampling import (
     ROLE_EDGE_SAMPLE,
     ROLE_NEIGHBOR,
@@ -242,30 +244,123 @@ class _GraphCollector:
         return Graph.from_checked_edges(np.concatenate(self._blocks or [_NO_EDGES]))
 
 
-class _Repetition:
-    """State machine for one repetition; each stage is fed one stream pass.
+class _StageMachine:
+    """One estimator run, in either mode; `_drive` feeds each stage a pass.
 
     stage_begin(k) returns the observers for the k-th pass (an empty list
     when the stage needs no pass), stage_end(k) folds the pass results in.
-    A settled repetition has its value in `x`, returns no more observers,
-    and keeps only its value, flags, counters and assignment table.
-    `forced_sample` is a test hook that injects R directly, skipping pass 1
-    and the r >= m exact-fallback shortcut.
+    A settled run has its outcome in `x` and returns no more observers.
+    Both modes share stage 2, one uniform neighbor of each draw's anchor,
+    and the wedge half of stage 3. Generators are keyed (seed, role, *key).
     """
 
-    def __init__(self, stats: StreamStats, config: EstimatorConfig, rep: int,
-                 base_flags: Sequence[str] = (), forced_sample=None):
-        self.cfg = config
-        self.rep = rep
-        self.n = stats.n
-        self.m = stats.m
-        self.flags: list[str] = list(base_flags)
-        self.x: Optional[float] = None
+    def __init__(self, seed: int, key: tuple[int, ...]):
+        self.seed = seed
+        self.key = key
+        self.x = None
         self.passes = 0
         self.peak_items = 0
+        self._drop_samples()
+
+    def _drop_samples(self) -> None:
+        """Empty the sampled state; the outcome and the counters stay."""
+        # per draw: its edge, its anchor and the anchor's degree
+        self.draw_edges = _NO_EDGES
+        self.draw_anchors = _NO_IDS
+        self.draw_degrees = _NO_IDS
+        self.neighbors = _NO_IDS
+        self._observers: list = []
+        self._open = _NO_IDS
+
+    def _rng(self, role: int) -> np.random.Generator:
+        return substream(self.seed, role, *self.key)
+
+    # -- driver interface ---------------------------------------------------
+
+    @property
+    def settled(self) -> bool:
+        return self.x is not None
+
+    def stage_begin(self, stage: int) -> list:
+        if self.settled:
+            return []
+        self._observers = self._begin(stage)
+        if self._observers:
+            self.passes += 1
+        return self._observers
+
+    def _begin(self, stage: int) -> list:
+        return getattr(self, f"_begin_{stage}")()
+
+    def stage_end(self, stage: int) -> None:
+        if self.settled:
+            return
+        self._end(stage)
+        self._observers = []
+        self._note_storage()
+        if self.settled:
+            self._drop_samples()
+
+    def _end(self, stage: int) -> None:
+        getattr(self, f"_end_{stage}")()
+
+    # -- storage accounting ---------------------------------------------------
+
+    def _live_items(self) -> int:
+        return len(self.draw_edges) + len(self.neighbors)
+
+    def _note_storage(self) -> None:
+        live = self._live_items()
+        if live > self.peak_items:
+            self.peak_items = live
+
+    # -- the draws, and the stages both modes share ---------------------------
+
+    def _draw(self, edges: np.ndarray, ends: np.ndarray) -> None:
+        """Hold the drawn canonical edges, given their ends' degrees."""
+        self.draw_edges = edges
+        # pick_anchor on canonical edges: the lower degree, the larger id on ties
+        self.draw_anchors = np.where(ends[:, 0] < ends[:, 1], edges[:, 0], edges[:, 1])
+        self.draw_degrees = ends.min(axis=1)
+
+    def _begin_2(self) -> list:
+        # j uniform in [0, d_a) per draw: the anchor's j-th incident edge
+        positions = self._rng(ROLE_NEIGHBOR).integers(self.draw_degrees)
+        return [IncidentPicker(self.draw_anchors, positions)]
+
+    def _end_2(self) -> None:
+        [picker] = self._observers
+        self.neighbors = picker.results()
+
+    def _begin_3(self) -> list:
+        u, v = self.draw_edges.T
+        others = np.where(self.draw_anchors == u, v, u)
+        # a neighbor equal to the edge's other end makes no wedge
+        self._open = np.flatnonzero(self.neighbors != others)
+        return [ClosureChecker(others[self._open], self.neighbors[self._open])]
+
+    def _closed_wedges(self, closure: ClosureChecker) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The draws whose wedge closed, each one's triangle sorted, and the
+        drawn edge's cell in it, the edge without the neighbor w: bc, ac or ab."""
+        closed = self._open[closure.present()]
+        w = self.neighbors[closed]
+        tri = np.sort(np.column_stack((self.draw_edges[closed], w)), axis=1)
+        return closed, tri, 2 - (tri == w[:, None]).argmax(axis=1)
+
+
+class _Repetition(_StageMachine):
+    """One repetition of the six-pass estimator. Once settled it keeps only
+    its value, flags, counters and assignment table."""
+
+    def __init__(self, stats: StreamStats, config: EstimatorConfig, rep: int,
+                 base_flags: Sequence[str] = ()):
+        super().__init__(config.seed, (rep,))
+        self.cfg = config
+        self.flags: list[str] = list(base_flags)
+        self.n = stats.n
+        self.m = stats.m
         self.assignment_calls = 0
         self.table = AssignmentTable()
-        self.forced = forced_sample
 
         self.r = compute_r(self.n, self.m, config.epsilon, config.t_hat,
                            config.kappa_hat, config.c_r, config.scale)
@@ -273,21 +368,14 @@ class _Repetition:
                            config.kappa_hat, config.c_s, config.scale)
         self.ell = 0
         self.d_r = 0
-        self._drop_samples()
-        self._fallback_next = (config.exact_fallback and self.r >= self.m
-                               and forced_sample is None)
+        self._fallback_next = config.exact_fallback and self.r >= self.m
 
     def _drop_samples(self) -> None:
-        """Empty the sampled state; value, flags, counters and table stay."""
+        super()._drop_samples()
         self.sample = _NO_EDGES  # R, one canonical edge per slot
-        self.slot_degrees = _NO_IDS
         # exact degrees of every vertex counted so far, sorted by vertex
         self.deg_vertices = _NO_IDS
         self.deg_counts = _NO_IDS
-        self.draws = _NO_IDS  # indices into R
-        self.draw_edges = _NO_EDGES
-        self.draw_anchors = _NO_IDS
-        self.neighbors = _NO_IDS
         # discovered triangles in first-closed-draw order; per cell (triangle
         # edge): its degree, and how many drawn wedges on it closed
         self.triangles = _NO_TRIANGLES
@@ -300,50 +388,10 @@ class _Repetition:
         self.wedge_samples = _NO_IDS
         self.wedge_bounds = np.zeros(1, dtype=np.int64)
         self.wedge_slots = 0
-        self._observers: list = []
-        self._open = _NO_IDS
         self._collector: Optional[_GraphCollector] = None
 
-    # -- driver interface ---------------------------------------------------
-
-    @property
-    def settled(self) -> bool:
-        return self.x is not None
-
-    def stage_begin(self, stage: int) -> list:
-        if self.settled:
-            return []
-        if self._fallback_next:
-            # what the repetition held when it decided is already noted
-            self._drop_samples()
-            self._fallback_next = False
-            self._collector = _GraphCollector()
-            self.passes += 1
-            return [self._collector]
-        self._observers = getattr(self, f"_begin_{stage}")()
-        if self._observers:
-            self.passes += 1
-        return self._observers
-
-    def stage_end(self, stage: int) -> None:
-        if self.settled:
-            return
-        if self._collector is not None:
-            self._finish_fallback()
-        else:
-            getattr(self, f"_end_{stage}")()
-        self._observers = []
-        self._note_storage()
-        if self.settled:
-            self._drop_samples()
-            if self.peak_items > self.m and "exact-fallback" not in self.flags:
-                self.flags.append("no-space-advantage")
-
-    # -- storage accounting ---------------------------------------------------
-
     def _live_items(self) -> int:
-        total = len(self.sample) + len(self.deg_vertices) + len(self.draws)
-        total += len(self.neighbors)
+        total = super()._live_items() + len(self.sample) + len(self.deg_vertices)
         total += 3 * len(self.triangles)
         total += self.wedge_slots
         total += len(self.table)
@@ -351,43 +399,45 @@ class _Repetition:
             total += self._collector.size
         return total
 
-    def _note_storage(self) -> None:
-        live = self._live_items()
-        if live > self.peak_items:
-            self.peak_items = live
-
     def _degrees(self, vertices: np.ndarray) -> np.ndarray:
         """Exact degrees of vertices a degree pass has counted."""
         return self.deg_counts[np.searchsorted(self.deg_vertices, vertices)]
 
     def _settle(self, value: float) -> None:
         self.x = float(value)
+        self._note_storage()
+        if self.peak_items > self.m and "exact-fallback" not in self.flags:
+            self.flags.append("no-space-advantage")
 
     def _abort_budget(self) -> int:
         return math.ceil(self.cfg.abort_multiplier * (self.r + self.ell + self.s))
 
-    # -- exact fallback -------------------------------------------------------
+    # -- exact fallback: a pass that collects the graph in place of a stage --
 
-    def _finish_fallback(self) -> None:
+    def _begin(self, stage: int) -> list:
+        if not self._fallback_next:
+            return super()._begin(stage)
+        # what the repetition held when it decided is already noted
+        self._drop_samples()
+        self._fallback_next = False
+        self._collector = _GraphCollector()
+        return [self._collector]
+
+    def _end(self, stage: int) -> None:
+        if self._collector is None:
+            super()._end(stage)
+            return
         self.flags.append("exact-fallback")
         self._settle(triangles_exact_cn(self._collector.graph()))
 
     # -- stage 0: uniform edge sample ----------------------------------------
 
     def _begin_0(self) -> list:
-        if self.forced is not None:
-            return []
-        rng = substream(self.cfg.seed, ROLE_EDGE_SAMPLE, self.rep)
-        return [EdgePicker.uniform(self.m, self.r, rng)]
+        return [EdgePicker.uniform(self.m, self.r, self._rng(ROLE_EDGE_SAMPLE))]
 
     def _end_0(self) -> None:
-        if self.forced is not None:
-            self.sample = np.array([canonical_edge(u, v) for u, v in self.forced],
-                                   dtype=np.int64).reshape(-1, 2)
-            self.r = len(self.sample)
-        else:
-            [picker] = self._observers
-            self.sample = picker.samples()
+        [picker] = self._observers
+        self.sample = picker.samples()
 
     # -- stage 1: exact degrees of R, then the degree-proportional draws ------
 
@@ -398,8 +448,8 @@ class _Repetition:
         [counter] = self._observers
         self.deg_vertices, self.deg_counts = counter.vertices, counter.counts
         ends = self._degrees(self.sample)
-        self.slot_degrees = ends.min(axis=1)
-        self.d_r = int(self.slot_degrees.sum())
+        slot_degrees = ends.min(axis=1)
+        self.d_r = int(slot_degrees.sum())
         if self.d_r <= 0:
             self.flags.append("sparse-sample")
             self._settle(0.0)
@@ -412,38 +462,19 @@ class _Repetition:
             return
         # ell uniform positions on R's d_e axis, on which slot i spans d_e(i)
         # positions: ell independent slots of law d_e / d_R
-        rng = substream(cfg.seed, ROLE_PICK, self.rep)
-        picker = EdgePicker(rng.integers(self.d_r, size=self.ell))
-        picker.observe_rows((np.arange(self.r),), self.slot_degrees)
-        self.draws = picker.samples()[:, 0]
-        self.draw_edges = self.sample[self.draws]
-        ends = ends[self.draws]
-        # pick_anchor on canonical edges: the lower degree, the larger id on ties
-        self.draw_anchors = np.where(ends[:, 0] < ends[:, 1],
-                                     self.draw_edges[:, 0], self.draw_edges[:, 1])
-
-    # -- stage 2: uniform neighbor per draw ------------------------------------
-
-    def _begin_2(self) -> list:
-        # the anchor is the lower-degree end, so its degree is the slot's d_e
-        rng = substream(self.cfg.seed, ROLE_NEIGHBOR, self.rep)
-        return [IncidentPicker(self.draw_anchors, rng.integers(self.slot_degrees[self.draws]))]
-
-    def _end_2(self) -> None:
-        [picker] = self._observers
-        self.neighbors = picker.results()
+        picker = EdgePicker(self._rng(ROLE_PICK).integers(self.d_r, size=self.ell))
+        picker.observe_rows((np.arange(self.r),), slot_degrees)
+        draws = picker.samples()[:, 0]
+        self._draw(self.sample[draws], ends[draws])
 
     # -- stage 3: wedge closure + third-vertex degrees -------------------------
 
     def _begin_3(self) -> list:
-        u, v = self.draw_edges.T
-        others = np.where(self.draw_anchors == u, v, u)
-        # a neighbor equal to the edge's other end makes no wedge
-        self._open = np.flatnonzero(self.neighbors != others)
+        observers = super()._begin_3()
         w = self.neighbors[self._open]
         # only third vertices whose degree pass 2 did not count
         _, known = _lookup(self.deg_vertices, w)
-        return [ClosureChecker(others[self._open], w), DegreeCounter(w[~known])]
+        return observers + [DegreeCounter(w[~known])]
 
     def _end_3(self) -> None:
         closure, counter = self._observers
@@ -452,12 +483,8 @@ class _Repetition:
         self.deg_vertices = vertices[order]
         self.deg_counts = np.concatenate((self.deg_counts, counter.counts))[order]
 
-        closed = self._open[closure.present()]
-        w = self.neighbors[closed]
-        tri = np.sort(np.column_stack((self.draw_edges[closed], w)), axis=1)
+        _, tri, edge = self._closed_wedges(closure)
         self.triangles, which = _first_seen_rows(tri)
-        # the drawn edge is the triangle's edge without w: bc, ac or ab
-        edge = 2 - (tri == w[:, None]).argmax(axis=1)
         self.closed_counts = np.bincount(3 * which + edge, minlength=self.triangles.size)
         lo = self.triangles[:, _EDGE_LO].ravel()
         hi = self.triangles[:, _EDGE_HI].ravel()
@@ -488,8 +515,8 @@ class _Repetition:
     def _begin_4(self) -> list:
         # the anchor is the lower-degree end, so its degree is the edge's d_e
         degrees = self.edge_degrees[self.wedge_cells]
-        rng = substream(self.cfg.seed, ROLE_WEDGE, self.rep)
-        picker, self.wedge_bounds = neighbor_picker(self.wedge_anchors, degrees, self.s, rng)
+        picker, self.wedge_bounds = neighbor_picker(self.wedge_anchors, degrees, self.s,
+                                                    self._rng(ROLE_WEDGE))
         return [picker]
 
     def _end_4(self) -> None:
@@ -525,14 +552,15 @@ class _Repetition:
         self._settle((self.m / self.r) * self.d_r * y_mean)
 
 
-def _drive(stream, groups: list[list[_Repetition]]) -> None:
-    """Run each group's repetitions to the end, one shared pass per stage.
+def _drive(stream, groups: list[list[_StageMachine]],
+           stages: range = range(PASSES_PER_REPETITION)) -> None:
+    """Run each group's runs through `stages`, one shared pass per stage.
 
     Sequential mode uses groups of one repetition, share_passes one group
     holding them all; each repetition's outcome is the same either way.
     """
     for reps in groups:
-        for stage in range(PASSES_PER_REPETITION):
+        for stage in stages:
             begun = [(rep, rep.stage_begin(stage)) for rep in reps if not rep.settled]
             observers = [ob for _, obs in begun for ob in obs]
             if observers:

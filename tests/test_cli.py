@@ -10,6 +10,9 @@ import pytest
 from triad.assignment import compute_s
 from triad.estimator import EstimatorConfig
 from triad.generators import gen_book
+from triad.graph import Graph
+from triad.ideal import DegreeOracle, ideal_estimate
+from triad.stream import EdgeStream
 
 CLI = [sys.executable, "-m", "triad"]
 
@@ -222,8 +225,21 @@ class TestVertexIdSpelling:
         p.write_text("0 1\n" + "1" * 5000 + " 9\n")
         res = run_cli(*PARSING_COMMANDS[command], str(p))
         assert res.returncode == 3
-        assert "line 2: vertex id in [" + "1" * 5000 + ", 9] is not below 2**63" in res.stderr
+        assert ("line 2: vertex id in [" + "1" * 40 + "... (5000 characters), 9]"
+                " is not below 2**63") in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    @pytest.mark.parametrize("line", ["1" * 5000 + " 9", "x" * 100_000 + " 9"],
+                             ids=["5000-digit-id", "100000-byte-field"])
+    def test_long_fields_keep_the_message_short(self, tmp_path, command, line):
+        # a message quotes a long id or field by its head and its length
+        p = tmp_path / "long.el"
+        p.write_text(f"0 1\n{line}\n")
+        res = run_cli(*PARSING_COMMANDS[command], str(p))
+        assert res.returncode == 3
+        assert "line 2: " in res.stderr
+        assert len(res.stderr) < 200
 
     @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
     def test_leading_zeros_repeat_an_edge(self, tmp_path, command):
@@ -277,6 +293,19 @@ class TestEstimate:
         payload = json.loads(res.stdout)
         assert payload["passes"] == 3
         assert payload["oracle_queries"] > 0
+
+    def test_ideal_mode_reports_its_accounted_peak(self, tmp_path):
+        # the stored peak is what the run held, a draw and a neighbor per
+        # instance, not the instance count r
+        path, truth = write_book_file(tmp_path, 60)
+        res = run_cli("estimate", "--mode", "ideal", "--epsilon", "0.3",
+                      "--t-hat", str(truth.triangles), "--seed", "1", str(path))
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        g = Graph.from_file(path)
+        _, report = ideal_estimate(EdgeStream(g.edge_array()), DegreeOracle(g), epsilon=0.3,
+                                   t_hat=truth.triangles, seed=1)
+        assert payload["stored_edges_peak"] == report.stored_edges_peak == 2 * payload["r"]
 
     def test_missing_t_hat_exits_2(self, tmp_path):
         path, _ = write_book_file(tmp_path, 30)

@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from triad.assignment import AssignmentTable, assign_triangle, saturated_estimates
@@ -18,7 +19,7 @@ from triad.estimator import (
     _drive,
     estimate,
 )
-from triad.graph import degeneracy, pick_anchor, triangles_exact_cn
+from triad.graph import canonical_edge, degeneracy, pick_anchor, triangles_exact_cn
 from triad.generators import (
     gen_book,
     gen_lb_instance,
@@ -34,6 +35,24 @@ from conftest import k_complete, path_graph
 
 def stream_for(g, order_seed=None):
     return EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
+
+
+class ForcedSample(_Repetition):
+    """A repetition whose R is the given edges: stage 0 takes no pass, and
+    the r >= m exact-fallback shortcut is off."""
+
+    def __init__(self, stats, config, edges):
+        super().__init__(stats, config, rep=0, base_flags=config.validate())
+        self.forced = np.array([canonical_edge(u, v) for u, v in edges],
+                               dtype=np.int64).reshape(-1, 2)
+        self._fallback_next = False
+
+    def _begin_0(self):
+        return []
+
+    def _end_0(self):
+        self.sample = self.forced
+        self.r = len(self.sample)
 
 
 class TestComputeR:
@@ -220,8 +239,7 @@ class TestForcedSampleIdentity:
             cfg = EstimatorConfig(epsilon=0.25, t_hat=4, kappa_hat=3, seed=seed,
                                   exact_fallback=False)
             s = stream_for(g)
-            rep = _Repetition(s.stats(), cfg, rep=0, base_flags=cfg.validate(),
-                              forced_sample=forced)
+            rep = ForcedSample(s.stats(), cfg, forced)
             _drive(s, [[rep]])
             assert rep.r == 6
             xs.append(rep.x)
@@ -246,8 +264,7 @@ class TestStorageAccounting:
         cfg = EstimatorConfig(epsilon=eps, t_hat=t_hat, kappa_hat=kappa_hat, seed=0,
                               exact_fallback=False)
         s = stream_for(g)
-        rep = _Repetition(s.stats(), cfg, rep=0, base_flags=cfg.validate(),
-                          forced_sample=g.edge_list())
+        rep = ForcedSample(s.stats(), cfg, g.edge_list())
         live = []
         for stage in range(6):
             observers = rep.stage_begin(stage)
@@ -281,8 +298,7 @@ class TestScoring:
         cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=3, seed=5,
                               scale=0.01, exact_fallback=False)
         s = stream_for(g, order_seed=2)
-        rep = _Repetition(s.stats(), cfg, rep=0, base_flags=cfg.validate(),
-                          forced_sample=g.edge_list())
+        rep = ForcedSample(s.stats(), cfg, g.edge_list())
         for stage in range(6):
             observers = rep.stage_begin(stage)
             if observers:

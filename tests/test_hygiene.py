@@ -1,7 +1,9 @@
 """Static hygiene of the library: no unused imports, every export resolves,
 one observer protocol (pass observers take blocks of edges), one pass
 driver (only `sampling.run_pass` and its reader `_blocks` drive a stream's
-passes), one edge-list parser (only `edgelist.py` reads files as bytes
+passes), one pass schedule (outside `sampling.py`, only `estimator._drive`
+and ideal mode's sizing pass in `ideal_estimate` call `run_pass`, once
+each), one edge-list parser (only `edgelist.py` reads files as bytes
 or calls `parse_line`), and one weighted sampler (no module calls a
 generator's `choice`: weighted draws are positions on an integer axis that
 `EdgePicker` collects)."""
@@ -48,10 +50,13 @@ def per_edge_observers(source: str) -> list[str]:
 
 PASS_PROTOCOL = {"begin_pass", "next_edge", "next_block", "end_pass", "abort_pass", "edges"}
 PASS_DRIVERS = {("sampling.py", "run_pass"), ("sampling.py", "_blocks")}
+# every estimator pass runs through `_drive`; ideal mode's sizing pass, kept
+# outside the 3-pass budget, is the one pass run beside it
+RUN_PASS_SITES = {("estimator.py", "_drive"), ("ideal.py", "ideal_estimate")}
 
 
-def pass_protocol_calls(source: str) -> list[tuple[str, str]]:
-    """(enclosing function, call) for each pass-protocol call on `stream`."""
+def calls_by_function(source: str, name_of) -> list[tuple[str, str]]:
+    """(enclosing function, call) for each call whose callee `name_of` names."""
     found = []
 
     def visit(node, function):
@@ -59,14 +64,34 @@ def pass_protocol_calls(source: str) -> list[tuple[str, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            call = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(call, ast.Attribute) and call.attr in PASS_PROTOCOL
-                    and isinstance(call.value, ast.Name) and call.value.id == "stream"):
-                found.append((function, f"stream.{call.attr} (line {child.lineno})"))
+            name = name_of(child.func) if isinstance(child, ast.Call) else None
+            if name is not None:
+                found.append((function, f"{name} (line {child.lineno})"))
             visit(child, function)
 
     visit(ast.parse(source), None)
     return found
+
+
+def pass_protocol_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, call) for each pass-protocol call on `stream`."""
+    def name_of(func):
+        if (isinstance(func, ast.Attribute) and func.attr in PASS_PROTOCOL
+                and isinstance(func.value, ast.Name) and func.value.id == "stream"):
+            return f"stream.{func.attr}"
+        return None
+
+    return calls_by_function(source, name_of)
+
+
+def run_pass_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, call) for each call of `run_pass`, bare or as an
+    attribute such as `sampling.run_pass`."""
+    def name_of(func):
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name if name == "run_pass" else None
+
+    return calls_by_function(source, name_of)
 
 
 def test_modules_are_found():
@@ -112,6 +137,31 @@ def test_pass_protocol_call_is_caught():
              "def run_pass(stream):\n    stream.begin_pass()\n"
     assert pass_protocol_calls(source) == [("size", "stream.edges (line 2)"),
                                            ("run_pass", "stream.begin_pass (line 5)")]
+
+
+def stray_run_pass_calls(name: str, source: str) -> list[str]:
+    """Calls of `run_pass` outside the allowed sites, or repeated in one."""
+    calls = run_pass_calls(source)
+    functions = [function for function, _ in calls]
+    return [call for function, call in calls
+            if (name, function) not in RUN_PASS_SITES or functions.count(function) > 1]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sampling.py"],
+                         ids=lambda p: p.name)
+def test_one_pass_schedule(path):
+    assert stray_run_pass_calls(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_stray_run_pass_is_caught():
+    source = "from triad import sampling\nfrom triad.sampling import run_pass\n\n" \
+             "def ideal_estimate(stream, sizing, picker):\n" \
+             "    run_pass(stream, [sizing])\n    sampling.run_pass(stream, [picker])\n\n" \
+             "def sample(stream, picker):\n    run_pass(stream, [picker])\n"
+    assert stray_run_pass_calls("ideal.py", source) == [
+        "run_pass (line 5)", "run_pass (line 6)", "run_pass (line 9)"]
+    assert stray_run_pass_calls("estimator.py", "def _drive(stream, obs):\n"
+                                "    run_pass(stream, obs)\n") == []
 
 
 def edge_list_readers(source: str) -> list[str]:

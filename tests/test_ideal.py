@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from triad.errors import ConfigError, InputError
-from triad.graph import Graph, sum_edge_degrees
-from triad.generators import gen_book, gen_wheel
-from triad.ideal import DegreeOracle, ideal_estimate, ideal_sample
+from triad.graph import Graph, canonical_edge, pick_anchor, sum_edge_degrees
+from triad.generators import gen_book, gen_preferential_attachment, gen_wheel
+from triad.ideal import DegreeOracle, _IdealRun, ideal_estimate, ideal_sample
+from triad.sampling import run_pass
 from triad.stream import EdgeStream
 
 from conftest import exact_expected_x, k_complete, path_graph
@@ -188,6 +189,82 @@ class TestMedianOfMeans:
             ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=0.5, t_hat=0, seed=0)
         with pytest.raises(ConfigError):
             ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=1.5, t_hat=1, seed=0)
-        with pytest.raises(ConfigError):
-            ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=0.5, t_hat=1,
-                           seed=0, groups=4)
+
+
+def drive_stages(g: Graph, count: int, seed: int):
+    """Run an ideal run's three stages by hand: the run, the neighbors its
+    stage 2 collected, and its live items after each stage."""
+    run = _IdealRun(DegreeOracle(g), count, seed, sum_edge_degrees(g))
+    stream = fresh_stream(g)
+    live = []
+    for stage in (1, 2, 3):
+        run_pass(stream, run.stage_begin(stage))
+        if stage == 3:
+            neighbors = run.neighbors.copy()
+        run.stage_end(stage)
+        live.append(run._live_items())
+    assert run.settled and run.passes == 3
+    return run, neighbors, live
+
+
+class TestChargingRule:
+    """Columnar scoring against the tuple rule it replaced, instance by
+    instance, on graphs where many closed triangles have d_e ties."""
+
+    @staticmethod
+    def tuple_rule(g, oracle, pick, w, d_e_total):
+        """(value, closed, tied) of one instance: the charged edge is the
+        least (d_e, canonical edge) of the closed triangle's three edges."""
+        a, b, d_a, d_b = pick
+        anchor = pick_anchor(a, b, d_a, d_b)
+        other = b if anchor == a else a
+        if w == other or not g.has_edge(other, w):
+            return 0.0, False, False
+        [d_w] = oracle(np.array([w])).tolist()
+        tri_edges = sorted([
+            (min(d_a, d_b), canonical_edge(a, b)),
+            (min(d_a, d_w), canonical_edge(a, w)),
+            (min(d_b, d_w), canonical_edge(b, w)),
+        ])
+        value = float(d_e_total) if tri_edges[0][1] == canonical_edge(a, b) else 0.0
+        return value, True, tri_edges[0][0] == tri_edges[1][0]
+
+    @pytest.mark.parametrize("graph", [
+        lambda: gen_wheel(9)[0], lambda: k_complete(5), lambda: gen_book(4)[0],
+        lambda: gen_preferential_attachment(40, 3, seed=2),
+    ], ids=["wheel9", "k5", "book4", "pa40"])
+    def test_every_instance_matches_the_tuple_rule(self, graph):
+        g = graph()
+        run, neighbors, _ = drive_stages(g, 3000, seed=11)
+        oracle = DegreeOracle(g)
+        closed = tied = 0
+        for i, (pick, w) in enumerate(zip(run.picks.tolist(), neighbors.tolist())):
+            value, hit, tie = self.tuple_rule(g, oracle, pick, w, sum_edge_degrees(g))
+            assert run.x[i] == value, (i, pick, w)
+            closed += hit
+            tied += tie
+        assert run.hits == closed
+        # the tie order, canonical-first, is exercised
+        assert tied > 0
+
+
+class TestIdealStorage:
+    """Ideal mode holds one draw and one neighbor per instance."""
+
+    def test_live_items_per_stage_and_peak(self):
+        g = k_complete(4)
+        count = 50
+        run, _, live = drive_stages(g, count, seed=0)
+        # stage 1 holds the draws, stage 2 adds one neighbor each, and the
+        # settled run keeps only its instance values
+        assert live == [count, 2 * count, 0]
+        assert run.peak_items == 2 * count
+
+    def test_report_peak_in_closed_form(self):
+        g = k_complete(4)
+        _, report = ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=0.5,
+                                   t_hat=4, seed=0)
+        # d_E = 6 edges * 3; group_size = ceil(4 * 18 / (0.25 * 4)) = 72
+        assert report.instances == 7 * 72
+        assert report.stored_edges_peak == 2 * report.instances
+        assert report.passes == 3

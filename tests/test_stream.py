@@ -11,6 +11,7 @@ from triad.edgelist import parse_line, read_edges
 from triad.errors import EdgeListError, StreamUsageError
 from triad.estimator import EstimatorConfig, estimate
 from triad.generators import gen_book, gen_wheel
+from triad.graph import Graph
 from triad.ideal import DegreeOracle, ideal_estimate
 from triad.stream import EdgeStream, StreamStats
 
@@ -72,6 +73,27 @@ class TestOpenAndValidate:
     def test_in_memory_source_validated(self):
         with pytest.raises(EdgeListError):
             EdgeStream.from_edges([(0, 1), (1, 0)])
+
+    def test_ids_past_int_str_limit_rejected_in_memory(self):
+        # str() refuses ints of more than 4,300 digits; the message quotes
+        # such an id by its head and its length
+        huge = 10**5000
+        with pytest.raises(EdgeListError, match=r"line 2: .*\(5001 characters\)"):
+            EdgeStream.from_edges([(0, 1), (huge, 1)])
+        with pytest.raises(EdgeListError, match=r"\(5001 characters\)\) is not below"):
+            Graph(3, [(0, huge)])
+        with pytest.raises(EdgeListError, match="negative vertex id"):
+            Graph(3, [(0, -huge)])
+
+    @pytest.mark.parametrize("token, quoted", [
+        (b"12", "12"), (7, "7"), (-7, "-7"), (b"x" * 40, "x" * 40), (10**40 - 1, "9" * 40),
+        (b"x" * 41, "x" * 40 + "... (41 characters)"),
+        (10**40, "1" + "0" * 39 + "... (41 characters)"),
+        (-(10**5000), "-1" + "0" * 39 + "... (5002 characters)"),
+    ], ids=["bytes", "int", "negative", "40-bytes", "40-digits", "41-bytes", "41-digits",
+            "5001-digits"])
+    def test_quote_keeps_short_tokens_and_caps_long_ones(self, token, quoted):
+        assert edgelist.quote(token) == quoted
 
 
 class TestPassProtocol:
