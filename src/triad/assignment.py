@@ -37,6 +37,11 @@ def load_cutoff(epsilon: float, kappa_hat: int) -> float:
     return kappa_hat / (2.0 * epsilon)
 
 
+def _log2n(n: int) -> float:
+    """log2(n), read as 1 below n = 2, as every sample size uses it."""
+    return math.log2(n) if n >= 2 else 1.0
+
+
 def compute_s(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
               c_s: float = 61.0, scale: float = 1.0) -> int:
     """Wedge samples per estimated edge.
@@ -49,8 +54,7 @@ def compute_s(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
         raise ConfigError(f"t_hat must be >= 1, got {t_hat}")
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    log2n = math.log2(n) if n >= 2 else 1.0
-    raw = c_s * log2n / (epsilon * epsilon) * m * kappa_hat / t_hat
+    raw = c_s * _log2n(n) / (epsilon * epsilon) * m * kappa_hat / t_hat
     return max(1, math.ceil(scale * raw))
 
 

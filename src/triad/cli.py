@@ -43,6 +43,12 @@ _ESTIMATE_CSV_HEADER = [
     "assignment_calls", "memo_size", "seed",
 ]
 
+_FORMATS = ("json", "csv")
+
+# each generator parameter and its type, as `triad gen` parses it
+_PARAM_TYPES = {"n": int, "k": int, "p": int, "q": int, "N": int, "attach": int,
+                "kind": str, "prob": float, "shared": int}
+
 
 def _env_default(name, cast, fallback):
     raw = os.environ.get(f"TRIAD_{name}")
@@ -52,6 +58,12 @@ def _env_default(name, cast, fallback):
         return cast(raw)
     except ValueError:
         raise ConfigError(f"bad TRIAD_{name} value {raw!r}") from None
+
+
+def _format_name(raw: str) -> str:
+    if raw not in _FORMATS:
+        raise ValueError(raw)
+    return raw
 
 
 def _env_flag(name) -> bool:
@@ -106,7 +118,7 @@ def _generate_family(family: str, params: dict, seed: int) -> tuple[Graph, Groun
 
 def cmd_gen(args) -> int:
     params = {}
-    for key in ("n", "k", "p", "q", "N", "attach", "kind", "prob", "shared"):
+    for key in _PARAM_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -224,6 +236,16 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _manifest_value(row: int, key: str, value, cast):
+    """`cast(value)`; a value it refuses is a config error that names the
+    manifest row and key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"manifest row {row}: bad {key} value {edgelist.quote(value)}") from None
+
+
 def _load_manifest(path) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -240,6 +262,9 @@ def _load_manifest(path) -> list[dict]:
         for name in ("family", "params", "config"):
             if name not in row:
                 raise ConfigError(f"manifest row {i} is missing {name!r}")
+        for name in ("params", "config"):
+            if not isinstance(row[name], dict):
+                raise ConfigError(f"manifest row {i}: {name!r} is not an object")
     return doc
 
 
@@ -248,27 +273,33 @@ def cmd_bench(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_BENCH_HEADER)
-    for entry in rows:
+    for row, entry in enumerate(rows):
         family = entry["family"]
-        params = entry["params"]
+        params = {key: _manifest_value(row, f"params.{key}", value, _PARAM_TYPES[key])
+                  for key, value in entry["params"].items() if key in _PARAM_TYPES}
         cfg = entry["config"]
-        trials = int(entry.get("trials", 1))
-        base_seed = int(entry.get("seed", args.seed))
+        epsilon = _manifest_value(row, "config.epsilon", cfg.get("epsilon"), float)
+        repetitions = _manifest_value(row, "config.repetitions", cfg.get("repetitions", 1), int)
+        scale = _manifest_value(row, "config.scale", cfg.get("scale", 1.0), float)
+        trials = _manifest_value(row, "trials", entry.get("trials", 1), int)
+        base_seed = _manifest_value(row, "seed", entry.get("seed", args.seed), int)
         graph, truth = generate_family(family, params, base_seed)
         edges = graph.edge_array()
         t_hat = cfg.get("t_hat", "exact")
         kappa_hat = cfg.get("kappa_hat", "exact")
-        t_hat = truth.triangles if t_hat == "exact" else int(t_hat)
-        kappa_hat = truth.kappa if kappa_hat == "exact" else int(kappa_hat)
+        t_hat = (truth.triangles if t_hat == "exact"
+                 else _manifest_value(row, "config.t_hat", t_hat, int))
+        kappa_hat = (truth.kappa if kappa_hat == "exact"
+                     else _manifest_value(row, "config.kappa_hat", kappa_hat, int))
         for trial in range(trials):
             seed = base_seed + trial
             config = EstimatorConfig(
-                epsilon=float(cfg["epsilon"]),
+                epsilon=epsilon,
                 t_hat=max(1, t_hat),
                 kappa_hat=max(1, kappa_hat),
-                repetitions=int(cfg.get("repetitions", 1)),
+                repetitions=repetitions,
                 seed=seed,
-                scale=float(cfg.get("scale", 1.0)),
+                scale=scale,
                 share_passes=bool(cfg.get("share_passes", False)),
             )
             # a Graph's edges are canonical and distinct already
@@ -300,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="base RNG seed (TRIAD_SEED)")
-    shared.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS,
+    shared.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS,
                         help="output format where applicable (TRIAD_FORMAT)")
     shared.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help="suppress stderr diagnostics (TRIAD_QUIET)")
@@ -359,15 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = _env_default("SEED", int, 0)
-    if getattr(args, "format", None) is None:
-        args.format = _env_default("FORMAT", str, "json")
-    if getattr(args, "quiet", None) is None:
-        args.quiet = _env_flag("QUIET")
-    if args.command == "bench" and args.fixed_clock is None:
-        args.fixed_clock = _env_flag("FIXED_CLOCK")
     try:
+        if getattr(args, "seed", None) is None:
+            args.seed = _env_default("SEED", int, 0)
+        if getattr(args, "format", None) is None:
+            args.format = _env_default("FORMAT", _format_name, "json")
+        if getattr(args, "quiet", None) is None:
+            args.quiet = _env_flag("QUIET")
+        if args.command == "bench" and args.fixed_clock is None:
+            args.fixed_clock = _env_flag("FIXED_CLOCK")
         return args.func(args)
     except EdgeListError as exc:
         print(f"triad: parse error: {exc}", file=sys.stderr)

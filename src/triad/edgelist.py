@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
@@ -26,6 +27,9 @@ import numpy as np
 from .errors import EdgeListError
 
 Edge = tuple[int, int]
+
+# the types an in-memory vertex id may have; bool is an int
+_INTEGER = (int, np.integer)
 
 # vertex ids must fit a signed 64-bit integer, the graph arrays' dtype
 ID_LIMIT = 1 << 63
@@ -41,12 +45,16 @@ QUOTE_CHARS = 40
 _UINT64_DIGITS = 19
 
 
-def quote(token: bytes | int) -> str:
-    """An id or a field for a message: itself when it is at most QUOTE_CHARS
-    characters long, else its first QUOTE_CHARS and its length, so that a
-    message stays short however long the input is."""
+def quote(token: object) -> str:
+    """An id or a field for a message: itself (bytes, an integer, or any
+    other value by its repr) when it is at most QUOTE_CHARS characters long,
+    else its first QUOTE_CHARS and its length, so that a message stays short
+    however long the input is."""
     if isinstance(token, bytes):
         text, size = token[:QUOTE_CHARS].decode("ascii", "replace"), len(token)
+    elif not isinstance(token, _INTEGER):
+        text = repr(token)
+        text, size = text[:QUOTE_CHARS], len(text)
     elif -10 ** QUOTE_CHARS < token < 10 ** QUOTE_CHARS:
         return str(token)
     else:
@@ -231,11 +239,20 @@ def _first_repeat(edges: np.ndarray) -> Optional[int]:
     return int(order[1:][same].min()) if same.any() else None
 
 
-def validate_edges(edges: Iterable[tuple[int, int]]) -> list[Edge]:
-    """Canonicalize an in-memory edge sequence, rejecting loops and repeats."""
+def validate_edges(edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Canonicalize an in-memory edge sequence, rejecting loops and repeats.
+
+    Each pair holds two integer ids (Python or numpy integers). Returns the
+    canonical edges (u < v) in input order as an (m, 2) int64 array.
+    """
     out: list[Edge] = []
     seen: set[Edge] = set()
-    for idx, (u, v) in enumerate(edges, start=1):
+    for idx, pair in enumerate(edges, start=1):
+        if len(pair) != 2:
+            raise EdgeListError(f"expected two vertex ids, got {len(pair)} fields", idx)
+        u, v = pair
+        if not (isinstance(u, _INTEGER) and isinstance(v, _INTEGER)):
+            raise EdgeListError(f"non-integer vertex id in ({quote(u)}, {quote(v)})", idx)
         if u < 0 or v < 0:
             raise EdgeListError(f"negative vertex id ({quote(u)}, {quote(v)})", idx)
         if u >= ID_LIMIT or v >= ID_LIMIT:
@@ -247,7 +264,8 @@ def validate_edges(edges: Iterable[tuple[int, int]]) -> list[Edge]:
             raise EdgeListError(f"duplicate edge {edge[0]} {edge[1]}", idx)
         seen.add(edge)
         out.append(edge)
-    return out
+    flat = np.fromiter(chain.from_iterable(out), dtype=np.int64, count=2 * len(out))
+    return flat.reshape(-1, 2)
 
 
 def write_edges(path: str | os.PathLike, edges: Iterable[Edge], comment: str | None = None) -> None:

@@ -59,7 +59,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assignment import AssignmentTable, INFINITY, assign_rows, compute_s, degree_cutoff
+from .assignment import (
+    AssignmentTable, INFINITY, _log2n, assign_rows, compute_s, degree_cutoff)
 from .errors import ConfigError, InputError
 from .graph import Graph, triangle_edges, triangles_exact_cn
 from .sampling import (
@@ -117,20 +118,15 @@ class EstimatorConfig:
             raise ConfigError(f"t_hat must be >= 1, got {self.t_hat}")
         if self.kappa_hat < 1:
             raise ConfigError(f"kappa_hat must be >= 1, got {self.kappa_hat}")
-        if self.c_r <= 6:
-            raise ConfigError(f"c_r must exceed 6, got {self.c_r}")
-        if self.c_ell <= 20:
-            raise ConfigError(f"c_ell must exceed 20, got {self.c_ell}")
-        if self.c_s <= 60:
-            raise ConfigError(f"c_s must exceed 60, got {self.c_s}")
+        for name, floor in (("c_r", 6), ("c_ell", 20), ("c_s", 60)):
+            _check_above(name, getattr(self, name), floor)
         if self.repetitions < 1 or self.repetitions % 2 == 0:
             raise ConfigError(f"repetitions must be odd and positive, got {self.repetitions}")
         if not 0 < self.scale <= 1:
             raise ConfigError(f"scale must lie in (0, 1], got {self.scale}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.abort_multiplier <= 1:
-            raise ConfigError(f"abort_multiplier must exceed 1, got {self.abort_multiplier}")
+        _check_above("abort_multiplier", self.abort_multiplier, 1)
         flags = []
         if self.epsilon >= 1 / 6:
             flags.append("epsilon-above-analysis")
@@ -142,8 +138,13 @@ class EstimatorConfig:
         return asdict(self)
 
 
-def _log2n(n: int) -> float:
-    return math.log2(n) if n >= 2 else 1.0
+def _check_above(name: str, value: float, floor: float) -> None:
+    """A constant must be a finite number above its floor; NaN compares
+    false with everything, and an infinite one makes no sample size."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if value <= floor:
+        raise ConfigError(f"{name} must exceed {floor}, got {value}")
 
 
 def compute_r(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
@@ -218,6 +219,14 @@ _NO_TRIANGLES = np.empty((0, 3), dtype=np.int64)
 _EDGE_LO, _EDGE_HI = zip(*triangle_edges((0, 1, 2)))
 
 
+def _anchor_ends(lo: np.ndarray, hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each canonical edge's (lo < hi) anchor and other end, given its ends'
+    degrees: `pick_anchor`'s rule, the lower degree, the larger id on ties."""
+    low = d_lo < d_hi
+    return np.where(low, lo, hi), np.where(low, hi, lo)
+
+
 def _first_seen_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows in order of first occurrence, and the index of
     each row among them."""
@@ -264,9 +273,10 @@ class _StageMachine:
 
     def _drop_samples(self) -> None:
         """Empty the sampled state; the outcome and the counters stay."""
-        # per draw: its edge, its anchor and the anchor's degree
+        # per draw: its edge, its anchor, its other end and the anchor's degree
         self.draw_edges = _NO_EDGES
         self.draw_anchors = _NO_IDS
+        self.draw_others = _NO_IDS
         self.draw_degrees = _NO_IDS
         self.neighbors = _NO_IDS
         self._observers: list = []
@@ -319,8 +329,7 @@ class _StageMachine:
     def _draw(self, edges: np.ndarray, ends: np.ndarray) -> None:
         """Hold the drawn canonical edges, given their ends' degrees."""
         self.draw_edges = edges
-        # pick_anchor on canonical edges: the lower degree, the larger id on ties
-        self.draw_anchors = np.where(ends[:, 0] < ends[:, 1], edges[:, 0], edges[:, 1])
+        self.draw_anchors, self.draw_others = _anchor_ends(*edges.T, *ends.T)
         self.draw_degrees = ends.min(axis=1)
 
     def _begin_2(self) -> list:
@@ -333,11 +342,9 @@ class _StageMachine:
         self.neighbors = picker.results()
 
     def _begin_3(self) -> list:
-        u, v = self.draw_edges.T
-        others = np.where(self.draw_anchors == u, v, u)
         # a neighbor equal to the edge's other end makes no wedge
-        self._open = np.flatnonzero(self.neighbors != others)
-        return [ClosureChecker(others[self._open], self.neighbors[self._open])]
+        self._open = np.flatnonzero(self.neighbors != self.draw_others)
+        return [ClosureChecker(self.draw_others[self._open], self.neighbors[self._open])]
 
     def _closed_wedges(self, closure: ClosureChecker) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The draws whose wedge closed, each one's triangle sorted, and the
@@ -499,11 +506,9 @@ class _Repetition(_StageMachine):
         if self.cfg.exact_fallback and wedge_slots > self.m:
             self._fallback_next = True
             return
-        # pick_anchor on canonical edges: the lower degree, the larger id on ties
-        low = d_lo[cells] < d_hi[cells]
         self.wedge_cells = cells
-        self.wedge_anchors = np.where(low, lo[cells], hi[cells])
-        self.wedge_others = np.where(low, hi[cells], lo[cells])
+        self.wedge_anchors, self.wedge_others = _anchor_ends(
+            lo[cells], hi[cells], d_lo[cells], d_hi[cells])
         self.wedge_slots = wedge_slots
         self._note_storage()
         if self._live_items() > self._abort_budget():

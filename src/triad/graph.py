@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -79,7 +79,7 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise InputError(f"negative vertex count {n}")
-        ends = _edge_array(edgelist.validate_edges(edges))
+        ends = edgelist.validate_edges(edges)
         if ends.size and ends.max() >= n:
             raise InputError(f"vertex {int(ends.max())} out of range for n={n}")
         self._fill(n, ends)
@@ -111,17 +111,16 @@ class Graph:
         return cls.from_checked_edges(edgelist.read_edges(path))
 
     @classmethod
-    def from_checked_edges(cls, edges: Sequence[Edge] | np.ndarray) -> "Graph":
-        """Graph of already-validated edges, remapping ids to dense [0, n).
-
-        `edges` is a sequence of pairs or an (m, 2) int64 array.
+    def from_checked_edges(cls, ends: np.ndarray) -> "Graph":
+        """Graph of already-validated edges, an (m, 2) int64 array,
+        remapping ids to dense [0, n).
 
         The edges must be canonical (u < v), distinct, and have ids in
         [0, 2**63), as an edge-list scan or an EdgeStream guarantees; they
         are not checked again. Dense ids follow the original order, and
         `labels` maps each dense id back to its original id.
         """
-        ids, dense = np.unique(_edge_array(edges), return_inverse=True)
+        ids, dense = np.unique(ends, return_inverse=True)
         g = cls.__new__(cls)
         g._fill(len(ids), dense.reshape(-1, 2))
         g.labels = tuple(ids.tolist())
@@ -158,14 +157,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def _edge_array(edges: Sequence[Edge] | np.ndarray) -> np.ndarray:
-    """(m, 2) int64 array of a sequence of edge pairs or of an (m, 2) array."""
-    if isinstance(edges, np.ndarray):
-        return edges.astype(np.int64, copy=False).reshape(-1, 2)
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    return flat.reshape(-1, 2)
 
 
 def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -3,26 +3,25 @@
 A stream yields every edge exactly once per pass, in a fixed order for a
 fixed shuffle seed; the order is decided once, when the stream is opened.
 Passes follow an explicit begin / next / end protocol so estimator pass
-budgets can be audited, and `edges()` wraps the protocol for plain
-iteration, and `next_block` hands out read-only numpy views of the next
-run of edges for consumers that work on columns. Opening a stream
-validates its edges once and holds them compactly (16 bytes per edge) in
-pass order; no pass rereads the source, so a file that changes or
-disappears after opening changes nothing.
+budgets can be audited: `next_block` hands out read-only numpy views of
+the next run of edges for consumers that work on columns, and `next_edge`
+hands out one edge as a pair of Python ints. Opening a stream validates
+its edges once and copies them into two int64 columns (16 bytes per edge)
+in pass order; no pass rereads the source, so a file that changes or
+disappears, or an array that is changed, after opening changes nothing.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import edgelist
-from .errors import StreamUsageError
-from .graph import _distinct, _edge_array
+from .errors import InputError, StreamUsageError
+from .graph import _distinct
 
 Edge = tuple[int, int]
 
@@ -37,24 +36,26 @@ class EdgeStream:
     """Single-consumer cursor over a validated edge list.
 
     Use `from_file` or `from_edges`, which validate the edges. The
-    constructor takes edges that are already validated, as pairs or an
-    (m, 2) int64 array: canonical (u < v), distinct, with ids in
-    [0, 2**63), as an edge-list scan or a Graph guarantees; they are not
-    checked again. The edges are held as two int64 columns already in pass
-    order, so a pass reads them back without touching the source.
-    Independent streams over the same source may be consumed concurrently;
-    one stream must not be.
+    constructor takes edges that are already validated, as an (m, 2) int64
+    array: canonical (u < v), distinct, with ids in [0, 2**63), as an
+    edge-list scan or a Graph guarantees; they are not checked again. It
+    copies them into two read-only int64 columns already in pass order, so
+    a pass reads them back without touching the source. Independent
+    streams over the same source may be consumed concurrently; one stream
+    must not be.
     """
 
-    def __init__(self, edges: Sequence[Edge] | np.ndarray, order_seed: Optional[int] = None):
-        ends = _edge_array(edges)
-        u, v = ends[:, 0], ends[:, 1]
-        if order_seed is not None:
+    def __init__(self, ends: np.ndarray, order_seed: Optional[int] = None):
+        if order_seed is not None and order_seed < 0:
+            raise InputError(f"order seed must be non-negative, got {order_seed}")
+        if order_seed is None:
+            u, v = ends[:, 0].copy(), ends[:, 1].copy()
+        else:
             order = np.random.default_rng(order_seed).permutation(len(ends))
-            u, v = u[order], v[order]
-        # array('q') items read back as Python ints, numpy items would not
-        self._u = array("q", u.tobytes())
-        self._v = array("q", v.tobytes())
+            u, v = ends[order, 0], ends[order, 1]
+        u.flags.writeable = False
+        v.flags.writeable = False
+        self._u, self._v = u, v
         self._active = False
         self._pos = 0
         self._passes = 0
@@ -83,14 +84,14 @@ class EdgeStream:
         self._pos = 0
 
     def next_edge(self) -> Optional[Edge]:
-        """Next edge of the current pass, or None at end of pass."""
+        """Next edge of the current pass as Python ints, or None at end of pass."""
         if not self._active:
             raise StreamUsageError("next_edge outside a pass")
         pos = self._pos
         if pos >= len(self._u):
             return None
         self._pos = pos + 1
-        return self._u[pos], self._v[pos]
+        return self._u.item(pos), self._v.item(pos)
 
     def next_block(self, size: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Up to `size` next edges of the current pass as two read-only
@@ -103,7 +104,7 @@ class EdgeStream:
         if count <= 0:
             return None
         self._pos = pos + count
-        return _view(self._u, pos, count), _view(self._v, pos, count)
+        return self._u[pos:pos + count], self._v[pos:pos + count]
 
     def end_pass(self) -> None:
         """Finish an exhausted pass; this is the only point the counter moves."""
@@ -119,23 +120,6 @@ class EdgeStream:
         if not self._active:
             raise StreamUsageError("abort_pass outside a pass")
         self._active = False
-
-    def edges(self) -> Iterator[Edge]:
-        """One full pass as an iterator; counts the pass when run to the end."""
-        self.begin_pass()
-        completed = False
-        try:
-            while True:
-                e = self.next_edge()
-                if e is None:
-                    completed = True
-                    return
-                yield e
-        finally:
-            if completed:
-                self.end_pass()
-            else:
-                self.abort_pass()
 
     def stats(self) -> StreamStats:
         """Exact (n, m) where n counts distinct endpoints.
@@ -153,9 +137,3 @@ class EdgeStream:
                 n = len(_distinct(np.concatenate(block)))
                 self._stats = StreamStats(n=n, m=len(block[0]))
         return self._stats
-
-
-def _view(column: array, start: int, count: int) -> np.ndarray:
-    view = np.frombuffer(column, dtype=np.int64, count=count, offset=8 * start)
-    view.flags.writeable = False
-    return view

@@ -37,6 +37,16 @@ def wheel_by_hand(n: int) -> Graph:
     return Graph(n, edges)
 
 
+def read_pass(stream) -> list[tuple[int, int]]:
+    """One full pass of a stream, read edge by edge through the protocol."""
+    stream.begin_pass()
+    edges = []
+    while (edge := stream.next_edge()) is not None:
+        edges.append(edge)
+    stream.end_pass()
+    return edges
+
+
 def brute_degeneracy(g: Graph) -> int:
     """Max over all vertex subsets of the induced minimum degree.
 

@@ -325,6 +325,21 @@ class TestEstimate:
                       "--t-hat", "30", "--kappa-hat", "2", str(path))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("flags, names", [
+        (("--mode", "main", "--order-seed", "-1"), "order seed"),
+        (("--mode", "ideal", "--order-seed", "-1"), "order seed"),
+        (("--mode", "main", "--abort-multiplier", "nan"), "abort_multiplier"),
+        (("--mode", "main", "--abort-multiplier", "inf"), "abort_multiplier"),
+    ], ids=["order-seed-main", "order-seed-ideal", "abort-multiplier-nan",
+            "abort-multiplier-inf"])
+    def test_bad_flag_value_is_one_config_error_line(self, tmp_path, flags, names):
+        path, _ = write_book_file(tmp_path, 30)
+        res = run_cli("estimate", str(path), "--epsilon", "0.2", "--t-hat", "30",
+                      "--kappa-hat", "2", *flags)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"triad: config error: {names} must be ")
+        assert res.stderr.count("\n") == 1
+
     def test_no_space_advantage_is_flagged_on_stderr_only(self, tmp_path):
         # pa(5000, 4) at eps 0.2, scale 0.005 stores about 2.3 m
         out = tmp_path / "pa.el"
@@ -375,6 +390,24 @@ class TestEstimate:
         assert json.loads(res.stdout)["seed"] == 123
 
 
+class TestEnvironment:
+    @pytest.mark.parametrize("name, value", [("TRIAD_SEED", "abc"), ("TRIAD_FORMAT", "xml")])
+    def test_bad_value_names_the_variable(self, tmp_path, name, value):
+        p = tmp_path / "k3.el"
+        p.write_text("0 1\n0 2\n1 2\n")
+        res = run_cli("exact", str(p), env_extra={name: value})
+        assert res.returncode == 2
+        assert res.stderr == f"triad: config error: bad {name} value {value!r}\n"
+        assert res.stdout == ""
+
+    def test_format_from_the_environment(self, tmp_path):
+        p = tmp_path / "k3.el"
+        p.write_text("0 1\n0 2\n1 2\n")
+        res = run_cli("exact", str(p), env_extra={"TRIAD_FORMAT": "csv"})
+        assert res.returncode == 0
+        assert res.stdout.splitlines() == ["T,kappa,d_E,m,n", "1,2,6,3,3"]
+
+
 MANIFEST = [
     {
         "family": "book",
@@ -410,6 +443,31 @@ class TestBench:
         mf = tmp_path / "bad.json"
         mf.write_text(json.dumps([{"family": "book"}]))
         assert run_cli("bench", str(mf)).returncode == 2
+
+    @pytest.mark.parametrize("change, key", [
+        ({"config": {"epsilon": "x"}}, "config.epsilon"),
+        ({"config": {}}, "config.epsilon"),
+        ({"trials": "two"}, "trials"),
+        ({"params": {"k": "ten"}}, "params.k"),
+        ({"config": {"epsilon": 0.2, "t_hat": "many"}}, "config.t_hat"),
+    ], ids=["epsilon", "no-epsilon", "trials", "param", "t_hat"])
+    def test_bad_value_names_the_row_and_key(self, tmp_path, change, key):
+        good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
+        mf = tmp_path / "bad.json"
+        mf.write_text(json.dumps([good, dict(good, **change)]))
+        res = run_cli("bench", str(mf))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"triad: config error: manifest row 1: bad {key} value ")
+        assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["params", "config"])
+    def test_non_object_table_exits_2(self, tmp_path, name):
+        row = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}, name: [1]}
+        mf = tmp_path / "bad.json"
+        mf.write_text(json.dumps([row]))
+        res = run_cli("bench", str(mf))
+        assert res.returncode == 2
+        assert res.stderr == f"triad: config error: manifest row 0: {name!r} is not an object\n"
 
     def test_unparsable_manifest_exits_3(self, tmp_path):
         mf = tmp_path / "junk.json"

@@ -119,6 +119,11 @@ class TestConfigValidation:
         ("repetitions", 0), ("repetitions", 2),
         ("scale", 0.0), ("scale", 1.5),
         ("seed", -1), ("abort_multiplier", 1.0),
+        # NaN compares false with every bound; an infinite constant makes no
+        # sample size
+        ("c_r", math.nan), ("c_ell", math.nan), ("c_s", math.nan), ("c_r", math.inf),
+        ("abort_multiplier", math.nan), ("abort_multiplier", math.inf),
+        ("epsilon", math.nan), ("scale", math.nan),
     ])
     def test_rejected_values(self, field, value):
         with pytest.raises(ConfigError):

@@ -6,7 +6,8 @@ and ideal mode's sizing pass in `ideal_estimate` call `run_pass`, once
 each), one edge-list parser (only `edgelist.py` reads files as bytes
 or calls `parse_line`), and one weighted sampler (no module calls a
 generator's `choice`: weighted draws are positions on an integer axis that
-`EdgePicker` collects)."""
+`EdgePicker` collects). `EdgeStream`'s public surface is the pass protocol,
+its stats and its two openers, and nothing else."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import triad
+from triad.stream import EdgeStream
 
 MODULES = sorted(Path(triad.__file__).parent.glob("*.py"))
 
@@ -212,3 +214,23 @@ def test_second_weighted_sampler_is_caught():
              "def pick(w, k, rng):\n    return rng.choice(len(w), size=k, p=w / w.sum())\n\n" \
              "def one(xs):\n    return np.random.default_rng(0).choice(xs)\n"
     assert choice_calls(source) == ["choice (line 4)", "choice (line 7)"]
+
+
+STREAM_SURFACE = {"begin_pass", "next_block", "next_edge", "end_pass", "abort_pass",
+                  "stats", "pass_counter", "from_file", "from_edges"}
+
+
+def public_names(cls) -> set[str]:
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+def test_stream_offers_only_the_pass_protocol():
+    assert public_names(EdgeStream) == STREAM_SURFACE
+
+
+def test_extra_stream_method_is_caught():
+    class Iterable(EdgeStream):
+        def edges(self):
+            yield from ()
+
+    assert public_names(Iterable) - STREAM_SURFACE == {"edges"}

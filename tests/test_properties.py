@@ -15,10 +15,11 @@ from triad import edgelist, sampling
 from triad.assignment import (
     AssignmentTable, EdgeEstimate, INFINITY, assign_rows, assign_triangle, load_cutoff)
 from triad.errors import EdgeListError
-from triad.estimator import EstimatorConfig, _drive, _Repetition
+from triad.estimator import EstimatorConfig, _anchor_ends, _drive, _Repetition
 from triad.graph import (
     degeneracy,
     per_edge_triangles,
+    pick_anchor,
     sum_edge_degrees,
     triangle_edges,
     triangles_exact_cn,
@@ -27,7 +28,7 @@ from triad.graph import (
 from triad.sampling import ClosureChecker, DegreeCounter, EdgePicker, IncidentPicker, run_pass
 from triad.stream import EdgeStream
 
-from conftest import brute_degeneracy, brute_triangle_count, small_graphs
+from conftest import brute_degeneracy, brute_triangle_count, read_pass, small_graphs
 
 
 @given(small_graphs())
@@ -80,9 +81,9 @@ def test_stream_passes_are_identical_permutations(g, seed):
     if not edges:
         return
     s = EdgeStream.from_edges(edges, order_seed=seed)
-    first = list(s.edges())
+    first = read_pass(s)
     assert sorted(first) == sorted(edges)
-    assert list(s.edges()) == first
+    assert read_pass(s) == first
     assert s.pass_counter == 2
 
 
@@ -115,7 +116,7 @@ def observer_cases(draw):
                         unique=True))
     edges = [(ids[u], ids[v]) for u, v in g.edge_list()]
     stream = EdgeStream.from_edges(edges, order_seed=draw(st.integers(0, 2**20)))
-    order = list(stream.edges())  # the pass order every later pass repeats
+    order = read_pass(stream)  # the pass order every later pass repeats
     incident = {x: [] for x in ids}
     for u, v in order:
         incident[u].append(v)
@@ -176,6 +177,14 @@ def test_block_observers_match_brute_force(case):
     rows = [(u, v, w) for (u, v), w in zip(order, weights) for _ in range(w)]
     assert weighted_picker.total == len(rows)
     assert [tuple(r) for r in weighted_picker.samples().tolist()] == [rows[p] for p in weighted]
+    # the estimator's anchor rule on the pass's edges and their degrees, ties
+    # included, against the scalar rule
+    u, v = np.array(order, dtype=np.int64).reshape(-1, 2).T
+    degree = np.vectorize(lambda x: len(incident[x]), otypes=[np.int64])
+    anchors, others = _anchor_ends(u, v, degree(u), degree(v))
+    want = [pick_anchor(a, b, len(incident[a]), len(incident[b])) for a, b in order]
+    assert anchors.tolist() == want
+    assert others.tolist() == [b if x == a else a for (a, b), x in zip(order, want)]
 
 
 @given(

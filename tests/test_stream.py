@@ -3,6 +3,7 @@
 import tracemalloc
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +15,8 @@ from triad.generators import gen_book, gen_wheel
 from triad.graph import Graph
 from triad.ideal import DegreeOracle, ideal_estimate
 from triad.stream import EdgeStream, StreamStats
+
+from conftest import read_pass
 
 
 K3_TEXT = "0 1\n0 2\n1 2\n"
@@ -41,8 +44,8 @@ class TestOpenAndValidate:
     def test_two_seeds_same_multiset_different_order(self, tmp_path):
         path = tmp_path / "p.el"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(12)))
-        a = list(EdgeStream.from_file(path, order_seed=1).edges())
-        b = list(EdgeStream.from_file(path, order_seed=2).edges())
+        a = read_pass(EdgeStream.from_file(path, order_seed=1))
+        b = read_pass(EdgeStream.from_file(path, order_seed=2))
         assert sorted(a) == sorted(b)
         assert a != b
 
@@ -96,6 +99,32 @@ class TestOpenAndValidate:
         assert edgelist.quote(token) == quoted
 
 
+class TestInMemoryPairs:
+    @pytest.mark.parametrize("edges, lineno, message", [
+        ([(0, 1.5), (0, 1.2), (1, 2), (0, 2)], 1, "non-integer vertex id in (0, 1.5)"),
+        ([(0, 1), (0.9, 0.2), (1, 2)], 2, "non-integer vertex id in (0.9, 0.2)"),
+        ([(0, 1), (np.float64(2.0), 1)], 2, "non-integer vertex id in (np.float64(2.0), 1)"),
+        ([("a", 1)], 1, "non-integer vertex id in ('a', 1)"),
+        ([(0, 1, 2)], 1, "expected two vertex ids, got 3 fields"),
+        ([(0, 1), (2,)], 2, "expected two vertex ids, got 1 fields"),
+    ], ids=["float", "truncates-to-a-loop", "numpy-float", "str", "three-ids", "one-id"])
+    def test_rejected_at_the_pairs_index(self, edges, lineno, message):
+        for open_ in (lambda: Graph(3, edges), lambda: EdgeStream.from_edges(edges)):
+            with pytest.raises(EdgeListError) as err:
+                open_()
+            assert str(err.value) == f"line {lineno}: {message}"
+            assert err.value.lineno == lineno
+
+    def test_long_non_integer_is_quoted_short(self):
+        with pytest.raises(EdgeListError, match=r"\(1002 characters\)\)$"):
+            EdgeStream.from_edges([(0, "7" * 1000)])
+
+    def test_integer_types_accepted(self):
+        edges = [(np.int64(0), np.uint8(1)), (True, 2), (0, 2)]
+        assert Graph(3, edges).edge_list() == [(0, 1), (0, 2), (1, 2)]
+        assert read_pass(EdgeStream.from_edges(edges)) == [(0, 1), (1, 2), (0, 2)]
+
+
 class TestPassProtocol:
     def test_one_pass_yields_all_edges_and_counts_once(self):
         s = EdgeStream.from_edges([(0, 1), (0, 2), (1, 2)])
@@ -109,8 +138,8 @@ class TestPassProtocol:
 
     def test_consecutive_passes_identical_for_fixed_seed(self):
         s = EdgeStream.from_edges([(i, i + 1) for i in range(9)], order_seed=7)
-        first = list(s.edges())
-        second = list(s.edges())
+        first = read_pass(s)
+        second = read_pass(s)
         assert first == second
         assert s.pass_counter == 2
 
@@ -138,13 +167,7 @@ class TestPassProtocol:
         s.next_edge()
         s.abort_pass()
         assert s.pass_counter == 0
-        assert list(s.edges()) != []  # stream still usable
-
-    def test_breaking_out_of_iterator_aborts(self):
-        s = EdgeStream.from_edges([(0, 1), (1, 2), (2, 3)])
-        for _ in s.edges():
-            break
-        assert s.pass_counter == 0
+        assert read_pass(s) != []  # stream still usable
 
     def test_reading_past_end_signals_none_not_error(self):
         s = EdgeStream.from_edges([(0, 1)])
@@ -172,7 +195,7 @@ class TestStats:
     def test_stable_across_passes(self):
         s = EdgeStream.from_edges([(0, 5), (5, 9)], order_seed=3)
         first = s.stats()
-        list(s.edges())
+        read_pass(s)
         assert s.stats() == first == StreamStats(n=3, m=2)
 
 
@@ -182,10 +205,10 @@ class TestReplayDeterminism:
         p = tmp_path / "w.el"
         p.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
         s = EdgeStream.from_file(p, order_seed=11)
-        reference = list(s.edges())
+        reference = read_pass(s)
         assert sorted(reference) == sorted(g.edges())
         for _ in range(3):
-            assert list(s.edges()) == reference
+            assert read_pass(s) == reference
 
     def test_independent_cursors_over_same_source(self, tmp_path):
         path = k3_file(tmp_path)
@@ -204,19 +227,47 @@ class TestReplayDeterminism:
         # ideal mode streams a Graph's already-checked edges through the
         # plain constructor; it must order them as from_edges does
         g, _ = gen_wheel(31)
-        plain = EdgeStream(g.edge_list(), order_seed=order_seed)
+        plain = EdgeStream(g.edge_array(), order_seed=order_seed)
         checked = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
         for _ in range(2):
-            assert list(plain.edges()) == list(checked.edges())
+            assert read_pass(plain) == read_pass(checked)
         assert plain.stats() == checked.stats()
 
     @pytest.mark.parametrize("order_seed", [None, 0, 7])
     def test_edge_array_opens_the_stream_the_pairs_open(self, order_seed):
-        # ideal mode hands the stream the graph's (m, 2) int64 array
+        # ideal mode hands the stream the graph's (m, 2) int64 array; the
+        # graph's pairs validate to that same array
         g, _ = gen_wheel(31)
+        pairs = edgelist.validate_edges(g.edge_list())
+        assert pairs.dtype == np.int64 and np.array_equal(pairs, g.edge_array())
         from_array = EdgeStream(g.edge_array(), order_seed=order_seed)
-        from_pairs = EdgeStream(g.edge_list(), order_seed=order_seed)
-        assert list(from_array.edges()) == list(from_pairs.edges())
+        from_pairs = EdgeStream(pairs, order_seed=order_seed)
+        assert read_pass(from_array) == read_pass(from_pairs)
+
+
+class TestOwnedColumns:
+    @pytest.mark.parametrize("order_seed", [None, 5])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_changing_the_callers_array_changes_no_pass(self, m, order_seed):
+        # a column view of a (1, 2) array is contiguous, so it is the
+        # caller's memory unless the stream copies it
+        edges = [(2 * i, 2 * i + 1) for i in range(m)]
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        s = EdgeStream(ends, order_seed=order_seed)
+        before = read_pass(s)
+        assert {type(x) for edge in before for x in edge} <= {int}
+        ends += 10
+        assert read_pass(s) == before
+        assert sorted(before) == edges
+
+        s.begin_pass()
+        while (block := s.next_block(2)) is not None:
+            for column in block:
+                assert column.dtype == np.int64 and not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 0
+        s.end_pass()
+        assert read_pass(s) == before
 
 
 class TestSourceChangesAfterOpen:
@@ -226,15 +277,15 @@ class TestSourceChangesAfterOpen:
         text = "".join(f"{u} {v}\n" for u, v in g.edges())
         p.write_text(text)
         s = EdgeStream.from_file(p, order_seed=5)
-        reference = list(s.edges())
+        reference = read_pass(s)
 
         p.write_text("0 1\n")  # truncated
-        assert list(s.edges()) == reference
+        assert read_pass(s) == reference
         # other edges in lines of the same lengths
         p.write_text(text.translate(str.maketrans("0123456789", "1234567890")))
-        assert list(s.edges()) == reference
+        assert read_pass(s) == reference
         p.unlink()
-        assert list(s.edges()) == reference
+        assert read_pass(s) == reference
         assert s.stats() == StreamStats(n=31, m=60)
         assert s.pass_counter == 5
 
@@ -343,9 +394,6 @@ class ProtocolOnly:
 
     def abort_pass(self):
         self._inner.abort_pass()
-
-    # plain iteration, built on the forwarded calls above
-    edges = EdgeStream.edges
 
 
 class TestEstimatorsUseOnlyThePassProtocol:
