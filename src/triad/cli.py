@@ -45,6 +45,10 @@ _ESTIMATE_CSV_HEADER = [
 
 _FORMATS = ("json", "csv")
 
+# `estimate` flags that only main mode reads; each defaults to None, so a
+# flag given to ideal mode can be told from one left out
+_MAIN_ONLY = ("kappa_hat", "repetitions", "scale", "share_passes", "abort_multiplier")
+
 # each generator parameter and its type, as `triad gen` parses it
 _PARAM_TYPES = {"n": int, "k": int, "p": int, "q": int, "N": int, "attach": int,
                 "kind": str, "prob": float, "shared": int}
@@ -169,16 +173,9 @@ def _dump_tables(args, report: RunReport) -> None:
 
 def _run_main_mode(args) -> tuple[RunReport, dict]:
     stream = EdgeStream.from_file(args.path, order_seed=args.order_seed)
-    config = EstimatorConfig(
-        epsilon=args.epsilon,
-        t_hat=args.t_hat,
-        kappa_hat=args.kappa_hat,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        scale=args.scale,
-        share_passes=args.share_passes,
-        abort_multiplier=args.abort_multiplier,
-    )
+    given = {name: getattr(args, name) for name in _MAIN_ONLY
+             if getattr(args, name) is not None}
+    config = EstimatorConfig(epsilon=args.epsilon, t_hat=args.t_hat, seed=args.seed, **given)
     _, report = estimate(stream, config)
     _say(args, f"passes including stats: {stream.pass_counter}")
     if report.flags:
@@ -219,6 +216,10 @@ def _run_ideal_mode(args) -> tuple[RunReport, dict]:
 def cmd_estimate(args) -> int:
     if args.mode == "main" and args.kappa_hat is None:
         raise ConfigError("--kappa-hat is required in main mode")
+    flags = ["--" + name.replace("_", "-") for name in _MAIN_ONLY
+             if getattr(args, name) is not None]
+    if args.mode == "ideal" and flags:
+        raise ConfigError(f"ideal mode does not take {', '.join(flags)}")
     report, extra = (_run_main_mode(args) if args.mode == "main"
                      else _run_ideal_mode(args))
     if args.format == "csv":
@@ -237,13 +238,16 @@ def cmd_estimate(args) -> int:
 
 
 def _manifest_value(row: int, key: str, value, cast):
-    """`cast(value)`; a value it refuses is a config error that names the
-    manifest row and key."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"manifest row {row}: bad {key} value {edgelist.quote(value)}") from None
+    """`cast(value)` for cast int, float, str or bool. A value it refuses, a
+    boolean for another cast or a non-boolean for bool, or a fraction for
+    int is a config error naming the manifest row and key, never truncated."""
+    if isinstance(value, bool) == (cast is bool) and not (
+            cast is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"manifest row {row}: bad {key} value {edgelist.quote(value)}")
 
 
 def _load_manifest(path) -> list[dict]:
@@ -281,6 +285,8 @@ def cmd_bench(args) -> int:
         epsilon = _manifest_value(row, "config.epsilon", cfg.get("epsilon"), float)
         repetitions = _manifest_value(row, "config.repetitions", cfg.get("repetitions", 1), int)
         scale = _manifest_value(row, "config.scale", cfg.get("scale", 1.0), float)
+        share_passes = _manifest_value(row, "config.share_passes",
+                                       cfg.get("share_passes", False), bool)
         trials = _manifest_value(row, "trials", entry.get("trials", 1), int)
         base_seed = _manifest_value(row, "seed", entry.get("seed", args.seed), int)
         graph, truth = generate_family(family, params, base_seed)
@@ -300,7 +306,7 @@ def cmd_bench(args) -> int:
                 repetitions=repetitions,
                 seed=seed,
                 scale=scale,
-                share_passes=bool(cfg.get("share_passes", False)),
+                share_passes=share_passes,
             )
             # a Graph's edges are canonical and distinct already
             stream = EdgeStream(edges, order_seed=seed)
@@ -367,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--epsilon", type=float, required=True)
     p_est.add_argument("--t-hat", type=int, required=True)
     p_est.add_argument("--kappa-hat", type=int, default=None)
-    p_est.add_argument("--repetitions", type=int, default=1)
-    p_est.add_argument("--scale", type=float, default=1.0)
-    p_est.add_argument("--share-passes", action="store_true")
-    p_est.add_argument("--abort-multiplier", type=float, default=10.0)
+    p_est.add_argument("--repetitions", type=int, default=None)
+    p_est.add_argument("--scale", type=float, default=None)
+    p_est.add_argument("--share-passes", action="store_true", default=None)
+    p_est.add_argument("--abort-multiplier", type=float, default=None)
     p_est.add_argument("--order-seed", type=int, default=None,
                        help="shuffle the stream order with this seed")
     p_est.add_argument("--debug-dump-assignments", action="store_true",

@@ -72,7 +72,7 @@ from .sampling import (
     DegreeCounter,
     EdgePicker,
     IncidentPicker,
-    _lookup,
+    _HashIndex,
     neighbor_picker,
     run_pass,
     substream,
@@ -480,7 +480,7 @@ class _Repetition(_StageMachine):
         observers = super()._begin_3()
         w = self.neighbors[self._open]
         # only third vertices whose degree pass 2 did not count
-        _, known = _lookup(self.deg_vertices, w)
+        _, known = _HashIndex(self.deg_vertices).find(w)
         return observers + [DegreeCounter(w[~known])]
 
     def _end_3(self) -> None:

@@ -26,11 +26,17 @@ block:
   j in [0, d_a) is the whole neighborhood. `neighbor_picker` builds one
   for arrays of anchors and their degrees with one sample size s: s
   uniform positions per anchor, or every position once s covers d_a.
-- `DegreeCounter` counts exact degrees of a query set, with `searchsorted`
-  and `bincount` against the sorted queries.
+- `DegreeCounter` counts exact degrees of a query set: each block's ids
+  are looked up among the sorted queries, and `bincount` adds the hits.
 - `ClosureChecker` tells which of a list of vertex pairs are edges. Ids
   reach 2**63 - 1, so two of them do not pack into one int64 key; a pair's
   key is built from the ranks of its ends among the queried vertices.
+
+A pass streams all m edges past a query set of k keys, so its cost is m
+membership tests. Each observer hashes its sorted keys once into a
+`_HashIndex`, a linear-probing table at most half full and O(k) in size:
+a lookup is expected O(1) probes where binary search takes log2(k) cache
+misses, and it answers with the same rank among the sorted keys.
 
 Every sample's total is known before its pass (m from the stats pass, d_E
 from ideal mode's sizing pass, an anchor's degree from a degree pass), so
@@ -101,13 +107,65 @@ def _blocks(stream):
             return
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each value in the sorted array `keys`, and whether it is there."""
-    idx = np.searchsorted(keys, values)
-    if len(keys) == 0:
-        return idx, np.zeros(len(values), dtype=bool)
-    np.minimum(idx, len(keys) - 1, out=idx)
-    return idx, keys[idx] == values
+_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
+
+
+class _HashIndex:
+    """Position of each int64 needle in an array of distinct int64 keys, by
+    Fibonacci hashing (top b bits of x * _FIB) with linear probing.
+
+    The keys are kept by reference. The table holds each key's index, or -1
+    in an empty slot: 2**b >= 2k home slots and a tail of k + 1 that no
+    probe runs past, fewer than 5k + 2 int32 entries. Sorted by home, key i
+    lands at i + max_{j<=i}(home_j - j), its first free slot from home on.
+    A round reads one slot per unresolved needle, which stops at its key or
+    an empty slot: rounds never exceed the longest run of filled slots.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self._keys = np.asarray(keys, dtype=np.int64)
+        k = len(self._keys)
+        bits = max(1, (2 * k - 1).bit_length())
+        self._shift = np.uint64(64 - bits)
+        home = self._home(self._keys)
+        order = np.argsort(home)
+        below = np.arange(k)
+        slot = below + np.maximum.accumulate(home[order] - below)
+        self._table = np.full((1 << bits) + k + 1, -1, dtype=np.int32 if k < 2**31 else np.int64)
+        self._table[slot] = order
+        # the most probe rounds one `find` has taken so far
+        self.rounds = 0
+
+    def _home(self, values: np.ndarray) -> np.ndarray:
+        return ((values.view(np.uint64) * _FIB) >> self._shift).view(np.int64)
+
+    def find(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Per needle: its index in the keys (0 on a miss), and whether it
+        is one of them."""
+        values = np.asarray(values, dtype=np.int64)
+        if len(self._keys) == 0:
+            return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
+        # round 1 reads every needle's home slot. An empty slot's -1 reads
+        # the last key, never the needle's own: a probe meets its key first
+        slot = self._home(values)
+        pos = self._table[slot]
+        hit = self._keys[pos] == values
+        idx = np.where(hit, pos, np.int64(0))
+        # the needles left: at a filled slot that is not theirs
+        at = np.flatnonzero((pos >= 0) ^ hit)
+        rounds = int(len(at) > 0 or hit.any())
+        values, slot = values[at], slot[at] + 1
+        while len(at):
+            pos = self._table[slot]
+            same = self._keys[pos] == values
+            found = np.flatnonzero(same)
+            walk = np.flatnonzero((pos >= 0) ^ same)
+            rounds += bool(len(found) or len(walk))
+            idx[at[found]] = pos[found]
+            hit[at[found]] = True
+            values, at, slot = values[walk], at[walk], slot[walk] + 1
+        self.rounds = max(self.rounds, rounds)
+        return idx, hit
 
 
 class EdgePicker:
@@ -180,7 +238,12 @@ class IncidentPicker:
         self._span = int(positions.max()) + 1 if len(positions) else 1
         keys = rank * self._span + positions
         self._order = np.argsort(keys, kind="stable")
-        self._keys = keys[self._order]
+        keys = keys[self._order]
+        # distinct key j is wanted by sorted slots [first[j], first[j] + count[j])
+        self._first = np.flatnonzero(np.diff(keys, prepend=-1))
+        self._count = np.diff(self._first, append=len(keys))
+        self._key_index = _HashIndex(keys[self._first])
+        self._anchor_index = _HashIndex(self._anchors)
         self._seen = np.zeros(len(self._anchors), dtype=np.int64)
         # -1 marks a slot the pass has not filled; ids are never negative
         self._found = np.full(len(positions), -1, dtype=np.int64)
@@ -189,8 +252,8 @@ class IncidentPicker:
         k = len(self._anchors)
         if k == 0:
             return
-        ru, hu = _lookup(self._anchors, u)
-        rv, hv = _lookup(self._anchors, v)
+        ru, hu = self._anchor_index.find(u)
+        rv, hv = self._anchor_index.find(v)
         iu = np.flatnonzero(hu)
         iv = np.flatnonzero(hv)
         rank = np.concatenate((ru[iu], rv[iv]))
@@ -204,10 +267,10 @@ class IncidentPicker:
         pos = self._seen[rank] + np.arange(len(rank)) - first[rank]
         self._seen += count
         wanted = pos < self._span
-        key = rank[wanted] * self._span + pos[wanted]
-        lo = np.searchsorted(self._keys, key, side="left")
-        n = np.searchsorted(self._keys, key, side="right") - lo
-        self._found[self._order[_ranges(lo, n)]] = np.repeat(other[wanted], n)
+        j, hit = self._key_index.find(rank[wanted] * self._span + pos[wanted])
+        n = self._count[j[hit]]
+        slots = self._order[_ranges(self._first[j[hit]], n)]
+        self._found[slots] = np.repeat(other[wanted][hit], n)
 
     def results(self) -> np.ndarray:
         """The other endpoint per slot, in slot order."""
@@ -242,11 +305,12 @@ class DegreeCounter:
     def __init__(self, vertices):
         self.vertices = _distinct(vertices)
         self.counts = np.zeros(len(self.vertices), dtype=np.int64)
+        self._index = _HashIndex(self.vertices)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
         k = len(self.vertices)
         for col in (u, v):
-            idx, hit = _lookup(self.vertices, col)
+            idx, hit = self._index.find(col)
             self.counts += np.bincount(idx[hit], minlength=k)
 
 
@@ -257,9 +321,11 @@ class ClosureChecker:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         self._vertices = _distinct(np.concatenate((a, b)))
-        keys = self._key(np.searchsorted(self._vertices, a), np.searchsorted(self._vertices, b))
-        self._keys, self._slot = np.unique(keys, return_inverse=True)
-        self._hit = np.zeros(len(self._keys), dtype=bool)
+        self._vertex_index = _HashIndex(self._vertices)
+        keys = self._key(self._vertex_index.find(a)[0], self._vertex_index.find(b)[0])
+        keys, self._slot = np.unique(keys, return_inverse=True)
+        self._key_index = _HashIndex(keys)
+        self._hit = np.zeros(len(keys), dtype=bool)
 
     def _key(self, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
         # ranks lie below k = len(vertices), so lo * k + hi names an
@@ -267,12 +333,12 @@ class ClosureChecker:
         return np.minimum(ra, rb) * len(self._vertices) + np.maximum(ra, rb)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        if len(self._keys) == 0:
+        if len(self._hit) == 0:
             return
-        ru, hu = _lookup(self._vertices, u)
-        rv, hv = _lookup(self._vertices, v)
+        ru, hu = self._vertex_index.find(u)
+        rv, hv = self._vertex_index.find(v)
         both = hu & hv
-        idx, hit = _lookup(self._keys, self._key(ru[both], rv[both]))
+        idx, hit = self._key_index.find(self._key(ru[both], rv[both]))
         self._hit[idx[hit]] = True
 
     def present(self) -> np.ndarray:

@@ -326,19 +326,50 @@ class TestEstimate:
         assert res.returncode == 2
 
     @pytest.mark.parametrize("flags, names", [
-        (("--mode", "main", "--order-seed", "-1"), "order seed"),
+        (("--mode", "main", "--kappa-hat", "2", "--order-seed", "-1"), "order seed"),
         (("--mode", "ideal", "--order-seed", "-1"), "order seed"),
-        (("--mode", "main", "--abort-multiplier", "nan"), "abort_multiplier"),
-        (("--mode", "main", "--abort-multiplier", "inf"), "abort_multiplier"),
+        (("--mode", "main", "--kappa-hat", "2", "--abort-multiplier", "nan"), "abort_multiplier"),
+        (("--mode", "main", "--kappa-hat", "2", "--abort-multiplier", "inf"), "abort_multiplier"),
     ], ids=["order-seed-main", "order-seed-ideal", "abort-multiplier-nan",
             "abort-multiplier-inf"])
     def test_bad_flag_value_is_one_config_error_line(self, tmp_path, flags, names):
         path, _ = write_book_file(tmp_path, 30)
-        res = run_cli("estimate", str(path), "--epsilon", "0.2", "--t-hat", "30",
-                      "--kappa-hat", "2", *flags)
+        res = run_cli("estimate", str(path), "--epsilon", "0.2", "--t-hat", "30", *flags)
         assert res.returncode == 2
         assert res.stderr.startswith(f"triad: config error: {names} must be ")
         assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--kappa-hat", "3"), ("--repetitions", "2"), ("--repetitions", "1"),
+        ("--scale", "7"), ("--scale", "1"), ("--share-passes",),
+        ("--abort-multiplier", "nan"), ("--abort-multiplier", "10"),
+    ], ids=lambda flags: "=".join(flags))
+    def test_ideal_mode_refuses_a_main_mode_flag(self, tmp_path, flags):
+        # refused even at main mode's default value: ideal mode never reads it
+        path, _ = write_book_file(tmp_path, 30)
+        res = run_cli("estimate", str(path), "--mode", "ideal", "--epsilon", "0.2",
+                      "--t-hat", "30", *flags)
+        assert res.returncode == 2
+        assert res.stderr == f"triad: config error: ideal mode does not take {flags[0]}\n"
+        assert res.stdout == ""
+
+    def test_ideal_mode_names_every_main_mode_flag(self, tmp_path):
+        path, _ = write_book_file(tmp_path, 30)
+        res = run_cli("estimate", str(path), "--mode", "ideal", "--epsilon", "0.2",
+                      "--t-hat", "30", "--repetitions", "2", "--abort-multiplier", "nan",
+                      "--scale", "7", "--kappa-hat", "3")
+        assert res.returncode == 2
+        assert res.stderr == ("triad: config error: ideal mode does not take --kappa-hat, "
+                              "--repetitions, --scale, --abort-multiplier\n")
+
+    def test_main_mode_defaults_match_the_config_defaults(self, tmp_path):
+        # main-mode flags left out take EstimatorConfig's defaults
+        path, truth = write_book_file(tmp_path, 30)
+        res = run_cli("estimate", str(path), "--epsilon", "0.2",
+                      "--t-hat", str(truth.triangles), "--kappa-hat", "2")
+        assert res.returncode == 0, res.stderr
+        config = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2)
+        assert json.loads(res.stdout)["config"] == config.as_dict()
 
     def test_no_space_advantage_is_flagged_on_stderr_only(self, tmp_path):
         # pa(5000, 4) at eps 0.2, scale 0.005 stores about 2.3 m
@@ -450,7 +481,24 @@ class TestBench:
         ({"trials": "two"}, "trials"),
         ({"params": {"k": "ten"}}, "params.k"),
         ({"config": {"epsilon": 0.2, "t_hat": "many"}}, "config.t_hat"),
-    ], ids=["epsilon", "no-epsilon", "trials", "param", "t_hat"])
+        ({"params": {"k": 10.9}}, "params.k"),
+        ({"params": {"k": True}}, "params.k"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": float("inf")}, "seed"),
+        ({"config": {"epsilon": 0.2, "repetitions": 1.5}}, "config.repetitions"),
+        ({"config": {"epsilon": 0.2, "t_hat": 30.5}}, "config.t_hat"),
+        ({"config": {"epsilon": 0.2, "kappa_hat": False}}, "config.kappa_hat"),
+        ({"config": {"epsilon": True}}, "config.epsilon"),
+        ({"config": {"epsilon": 0.2, "scale": True}}, "config.scale"),
+        ({"config": {"epsilon": 0.2, "share_passes": "false"}}, "config.share_passes"),
+        ({"config": {"epsilon": 0.2, "share_passes": 1}}, "config.share_passes"),
+        ({"family": "lb", "params": {"p": 3, "q": 2, "N": 9, "kind": True}}, "params.kind"),
+    ], ids=["epsilon", "no-epsilon", "trials", "param", "t_hat", "param-fraction",
+            "param-bool", "trials-fraction", "trials-bool", "seed-fraction", "seed-inf",
+            "repetitions-fraction", "t_hat-fraction", "kappa_hat-bool", "epsilon-bool",
+            "scale-bool", "share_passes-string", "share_passes-int", "kind-bool"])
     def test_bad_value_names_the_row_and_key(self, tmp_path, change, key):
         good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
         mf = tmp_path / "bad.json"
@@ -468,6 +516,19 @@ class TestBench:
         res = run_cli("bench", str(mf))
         assert res.returncode == 2
         assert res.stderr == f"triad: config error: manifest row 0: {name!r} is not an object\n"
+
+    def test_integral_numbers_and_booleans_where_due_are_read(self, tmp_path):
+        # an integer may be written 11.0 or "11"; share_passes is a JSON boolean
+        row = {"family": "book", "params": {"k": 20.0}, "trials": "2", "seed": 11.0,
+               "config": {"epsilon": 0.2, "repetitions": 3.0, "scale": 1,
+                          "t_hat": 20, "kappa_hat": "2", "share_passes": True}}
+        mf = tmp_path / "m.json"
+        mf.write_text(json.dumps([row]))
+        res = run_cli("bench", str(mf), "--fixed-clock")
+        assert res.returncode == 0, res.stderr
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        assert [(r[0], r[2], r[6], r[7], r[15]) for r in rows] == [
+            ("book", "41", "20", "2", "11"), ("book", "41", "20", "2", "12")]
 
     def test_unparsable_manifest_exits_3(self, tmp_path):
         mf = tmp_path / "junk.json"

@@ -4,9 +4,11 @@ driver (only `sampling.run_pass` and its reader `_blocks` drive a stream's
 passes), one pass schedule (outside `sampling.py`, only `estimator._drive`
 and ideal mode's sizing pass in `ideal_estimate` call `run_pass`, once
 each), one edge-list parser (only `edgelist.py` reads files as bytes
-or calls `parse_line`), and one weighted sampler (no module calls a
+or calls `parse_line`), one weighted sampler (no module calls a
 generator's `choice`: weighted draws are positions on an integer axis that
-`EdgePicker` collects). `EdgeStream`'s public surface is the pass protocol,
+`EdgePicker` collects), and hashed membership in every pass observer (no
+`observe_block` body calls `searchsorted`: a block's ids are looked up in
+a `_HashIndex` built once per pass). `EdgeStream`'s public surface is the pass protocol,
 its stats and its two openers, and nothing else."""
 
 import ast
@@ -214,6 +216,44 @@ def test_second_weighted_sampler_is_caught():
              "def pick(w, k, rng):\n    return rng.choice(len(w), size=k, p=w / w.sum())\n\n" \
              "def one(xs):\n    return np.random.default_rng(0).choice(xs)\n"
     assert choice_calls(source) == ["choice (line 4)", "choice (line 7)"]
+
+
+def observer_binary_searches(source: str) -> list[str]:
+    """`searchsorted` calls, bare or as a method, inside an `observe_block`
+    body, nested functions included."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and method.name == "observe_block"):
+                continue
+            for node in ast.walk(method):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "searchsorted":
+                    found.append(f"{cls.name}.observe_block: searchsorted (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_observers_look_up_blocks_by_hash(path):
+    assert observer_binary_searches(path.read_text(encoding="utf-8")) == []
+
+
+def test_observer_binary_search_is_caught():
+    source = "import numpy as np\nfrom numpy import searchsorted\n\n" \
+             "class Counter:\n    def __init__(self, keys):\n" \
+             "        self.keys = np.sort(keys)\n" \
+             "        self.at = np.searchsorted(self.keys, 0)\n\n" \
+             "    def observe_block(self, u, v):\n        i = np.searchsorted(self.keys, u)\n" \
+             "        j = self.keys.searchsorted(v)\n\n        def rank(x):\n" \
+             "            return searchsorted(self.keys, x)\n\n        return i, j, rank\n"
+    assert observer_binary_searches(source) == [
+        "Counter.observe_block: searchsorted (line 10)",
+        "Counter.observe_block: searchsorted (line 11)",
+        "Counter.observe_block: searchsorted (line 14)"]
 
 
 STREAM_SURFACE = {"begin_pass", "next_block", "next_edge", "end_pass", "abort_pass",

@@ -4,8 +4,10 @@ and reproducibility contracts. Every observer is driven through `run_pass`."""
 from collections import Counter
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from triad.errors import InputError
 from triad.graph import canonical_edge
@@ -15,6 +17,7 @@ from triad.sampling import (
     ClosureChecker,
     DegreeCounter,
     EdgePicker,
+    _HashIndex,
     neighbor_picker,
     run_pass,
     substream,
@@ -188,3 +191,125 @@ class TestClosureCheckPass:
         assert s.pass_counter == 1
         assert res.present == {(0, 1): True, (0, 3): False}
         assert res.degrees == {1: 2, 3: 1}
+
+
+def searchsorted_lookup(keys, needles):
+    """The binary-search reference: position in the sorted keys, and hit."""
+    idx = np.searchsorted(keys, needles)
+    if len(keys) == 0:
+        return idx, np.zeros(len(needles), dtype=bool)
+    return idx, keys[np.minimum(idx, len(keys) - 1)] == needles
+
+
+def assert_matches_reference(keys, needles):
+    keys = np.asarray(keys, dtype=np.int64)
+    index = _HashIndex(keys)
+    idx, hit = index.find(needles)
+    ref_idx, ref_hit = searchsorted_lookup(keys, np.asarray(needles, dtype=np.int64))
+    assert idx.dtype == np.int64 and hit.dtype == bool
+    assert np.array_equal(hit, ref_hit)
+    assert np.array_equal(idx[hit], ref_idx[ref_hit])
+    return index
+
+
+def longest_filled_run(index) -> int:
+    """The longest run of consecutive filled slots in the index's table."""
+    filled = np.concatenate(([0], (index._table >= 0).view(np.int8), [0]))
+    edges = np.flatnonzero(np.diff(filled))
+    return int((edges[1::2] - edges[0::2]).max(initial=0))
+
+
+def key_family(name, k, rng):
+    """k distinct non-negative ids of one shape, sorted."""
+    j = np.arange(k, dtype=np.int64)
+    if name == "consecutive":
+        return j
+    if name == "multiples-2**20":
+        return j << 20
+    if name == "multiples-2**32":
+        return j << 32
+    if name == "stride-1000003":
+        return j * 1_000_003
+    if name == "down-from-2**63-1":
+        return np.sort((2**63 - 1) - j)
+    if name == "random-63-bit":
+        return np.unique(rng.integers(2**63 - 1, size=k, dtype=np.int64))
+    # ClosureChecker's pair keys: lo * kv + hi over ranks below kv
+    kv = 5_000
+    a, b = rng.integers(kv, size=(2, 2 * k))
+    return np.unique(np.minimum(a, b) * kv + np.maximum(a, b))[:k]
+
+
+KEY_FAMILIES = ["consecutive", "multiples-2**20", "multiples-2**32", "stride-1000003",
+                "down-from-2**63-1", "random-63-bit", "pair-keys"]
+
+
+class TestHashIndex:
+    @pytest.mark.parametrize("family", KEY_FAMILIES)
+    def test_matches_binary_search_on_key_families(self, family):
+        rng = np.random.default_rng(11)
+        keys = key_family(family, 60_000, rng)
+        assert len(keys) == 60_000
+        # every key, its neighbours on both sides, and random ids
+        needles = np.concatenate((keys, keys - 1, keys + 1,
+                                  rng.integers(2**63 - 1, size=60_000, dtype=np.int64)))
+        rng.shuffle(needles)
+        index = assert_matches_reference(keys, needles)
+        # a lookup round reads one filled slot per unresolved needle, so no
+        # needle walks past the longest run; a clustering hash would show
+        # here as a run in the thousands
+        run = longest_filled_run(index)
+        assert 1 <= index.rounds <= run <= 64
+
+    def test_table_is_linear_in_the_keys(self):
+        for k in (1, 2, 3, 1000, 4096, 4097):
+            index = _HashIndex(np.arange(k))
+            home_slots = len(index._table) - k - 1
+            assert 2 * k <= home_slots < 4 * k
+            assert index._table.dtype == np.int32
+
+    def test_empty_keys(self):
+        index = assert_matches_reference([], [0, 5, 2**63 - 1])
+        idx, hit = index.find(np.array([0, 5], dtype=np.int64))
+        assert idx.tolist() == [0, 0] and hit.tolist() == [False, False]
+
+    def test_empty_needles(self):
+        idx, hit = _HashIndex(np.arange(10)).find(np.zeros(0, dtype=np.int64))
+        assert len(idx) == 0 and len(hit) == 0
+
+    def test_all_misses(self):
+        keys = np.arange(0, 2_000, 2)
+        idx, hit = _HashIndex(keys).find(np.arange(1, 2_000, 2))
+        assert not hit.any() and not idx.any()
+
+    def test_negative_keys_and_needles(self):
+        # an empty slot holds position -1, which reads the last key; the
+        # last key as a needle must still hit at its own slot
+        keys = [-(2**63), -7, -1, 0, 7, 2**63 - 1]
+        assert_matches_reference(keys, [-1, -2, -(2**63), 0, 7, -1, 2**63 - 1, 5, -8])
+        assert_matches_reference([2**63 - 1], [2**63 - 1] * 3 + list(range(-20, 20)))
+
+    def test_read_only_needle_views(self):
+        edges = [(i, 3 * i + 1) for i in range(500)]
+        stream = stream_of(edges, seed=4)
+        stream.begin_pass()
+        u, v = stream.next_block(1 << 16)
+        stream.end_pass()
+        assert not u.flags.writeable and not v.flags.writeable
+        keys = np.arange(0, 1_600, 5)
+        for column in (u, v, u[::3]):
+            assert_matches_reference(keys, column)
+        flat = np.arange(1_000, dtype=np.int64)
+        flat.flags.writeable = False
+        assert_matches_reference(keys, flat[1::2])
+
+    @given(st.sets(st.integers(-(2**63), 2**63 - 1), max_size=300),
+           st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_binary_search_on_arbitrary_sets(self, keys, others, data):
+        keys = sorted(keys)
+        picked = data.draw(st.lists(st.sampled_from(keys), max_size=300)) if keys else []
+        needles = data.draw(st.permutations(others + picked))
+        index = assert_matches_reference(keys, np.array(needles, dtype=np.int64))
+        assert index.rounds <= longest_filled_run(index)
