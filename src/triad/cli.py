@@ -45,8 +45,8 @@ _ESTIMATE_CSV_HEADER = [
 
 _FORMATS = ("json", "csv")
 
-# `estimate` flags that only main mode reads; each defaults to None, so a
-# flag given to ideal mode can be told from one left out
+# `EstimatorConfig` flags that only main mode reads; each defaults to None,
+# so a flag given to ideal mode can be told from one left out
 _MAIN_ONLY = ("kappa_hat", "repetitions", "scale", "share_passes", "abort_multiplier")
 
 # each generator parameter and its type, as `triad gen` parses it
@@ -216,7 +216,8 @@ def _run_ideal_mode(args) -> tuple[RunReport, dict]:
 def cmd_estimate(args) -> int:
     if args.mode == "main" and args.kappa_hat is None:
         raise ConfigError("--kappa-hat is required in main mode")
-    flags = ["--" + name.replace("_", "-") for name in _MAIN_ONLY
+    # ideal mode has no assignment table to dump either
+    flags = ["--" + name.replace("_", "-") for name in _MAIN_ONLY + ("debug_dump_assignments",)
              if getattr(args, name) is not None]
     if args.mode == "ideal" and flags:
         raise ConfigError(f"ideal mode does not take {', '.join(flags)}")
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--abort-multiplier", type=float, default=None)
     p_est.add_argument("--order-seed", type=int, default=None,
                        help="shuffle the stream order with this seed")
-    p_est.add_argument("--debug-dump-assignments", action="store_true",
+    p_est.add_argument("--debug-dump-assignments", action="store_true", default=None,
                        help="dump memoized triangle assignments to stderr")
     p_est.set_defaults(func=cmd_estimate)
 

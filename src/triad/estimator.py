@@ -26,12 +26,13 @@ collects them, block by block (see `triad.sampling`):
 
 Pass 3 and pass 4's closure checks live on `_StageMachine`, which ideal
 mode's three-pass run shares with its own pass 1 in place of passes 1-2.
-Between passes the state is arrays: the degrees counted so far as sorted
-(vertex, degree) columns, the discovered triangles as a (k, 3) array in
-first-closed-draw order with each edge's degree and closed-draw count, and
-one wedge request per cheap (triangle, edge) cell. A draw scores 1 when its
-wedge closed into a triangle that the assignment rule charges to the
-draw's own edge. The estimate is (m / r) * d_R * mean(scores).
+Between passes the state is arrays: each draw's edge with both ends'
+degrees (R and pass 2's counter are released once the draws are made),
+the discovered triangles as a (k, 3) array in first-closed-draw order with
+each edge's degree and closed-draw count, and one wedge request per cheap
+(triangle, edge) cell. A draw scores 1 when its wedge closed into a
+triangle that the assignment rule charges to the draw's own edge. The
+estimate is (m / r) * d_R * mean(scores).
 
 Degenerate regimes stay honest rather than failing: when r reaches m, the
 run stores the whole edge set on its first pass, once however many
@@ -72,7 +73,6 @@ from .sampling import (
     DegreeCounter,
     EdgePicker,
     IncidentPicker,
-    _HashIndex,
     neighbor_picker,
     run_pass,
     substream,
@@ -228,13 +228,13 @@ def _anchor_ends(lo: np.ndarray, hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndar
 
 
 def _first_seen_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows in order of first occurrence, and the index of
-    each row among them."""
+    """Where each distinct row first occurs, in order of first occurrence,
+    and the index of each row among the distinct rows."""
     _, first, which = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rows[first[order]], rank[which.ravel()]
+    return first[order], rank[which.ravel()]
 
 
 class _GraphCollector:
@@ -259,8 +259,9 @@ class _StageMachine:
     stage_begin(k) returns the observers for the k-th pass (an empty list
     when the stage needs no pass), stage_end(k) folds the pass results in.
     A settled run has its outcome in `x` and returns no more observers.
-    Both modes share stage 2, one uniform neighbor of each draw's anchor,
-    and the wedge half of stage 3. Generators are keyed (seed, role, *key).
+    Both modes hold their draws with both ends' degrees and share stage 2,
+    one uniform neighbor of each draw's anchor, and the wedge half of stage
+    3 with its corner degrees. Generators are keyed (seed, role, *key).
     """
 
     def __init__(self, seed: int, key: tuple[int, ...]):
@@ -273,11 +274,11 @@ class _StageMachine:
 
     def _drop_samples(self) -> None:
         """Empty the sampled state; the outcome and the counters stay."""
-        # per draw: its edge, its anchor, its other end and the anchor's degree
+        # per draw: its edge, its ends' degrees, its anchor and its other end
         self.draw_edges = _NO_EDGES
+        self.draw_ends = _NO_EDGES
         self.draw_anchors = _NO_IDS
         self.draw_others = _NO_IDS
-        self.draw_degrees = _NO_IDS
         self.neighbors = _NO_IDS
         self._observers: list = []
         self._open = _NO_IDS
@@ -319,8 +320,9 @@ class _StageMachine:
     def _live_items(self) -> int:
         return len(self.draw_edges) + len(self.neighbors)
 
-    def _note_storage(self) -> None:
-        live = self._live_items()
+    def _note_storage(self, held: int = 0) -> None:
+        """Raise the peak to the live items plus `held` ones a stage drops."""
+        live = self._live_items() + held
         if live > self.peak_items:
             self.peak_items = live
 
@@ -329,12 +331,12 @@ class _StageMachine:
     def _draw(self, edges: np.ndarray, ends: np.ndarray) -> None:
         """Hold the drawn canonical edges, given their ends' degrees."""
         self.draw_edges = edges
+        self.draw_ends = ends
         self.draw_anchors, self.draw_others = _anchor_ends(*edges.T, *ends.T)
-        self.draw_degrees = ends.min(axis=1)
 
     def _begin_2(self) -> list:
-        # j uniform in [0, d_a) per draw: the anchor's j-th incident edge
-        positions = self._rng(ROLE_NEIGHBOR).integers(self.draw_degrees)
+        # j uniform in [0, d_a), the lesser end degree: the anchor's j-th edge
+        positions = self._rng(ROLE_NEIGHBOR).integers(self.draw_ends.min(axis=1))
         return [IncidentPicker(self.draw_anchors, positions)]
 
     def _end_2(self) -> None:
@@ -346,13 +348,16 @@ class _StageMachine:
         self._open = np.flatnonzero(self.neighbors != self.draw_others)
         return [ClosureChecker(self.draw_others[self._open], self.neighbors[self._open])]
 
-    def _closed_wedges(self, closure: ClosureChecker) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The draws whose wedge closed, each one's triangle sorted, and the
-        drawn edge's cell in it, the edge without the neighbor w: bc, ac or ab."""
+    def _closed_wedges(self, closure: ClosureChecker, degree_of) -> tuple[np.ndarray, ...]:
+        """The draws whose wedge closed; each one's triangle sorted, the
+        drawn edge's cell in it (the edge without the neighbor w: bc, ac or
+        ab), and its corners' degrees in the same order, w's from `degree_of`."""
         closed = self._open[closure.present()]
-        w = self.neighbors[closed]
-        tri = np.sort(np.column_stack((self.draw_edges[closed], w)), axis=1)
-        return closed, tri, 2 - (tri == w[:, None]).argmax(axis=1)
+        corners = np.column_stack((self.draw_edges[closed], self.neighbors[closed]))
+        degrees = np.column_stack((self.draw_ends[closed], degree_of(corners[:, 2])))
+        order = np.argsort(corners, axis=1)
+        return (closed, np.take_along_axis(corners, order, axis=1),
+                2 - (order == 2).argmax(axis=1), np.take_along_axis(degrees, order, axis=1))
 
 
 class _Repetition(_StageMachine):
@@ -379,10 +384,7 @@ class _Repetition(_StageMachine):
 
     def _drop_samples(self) -> None:
         super()._drop_samples()
-        self.sample = _NO_EDGES  # R, one canonical edge per slot
-        # exact degrees of every vertex counted so far, sorted by vertex
-        self.deg_vertices = _NO_IDS
-        self.deg_counts = _NO_IDS
+        self.sample = _NO_EDGES  # R, one canonical edge per slot, until the draws
         # discovered triangles in first-closed-draw order; per cell (triangle
         # edge): its degree, and how many drawn wedges on it closed
         self.triangles = _NO_TRIANGLES
@@ -398,17 +400,13 @@ class _Repetition(_StageMachine):
         self._collector: Optional[_GraphCollector] = None
 
     def _live_items(self) -> int:
-        total = super()._live_items() + len(self.sample) + len(self.deg_vertices)
+        total = super()._live_items() + len(self.sample)
         total += 3 * len(self.triangles)
         total += self.wedge_slots
         total += len(self.table)
         if self._collector is not None:
             total += self._collector.size
         return total
-
-    def _degrees(self, vertices: np.ndarray) -> np.ndarray:
-        """Exact degrees of vertices a degree pass has counted."""
-        return self.deg_counts[np.searchsorted(self.deg_vertices, vertices)]
 
     def _settle(self, value: float) -> None:
         self.x = float(value)
@@ -453,8 +451,7 @@ class _Repetition(_StageMachine):
 
     def _end_1(self) -> None:
         [counter] = self._observers
-        self.deg_vertices, self.deg_counts = counter.vertices, counter.counts
-        ends = self._degrees(self.sample)
+        ends = counter.degrees(self.sample)
         slot_degrees = ends.min(axis=1)
         self.d_r = int(slot_degrees.sum())
         if self.d_r <= 0:
@@ -466,36 +463,32 @@ class _Repetition(_StageMachine):
                                self.r, self.d_r, cfg.c_ell, cfg.scale)
         if cfg.exact_fallback and self.ell > self.m:
             self._fallback_next = True
-            return
-        # ell uniform positions on R's d_e axis, on which slot i spans d_e(i)
-        # positions: ell independent slots of law d_e / d_R
-        picker = EdgePicker(self._rng(ROLE_PICK).integers(self.d_r, size=self.ell))
-        picker.observe_rows((np.arange(self.r),), slot_degrees)
-        draws = picker.samples()[:, 0]
-        self._draw(self.sample[draws], ends[draws])
+        else:
+            # ell uniform positions on R's d_e axis, on which slot i spans
+            # d_e(i) positions: ell independent slots of law d_e / d_R
+            picker = EdgePicker(self._rng(ROLE_PICK).integers(self.d_r, size=self.ell))
+            picker.observe_rows((np.arange(self.r),), slot_degrees)
+            draws = picker.samples()[:, 0]
+            self._draw(self.sample[draws], ends[draws])
+        # R, its endpoints' degrees and the draws are all held here; then only the draws
+        self._note_storage(len(counter.vertices))
+        self.sample = _NO_EDGES
 
     # -- stage 3: wedge closure + third-vertex degrees -------------------------
 
     def _begin_3(self) -> list:
-        observers = super()._begin_3()
-        w = self.neighbors[self._open]
-        # only third vertices whose degree pass 2 did not count
-        _, known = _HashIndex(self.deg_vertices).find(w)
-        return observers + [DegreeCounter(w[~known])]
+        return super()._begin_3() + [DegreeCounter(self.neighbors[self._open])]
 
     def _end_3(self) -> None:
         closure, counter = self._observers
-        vertices = np.concatenate((self.deg_vertices, counter.vertices))
-        order = np.argsort(vertices)
-        self.deg_vertices = vertices[order]
-        self.deg_counts = np.concatenate((self.deg_counts, counter.counts))[order]
-
-        _, tri, edge = self._closed_wedges(closure)
-        self.triangles, which = _first_seen_rows(tri)
+        _, tri, edge, corners = self._closed_wedges(closure, counter.degrees)
+        # the third vertices' counted degrees are held until here
+        self._note_storage(len(counter.vertices))
+        first, which = _first_seen_rows(tri)
+        self.triangles, corners = tri[first], corners[first]
         self.closed_counts = np.bincount(3 * which + edge, minlength=self.triangles.size)
-        lo = self.triangles[:, _EDGE_LO].ravel()
-        hi = self.triangles[:, _EDGE_HI].ravel()
-        d_lo, d_hi = self._degrees(lo), self._degrees(hi)
+        lo, hi = self.triangles[:, _EDGE_LO].ravel(), self.triangles[:, _EDGE_HI].ravel()
+        d_lo, d_hi = corners[:, _EDGE_LO].ravel(), corners[:, _EDGE_HI].ravel()
         self.edge_degrees = np.minimum(d_lo, d_hi)
 
         # every edge at most the cheapness cutoff asks for wedge samples

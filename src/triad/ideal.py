@@ -102,17 +102,13 @@ class _IdealRun(_StageMachine):
         if picker.total != self.d_e_total:
             raise InputError(f"the stream's total edge degree is {picker.total}, "
                              f"not {self.d_e_total}")
-        # rows (u, v, d_u, d_v); the anchor's degree is d_e
-        self.picks = picker.samples()
-        self._draw(self.picks[:, :2], self.picks[:, 2:])
+        rows = picker.samples()  # (u, v, d_u, d_v)
+        self._draw(rows[:, :2], rows[:, 2:])
 
     def _end_3(self) -> None:
         [closure] = self._observers
-        closed, tri, edge = self._closed_wedges(closure)
-        u, v, d_u, d_v = (column[:, None] for column in self.picks[closed].T)
-        # each corner's degree; only the third vertex is a new oracle query
-        d_w = self.oracle(self.neighbors[closed])[:, None]
-        degrees = np.where(tri == u, d_u, np.where(tri == v, d_v, d_w))
+        # only the third vertex's degree is a new oracle query
+        closed, _, edge, degrees = self._closed_wedges(closure, self.oracle)
         # the charged cell has the least d_e, the canonical-first on ties
         charged = np.minimum(degrees[:, _EDGE_LO], degrees[:, _EDGE_HI]).argmin(axis=1)
         self.hits = len(closed)

@@ -27,7 +27,8 @@ block:
   for arrays of anchors and their degrees with one sample size s: s
   uniform positions per anchor, or every position once s covers d_a.
 - `DegreeCounter` counts exact degrees of a query set: each block's ids
-  are looked up among the sorted queries, and `bincount` adds the hits.
+  are looked up among the sorted queries, and `bincount` adds the hits;
+  `degrees` then reads queried vertices' degrees through the same index.
 - `ClosureChecker` tells which of a list of vertex pairs are edges. Ids
   reach 2**63 - 1, so two of them do not pack into one int64 key; a pair's
   key is built from the ranks of its ends among the queried vertices.
@@ -312,6 +313,14 @@ class DegreeCounter:
         for col in (u, v):
             idx, hit = self._index.find(col)
             self.counts += np.bincount(idx[hit], minlength=k)
+
+    def degrees(self, vertices) -> np.ndarray:
+        """Counted degrees, shaped as `vertices`; a vertex never queried is an InputError."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        idx, hit = self._index.find(vertices.ravel())
+        if not hit.all():
+            raise InputError(f"vertex {vertices.ravel()[~hit][0]} was not counted")
+        return self.counts[idx].reshape(vertices.shape)
 
 
 class ClosureChecker:

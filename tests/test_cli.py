@@ -343,6 +343,7 @@ class TestEstimate:
         ("--kappa-hat", "3"), ("--repetitions", "2"), ("--repetitions", "1"),
         ("--scale", "7"), ("--scale", "1"), ("--share-passes",),
         ("--abort-multiplier", "nan"), ("--abort-multiplier", "10"),
+        ("--debug-dump-assignments",),
     ], ids=lambda flags: "=".join(flags))
     def test_ideal_mode_refuses_a_main_mode_flag(self, tmp_path, flags):
         # refused even at main mode's default value: ideal mode never reads it
@@ -372,7 +373,7 @@ class TestEstimate:
         assert json.loads(res.stdout)["config"] == config.as_dict()
 
     def test_no_space_advantage_is_flagged_on_stderr_only(self, tmp_path):
-        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 2.3 m
+        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.6 m
         out = tmp_path / "pa.el"
         assert run_cli("gen", "pa", "--n", "5000", "--attach", "4", "--out", str(out)).returncode == 0
         truth = json.loads((tmp_path / "pa.el.json").read_text())

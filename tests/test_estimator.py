@@ -270,13 +270,16 @@ class TestStorageAccounting:
                               exact_fallback=False)
         s = stream_for(g)
         rep = ForcedSample(s.stats(), cfg, g.edge_list())
-        live = []
+        live, peaks = [], []
         for stage in range(6):
             observers = rep.stage_begin(stage)
             if observers:
                 run_pass(s, observers)
             rep.stage_end(stage)
             live.append(rep._live_items())
+            peaks.append(rep.peak_items)
+            if stage == 1:
+                assert len(rep.sample) == 0  # R is released once the draws are made
 
         # every vertex has degree 3, so every edge degree is 3 and d_R = 18
         m, n, r, d_e = 6, 4, 6, 3
@@ -286,12 +289,15 @@ class TestStorageAccounting:
         # triangle's edges collects its anchor's whole neighborhood
         triangles = 4
         wedge_slots = triangles * 3 * d_e
-        sampled = r + n + ell                   # R, its endpoints' degrees, draws
-        with_neighbors = sampled + ell          # one neighbor per draw
+        # stage 1 holds R, its endpoints' degrees and the draws at once, then
+        # keeps only the draws
+        stage_1_peak = r + n + ell
+        with_neighbors = 2 * ell                # one neighbor per draw
         with_wedges = with_neighbors + 3 * triangles + wedge_slots
         # the settled repetition keeps only its table, one entry per triangle
-        assert live == [r, sampled, with_neighbors, with_wedges, with_wedges, triangles]
-        assert rep.peak_items == with_wedges + triangles
+        assert live == [r, ell, with_neighbors, with_wedges, with_wedges, triangles]
+        assert peaks[1] == stage_1_peak
+        assert rep.peak_items == max(stage_1_peak, with_wedges + triangles)
         assert len(rep.table) == triangles
 
 
@@ -422,7 +428,7 @@ class TestNoSpaceAdvantage:
     its value stands: it is not turned into a fallback."""
 
     def test_flagged_above_m(self):
-        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 2.3 m
+        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.6 m
         g = gen_preferential_attachment(5000, 4, seed=0)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=triangles_exact_cn(g),
                               kappa_hat=degeneracy(g), seed=1, scale=0.005)

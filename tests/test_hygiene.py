@@ -8,8 +8,11 @@ or calls `parse_line`), one weighted sampler (no module calls a
 generator's `choice`: weighted draws are positions on an integer axis that
 `EdgePicker` collects), and hashed membership in every pass observer (no
 `observe_block` body calls `searchsorted`: a block's ids are looked up in
-a `_HashIndex` built once per pass). `EdgeStream`'s public surface is the pass protocol,
-its stats and its two openers, and nothing else."""
+a `_HashIndex` built once per pass), and no binary search between passes
+(`estimator.py` and `ideal.py` call no `searchsorted`: a degree counted in a
+pass is read through its `DegreeCounter`'s hash index). `EdgeStream`'s
+public surface is the pass protocol, its stats and its two openers, and
+nothing else."""
 
 import ast
 from pathlib import Path
@@ -218,6 +221,13 @@ def test_second_weighted_sampler_is_caught():
     assert choice_calls(source) == ["choice (line 4)", "choice (line 7)"]
 
 
+def searchsorted_name(node) -> bool:
+    """Whether a node calls `searchsorted`, bare or as a method."""
+    func = node.func if isinstance(node, ast.Call) else None
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "searchsorted"
+
+
 def observer_binary_searches(source: str) -> list[str]:
     """`searchsorted` calls, bare or as a method, inside an `observe_block`
     body, nested functions included."""
@@ -230,9 +240,7 @@ def observer_binary_searches(source: str) -> list[str]:
                     and method.name == "observe_block"):
                 continue
             for node in ast.walk(method):
-                func = node.func if isinstance(node, ast.Call) else None
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "searchsorted":
+                if searchsorted_name(node):
                     found.append(f"{cls.name}.observe_block: searchsorted (line {node.lineno})")
     return found
 
@@ -254,6 +262,28 @@ def test_observer_binary_search_is_caught():
         "Counter.observe_block: searchsorted (line 10)",
         "Counter.observe_block: searchsorted (line 11)",
         "Counter.observe_block: searchsorted (line 14)"]
+
+
+def binary_searches(source: str) -> list[str]:
+    """Every `searchsorted` call in a module, bare or as a method."""
+    return [f"searchsorted (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if searchsorted_name(node)]
+
+
+@pytest.mark.parametrize("name", ["estimator.py", "ideal.py"])
+def test_degrees_between_passes_come_from_the_counters(name):
+    path = Path(triad.__file__).parent / name
+    assert binary_searches(path.read_text(encoding="utf-8")) == []
+
+
+def test_binary_search_between_passes_is_caught():
+    source = "import numpy as np\nfrom numpy import searchsorted\n\n" \
+             "class Run:\n    def _degrees(self, vertices):\n" \
+             "        return self.counts[np.searchsorted(self.vertices, vertices)]\n\n" \
+             "    def _rank(self, x):\n        return self.vertices.searchsorted(x), " \
+             "searchsorted(self.vertices, x)\n"
+    assert binary_searches(source) == ["searchsorted (line 6)", "searchsorted (line 9)",
+                                       "searchsorted (line 9)"]
 
 
 STREAM_SURFACE = {"begin_pass", "next_block", "next_edge", "end_pass", "abort_pass",

@@ -192,19 +192,21 @@ class TestMedianOfMeans:
 
 
 def drive_stages(g: Graph, count: int, seed: int):
-    """Run an ideal run's three stages by hand: the run, the neighbors its
-    stage 2 collected, and its live items after each stage."""
+    """Run an ideal run's three stages by hand: the run, its draws as rows
+    (u, v, d_u, d_v), the neighbors its stage 2 collected, and its live
+    items after each stage."""
     run = _IdealRun(DegreeOracle(g), count, seed, sum_edge_degrees(g))
     stream = fresh_stream(g)
     live = []
     for stage in (1, 2, 3):
         run_pass(stream, run.stage_begin(stage))
         if stage == 3:
+            draws = np.column_stack((run.draw_edges, run.draw_ends))
             neighbors = run.neighbors.copy()
         run.stage_end(stage)
         live.append(run._live_items())
     assert run.settled and run.passes == 3
-    return run, neighbors, live
+    return run, draws, neighbors, live
 
 
 class TestChargingRule:
@@ -235,10 +237,10 @@ class TestChargingRule:
     ], ids=["wheel9", "k5", "book4", "pa40"])
     def test_every_instance_matches_the_tuple_rule(self, graph):
         g = graph()
-        run, neighbors, _ = drive_stages(g, 3000, seed=11)
+        run, draws, neighbors, _ = drive_stages(g, 3000, seed=11)
         oracle = DegreeOracle(g)
         closed = tied = 0
-        for i, (pick, w) in enumerate(zip(run.picks.tolist(), neighbors.tolist())):
+        for i, (pick, w) in enumerate(zip(draws.tolist(), neighbors.tolist())):
             value, hit, tie = self.tuple_rule(g, oracle, pick, w, sum_edge_degrees(g))
             assert run.x[i] == value, (i, pick, w)
             closed += hit
@@ -254,7 +256,7 @@ class TestIdealStorage:
     def test_live_items_per_stage_and_peak(self):
         g = k_complete(4)
         count = 50
-        run, _, live = drive_stages(g, count, seed=0)
+        run, _, _, live = drive_stages(g, count, seed=0)
         # stage 1 holds the draws, stage 2 adds one neighbor each, and the
         # settled run keeps only its instance values
         assert live == [count, 2 * count, 0]

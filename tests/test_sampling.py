@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from triad.errors import InputError
+from triad import sampling
 from triad.graph import canonical_edge
 from triad.sampling import (
     ROLE_EDGE_SAMPLE,
@@ -191,6 +192,49 @@ class TestClosureCheckPass:
         assert s.pass_counter == 1
         assert res.present == {(0, 1): True, (0, 3): False}
         assert res.degrees == {1: 2, 3: 1}
+
+
+class TestDegreeLookup:
+    """`DegreeCounter.degrees` after a pass, against a `bincount` reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bincount_on_random_blocks(self, seed, monkeypatch):
+        # small blocks, so each counter sees many of them
+        monkeypatch.setattr(sampling, "BLOCK_EDGES", 37)
+        rng = np.random.default_rng(seed)
+        n = 300
+        pairs = {canonical_edge(*p) for p in rng.integers(n, size=(2_000, 2)).tolist()
+                 if p[0] != p[1]}
+        edges = sorted(pairs)
+        # queries include vertices the stream never names, of degree 0
+        queries = rng.choice(n + 50, size=120, replace=False)
+        counter = DegreeCounter(np.concatenate((queries, queries[:30])))
+        run_pass(stream_of(edges, seed=seed), [counter])
+        reference = np.bincount(np.array(edges).ravel(), minlength=n + 50)
+        flat = rng.choice(queries, size=500)
+        assert counter.degrees(flat).tolist() == reference[flat].tolist()
+        rows = rng.choice(queries, size=(250, 2))
+        got = counter.degrees(rows)
+        assert got.shape == (250, 2)
+        assert got.tolist() == reference[rows].tolist()
+        assert counter.degrees(flat.tolist()).tolist() == reference[flat].tolist()
+
+    def test_uncounted_vertex_raises(self):
+        counter = DegreeCounter([1, 2])
+        run_pass(stream_of([(0, 1), (1, 2)]), [counter])
+        assert counter.degrees([[1, 2], [2, 2]]).tolist() == [[2, 1], [1, 1]]
+        with pytest.raises(InputError, match="vertex 0 was not counted"):
+            counter.degrees([1, 0])
+        with pytest.raises(InputError, match="vertex 5 was not counted"):
+            counter.degrees(np.array([[1, 2], [5, 1]]))
+
+    def test_empty_query_set(self):
+        counter = DegreeCounter([])
+        run_pass(stream_of([(0, 1), (1, 2)]), [counter])
+        assert counter.degrees([]).shape == (0,)
+        assert counter.degrees(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
+        with pytest.raises(InputError):
+            counter.degrees([1])
 
 
 def searchsorted_lookup(keys, needles):
