@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -244,12 +244,53 @@ def validate_edges(edges: Iterable[tuple[int, int]]) -> np.ndarray:
 
     Each pair holds two integer ids (Python or numpy integers). Returns the
     canonical edges (u < v) in input order as an (m, 2) int64 array.
+    Raises EdgeListError for the first bad pair, at its 1-based index.
+
+    Pairs of two plain ints are checked on arrays. `_validate_pairs` is the
+    specification: it runs on any other input and on any input a columnar
+    check rejects, so its message and index are the ones reported.
     """
+    pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+    ends = _plain_int_pairs(pairs)
+    return _validate_pairs(pairs) if ends is None else ends
+
+
+def _plain_int_pairs(pairs: Sequence) -> Optional[np.ndarray]:
+    """The canonical edges when every pair is two ints of exact type `int`
+    that pass every check, else None."""
+    try:
+        # the type gate comes first: fromiter would turn 2.5 into 2, '7'
+        # into 7 and True into 1
+        if not (set(map(len, pairs)) <= {2}
+                and set(map(type, chain.from_iterable(pairs))) <= {int}):
+            return None
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    except (TypeError, OverflowError):  # a pair with no length, an id of 2**63 or more
+        return None
+    # canonicalize in place: u becomes the lower id, v the higher
+    u, v = flat[0::2], flat[1::2]
+    lo = np.minimum(u, v)
+    np.maximum(u, v, out=v)
+    u[:] = lo
+    if lo.min(initial=0) < 0 or (lo == v).any():
+        return None
+    ends = flat.reshape(-1, 2)
+    return ends if _first_repeat(ends) is None else None
+
+
+def _validate_pairs(pairs: Iterable) -> np.ndarray:
+    """`validate_edges` one pair at a time: the first bad pair raises."""
     out: list[Edge] = []
     seen: set[Edge] = set()
-    for idx, pair in enumerate(edges, start=1):
-        if len(pair) != 2:
-            raise EdgeListError(f"expected two vertex ids, got {len(pair)} fields", idx)
+    for idx, pair in enumerate(pairs, start=1):
+        try:
+            size = len(pair)
+        except TypeError:
+            raise EdgeListError(
+                f"expected two vertex ids, got {type(pair).__name__!r} with no length", idx
+            ) from None
+        if size != 2:
+            raise EdgeListError(f"expected two vertex ids, got {size} fields", idx)
         u, v = pair
         if not (isinstance(u, _INTEGER) and isinstance(v, _INTEGER)):
             raise EdgeListError(f"non-integer vertex id in ({quote(u)}, {quote(v)})", idx)

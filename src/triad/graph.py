@@ -42,8 +42,14 @@ from .errors import InputError
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
-# wedges closed per kernel step; bounds the kernel's scratch memory
-_WEDGE_CHUNK = 1 << 18
+# wedges closed per kernel step; bounds the kernel's scratch memory. A
+# step makes about eight int64 temporaries of this length (256 KiB each
+# at 2**15), so its working set fits a core's L2 cache instead of streaming
+# through memory. On the lb NO gadget (p=q=40, N=150), on a Xeon with 2 MiB
+# of L2 per core, the count takes 0.088 s at 2**15 against 0.12 s at 2**18,
+# and its tracemalloc peak is 8.5 MiB against 18.8 MiB, below the 17.3 MiB
+# of loading the graph.
+_WEDGE_CHUNK = 1 << 15
 
 
 def canonical_edge(u: int, v: int) -> Edge:

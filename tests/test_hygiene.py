@@ -12,9 +12,13 @@ a `_HashIndex` built once per pass), and no binary search between passes
 (`estimator.py` and `ideal.py` call no `searchsorted`: a degree counted in a
 pass is read through its `DegreeCounter`'s hash index). `EdgeStream`'s
 public surface is the pass protocol, its stats and its two openers, and
-nothing else."""
+nothing else. The package loads each public name's module on first use, so
+the exact oracles import only `graph` and what it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,3 +308,25 @@ def test_extra_stream_method_is_caught():
             yield from ()
 
     assert public_names(Iterable) - STREAM_SURFACE == {"edges"}
+
+
+def test_exact_oracles_import_only_their_modules():
+    code = ("import sys\n"
+            "from triad import Graph, triangles_exact_cn, degeneracy, sum_edge_degrees\n"
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'triad'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(triad.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["triad", "triad.edgelist", "triad.errors", "triad.graph"]
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from triad import *", namespace)
+    assert set(triad.__all__) <= set(namespace)
+    assert dir(triad) == sorted(triad.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'Graphs'"):
+        triad.Graphs

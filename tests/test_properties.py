@@ -309,3 +309,48 @@ def test_columnar_parse_matches_the_per_line_specification(data):
                     assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
                     got = [tuple(e) for e in edges.tolist()]
             assert got == want, chunk
+
+
+# plain ids from a small pool, so self-loops and repeats are common
+_PLAIN_IDS = st.integers(0, 30)
+_PLAIN_PAIRS = st.one_of(st.tuples(_PLAIN_IDS, _PLAIN_IDS),
+                         st.lists(_PLAIN_IDS, min_size=2, max_size=2))
+# ids the columnar checks must refuse, or that a columnar read would
+# silently coerce: negative ints, ints on either side of 2**63, bools,
+# numpy integers, floats and strings
+_ODD_IDS = st.one_of(
+    st.integers(-2, -1),
+    st.integers(2**63 - 1, 2**63 + 1),
+    st.just(2**64),
+    st.booleans(),
+    st.integers(0, 30).map(np.int64),
+    st.integers(0, 30).map(np.uint8),
+    st.sampled_from([0.0, 2.5, 3.0, float("nan"), np.float64(1.0), "7", "a"]),
+)
+_ANY_IDS = st.one_of(_PLAIN_IDS, _ODD_IDS)
+# mostly pairs, some with an odd id; 1- and 3-tuples, and ints with no length
+_ANY_PAIRS = st.one_of(_PLAIN_PAIRS, st.tuples(_ANY_IDS, _ANY_IDS), st.tuples(_ANY_IDS),
+                       st.tuples(_ANY_IDS, _ANY_IDS, _ANY_IDS), st.integers(0, 3))
+
+
+def pairwise_validation(pairs):
+    """The specification: `_validate_pairs`, one pair at a time."""
+    try:
+        return edgelist._validate_pairs(pairs).tolist()
+    except EdgeListError as exc:
+        return str(exc), exc.lineno
+
+
+@given(st.one_of(st.lists(_PLAIN_PAIRS, max_size=20), st.lists(_ANY_PAIRS, max_size=20)),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_columnar_validation_matches_the_pairwise_specification(pairs, as_iterator):
+    want = pairwise_validation(pairs)
+    try:
+        edges = edgelist.validate_edges(iter(pairs) if as_iterator else pairs)
+    except EdgeListError as exc:
+        got = str(exc), exc.lineno
+    else:
+        assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+        got = edges.tolist()
+    assert got == want

@@ -107,7 +107,11 @@ class TestInMemoryPairs:
         ([("a", 1)], 1, "non-integer vertex id in ('a', 1)"),
         ([(0, 1, 2)], 1, "expected two vertex ids, got 3 fields"),
         ([(0, 1), (2,)], 2, "expected two vertex ids, got 1 fields"),
-    ], ids=["float", "truncates-to-a-loop", "numpy-float", "str", "three-ids", "one-id"])
+        ([5], 1, "expected two vertex ids, got 'int' with no length"),
+        ([(0, 1), iter((1, 2))], 2,
+         "expected two vertex ids, got 'tuple_iterator' with no length"),
+    ], ids=["float", "truncates-to-a-loop", "numpy-float", "str", "three-ids", "one-id",
+            "no-length-int", "no-length-iterator"])
     def test_rejected_at_the_pairs_index(self, edges, lineno, message):
         for open_ in (lambda: Graph(3, edges), lambda: EdgeStream.from_edges(edges)):
             with pytest.raises(EdgeListError) as err:
