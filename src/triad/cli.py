@@ -15,22 +15,17 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import edgelist
 from .errors import ConfigError, EdgeListError, InputError
-from .estimator import EstimatorConfig, RunReport, estimate
-from .generators import (
-    GroundTruth,
-    gen_book,
-    gen_erdos_renyi,
-    gen_lb_instance,
-    gen_preferential_attachment,
-    gen_wheel,
-    lb_spec,
-)
-from .graph import Graph, degeneracy, sum_edge_degrees, triangles_exact_cn
-from .ideal import DegreeOracle, ideal_estimate
-from .stream import EdgeStream
+
+# each command imports the modules it runs, so `triad exact` loads only the
+# graph oracles
+if TYPE_CHECKING:
+    from .estimator import RunReport
+    from .generators import GroundTruth
+    from .graph import Graph
 
 _BENCH_HEADER = [
     "family", "n", "m", "T_exact", "kappa", "epsilon", "t_hat", "kappa_hat",
@@ -98,6 +93,17 @@ def generate_family(family: str, params: dict, seed: int) -> tuple[Graph, Ground
 
 
 def _generate_family(family: str, params: dict, seed: int) -> tuple[Graph, GroundTruth]:
+    from .generators import (
+        GroundTruth,
+        gen_book,
+        gen_erdos_renyi,
+        gen_lb_instance,
+        gen_preferential_attachment,
+        gen_wheel,
+        lb_spec,
+    )
+    from .graph import degeneracy, triangles_exact_cn
+
     if family == "wheel":
         return gen_wheel(int(params["n"]))
     if family == "book":
@@ -140,6 +146,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from .graph import Graph, degeneracy, sum_edge_degrees, triangles_exact_cn
+
     g = Graph.from_file(args.path)
     result = {
         "T": triangles_exact_cn(g),
@@ -172,6 +180,9 @@ def _dump_tables(args, report: RunReport) -> None:
 
 
 def _run_main_mode(args) -> tuple[RunReport, dict]:
+    from .estimator import EstimatorConfig, estimate
+    from .stream import EdgeStream
+
     stream = EdgeStream.from_file(args.path, order_seed=args.order_seed)
     given = {name: getattr(args, name) for name in _MAIN_ONLY
              if getattr(args, name) is not None}
@@ -184,6 +195,11 @@ def _run_main_mode(args) -> tuple[RunReport, dict]:
 
 
 def _run_ideal_mode(args) -> tuple[RunReport, dict]:
+    from .estimator import RunReport
+    from .graph import Graph
+    from .ideal import DegreeOracle, ideal_estimate
+    from .stream import EdgeStream
+
     graph = Graph.from_file(args.path)
     # stream the dense-relabelled edges so oracle lookups line up; the file
     # scan already validated them
@@ -274,6 +290,9 @@ def _load_manifest(path) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
+    from .estimator import EstimatorConfig, estimate
+    from .stream import EdgeStream
+
     rows = _load_manifest(args.manifest)
     buf = io.StringIO()
     writer = csv.writer(buf)

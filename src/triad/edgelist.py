@@ -227,9 +227,21 @@ def _ids(text: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
 
 
 def _first_repeat(edges: np.ndarray) -> Optional[int]:
-    """Row of the first edge in file order that repeats an earlier row."""
+    """Row of the first edge in file order that repeats an earlier row.
+
+    Ids are non-negative. When u * (max v + 1) + v fits in int64, one sort
+    of that key tells whether any row repeats; the stable lexsort below,
+    the specification, runs only to name the first repeat, or when the ids
+    are too large for the key.
+    """
     if len(edges) < 2:
         return None
+    width = int(edges[:, 1].max()) + 1
+    if int(edges[:, 0].max()) * width + width < ID_LIMIT:
+        keys = np.sort(edges[:, 0] * width + edges[:, 1])
+        if not (keys[1:] == keys[:-1]).any():
+            return None
+        del keys
     order = np.lexsort((edges[:, 1], edges[:, 0]))  # stable: ties keep file order
     column = edges[order, 0]
     same = column[1:] == column[:-1]

@@ -54,7 +54,6 @@ change any repetition's outcome.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -559,11 +558,15 @@ def _drive(stream, groups: list[list[_StageMachine]],
     """
     for reps in groups:
         for stage in stages:
-            begun = [(rep, rep.stage_begin(stage)) for rep in reps if not rep.settled]
-            observers = [ob for _, obs in begun for ob in obs]
+            live = [rep for rep in reps if not rep.settled]
+            observers = [ob for rep in live for ob in rep.stage_begin(stage)]
             if observers:
                 run_pass(stream, observers)
-            for rep, _ in begun:
+            # each run reads its observers at its stage end and drops them;
+            # with this list gone too, no stage's observers and their hash
+            # indexes are held while the next stage builds its own
+            del observers
+            for rep in live:
                 rep.stage_end(stage)
             if all(rep.settled for rep in reps):
                 break
@@ -594,7 +597,8 @@ def estimate(stream, config: EstimatorConfig) -> tuple[float, RunReport]:
     ]
     _drive(stream, [reps] if config.share_passes else [[rep] for rep in reps])
     xs = [rep.x for rep in reps]
-    final = float(statistics.median(xs))
+    # the median of an odd count; `statistics` would import fractions and decimal
+    final = float(sorted(xs)[len(xs) // 2])
     flags: list[str] = []
     for rep in reps:
         for fl in rep.flags:

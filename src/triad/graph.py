@@ -12,15 +12,28 @@ are read-only int64 arrays. The degrees are also kept as a Python list, so
 arrays that need O(n + m) memory:
 
 - `triangles_exact_cn` orients every edge from the lower to the higher
-  (degree, id) rank and closes the wedges of each out-list against the
-  sorted oriented edge keys (forward counting; Chiba & Nishizeki 1985,
-  Latapy 2008). Out-lists have at most sqrt(2m) entries, the wedges number
-  at most d_E / 2, and they are closed a bounded chunk at a time.
+  (degree, id) rank and closes the wedges of each out-list by membership
+  in a hash set of the oriented edge keys (forward counting; Chiba &
+  Nishizeki 1985, Latapy 2008). Out-lists have at most sqrt(2m) entries,
+  the wedges number at most d_E / 2, and they are closed a bounded chunk
+  at a time.
 - `degeneracy` peels in batches: at level k each round removes every live
   vertex of current degree <= k, and only the removed vertices' neighbors
   are revisited. The level rises to the least live degree when a round
   removes nothing, and the last level reached is the degeneracy.
 - `sum_edge_degrees` is one vectorized sum of min(d_u, d_v).
+
+Loading relabels ids to dense [0, n) in their original order. When the
+largest id is below twice the number of endpoint entries, a presence mark
+and its running count do it with no sort; sparser ids go through
+`np.unique`.
+
+`_HashSet` is the package's one membership primitive: Fibonacci hashing
+with linear probing into int64 slots that each hold their own key (8 bytes
+a slot, fewer than 5k + 2 slots for k keys), so a probe reads one array.
+`_HashIndex` adds an int32 rank per slot (12 bytes a slot) for callers
+that read each hit's index among the keys. The triangle kernel uses the
+set; the pass observers in `sampling` use the index.
 
 A Graph is immutable after construction, so every oracle is safe to call
 concurrently.
@@ -32,7 +45,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +58,11 @@ Triangle = tuple[int, int, int]
 # wedges closed per kernel step; bounds the kernel's scratch memory. A
 # step makes about eight int64 temporaries of this length (256 KiB each
 # at 2**15), so its working set fits a core's L2 cache instead of streaming
-# through memory. On the lb NO gadget (p=q=40, N=150), on a Xeon with 2 MiB
-# of L2 per core, the count takes 0.088 s at 2**15 against 0.12 s at 2**18,
-# and its tracemalloc peak is 8.5 MiB against 18.8 MiB, below the 17.3 MiB
-# of loading the graph.
+# through memory. On the lb NO gadget (p=q=40, N=150), on a shared Xeon
+# with 2 MiB of L2 per core, the count takes 0.050 s at 2**15 and 2**16
+# against 0.060 s at 2**18 (medians of 15 interleaved runs), and its
+# tracemalloc peak is 10.2 MiB against 16.1 MiB at 2**18, below the
+# 13.7 MiB of loading the graph.
 _WEDGE_CHUNK = 1 << 15
 
 
@@ -92,11 +106,13 @@ class Graph:
 
     def _fill(self, n: int, ends: np.ndarray) -> None:
         """Build the CSR from an (m, 2) array of canonical edges on [0, n)."""
-        src = np.concatenate((ends[:, 0], ends[:, 1]))
-        dst = np.concatenate((ends[:, 1], ends[:, 0]))
-        # one sort of (row, column) keys groups the rows and sorts each one
-        rows, indices = np.divmod(np.sort(src * n + dst), n)
-        counts = np.bincount(rows, minlength=n)
+        # one sort of (row, column) keys groups the rows and sorts each one;
+        # a row's length is the count of its id among the ends
+        keys = np.concatenate((ends[:, 0], ends[:, 1])) * n
+        keys += np.concatenate((ends[:, 1], ends[:, 0]))
+        keys.sort()
+        indices = np.remainder(keys, n, out=keys)
+        counts = np.bincount(ends.ravel(), minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         indptr.flags.writeable = False
@@ -126,9 +142,9 @@ class Graph:
         are not checked again. Dense ids follow the original order, and
         `labels` maps each dense id back to its original id.
         """
-        ids, dense = np.unique(ends, return_inverse=True)
+        ids, dense = _relabel(ends)
         g = cls.__new__(cls)
-        g._fill(len(ids), dense.reshape(-1, 2))
+        g._fill(len(ids), dense)
         g.labels = tuple(ids.tolist())
         return g
 
@@ -184,6 +200,148 @@ def _distinct(values) -> np.ndarray:
     its first call."""
     ids = np.sort(np.asarray(values, dtype=np.int64))
     return ids[np.concatenate(([True], ids[1:] != ids[:-1]))] if len(ids) else ids
+
+
+def _presence(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """A bool mark over [0, max id] of every id in the columns, or None when
+    the ids are sparse: when the largest is at least twice the number of
+    entries, the mark would outweigh a quarter of the columns' own bytes.
+    The ids must be non-negative."""
+    entries = sum(c.size for c in columns)
+    top = max((int(c.max()) for c in columns if c.size), default=-1)
+    if top >= 2 * entries:
+        return None
+    seen = np.zeros(top + 1, dtype=bool)
+    for c in columns:
+        seen[c] = True
+    return seen
+
+
+def _relabel(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids of an array of non-negative ids, sorted, and the
+    array with each id replaced by its index among them; the values of
+    `np.unique(ends, return_inverse=True)`, in `ends`' shape. Dense ids are
+    relabelled through a presence mark and its running count, with no sort."""
+    seen = _presence((ends,))
+    if seen is None:
+        ids, dense = np.unique(ends, return_inverse=True)
+        return ids, dense.reshape(ends.shape)
+    dense = np.cumsum(seen, dtype=np.int64)
+    dense -= 1
+    return np.flatnonzero(seen), dense[ends]
+
+
+_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
+
+
+class _HashSet:
+    """Membership of int64 needles in a set of distinct int64 keys, by
+    Fibonacci hashing (top b bits of x * _FIB) with linear probing.
+
+    Each slot holds its own key, so a probe reads one array: 2**b >= 2k home
+    slots and a tail of k + 1 that no probe runs past, fewer than 5k + 2
+    int64 slots. An empty slot holds `_empty`, a value that is no key, so a
+    needle equal to it misses whatever it reads. Each key lands in its
+    first free slot from its home on. A round reads one slot per unresolved
+    needle, which stops at its key or an empty slot: rounds never exceed
+    the longest run of filled slots.
+    """
+
+    def __init__(self, keys):
+        self._build(np.asarray(keys, dtype=np.int64))
+
+    def _build(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill the slots; return the keys' indices in placing order and
+        the slot each lands in."""
+        k = len(keys)
+        bits = max(1, (2 * k - 1).bit_length())
+        self._shift = np.uint64(64 - bits)
+        home = self._home(keys)
+        order = np.argsort(home)
+        home = home[order]
+        # in home order, key i lands at i + max_{j<=i}(home_j - j)
+        below = np.arange(k)
+        home -= below
+        slot = np.maximum.accumulate(home, out=home)
+        slot += below
+        del below
+        self._empty = _absent(keys)
+        self._slots = np.full((1 << bits) + k + 1, self._empty, dtype=np.int64)
+        self._slots[slot] = keys[order]
+        # the most probe rounds one lookup has taken so far
+        self.rounds = 0
+        return order, slot
+
+    def _home(self, values: np.ndarray) -> np.ndarray:
+        home = values.view(np.uint64) * _FIB
+        home >>= self._shift
+        return home.view(np.int64)
+
+    def _probe(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per needle: the slot its probe stopped at, and whether that slot
+        holds it."""
+        slot = self._home(values)
+        held = self._slots[slot]
+        filled = held != self._empty
+        # a needle equal to the empty value never hits
+        hit = held == values
+        hit &= filled
+        del held
+        # a round counts when it reads a filled slot
+        rounds = int(filled.any())
+        # the needles left: at a filled slot that is not theirs
+        at = np.flatnonzero(filled ^ hit)
+        needles = values[at]
+        while len(at):
+            slot[at] += 1
+            held = self._slots[slot[at]]
+            filled = held != self._empty
+            same = held == needles
+            same &= filled
+            rounds += bool(filled.any())
+            hit[at] = same
+            walk = filled ^ same
+            at, needles = at[walk], needles[walk]
+        self.rounds = max(self.rounds, rounds)
+        return slot, hit
+
+    def contains(self, values) -> np.ndarray:
+        """Per needle: whether it is one of the keys."""
+        return self._probe(np.asarray(values, dtype=np.int64))[1]
+
+
+class _HashIndex(_HashSet):
+    """A `_HashSet` that also answers each hit with the key's index: a
+    second table, `_table`, holds per slot the index of its key, or -1 in
+    an empty slot, as int32 below 2**31 keys."""
+
+    def __init__(self, keys):
+        order, slot = self._build(np.asarray(keys, dtype=np.int64))
+        self._table = np.full(len(self._slots), -1,
+                              dtype=np.int32 if len(order) < 2**31 else np.int64)
+        self._table[slot] = order
+
+    def find(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Per needle: its index in the keys (0 on a miss), and whether it
+        is one of them."""
+        slot, hit = self._probe(np.asarray(values, dtype=np.int64))
+        # a miss stops at an empty slot, whose -1 becomes 0; the slots
+        # array is reused for the indices
+        slot[:] = self._table[slot]
+        return np.maximum(slot, 0, out=slot), hit
+
+
+def _absent(keys: np.ndarray) -> np.int64:
+    """An int64 value that is none of the keys."""
+    if not len(keys):
+        return np.int64(0)
+    if (low := keys.min()) > np.iinfo(np.int64).min:
+        return low - 1
+    if (high := keys.max()) < np.iinfo(np.int64).max:
+        return high + 1
+    # the keys hold both extremes: take the first gap in sorted order
+    ids = np.sort(keys)
+    return ids[np.argmax(ids[1:] - 1 > ids[:-1])] + 1
 
 
 def sum_edge_degrees(g: Graph) -> int:
@@ -258,27 +416,32 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     Each edge points from its lower to its higher (degree, id) rank. A
     triangle is found exactly once: at its lowest-rank vertex, as the pair
     of out-neighbors that an oriented edge joins. The wedges, pairs of
-    out-neighbors of one vertex, are generated and closed about
-    _WEDGE_CHUNK at a time.
+    out-neighbors of one vertex, are generated about _WEDGE_CHUNK at a time
+    and closed by membership in a hash set of the oriented edge keys.
     """
     n = g.n
     by_rank, keys = _oriented_keys(g)
+    edges = _HashSet(keys)
     src, dst = np.divmod(keys, n)
-    # edge i pairs with the edges after it in its (sorted) out-list
-    later = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(len(keys)) - 1
-    done = np.cumsum(later)
+    del keys
+    # the out-list of rank r is edges [stop[r - 1], stop[r]); edge i pairs
+    # with the edges after it in its (sorted) out-list, and done[i] counts
+    # the wedges of edges 0..i
+    stop = np.cumsum(np.bincount(src, minlength=n))
+    done = np.cumsum(stop[src] - np.arange(len(src)) - 1)
+    del src
     lo = 0
-    while lo < len(keys):
+    while lo < len(dst):
         before = int(done[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(done, before + _WEDGE_CHUNK, side="right")))
-        pos = np.arange(lo, hi)
-        span = later[lo:hi]
-        first = np.repeat(pos, span)
-        pair = dst[first] * n + dst[_ranges(pos + 1, span)]
-        at = np.minimum(np.searchsorted(keys, pair), len(keys) - 1)
-        hit = keys[at] == pair
+        span = np.diff(done[lo:hi], prepend=before)
+        pair = np.repeat(dst[lo:hi] * n, span) + dst[_ranges(np.arange(lo + 1, hi + 1), span)]
+        hit = np.flatnonzero(edges.contains(pair))
+        # the edge whose out-list each closed wedge came from, and its source
+        first = lo + np.searchsorted(np.cumsum(span), hit, side="right")
+        a = np.searchsorted(stop, first, side="right")
         b, c = np.divmod(pair[hit], n)
-        yield by_rank[src[first[hit]]], by_rank[b], by_rank[c]
+        yield by_rank[a], by_rank[b], by_rank[c]
         lo = hi
 
 

@@ -35,9 +35,11 @@ block:
 
 A pass streams all m edges past a query set of k keys, so its cost is m
 membership tests. Each observer hashes its sorted keys once into a
-`_HashIndex`, a linear-probing table at most half full and O(k) in size:
-a lookup is expected O(1) probes where binary search takes log2(k) cache
-misses, and it answers with the same rank among the sorted keys.
+`graph._HashIndex`, a linear-probing table at most half full and O(k) in
+size: each slot holds its own int64 key and the key's int32 rank, 12
+bytes a slot. A lookup is expected O(1) probes, each one read of the key
+slots, where binary search takes log2(k) cache misses, and it answers
+with the same rank among the sorted keys.
 
 Every sample's total is known before its pass (m from the stats pass, d_E
 from ideal mode's sizing pass, an anchor's degree from a degree pass), so
@@ -52,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import _distinct, _ranges
+from .graph import _HashIndex, _distinct, _ranges
 
 # Role tags keep substreams for different duties disjoint under one seed.
 ROLE_SHUFFLE = 0
@@ -106,67 +108,6 @@ def _blocks(stream):
         yield flat[0::2], flat[1::2]
         if len(edges) < size:
             return
-
-
-_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
-
-
-class _HashIndex:
-    """Position of each int64 needle in an array of distinct int64 keys, by
-    Fibonacci hashing (top b bits of x * _FIB) with linear probing.
-
-    The keys are kept by reference. The table holds each key's index, or -1
-    in an empty slot: 2**b >= 2k home slots and a tail of k + 1 that no
-    probe runs past, fewer than 5k + 2 int32 entries. Sorted by home, key i
-    lands at i + max_{j<=i}(home_j - j), its first free slot from home on.
-    A round reads one slot per unresolved needle, which stops at its key or
-    an empty slot: rounds never exceed the longest run of filled slots.
-    """
-
-    def __init__(self, keys: np.ndarray):
-        self._keys = np.asarray(keys, dtype=np.int64)
-        k = len(self._keys)
-        bits = max(1, (2 * k - 1).bit_length())
-        self._shift = np.uint64(64 - bits)
-        home = self._home(self._keys)
-        order = np.argsort(home)
-        below = np.arange(k)
-        slot = below + np.maximum.accumulate(home[order] - below)
-        self._table = np.full((1 << bits) + k + 1, -1, dtype=np.int32 if k < 2**31 else np.int64)
-        self._table[slot] = order
-        # the most probe rounds one `find` has taken so far
-        self.rounds = 0
-
-    def _home(self, values: np.ndarray) -> np.ndarray:
-        return ((values.view(np.uint64) * _FIB) >> self._shift).view(np.int64)
-
-    def find(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """Per needle: its index in the keys (0 on a miss), and whether it
-        is one of them."""
-        values = np.asarray(values, dtype=np.int64)
-        if len(self._keys) == 0:
-            return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
-        # round 1 reads every needle's home slot. An empty slot's -1 reads
-        # the last key, never the needle's own: a probe meets its key first
-        slot = self._home(values)
-        pos = self._table[slot]
-        hit = self._keys[pos] == values
-        idx = np.where(hit, pos, np.int64(0))
-        # the needles left: at a filled slot that is not theirs
-        at = np.flatnonzero((pos >= 0) ^ hit)
-        rounds = int(len(at) > 0 or hit.any())
-        values, slot = values[at], slot[at] + 1
-        while len(at):
-            pos = self._table[slot]
-            same = self._keys[pos] == values
-            found = np.flatnonzero(same)
-            walk = np.flatnonzero((pos >= 0) ^ same)
-            rounds += bool(len(found) or len(walk))
-            idx[at[found]] = pos[found]
-            hit[at[found]] = True
-            values, at, slot = values[walk], at[walk], slot[walk] + 1
-        self.rounds = max(self.rounds, rounds)
-        return idx, hit
 
 
 class EdgePicker:
@@ -233,7 +174,7 @@ class IncidentPicker:
     def __init__(self, anchors, positions):
         anchors = np.asarray(anchors, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        self._anchors, rank = np.unique(anchors, return_inverse=True)
+        anchors, rank = np.unique(anchors, return_inverse=True)
         # a position is below its anchor's degree, hence below m; rank * span
         # stays far below 2**63 for any stream that fits in memory
         self._span = int(positions.max()) + 1 if len(positions) else 1
@@ -244,23 +185,23 @@ class IncidentPicker:
         self._first = np.flatnonzero(np.diff(keys, prepend=-1))
         self._count = np.diff(self._first, append=len(keys))
         self._key_index = _HashIndex(keys[self._first])
-        self._anchor_index = _HashIndex(self._anchors)
-        self._seen = np.zeros(len(self._anchors), dtype=np.int64)
+        self._anchor_index = _HashIndex(anchors)
+        # incidences seen so far per anchor, by rank
+        self._seen = np.zeros(len(anchors), dtype=np.int64)
         # -1 marks a slot the pass has not filled; ids are never negative
         self._found = np.full(len(positions), -1, dtype=np.int64)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        k = len(self._anchors)
+        k = len(self._seen)
         if k == 0:
             return
-        ru, hu = self._anchor_index.find(u)
-        rv, hv = self._anchor_index.find(v)
-        iu = np.flatnonzero(hu)
-        iv = np.flatnonzero(hv)
-        rank = np.concatenate((ru[iu], rv[iv]))
+        iu, ru = self._incidences(u)
+        iv, rv = self._incidences(v)
+        rank = np.concatenate((ru, rv))
         if len(rank) == 0:
             return
-        order = np.lexsort((np.concatenate((iu, iv)), rank))
+        # (rank, index) pairs are distinct, so one key sorts them as lexsort would
+        order = np.argsort(rank * len(u) + np.concatenate((iu, iv)))
         rank = rank[order]
         other = np.concatenate((v[iu], u[iv]))[order]
         count = np.bincount(rank, minlength=k)
@@ -272,6 +213,13 @@ class IncidentPicker:
         n = self._count[j[hit]]
         slots = self._order[_ranges(self._first[j[hit]], n)]
         self._found[slots] = np.repeat(other[wanted][hit], n)
+
+    def _incidences(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of a block column that hold an anchor, and its rank; the
+        block-long lookup arrays are dropped here, before the sort."""
+        rank, hit = self._anchor_index.find(column)
+        rows = np.flatnonzero(hit)
+        return rows, rank[rows]
 
     def results(self) -> np.ndarray:
         """The other endpoint per slot, in slot order."""
@@ -329,8 +277,9 @@ class ClosureChecker:
     def __init__(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        self._vertices = _distinct(np.concatenate((a, b)))
-        self._vertex_index = _HashIndex(self._vertices)
+        vertices = _distinct(np.concatenate((a, b)))
+        self._width = len(vertices)
+        self._vertex_index = _HashIndex(vertices)
         keys = self._key(self._vertex_index.find(a)[0], self._vertex_index.find(b)[0])
         keys, self._slot = np.unique(keys, return_inverse=True)
         self._key_index = _HashIndex(keys)
@@ -339,7 +288,7 @@ class ClosureChecker:
     def _key(self, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
         # ranks lie below k = len(vertices), so lo * k + hi names an
         # unordered pair and fits in int64 while k < 3e9
-        return np.minimum(ra, rb) * len(self._vertices) + np.maximum(ra, rb)
+        return np.minimum(ra, rb) * self._width + np.maximum(ra, rb)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
         if len(self._hit) == 0:

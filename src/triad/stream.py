@@ -21,7 +21,7 @@ import numpy as np
 
 from . import edgelist
 from .errors import InputError, StreamUsageError
-from .graph import _distinct
+from .graph import _distinct, _presence
 
 Edge = tuple[int, int]
 
@@ -126,6 +126,8 @@ class EdgeStream:
 
         The first call consumes one pass, read as one block; the result is
         cached after that, since it cannot change for an immutable source.
+        Dense ids are counted on a presence mark of one byte per id, and
+        only sparse ids are sorted.
         """
         if self._stats is None:
             self.begin_pass()
@@ -134,6 +136,8 @@ class EdgeStream:
             if block is None:
                 self._stats = StreamStats(n=0, m=0)
             else:
-                n = len(_distinct(np.concatenate(block)))
+                seen = _presence(block)
+                n = (len(_distinct(np.concatenate(block))) if seen is None
+                     else int(np.count_nonzero(seen)))
                 self._stats = StreamStats(n=n, m=len(block[0]))
         return self._stats

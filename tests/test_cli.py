@@ -122,6 +122,20 @@ class TestExact:
         lines = res.stdout.strip().splitlines()
         assert lines == ["T,kappa,d_E,m,n", "1,2,6,3,3"]
 
+    def test_imports_only_the_graph_oracles(self, tmp_path):
+        # `python -m triad` runs `triad/__main__.py` as the main module, so
+        # -X importtime lists every triad module but that one
+        p = tmp_path / "k4.el"
+        p.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        res = subprocess.run([sys.executable, "-X", "importtime"] + CLI[1:] + ["exact", str(p)],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"T": 4, "kappa": 3, "d_E": 18, "m": 6, "n": 4}
+        loaded = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert sorted(m for m in loaded if m.partition(".")[0] == "triad") == [
+            "triad", "triad.cli", "triad.edgelist", "triad.errors", "triad.graph"]
+
 
 # every command that parses an edge-list file, with the flags it needs
 PARSING_COMMANDS = {

@@ -3,12 +3,14 @@ paths, and the conditional expectation identity on a forced sample."""
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from triad import estimator
 from triad.assignment import AssignmentTable, assign_triangle, saturated_estimates
 from triad.errors import ConfigError, InputError
 from triad.estimator import (
@@ -385,6 +387,24 @@ class TestRepetitions:
         _, report = estimate(stream_for(g), cfg)
         assert len(report.tables) == 3
         assert report.memo_size == sum(len(t) for t in report.tables)
+
+    @pytest.mark.parametrize("share_passes", [False, True])
+    def test_no_stage_holds_the_previous_stages_observers(self, monkeypatch, share_passes):
+        # an observer holds its hash indexes; a pass must not carry the last
+        # stage's observers beside its own
+        g, truth = gen_book(400)
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
+                              repetitions=3, seed=4, scale=0.004, share_passes=share_passes)
+        earlier = []
+
+        def recording_pass(stream, observers):
+            assert [ref() for ref in earlier if ref() is not None] == []
+            earlier.extend(weakref.ref(ob) for ob in observers)
+            run_pass(stream, observers)
+
+        monkeypatch.setattr(estimator, "run_pass", recording_pass)
+        estimate(stream_for(g, order_seed=9), cfg)
+        assert len(earlier) >= 6
 
 
 class TestDegradationPaths:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from triad import edgelist, sampling
 from triad.assignment import (
@@ -17,6 +17,8 @@ from triad.assignment import (
 from triad.errors import EdgeListError
 from triad.estimator import EstimatorConfig, _anchor_ends, _drive, _Repetition
 from triad.graph import (
+    _presence,
+    _relabel,
     degeneracy,
     per_edge_triangles,
     pick_anchor,
@@ -354,3 +356,49 @@ def test_columnar_validation_matches_the_pairwise_specification(pairs, as_iterat
         assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
         got = edges.tolist()
     assert got == want
+
+
+def lexsort_first_repeat(edges):
+    """The specification: a stable lexsort by (u, v) puts each repeat right
+    after an earlier copy, and the first repeat in order is the least row
+    equal to the row before it."""
+    if len(edges) < 2:
+        return None
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    ranked = edges[order]
+    same = (ranked[1:] == ranked[:-1]).all(axis=1)
+    return int(order[1:][same].min()) if same.any() else None
+
+
+# ids that fit the sort key u * (max v + 1) + v, and ids near 2**63 that do not
+_KEYED_IDS = st.integers(0, 40)
+_HUGE_IDS = st.integers(2**63 - 40, 2**63 - 1)
+
+
+@given(st.one_of(st.lists(st.tuples(_KEYED_IDS, _KEYED_IDS), max_size=60),
+                 st.lists(st.tuples(_KEYED_IDS, _KEYED_IDS), max_size=60, unique=True),
+                 st.lists(st.tuples(st.one_of(_KEYED_IDS, _HUGE_IDS),
+                                    st.one_of(_KEYED_IDS, _HUGE_IDS)), max_size=60)))
+@example([(0, 2**63 - 1), (0, 2**63 - 1)])
+@example([(0, 2**62), (1, 2**62 - 1), (0, 2**62)])
+@settings(max_examples=400, deadline=None)
+def test_sorted_key_repeat_check_matches_the_lexsort_specification(pairs):
+    pairs = [(min(p), max(p)) for p in pairs if p[0] != p[1]]
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert edgelist._first_repeat(edges) == lexsort_first_repeat(edges)
+
+
+@given(st.one_of(st.lists(st.integers(0, 60), max_size=80),
+                 st.lists(st.integers(0, 2**63 - 1), max_size=80)))
+@settings(max_examples=300, deadline=None)
+def test_presence_relabel_matches_unique(ids):
+    ends = np.array(ids[:len(ids) // 2 * 2], dtype=np.int64).reshape(-1, 2)
+    want_ids, want = np.unique(ends, return_inverse=True)
+    got_ids, got = _relabel(ends)
+    # the mark is used exactly when the largest id is below twice the entries
+    dense = ends.size > 0 and int(ends.max()) < 2 * ends.size
+    assert (_presence((ends,)) is not None) == (dense or ends.size == 0)
+    assert got_ids.dtype == np.int64 and got.dtype == np.int64
+    assert got_ids.tolist() == want_ids.tolist()
+    assert got.shape == ends.shape
+    assert got.tolist() == want.reshape(ends.shape).tolist()

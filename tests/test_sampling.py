@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from triad.errors import InputError
 from triad import sampling
-from triad.graph import canonical_edge
+from triad.graph import _HashSet, canonical_edge
 from triad.sampling import (
     ROLE_EDGE_SAMPLE,
     ROLE_NEIGHBOR,
@@ -357,3 +357,53 @@ class TestHashIndex:
         needles = data.draw(st.permutations(others + picked))
         index = assert_matches_reference(keys, np.array(needles, dtype=np.int64))
         assert index.rounds <= longest_filled_run(index)
+
+
+def assert_contains_matches_reference(keys, needles):
+    """`_HashSet.contains` against the binary-search reference; the set
+    takes its keys in any order and builds no rank table."""
+    keys = np.asarray(keys, dtype=np.int64)
+    needles = np.asarray(needles, dtype=np.int64)
+    members = _HashSet(np.random.default_rng(3).permutation(keys))
+    assert not hasattr(members, "_table")
+    # the value an empty slot holds is a needle like any other
+    needles = np.append(needles, members._empty)
+    hit = members.contains(needles)
+    assert hit.dtype == bool
+    assert np.array_equal(hit, searchsorted_lookup(np.sort(keys), needles)[1])
+    return members
+
+
+class TestHashSet:
+    @pytest.mark.parametrize("family", KEY_FAMILIES)
+    def test_contains_matches_binary_search_on_key_families(self, family):
+        rng = np.random.default_rng(12)
+        keys = key_family(family, 60_000, rng)
+        needles = np.concatenate((keys, keys - 1, keys + 1,
+                                  rng.integers(2**63 - 1, size=60_000, dtype=np.int64)))
+        rng.shuffle(needles)
+        members = assert_contains_matches_reference(keys, needles)
+        assert 1 <= members.rounds <= 64
+
+    def test_empty_value_is_no_key(self):
+        for keys in ([], [0], [-(2**63)], [2**63 - 1], [-(2**63), 2**63 - 1],
+                     [-(2**63), -(2**63) + 1, 2**63 - 1]):
+            members = assert_contains_matches_reference(keys, keys + [0, -1, 1])
+            assert members._empty not in keys
+
+    @given(st.sets(st.integers(-(2**63), 2**63 - 1), max_size=300),
+           st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_contains_matches_binary_search_on_arbitrary_sets(self, keys, others, data):
+        keys = sorted(keys)
+        picked = data.draw(st.lists(st.sampled_from(keys), max_size=300)) if keys else []
+        needles = data.draw(st.permutations(others + picked))
+        assert_contains_matches_reference(keys, needles)
+
+    @given(st.sets(st.integers(-(2**63), -1), max_size=300),
+           st.lists(st.integers(-400, 400), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_contains_matches_binary_search_on_negative_keys(self, keys, others):
+        keys = sorted(keys | {-k for k in range(1, 200, 3)})
+        assert_contains_matches_reference(keys, others + keys)

@@ -202,6 +202,29 @@ class TestStats:
         read_pass(s)
         assert s.stats() == first == StreamStats(n=3, m=2)
 
+    def test_dense_ids_are_counted_on_one_byte_per_id(self):
+        # a ring with chords on ids [0, n): n is counted on a presence mark,
+        # with no copy or sort of the 2m endpoints
+        n = 200_000
+        ids = np.arange(n, dtype=np.int64)
+        ring = np.column_stack((ids, (ids + 1) % n))
+        chords = np.column_stack((ids, (ids + 7) % n))
+        ends = np.sort(np.concatenate((ring, chords)), axis=1)
+        s = EdgeStream(ends, order_seed=5)
+        tracemalloc.start()
+        try:
+            stats = s.stats()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats == StreamStats(n=n, m=2 * n)
+        assert peak < n + 64 * 1024
+
+    def test_sparse_ids_are_counted_exactly(self):
+        edges = [(0, 2**63 - 1), (5, 2**40), (5, 2**63 - 1), (2**40, 2**62)]
+        s = EdgeStream.from_edges(edges, order_seed=2)
+        assert s.stats() == StreamStats(n=5, m=4)
+
 
 class TestReplayDeterminism:
     def test_k_passes_are_k_identical_permutations(self, tmp_path):
