@@ -271,7 +271,8 @@ def _load_manifest(path) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so a file that does not decode is not JSON
         raise EdgeListError(f"manifest is not valid JSON: {exc}") from None
     if isinstance(doc, dict):
         doc = doc.get("rows")
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     except InputError as exc:  # ConfigError included
         print(f"triad: config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"triad: cannot read input: {exc}", file=sys.stderr)
         return 3
 

@@ -15,9 +15,9 @@ collects them, block by block (see `triad.sampling`):
   pass 3  one uniform neighbor of each drawn edge's anchor: j uniform in
           [0, d_a), the anchor's degree from pass 2, and the pass collects
           the anchor's j-th incident edge
-  pass 4  closure checks for the drawn wedges plus exact degrees of the
-          third vertices pass 2 did not count -> discovered triangles with
-          all three edge degrees
+  pass 4  closure checks for the drawn wedges, whose checker also counts
+          the exact degrees of the third vertices pass 2 did not count ->
+          discovered triangles with all three edge degrees
   pass 5  wedge sampling for every (triangle, edge) pair whose edge degree
           is under the cheapness cutoff: s uniform positions among the
           anchor's incident edges, or all of them once s covers the degree
@@ -62,7 +62,7 @@ import numpy as np
 from .assignment import (
     AssignmentTable, INFINITY, _log2n, assign_rows, compute_s, degree_cutoff)
 from .errors import ConfigError, InputError
-from .graph import Graph, triangle_edges, triangles_exact_cn
+from .graph import Graph, _distinct, triangle_edges, triangles_exact_cn
 from .sampling import (
     ROLE_EDGE_SAMPLE,
     ROLE_NEIGHBOR,
@@ -475,14 +475,11 @@ class _Repetition(_StageMachine):
 
     # -- stage 3: wedge closure + third-vertex degrees -------------------------
 
-    def _begin_3(self) -> list:
-        return super()._begin_3() + [DegreeCounter(self.neighbors[self._open])]
-
     def _end_3(self) -> None:
-        closure, counter = self._observers
-        _, tri, edge, corners = self._closed_wedges(closure, counter.degrees)
+        [closure] = self._observers
+        _, tri, edge, corners = self._closed_wedges(closure, closure.degrees)
         # the third vertices' counted degrees are held until here
-        self._note_storage(len(counter.vertices))
+        self._note_storage(len(_distinct(self.neighbors[self._open])))
         first, which = _first_seen_rows(tri)
         self.triangles, corners = tri[first], corners[first]
         self.closed_counts = np.bincount(3 * which + edge, minlength=self.triangles.size)

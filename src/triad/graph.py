@@ -30,10 +30,10 @@ and its running count do it with no sort; sparser ids go through
 
 `_HashSet` is the package's one membership primitive: Fibonacci hashing
 with linear probing into int64 slots that each hold their own key (8 bytes
-a slot, fewer than 5k + 2 slots for k keys), so a probe reads one array.
-`_HashIndex` adds an int32 rank per slot (12 bytes a slot) for callers
-that read each hit's index among the keys. The triangle kernel uses the
-set; the pass observers in `sampling` use the index.
+a slot, at most 2**b + k slots for k keys, 2k <= 2**b < 4k), so a probe
+reads one array. `_HashIndex` adds an int32 rank per slot (12 bytes a
+slot) for callers that read each hit's index among the keys. The triangle
+kernel uses the set; the pass observers in `sampling` use the index.
 
 A Graph is immutable after construction, so every oracle is safe to call
 concurrently.
@@ -238,13 +238,15 @@ class _HashSet:
     """Membership of int64 needles in a set of distinct int64 keys, by
     Fibonacci hashing (top b bits of x * _FIB) with linear probing.
 
-    Each slot holds its own key, so a probe reads one array: 2**b >= 2k home
-    slots and a tail of k + 1 that no probe runs past, fewer than 5k + 2
-    int64 slots. An empty slot holds `_empty`, a value that is no key, so a
-    needle equal to it misses whatever it reads. Each key lands in its
-    first free slot from its home on. A round reads one slot per unresolved
-    needle, which stops at its key or an empty slot: rounds never exceed
-    the longest run of filled slots.
+    Each slot holds its own key, so a probe reads one array: 2**b home
+    slots, 2k <= 2**b < 4k, then slots up to the empty one after the last
+    filled slot, which no probe runs past: at most 2**b + k int64 slots,
+    and seldom more than one past the home slots. An empty slot holds
+    `_empty`, a value that is no key, so a needle equal to it misses
+    whatever it reads. Each key lands in its first free slot from its home
+    on. A round reads one slot per unresolved needle, which stops at its
+    key or an empty slot: rounds never exceed the longest run of filled
+    slots.
     """
 
     def __init__(self, keys):
@@ -266,7 +268,8 @@ class _HashSet:
         slot += below
         del below
         self._empty = _absent(keys)
-        self._slots = np.full((1 << bits) + k + 1, self._empty, dtype=np.int64)
+        size = max(1 << bits, int(slot[-1]) + 2 if k else 0)
+        self._slots = np.full(size, self._empty, dtype=np.int64)
         self._slots[slot] = keys[order]
         # the most probe rounds one lookup has taken so far
         self.rounds = 0

@@ -20,26 +20,28 @@ block:
   of law d_e / d_E; a zero-weight row owns no position and is never picked.
   This is the package's one weighted sampler: ideal mode's pass 1 and the
   main estimator's degree-proportional draws from its sample R use it.
-- `IncidentPicker` collects, per slot, the other endpoint of the j-th edge
-  incident to the slot's anchor, matched against per-anchor running
-  incidence counts. j uniform in [0, d_a) is a uniform neighbor, and every
-  j in [0, d_a) is the whole neighborhood. `neighbor_picker` builds one
-  for arrays of anchors and their degrees with one sample size s: s
-  uniform positions per anchor, or every position once s covers d_a.
 - `DegreeCounter` counts exact degrees of a query set: each block's ids
   are looked up among the sorted queries, and `bincount` adds the hits;
   `degrees` then reads queried vertices' degrees through the same index.
+  The two observers below extend it, so they count their vertices too.
+- `IncidentPicker` collects, per slot, the other endpoint of the j-th edge
+  incident to the slot's anchor, matched against the anchor's running
+  count. j uniform in [0, d_a) is a uniform neighbor, and every j in
+  [0, d_a) is the whole neighborhood. `neighbor_picker` builds one for
+  arrays of anchors and their degrees with one sample size s: s uniform
+  positions per anchor, or every position once s covers d_a.
 - `ClosureChecker` tells which of a list of vertex pairs are edges. Ids
   reach 2**63 - 1, so two of them do not pack into one int64 key; a pair's
   key is built from the ranks of its ends among the queried vertices.
 
 A pass streams all m edges past a query set of k keys, so its cost is m
-membership tests. Each observer hashes its sorted keys once into a
+membership tests. The counter hashes its sorted vertices once into a
 `graph._HashIndex`, a linear-probing table at most half full and O(k) in
 size: each slot holds its own int64 key and the key's int32 rank, 12
 bytes a slot. A lookup is expected O(1) probes, each one read of the key
 slots, where binary search takes log2(k) cache misses, and it answers
-with the same rank among the sorted keys.
+with the same rank among the sorted keys. The picker and the checker hash
+their distinct slot keys, built from those ranks, into one more index.
 
 Every sample's total is known before its pass (m from the stats pass, d_E
 from ideal mode's sizing pass, an anchor's degree from a degree pass), so
@@ -54,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import _HashIndex, _distinct, _ranges
+from .graph import _HashIndex, _distinct
 
 # Role tags keep substreams for different duties disjoint under one seed.
 ROLE_SHUFFLE = 0
@@ -160,72 +162,88 @@ class EdgePicker:
         return self._picked
 
 
-class IncidentPicker:
+class DegreeCounter:
+    """Exact degrees of a set of query vertices, in one pass: `counts[i]` is
+    the degree of `vertices[i]`, the distinct queries in sorted order."""
+
+    def __init__(self, vertices):
+        self.vertices = _distinct(vertices)
+        self.counts = np.zeros(len(self.vertices), dtype=np.int64)
+        self._index = _HashIndex(self.vertices)
+
+    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
+        self._count(u)
+        self._count(v)
+
+    def _count(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Count a block column's queried ids; per row, `find`'s rank and hit."""
+        rank, hit = self._index.find(column)
+        self.counts += np.bincount(rank[hit], minlength=len(self.counts))
+        return rank, hit
+
+    def degrees(self, vertices) -> np.ndarray:
+        """Counted degrees, shaped as `vertices`; a vertex never queried is an InputError."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        idx, hit = self._index.find(vertices.ravel())
+        if not hit.all():
+            raise InputError(f"vertex {vertices.ravel()[~hit][0]} was not counted")
+        return self.counts[idx].reshape(vertices.shape)
+
+
+class IncidentPicker(DegreeCounter):
     """Per slot i, the other endpoint of the positions[i]-th edge incident
     to anchors[i] (0-based, in stream order), collected in one pass.
 
-    Slots are kept sorted by (anchor rank, position). Each block's
-    incidences with the anchors are ranked within their anchor by stream
-    order and offset by the anchor's running incidence count, which names
-    every incidence by the same (anchor rank, position) key as the slots
-    that want it.
+    The anchors are the counted vertices. Each block's incidences with them
+    are ranked within their anchor by stream order and offset by the
+    anchor's count so far, which names every incidence by the same
+    (anchor rank, position) key as the slots that want it. A pass meets
+    each key at most once.
     """
 
     def __init__(self, anchors, positions):
         anchors = np.asarray(anchors, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        anchors, rank = np.unique(anchors, return_inverse=True)
+        super().__init__(anchors)
         # a position is below its anchor's degree, hence below m; rank * span
         # stays far below 2**63 for any stream that fits in memory
         self._span = int(positions.max()) + 1 if len(positions) else 1
-        keys = rank * self._span + positions
-        self._order = np.argsort(keys, kind="stable")
-        keys = keys[self._order]
-        # distinct key j is wanted by sorted slots [first[j], first[j] + count[j])
-        self._first = np.flatnonzero(np.diff(keys, prepend=-1))
-        self._count = np.diff(self._first, append=len(keys))
-        self._key_index = _HashIndex(keys[self._first])
-        self._anchor_index = _HashIndex(anchors)
-        # incidences seen so far per anchor, by rank
-        self._seen = np.zeros(len(anchors), dtype=np.int64)
-        # -1 marks a slot the pass has not filled; ids are never negative
-        self._found = np.full(len(positions), -1, dtype=np.int64)
+        keys = self._index.find(anchors)[0] * self._span + positions
+        keys, self._slot = np.unique(keys, return_inverse=True)
+        self._key_index = _HashIndex(keys)
+        # per distinct key, the other endpoint; -1 marks one the pass has
+        # not met, and ids are never negative
+        self._other = np.full(len(keys), -1, dtype=np.int64)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        k = len(self._seen)
-        if k == 0:
-            return
-        iu, ru = self._incidences(u)
-        iv, rv = self._incidences(v)
+        iu, ru = self._ranks(u)
+        iv, rv = self._ranks(v)
         rank = np.concatenate((ru, rv))
-        if len(rank) == 0:
-            return
         # (rank, index) pairs are distinct, so one key sorts them as lexsort would
         order = np.argsort(rank * len(u) + np.concatenate((iu, iv)))
         rank = rank[order]
         other = np.concatenate((v[iu], u[iv]))[order]
-        count = np.bincount(rank, minlength=k)
+        count = np.bincount(rank, minlength=len(self.counts))
         first = np.cumsum(count) - count
-        pos = self._seen[rank] + np.arange(len(rank)) - first[rank]
-        self._seen += count
+        pos = self.counts[rank] + np.arange(len(rank)) - first[rank]
+        self.counts += count
         wanted = pos < self._span
         j, hit = self._key_index.find(rank[wanted] * self._span + pos[wanted])
-        n = self._count[j[hit]]
-        slots = self._order[_ranges(self._first[j[hit]], n)]
-        self._found[slots] = np.repeat(other[wanted][hit], n)
+        self._other[j[hit]] = other[wanted][hit]
 
-    def _incidences(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _ranks(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of a block column that hold an anchor, and its rank; the
         block-long lookup arrays are dropped here, before the sort."""
-        rank, hit = self._anchor_index.find(column)
+        rank, hit = self._index.find(column)
         rows = np.flatnonzero(hit)
         return rows, rank[rows]
 
     def results(self) -> np.ndarray:
         """The other endpoint per slot, in slot order."""
-        if (self._found < 0).any():
+        found = self._other[self._slot]
+        if (found < 0).any():
             raise InputError("a sampled position lies past its anchor's degree")
-        return self._found
+        return found
 
 
 def neighbor_picker(anchors, degrees, s: int,
@@ -247,40 +265,16 @@ def neighbor_picker(anchors, degrees, s: int,
     return IncidentPicker(np.repeat(anchors, count), positions), bounds
 
 
-class DegreeCounter:
-    """Exact degrees of a set of query vertices, in one pass: `counts[i]` is
-    the degree of `vertices[i]`, the distinct queries in sorted order."""
-
-    def __init__(self, vertices):
-        self.vertices = _distinct(vertices)
-        self.counts = np.zeros(len(self.vertices), dtype=np.int64)
-        self._index = _HashIndex(self.vertices)
-
-    def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        k = len(self.vertices)
-        for col in (u, v):
-            idx, hit = self._index.find(col)
-            self.counts += np.bincount(idx[hit], minlength=k)
-
-    def degrees(self, vertices) -> np.ndarray:
-        """Counted degrees, shaped as `vertices`; a vertex never queried is an InputError."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        idx, hit = self._index.find(vertices.ravel())
-        if not hit.all():
-            raise InputError(f"vertex {vertices.ravel()[~hit][0]} was not counted")
-        return self.counts[idx].reshape(vertices.shape)
-
-
-class ClosureChecker:
-    """Whether each of a list of vertex pairs (a[i], b[i]) is an edge."""
+class ClosureChecker(DegreeCounter):
+    """Whether each of a list of vertex pairs (a[i], b[i]) is an edge. The
+    pairs' ends are the counted vertices, so the pass counts their degrees
+    too."""
 
     def __init__(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        vertices = _distinct(np.concatenate((a, b)))
-        self._width = len(vertices)
-        self._vertex_index = _HashIndex(vertices)
-        keys = self._key(self._vertex_index.find(a)[0], self._vertex_index.find(b)[0])
+        super().__init__(np.concatenate((a, b)))
+        keys = self._key(self._index.find(a)[0], self._index.find(b)[0])
         keys, self._slot = np.unique(keys, return_inverse=True)
         self._key_index = _HashIndex(keys)
         self._hit = np.zeros(len(keys), dtype=bool)
@@ -288,13 +282,11 @@ class ClosureChecker:
     def _key(self, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
         # ranks lie below k = len(vertices), so lo * k + hi names an
         # unordered pair and fits in int64 while k < 3e9
-        return np.minimum(ra, rb) * self._width + np.maximum(ra, rb)
+        return np.minimum(ra, rb) * len(self.vertices) + np.maximum(ra, rb)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        if len(self._hit) == 0:
-            return
-        ru, hu = self._vertex_index.find(u)
-        rv, hv = self._vertex_index.find(v)
+        ru, hu = self._count(u)
+        rv, hv = self._count(v)
         both = hu & hv
         idx, hit = self._key_index.find(self._key(ru[both], rv[both]))
         self._hit[idx[hit]] = True
@@ -302,4 +294,3 @@ class ClosureChecker:
     def present(self) -> np.ndarray:
         """Per pair, in the order given: whether it is an edge."""
         return self._hit[self._slot]
-

@@ -146,6 +146,16 @@ PARSING_COMMANDS = {
 }
 
 
+class TestUnreadablePath:
+    @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
+    def test_directory_exits_3(self, tmp_path, command):
+        res = run_cli(*PARSING_COMMANDS[command], str(tmp_path))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("triad: cannot read input: ")
+        assert res.stderr.count("\n") == 1
+
+
 class TestNonAsciiInput:
     @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
     def test_non_ascii_comment_is_accepted(self, tmp_path, command):
@@ -549,6 +559,14 @@ class TestBench:
         mf = tmp_path / "junk.json"
         mf.write_text("{nope")
         assert run_cli("bench", str(mf)).returncode == 3
+
+    def test_non_utf8_manifest_exits_3(self, tmp_path):
+        mf = tmp_path / "latin1.json"
+        mf.write_bytes('[{"family": "book", "caf\u00e9": 1}]'.encode("latin-1"))
+        res = run_cli("bench", str(mf))
+        assert res.returncode == 3
+        assert res.stderr.startswith("triad: parse error: manifest is not valid JSON: ")
+        assert "Traceback" not in res.stderr
 
     def test_byte_identical_reruns(self, tmp_path):
         mf = tmp_path / "m.json"

@@ -391,17 +391,28 @@ class TestRepetitions:
     @pytest.mark.parametrize("share_passes", [False, True])
     def test_no_stage_holds_the_previous_stages_observers(self, monkeypatch, share_passes):
         # an observer holds its hash indexes; a pass must not carry the last
-        # stage's observers beside its own
+        # stage's observers beside its own, nor two per repetition
         g, truth = gen_book(400)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
                               repetitions=3, seed=4, scale=0.004, share_passes=share_passes)
         earlier = []
+        # per stage_begin call since the last pass: whether it began a pass
+        begun = []
+        stage_begin = estimator._StageMachine.stage_begin
+
+        def counting_begin(rep, stage):
+            observers = stage_begin(rep, stage)
+            begun.append(bool(observers))
+            return observers
 
         def recording_pass(stream, observers):
             assert [ref() for ref in earlier if ref() is not None] == []
+            assert len(observers) == sum(begun)
+            begun.clear()
             earlier.extend(weakref.ref(ob) for ob in observers)
             run_pass(stream, observers)
 
+        monkeypatch.setattr(estimator._StageMachine, "stage_begin", counting_begin)
         monkeypatch.setattr(estimator, "run_pass", recording_pass)
         estimate(stream_for(g, order_seed=9), cfg)
         assert len(earlier) >= 6

@@ -8,12 +8,15 @@ or calls `parse_line`), one weighted sampler (no module calls a
 generator's `choice`: weighted draws are positions on an integer axis that
 `EdgePicker` collects), and hashed membership in every pass observer (no
 `observe_block` body calls `searchsorted`: a block's ids are looked up in
-a `_HashIndex` built once per pass), and no binary search between passes
-(`estimator.py` and `ideal.py` call no `searchsorted`: a degree counted in a
-pass is read through its `DegreeCounter`'s hash index). `EdgeStream`'s
-public surface is the pass protocol, its stats and its two openers, and
-nothing else. The package loads each public name's module on first use, so
-the exact oracles import only `graph` and what it needs."""
+a `_HashIndex` built once per pass), one vertex layer (no class in
+`sampling.py` constructs more than one `_HashIndex`: the query vertices'
+index is `DegreeCounter`'s, which the other observers extend), and no
+binary search between passes (`estimator.py` and `ideal.py` call no
+`searchsorted`: a degree counted in a pass is read through its
+`DegreeCounter`'s hash index). `EdgeStream`'s public surface is the pass
+protocol, its stats and its two openers, and nothing else. The package
+loads each public name's module on first use, so the exact oracles import
+only `graph` and what it needs."""
 
 import ast
 import os
@@ -266,6 +269,36 @@ def test_observer_binary_search_is_caught():
         "Counter.observe_block: searchsorted (line 10)",
         "Counter.observe_block: searchsorted (line 11)",
         "Counter.observe_block: searchsorted (line 14)"]
+
+
+def hash_index_builds(source: str) -> list[str]:
+    """Classes whose body constructs more than one `_HashIndex`, bare or as
+    an attribute such as `graph._HashIndex`, with the line of each."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        lines = [str(node.lineno) for node in ast.walk(cls) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_HashIndex"]
+        if len(lines) > 1:
+            found.append(f"{cls.name}: _HashIndex (lines {', '.join(lines)})")
+    return found
+
+
+def test_one_vertex_layer():
+    path = Path(triad.__file__).parent / "sampling.py"
+    assert hash_index_builds(path.read_text(encoding="utf-8")) == []
+
+
+def test_second_vertex_index_is_caught():
+    source = "from triad import graph\nfrom triad.graph import _HashIndex\n\n" \
+             "class Counter:\n    def __init__(self, vertices):\n" \
+             "        self._index = _HashIndex(vertices)\n\n" \
+             "class Picker(Counter):\n    def __init__(self, anchors, keys):\n" \
+             "        super().__init__(anchors)\n" \
+             "        self._anchor_index = graph._HashIndex(anchors)\n" \
+             "        self._key_index = _HashIndex(keys)\n"
+    assert hash_index_builds(source) == ["Picker: _HashIndex (lines 11, 12)"]
 
 
 def binary_searches(source: str) -> list[str]:

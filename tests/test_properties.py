@@ -171,10 +171,14 @@ def test_block_observers_match_brute_force(case):
                           WeightedRows(weighted_picker, weights)])
     assert [tuple(e) for e in picker.samples().tolist()] == [order[p] for p in positions]
     assert neighbors.results().tolist() == [incident[a][j] for a, j in slots]
+    anchors = [a for a, _ in slots]
+    assert neighbors.degrees(anchors).tolist() == [len(incident[a]) for a in anchors]
     assert dict(zip(counter.vertices.tolist(), counter.counts.tolist())) == {
         x: len(incident[x]) for x in degree_vertices}
     edge_set = set(order)
     assert closure.present().tolist() == [(min(p), max(p)) in edge_set for p in pairs]
+    ends = [x for pair in pairs for x in pair]
+    assert closure.degrees(ends).tolist() == [len(incident[x]) for x in ends]
     # brute force: row (u, v, w) repeated w times, indexed by position
     rows = [(u, v, w) for (u, v), w in zip(order, weights) for _ in range(w)]
     assert weighted_picker.total == len(rows)

@@ -308,8 +308,11 @@ class TestHashIndex:
     def test_table_is_linear_in_the_keys(self):
         for k in (1, 2, 3, 1000, 4096, 4097):
             index = _HashIndex(np.arange(k))
-            home_slots = len(index._table) - k - 1
+            home_slots = 1 << (64 - int(index._shift))
             assert 2 * k <= home_slots < 4 * k
+            # the table ends at the empty slot after the last filled one
+            last = int(np.flatnonzero(index._table >= 0)[-1])
+            assert len(index._table) == max(home_slots, last + 2) <= home_slots + k + 1
             assert index._table.dtype == np.int32
 
     def test_empty_keys(self):
