@@ -2,8 +2,8 @@
 
 Global flags --seed, --format, --quiet may appear before or after the
 subcommand and can be defaulted through TRIAD_SEED / TRIAD_FORMAT /
-TRIAD_QUIET. Exit codes: 0 success, 2 configuration problem, 3 unreadable
-or malformed input.
+TRIAD_QUIET. Exit codes: 0 success, 2 configuration problem or an `--out`
+path that cannot be written, 3 unreadable or malformed input.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ if TYPE_CHECKING:
     from .estimator import RunReport
     from .generators import GroundTruth
     from .graph import Graph
+    from .ideal import IdealReport
 
 _BENCH_HEADER = [
     "family", "n", "m", "T_exact", "kappa", "epsilon", "t_hat", "kappa_hat",
     "estimate", "relative_error", "passes", "stored_edges_peak", "r", "ell",
     "s", "seed", "wall_time_ms",
-]
-
-_ESTIMATE_CSV_HEADER = [
-    "estimate", "passes", "stored_edges_peak", "r", "ell", "s",
-    "assignment_calls", "memo_size", "seed",
 ]
 
 _FORMATS = ("json", "csv")
@@ -74,10 +70,25 @@ def _say(args, message) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(text) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _print_report(args, payload: dict, columns: list) -> None:
+    """`payload` as JSON, or with --format csv a header of `columns` and a
+    row of their values."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([columns, [payload[k] for k in columns]])
+        sys.stdout.write(buf.getvalue())
+    else:
+        print(json.dumps(payload))
+
+
+def _write_output(path: str, chunks) -> None:
+    """Write the strings `chunks` to `path`; an OSError is a config error
+    naming it as an output."""
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}") from None
 
 
 def generate_family(family: str, params: dict, seed: int) -> tuple[Graph, GroundTruth]:
@@ -135,12 +146,10 @@ def cmd_gen(args) -> int:
     graph, truth = generate_family(args.family, params, args.seed)
     out = args.out or f"{args.family}.el"
     param_text = " ".join(f"{k}={params[k]}" for k in sorted(params))
-    edgelist.write_edges(out, graph.edges(),
-                         comment=f"family={args.family} {param_text} seed={args.seed}")
+    _write_output(out, edgelist.edge_lines(
+        graph.edges(), f"family={args.family} {param_text} seed={args.seed}"))
     sidecar = dict(family=args.family, params=params, seed=args.seed, **truth.as_dict())
-    with open(f"{out}.json", "w", encoding="ascii") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    _write_output(f"{out}.json", [json.dumps(sidecar, indent=2), "\n"])
     _say(args, f"wrote {out} ({truth.m} edges) and {out}.json")
     return 0
 
@@ -156,14 +165,7 @@ def cmd_exact(args) -> int:
         "m": g.m,
         "n": g.n,
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(result.keys())
-        writer.writerow(result.values())
-        _emit(buf.getvalue())
-    else:
-        _emit(json.dumps(result))
+    _print_report(args, result, list(result))
     return 0
 
 
@@ -179,7 +181,7 @@ def _dump_tables(args, report: RunReport) -> None:
     print("assignments: " + json.dumps(entries), file=sys.stderr)
 
 
-def _run_main_mode(args) -> tuple[RunReport, dict]:
+def _run_main_mode(args) -> RunReport:
     from .estimator import EstimatorConfig, estimate
     from .stream import EdgeStream
 
@@ -191,11 +193,10 @@ def _run_main_mode(args) -> tuple[RunReport, dict]:
     _say(args, f"passes including stats: {stream.pass_counter}")
     if report.flags:
         _say(args, "flags: " + ",".join(report.flags))
-    return report, {}
+    return report
 
 
-def _run_ideal_mode(args) -> tuple[RunReport, dict]:
-    from .estimator import RunReport
+def _run_ideal_mode(args) -> IdealReport:
     from .graph import Graph
     from .ideal import DegreeOracle, ideal_estimate
     from .stream import EdgeStream
@@ -204,29 +205,10 @@ def _run_ideal_mode(args) -> tuple[RunReport, dict]:
     # stream the dense-relabelled edges so oracle lookups line up; the file
     # scan already validated them
     stream = EdgeStream(graph.edge_array(), order_seed=args.order_seed)
-    oracle = DegreeOracle(graph)
-    value, ideal_report = ideal_estimate(
-        stream, oracle, epsilon=args.epsilon, t_hat=args.t_hat, seed=args.seed)
+    _, report = ideal_estimate(stream, DegreeOracle(graph), epsilon=args.epsilon,
+                               t_hat=args.t_hat, seed=args.seed)
     _say(args, f"passes including stats: {stream.pass_counter}")
-    report = RunReport(
-        estimate=value,
-        passes=ideal_report.passes,
-        stored_edges_peak=ideal_report.stored_edges_peak,
-        r=ideal_report.instances,
-        ell=0,
-        s=0,
-        assignment_calls=ideal_report.closure_hits,
-        memo_size=0,
-        seed=args.seed,
-        config={
-            "mode": "ideal",
-            "epsilon": args.epsilon,
-            "t_hat": args.t_hat,
-            "groups": ideal_report.groups,
-            "group_size": ideal_report.group_size,
-        },
-    )
-    return report, {"oracle_queries": ideal_report.oracle_queries}
+    return report
 
 
 def cmd_estimate(args) -> int:
@@ -237,18 +219,10 @@ def cmd_estimate(args) -> int:
              if getattr(args, name) is not None]
     if args.mode == "ideal" and flags:
         raise ConfigError(f"ideal mode does not take {', '.join(flags)}")
-    report, extra = (_run_main_mode(args) if args.mode == "main"
-                     else _run_ideal_mode(args))
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_ESTIMATE_CSV_HEADER)
-        writer.writerow([getattr(report, k) for k in _ESTIMATE_CSV_HEADER])
-        _emit(buf.getvalue())
-    else:
-        payload = report.to_json_dict()
-        payload.update(extra)
-        _emit(json.dumps(payload))
+    report = _run_main_mode(args) if args.mode == "main" else _run_ideal_mode(args)
+    payload = report.to_json_dict()
+    # the CSV row is the scalar fields, the keys before `config`
+    _print_report(args, payload, list(payload)[:list(payload).index("config")])
     if args.debug_dump_assignments:
         _dump_tables(args, report)
     return 0
@@ -265,6 +239,18 @@ def _manifest_value(row: int, key: str, value, cast):
         except (TypeError, ValueError, OverflowError):
             pass
     raise ConfigError(f"manifest row {row}: bad {key} value {edgelist.quote(value)}")
+
+
+def _manifest_bound(row: int, key: str, value, exact: int) -> int:
+    """A manifest row's `config.<key>`: "exact" is the ground truth, raised
+    to 1 so that a triangle-free row still runs; a given value below 1 is a
+    config error, as it is for `triad estimate`."""
+    if value == "exact":
+        return max(1, exact)
+    bound = _manifest_value(row, f"config.{key}", value, int)
+    if bound < 1:
+        raise ConfigError(f"manifest row {row}: bad config.{key} value {edgelist.quote(value)}")
+    return bound
 
 
 def _load_manifest(path) -> list[dict]:
@@ -312,18 +298,14 @@ def cmd_bench(args) -> int:
         base_seed = _manifest_value(row, "seed", entry.get("seed", args.seed), int)
         graph, truth = generate_family(family, params, base_seed)
         edges = graph.edge_array()
-        t_hat = cfg.get("t_hat", "exact")
-        kappa_hat = cfg.get("kappa_hat", "exact")
-        t_hat = (truth.triangles if t_hat == "exact"
-                 else _manifest_value(row, "config.t_hat", t_hat, int))
-        kappa_hat = (truth.kappa if kappa_hat == "exact"
-                     else _manifest_value(row, "config.kappa_hat", kappa_hat, int))
+        t_hat = _manifest_bound(row, "t_hat", cfg.get("t_hat", "exact"), truth.triangles)
+        kappa_hat = _manifest_bound(row, "kappa_hat", cfg.get("kappa_hat", "exact"), truth.kappa)
         for trial in range(trials):
             seed = base_seed + trial
             config = EstimatorConfig(
                 epsilon=epsilon,
-                t_hat=max(1, t_hat),
-                kappa_hat=max(1, kappa_hat),
+                t_hat=t_hat,
+                kappa_hat=kappa_hat,
                 repetitions=repetitions,
                 seed=seed,
                 scale=scale,
@@ -344,8 +326,7 @@ def cmd_bench(args) -> int:
             ])
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        _write_output(args.out, [text])
         _say(args, f"wrote {args.out}")
     else:
         sys.stdout.write(text)

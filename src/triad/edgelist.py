@@ -321,9 +321,8 @@ def _validate_pairs(pairs: Iterable) -> np.ndarray:
     return flat.reshape(-1, 2)
 
 
-def write_edges(path: str | os.PathLike, edges: Iterable[Edge], comment: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+def edge_lines(edges: Iterable[Edge], comment: str) -> Iterator[str]:
+    """The lines of an edge-list file: `# comment`, then one line per edge."""
+    yield f"# {comment}\n"
+    for u, v in edges:
+        yield f"{u} {v}\n"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .estimator import _EDGE_HI, _EDGE_LO, _StageMachine, _drive
+from .estimator import _EDGE_HI, _EDGE_LO, _REPORT_KEYS, _StageMachine, _drive
 from .graph import Graph
 from .sampling import ROLE_WEIGHTED_SAMPLE, EdgePicker, run_pass
 
@@ -66,6 +66,11 @@ class _OracleWeights(EdgePicker):
 
 @dataclass(frozen=True)
 class IdealReport:
+    """An ideal run's outcome. It prints in the main estimator's frozen keys:
+    `r` is the instance count, `assignment_calls` the closure hits, `ell`, `s`
+    and `memo_size` are 0, and `config` holds mode, epsilon, t_hat, groups and
+    group_size. `oracle_queries` follows them."""
+
     estimate: float
     passes: int
     stored_edges_peak: int
@@ -76,6 +81,16 @@ class IdealReport:
     oracle_queries: int
     closure_hits: int
     seed: int
+    epsilon: float
+    t_hat: int
+
+    def to_json_dict(self) -> dict:
+        """The frozen report keys, then `oracle_queries`."""
+        fields = dict(vars(self), r=self.instances, ell=0, s=0,
+                      assignment_calls=self.closure_hits, memo_size=0,
+                      config={"mode": "ideal", "epsilon": self.epsilon, "t_hat": self.t_hat,
+                              "groups": self.groups, "group_size": self.group_size})
+        return {k: fields[k] for k in _REPORT_KEYS + ("oracle_queries",)}
 
 
 class _IdealRun(_StageMachine):
@@ -165,5 +180,7 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int,
         oracle_queries=oracle.queries,
         closure_hits=run.hits,
         seed=seed,
+        epsilon=epsilon,
+        t_hat=t_hat,
     )
     return estimate, report

@@ -59,7 +59,6 @@ from .errors import InputError
 from .graph import _HashIndex, _distinct
 
 # Role tags keep substreams for different duties disjoint under one seed.
-ROLE_SHUFFLE = 0
 ROLE_EDGE_SAMPLE = 1
 ROLE_WEIGHTED_SAMPLE = 2
 ROLE_PICK = 3

@@ -156,6 +156,31 @@ class TestUnreadablePath:
         assert res.stderr.count("\n") == 1
 
 
+class TestUnwritableOutput:
+    def test_gen_into_a_directory_exits_2(self, tmp_path):
+        res = run_cli("gen", "wheel", "--n", "5", "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"triad: config error: cannot write output {str(tmp_path)!r}: "
+                              "Is a directory\n")
+
+    def test_gen_sidecar_into_a_directory_exits_2(self, tmp_path):
+        (tmp_path / "w.el.json").mkdir()
+        res = run_cli("gen", "wheel", "--n", "5", "--out", str(tmp_path / "w.el"))
+        assert res.returncode == 2
+        assert res.stderr == (f"triad: config error: cannot write output "
+                              f"{str(tmp_path / 'w.el.json')!r}: Is a directory\n")
+
+    def test_bench_into_a_directory_exits_2(self, tmp_path):
+        mf = tmp_path / "m.json"
+        mf.write_text("[]")
+        res = run_cli("bench", str(mf), "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"triad: config error: cannot write output {str(tmp_path)!r}: "
+                              "Is a directory\n")
+
+
 class TestNonAsciiInput:
     @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
     def test_non_ascii_comment_is_accepted(self, tmp_path, command):
@@ -438,6 +463,24 @@ class TestEstimate:
         assert entries, "expected at least one memoized triangle"
         assert {"repetition", "triangle", "edge"} <= set(entries[0])
 
+    def test_ideal_report_is_the_frozen_payload(self, tmp_path):
+        # a golden run: every printed figure is pinned, in both formats
+        run_cli("gen", "wheel", "--n", "201", "--out", str(tmp_path / "w.el"))
+        args = ("estimate", str(tmp_path / "w.el"), "--mode", "ideal", "--epsilon", "0.3",
+                "--t-hat", "200", "--seed", "2")
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            '{"estimate": 188.76404494382024, "passes": 3, "stored_edges_peak": 3738, '
+            '"r": 1869, "ell": 0, "s": 0, "assignment_calls": 958, "memo_size": 0, '
+            '"seed": 2, "config": {"mode": "ideal", "epsilon": 0.3, "t_hat": 200, '
+            '"groups": 7, "group_size": 267}, "oracle_queries": 2558}\n')
+        res = run_cli("--format", "csv", *args)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [
+            "estimate,passes,stored_edges_peak,r,ell,s,assignment_calls,memo_size,seed",
+            "188.76404494382024,3,3738,1869,0,0,958,0,2"]
+
     def test_env_seed_override(self, tmp_path):
         path, truth = write_book_file(tmp_path, 60)
         res = run_cli("estimate", "--mode", "ideal", "--epsilon", "0.3",
@@ -554,6 +597,28 @@ class TestBench:
         rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
         assert [(r[0], r[2], r[6], r[7], r[15]) for r in rows] == [
             ("book", "41", "20", "2", "11"), ("book", "41", "20", "2", "12")]
+
+    @pytest.mark.parametrize("key, value", [("t_hat", 0), ("kappa_hat", -4)])
+    def test_bound_below_one_exits_2(self, tmp_path, key, value):
+        good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
+        bad = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2, key: value}}
+        mf = tmp_path / "bad.json"
+        mf.write_text(json.dumps([good, bad]))
+        res = run_cli("bench", str(mf))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"triad: config error: manifest row 1: bad config.{key} value {value}\n"
+
+    def test_exact_bound_of_a_triangle_free_row_runs_at_one(self, tmp_path):
+        row = {"family": "lb", "params": {"p": 3, "q": 2, "N": 9, "kind": "yes"},
+               "config": {"epsilon": 0.2, "t_hat": "exact", "kappa_hat": "exact"}, "seed": 3}
+        mf = tmp_path / "m.json"
+        mf.write_text(json.dumps([row]))
+        res = run_cli("bench", str(mf), "--fixed-clock")
+        assert res.returncode == 0, res.stderr
+        [fields] = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        # T_exact 0, and the run's t_hat is 1; the one-sided estimate stays 0
+        assert (fields[3], fields[6], fields[8]) == ("0", "1", "0.0")
 
     def test_unparsable_manifest_exits_3(self, tmp_path):
         mf = tmp_path / "junk.json"

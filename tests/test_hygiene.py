@@ -10,10 +10,12 @@ generator's `choice`: weighted draws are positions on an integer axis that
 `observe_block` body calls `searchsorted`: a block's ids are looked up in
 a `_HashIndex` built once per pass), one vertex layer (no class in
 `sampling.py` constructs more than one `_HashIndex`: the query vertices'
-index is `DegreeCounter`'s, which the other observers extend), and no
+index is `DegreeCounter`'s, which the other observers extend), no
 binary search between passes (`estimator.py` and `ideal.py` call no
 `searchsorted`: a degree counted in a pass is read through its
-`DegreeCounter`'s hash index). `EdgeStream`'s public surface is the pass
+`DegreeCounter`'s hash index), and one owner per report (`cli.py`
+constructs no `RunReport` or `IdealReport`: each mode builds its report and
+the report serializes itself). `EdgeStream`'s public surface is the pass
 protocol, its stats and its two openers, and nothing else. The package
 loads each public name's module on first use, so the exact oracles import
 only `graph` and what it needs."""
@@ -321,6 +323,35 @@ def test_binary_search_between_passes_is_caught():
              "searchsorted(self.vertices, x)\n"
     assert binary_searches(source) == ["searchsorted (line 6)", "searchsorted (line 9)",
                                        "searchsorted (line 9)"]
+
+
+REPORT_TYPES = {"RunReport", "IdealReport"}
+
+
+def report_constructions(source: str) -> list[str]:
+    """Calls that construct a mode's report, bare or as an attribute such
+    as `estimator.RunReport`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in REPORT_TYPES:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_cli_builds_no_report():
+    path = Path(triad.__file__).parent / "cli.py"
+    assert report_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def test_report_construction_is_caught():
+    source = "from triad import estimator\nfrom triad.ideal import IdealReport\n\n" \
+             "def _run_ideal_mode(args, ideal):\n" \
+             "    report = estimator.RunReport(estimate=ideal.estimate, r=ideal.instances)\n" \
+             "    return report, IdealReport(**vars(ideal))\n\n" \
+             "def _annotated(report: estimator.RunReport) -> IdealReport:\n    return report\n"
+    assert report_constructions(source) == ["RunReport (line 5)", "IdealReport (line 6)"]
 
 
 STREAM_SURFACE = {"begin_pass", "next_block", "next_edge", "end_pass", "abort_pass",

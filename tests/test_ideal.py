@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from triad.errors import ConfigError, InputError
+from triad.estimator import _REPORT_KEYS
 from triad.graph import Graph, canonical_edge, pick_anchor, sum_edge_degrees
 from triad.generators import gen_book, gen_preferential_attachment, gen_wheel
-from triad.ideal import DegreeOracle, _IdealRun, ideal_estimate, ideal_sample
+from triad.ideal import DegreeOracle, IdealReport, _IdealRun, ideal_estimate, ideal_sample
 from triad.sampling import run_pass
 from triad.stream import EdgeStream
 
@@ -168,6 +169,27 @@ class TestMedianOfMeans:
         assert report.instances == 7 * report.group_size
         assert report.d_e_total == sum_edge_degrees(g)
         assert report.oracle_queries > 0
+
+    def test_report_serializes_in_the_frozen_keys(self):
+        report = IdealReport(estimate=2.5, passes=3, stored_edges_peak=28, instances=14,
+                             groups=7, group_size=2, d_e_total=18, oracle_queries=40,
+                             closure_hits=9, seed=5, epsilon=0.5, t_hat=4)
+        payload = report.to_json_dict()
+        assert tuple(payload) == _REPORT_KEYS + ("oracle_queries",)
+        # r is the instance count, assignment_calls the closure hits
+        assert payload == {
+            "estimate": 2.5, "passes": 3, "stored_edges_peak": 28, "r": 14, "ell": 0,
+            "s": 0, "assignment_calls": 9, "memo_size": 0, "seed": 5,
+            "config": {"mode": "ideal", "epsilon": 0.5, "t_hat": 4, "groups": 7,
+                       "group_size": 2},
+            "oracle_queries": 40,
+        }
+
+    def test_report_keeps_its_run_bounds(self):
+        g, truth = gen_book(4)
+        _, report = ideal_estimate(fresh_stream(g), DegreeOracle(g),
+                                   epsilon=0.5, t_hat=truth.triangles, seed=2)
+        assert (report.epsilon, report.t_hat, report.seed) == (0.5, truth.triangles, 2)
 
     def test_sizing_pass_plus_three(self):
         g, truth = gen_book(4)
