@@ -3,7 +3,8 @@
 
 Runs the six-pass estimator repeatedly against a generated instance with
 known ground truth and prints a per-trial table plus the fraction of trials
-whose median lands within the target band.
+whose median lands within the target band. The flags make one `triad bench`
+manifest row: trial t seeds the estimator and stream order with --seed + t.
 
 Examples:
     python scripts/accuracy_trials.py --family book --size 998 --scale 0.005
@@ -14,18 +15,7 @@ Examples:
 import argparse
 import sys
 
-from triad.cli import generate_family
-from triad.estimator import EstimatorConfig, estimate
-from triad.stream import EdgeStream
-
-
-def build_instance(args):
-    params = {
-        "book": {"k": args.size},
-        "wheel": {"n": args.size},
-        "lb": {"p": args.p, "q": args.q, "N": args.size, "kind": "no"},
-    }[args.family]
-    return generate_family(args.family, params, args.seed)
+from triad.cli import parse_manifest, run_row
 
 
 def main() -> int:
@@ -44,25 +34,18 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    graph, truth = build_instance(args)
-    edges = graph.edge_array()
-    print(f"{args.family}: n={truth.n} m={truth.m} T={truth.triangles} "
-          f"kappa={truth.kappa}", file=sys.stderr)
-
-    print(f"{'trial':>5} {'estimate':>12} {'rel_err':>8} {'r':>6} {'ell':>6} "
-          f"{'peak':>7}  flags")
+    params = {"book": {"k": args.size}, "wheel": {"n": args.size},
+              "lb": {"p": args.p, "q": args.q, "N": args.size, "kind": "no"}}[args.family]
+    config = {"epsilon": args.epsilon, "repetitions": args.repetitions, "scale": args.scale}
+    [row] = parse_manifest([{"family": args.family, "params": params, "config": config,
+                             "trials": args.trials, "seed": args.seed}])
     good = 0
-    for trial in range(args.trials):
-        stream = EdgeStream(edges, order_seed=trial)
-        config = EstimatorConfig(
-            epsilon=args.epsilon,
-            t_hat=truth.triangles,
-            kappa_hat=truth.kappa,
-            repetitions=args.repetitions,
-            seed=args.seed + trial,
-            scale=args.scale,
-        )
-        value, report = estimate(stream, config)
+    for trial, (truth, _, value, report, _) in enumerate(run_row(row)):
+        if trial == 0:  # once the instance is generated
+            print(f"{args.family}: n={truth.n} m={truth.m} T={truth.triangles} "
+                  f"kappa={truth.kappa}", file=sys.stderr)
+            print(f"{'trial':>5} {'estimate':>12} {'rel_err':>8} {'r':>6} {'ell':>6} "
+                  f"{'peak':>7}  flags")
         rel = abs(value - truth.triangles) / truth.triangles if truth.triangles else 0.0
         good += rel <= args.band
         notable = [f for f in report.flags

@@ -4,7 +4,7 @@
 The sampled working set should track m * kappa / T up to the logarithmic
 factor, so the normalized ratio peak * T / (m * kappa) ought to stay within
 a small band as the instance grows. Prints one row per size plus the
-max/min spread.
+max/min spread. Each size is a one-trial `triad bench` manifest row.
 
 Example:
     python scripts/space_scaling.py --sizes 250 500 1000 2000 --scale 0.004
@@ -12,9 +12,7 @@ Example:
 
 import argparse
 
-from triad.estimator import EstimatorConfig, estimate
-from triad.generators import gen_book
-from triad.stream import EdgeStream
+from triad.cli import parse_manifest, run_row
 
 
 def main() -> int:
@@ -27,27 +25,20 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
+    config = {"epsilon": args.epsilon, "repetitions": args.repetitions, "scale": args.scale}
+    rows = parse_manifest([{"family": "book", "params": {"k": k}, "seed": args.seed,
+                            "config": config} for k in args.sizes])
+
     print(f"{'k':>6} {'m':>7} {'T':>7} {'r':>6} {'ell':>6} {'peak':>8} "
           f"{'peak*T/(m*kappa)':>18}  flags")
     ratios = []
-    for k in args.sizes:
-        graph, truth = gen_book(k)
-        stream = EdgeStream(graph.edge_array(), order_seed=args.seed)
-        config = EstimatorConfig(
-            epsilon=args.epsilon,
-            t_hat=truth.triangles,
-            kappa_hat=truth.kappa,
-            repetitions=args.repetitions,
-            seed=args.seed,
-            scale=args.scale,
-        )
-        _, report = estimate(stream, config)
+    for row in rows:
+        [(truth, _, _, report, _)] = run_row(row)
         ratio = report.stored_edges_peak * truth.triangles / (truth.m * truth.kappa)
-        notable = [f for f in report.flags
-                   if f in ("exact-fallback", "space-abort")]
+        notable = [f for f in report.flags if f in ("exact-fallback", "space-abort")]
         if not notable:
             ratios.append(ratio)
-        print(f"{k:>6} {truth.m:>7} {truth.triangles:>7} {report.r:>6} "
+        print(f"{row.params['k']:>6} {truth.m:>7} {truth.triangles:>7} {report.r:>6} "
               f"{report.ell:>6} {report.stored_edges_peak:>8} {ratio:>18.1f}  "
               f"{','.join(notable)}")
     if len(ratios) >= 2:

@@ -15,7 +15,9 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterator
 
 from . import edgelist
 from .errors import ConfigError, EdgeListError, InputError
@@ -23,7 +25,7 @@ from .errors import ConfigError, EdgeListError, InputError
 # each command imports the modules it runs, so `triad exact` loads only the
 # graph oracles
 if TYPE_CHECKING:
-    from .estimator import RunReport
+    from .estimator import EstimatorConfig, RunReport
     from .generators import GroundTruth
     from .graph import Graph
     from .ideal import IdealReport
@@ -241,88 +243,111 @@ def _manifest_value(row: int, key: str, value, cast):
     raise ConfigError(f"manifest row {row}: bad {key} value {edgelist.quote(value)}")
 
 
-def _manifest_bound(row: int, key: str, value, exact: int) -> int:
-    """A manifest row's `config.<key>`: "exact" is the ground truth, raised
-    to 1 so that a triangle-free row still runs; a given value below 1 is a
-    config error, as it is for `triad estimate`."""
+def _manifest_bound(row: int, key: str, value) -> int:
+    """A manifest row's `config.<key>`, 1 for "exact" until the instance is
+    generated; a given value below 1 is a config error, as in `estimate`."""
     if value == "exact":
-        return max(1, exact)
+        return 1
     bound = _manifest_value(row, f"config.{key}", value, int)
     if bound < 1:
         raise ConfigError(f"manifest row {row}: bad config.{key} value {edgelist.quote(value)}")
     return bound
 
 
-def _load_manifest(path) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # JSON text is UTF-8, so a file that does not decode is not JSON
-        raise EdgeListError(f"manifest is not valid JSON: {exc}") from None
+# a checked manifest row; `config` carries the row's base seed, and 1 for
+# each bound named in `exact` until the instance's ground truth replaces it
+BenchRow = namedtuple("BenchRow", "family params config exact trials")
+
+
+def parse_manifest(doc, seed: int = 0) -> list[BenchRow]:
+    """Check every row of a manifest document, a list of rows or
+    {"rows": [...]}, before any instance is generated. A row without a
+    "seed" takes `seed`. Every error is a config error naming its row."""
+    from .estimator import EstimatorConfig
+
     if isinstance(doc, dict):
         doc = doc.get("rows")
     if not isinstance(doc, list):
         raise ConfigError("manifest must be a list of rows or {'rows': [...]}")
-    for i, row in enumerate(doc):
-        if not isinstance(row, dict):
+    rows = []
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
             raise ConfigError(f"manifest row {i} is not an object")
         for name in ("family", "params", "config"):
-            if name not in row:
+            if name not in entry:
                 raise ConfigError(f"manifest row {i} is missing {name!r}")
         for name in ("params", "config"):
-            if not isinstance(row[name], dict):
+            if not isinstance(entry[name], dict):
                 raise ConfigError(f"manifest row {i}: {name!r} is not an object")
-    return doc
+        params = {key: _manifest_value(i, f"params.{key}", value, _PARAM_TYPES[key])
+                  for key, value in entry["params"].items() if key in _PARAM_TYPES}
+        trials = _manifest_value(i, "trials", entry.get("trials", 1), int)
+        if trials < 1:
+            raise ConfigError(
+                f"manifest row {i}: bad trials value {edgelist.quote(entry['trials'])}")
+        cfg = entry["config"]
+        config = EstimatorConfig(
+            epsilon=_manifest_value(i, "config.epsilon", cfg.get("epsilon"), float),
+            repetitions=_manifest_value(i, "config.repetitions", cfg.get("repetitions", 1), int),
+            scale=_manifest_value(i, "config.scale", cfg.get("scale", 1.0), float),
+            share_passes=_manifest_value(i, "config.share_passes",
+                                         cfg.get("share_passes", False), bool),
+            seed=_manifest_value(i, "seed", entry.get("seed", seed), int),
+            t_hat=_manifest_bound(i, "t_hat", cfg.get("t_hat", "exact")),
+            kappa_hat=_manifest_bound(i, "kappa_hat", cfg.get("kappa_hat", "exact")),
+        )
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"manifest row {i}: {exc}") from None
+        exact = tuple(key for key in ("t_hat", "kappa_hat") if cfg.get(key, "exact") == "exact")
+        rows.append(BenchRow(entry["family"], params, config, exact, trials))
+    return rows
+
+
+def run_row(row: BenchRow, fixed_clock: bool = False
+            ) -> Iterator[tuple[GroundTruth, EstimatorConfig, float, RunReport, float]]:
+    """Generate a checked row's instance once and yield (truth, config,
+    estimate, report, elapsed_ms) per trial. Trial t seeds the estimator and
+    the stream order with the row's seed + t; only `estimate` is timed."""
+    from .estimator import estimate
+    from .stream import EdgeStream
+
+    graph, truth = generate_family(row.family, row.params, row.config.seed)
+    # a Graph's edges are canonical and distinct already
+    edges = graph.edge_array()
+    # "exact" is raised to 1 so that a triangle-free row still runs
+    known = {"t_hat": max(1, truth.triangles), "kappa_hat": max(1, truth.kappa)}
+    config = replace(row.config, **{key: known[key] for key in row.exact})
+    for trial in range(row.trials):
+        trial_config = replace(config, seed=config.seed + trial)
+        stream = EdgeStream(edges, order_seed=trial_config.seed)
+        started = time.perf_counter()
+        value, report = estimate(stream, trial_config)
+        elapsed_ms = 0.0 if fixed_clock else (time.perf_counter() - started) * 1e3
+        yield truth, trial_config, value, report, elapsed_ms
 
 
 def cmd_bench(args) -> int:
-    from .estimator import EstimatorConfig, estimate
-    from .stream import EdgeStream
-
-    rows = _load_manifest(args.manifest)
+    try:
+        with open(args.manifest, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so a file that does not decode is not JSON
+        raise EdgeListError(f"manifest is not valid JSON: {exc}") from None
+    rows = parse_manifest(doc, args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_BENCH_HEADER)
-    for row, entry in enumerate(rows):
-        family = entry["family"]
-        params = {key: _manifest_value(row, f"params.{key}", value, _PARAM_TYPES[key])
-                  for key, value in entry["params"].items() if key in _PARAM_TYPES}
-        cfg = entry["config"]
-        epsilon = _manifest_value(row, "config.epsilon", cfg.get("epsilon"), float)
-        repetitions = _manifest_value(row, "config.repetitions", cfg.get("repetitions", 1), int)
-        scale = _manifest_value(row, "config.scale", cfg.get("scale", 1.0), float)
-        share_passes = _manifest_value(row, "config.share_passes",
-                                       cfg.get("share_passes", False), bool)
-        trials = _manifest_value(row, "trials", entry.get("trials", 1), int)
-        base_seed = _manifest_value(row, "seed", entry.get("seed", args.seed), int)
-        graph, truth = generate_family(family, params, base_seed)
-        edges = graph.edge_array()
-        t_hat = _manifest_bound(row, "t_hat", cfg.get("t_hat", "exact"), truth.triangles)
-        kappa_hat = _manifest_bound(row, "kappa_hat", cfg.get("kappa_hat", "exact"), truth.kappa)
-        for trial in range(trials):
-            seed = base_seed + trial
-            config = EstimatorConfig(
-                epsilon=epsilon,
-                t_hat=t_hat,
-                kappa_hat=kappa_hat,
-                repetitions=repetitions,
-                seed=seed,
-                scale=scale,
-                share_passes=share_passes,
-            )
-            # a Graph's edges are canonical and distinct already
-            stream = EdgeStream(edges, order_seed=seed)
-            started = time.perf_counter()
-            value, report = estimate(stream, config)
-            elapsed_ms = 0.0 if args.fixed_clock else (time.perf_counter() - started) * 1e3
+    for row in rows:
+        for truth, config, value, report, elapsed_ms in run_row(row, args.fixed_clock):
             rel = (abs(value - truth.triangles) / truth.triangles
                    if truth.triangles > 0 else "")
             writer.writerow([
-                family, truth.n, truth.m, truth.triangles, truth.kappa,
+                row.family, truth.n, truth.m, truth.triangles, truth.kappa,
                 config.epsilon, config.t_hat, config.kappa_hat, value, rel,
                 report.passes, report.stored_edges_peak, report.r, report.ell,
-                report.s, seed, elapsed_ms,
+                report.s, config.seed, elapsed_ms,
             ])
     text = buf.getvalue()
     if args.out:

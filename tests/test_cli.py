@@ -563,10 +563,13 @@ class TestBench:
         ({"config": {"epsilon": 0.2, "share_passes": "false"}}, "config.share_passes"),
         ({"config": {"epsilon": 0.2, "share_passes": 1}}, "config.share_passes"),
         ({"family": "lb", "params": {"p": 3, "q": 2, "N": 9, "kind": True}}, "params.kind"),
+        ({"trials": 0}, "trials"),
+        ({"trials": -3}, "trials"),
     ], ids=["epsilon", "no-epsilon", "trials", "param", "t_hat", "param-fraction",
             "param-bool", "trials-fraction", "trials-bool", "seed-fraction", "seed-inf",
             "repetitions-fraction", "t_hat-fraction", "kappa_hat-bool", "epsilon-bool",
-            "scale-bool", "share_passes-string", "share_passes-int", "kind-bool"])
+            "scale-bool", "share_passes-string", "share_passes-int", "kind-bool",
+            "trials-zero", "trials-negative"])
     def test_bad_value_names_the_row_and_key(self, tmp_path, change, key):
         good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
         mf = tmp_path / "bad.json"
@@ -575,6 +578,33 @@ class TestBench:
         assert res.returncode == 2
         assert res.stderr.startswith(f"triad: config error: manifest row 1: bad {key} value ")
         assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"config": {"epsilon": 0.2, "repetitions": 2}},
+         "repetitions must be odd and positive, got 2"),
+        ({"config": {"epsilon": 0.2, "scale": 0}}, "scale must lie in (0, 1], got 0.0"),
+        ({"config": {"epsilon": 0.7}}, "epsilon must lie in (0, 0.5), got 0.7"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["repetitions-even", "scale-zero", "epsilon-large", "seed-negative"])
+    def test_config_error_names_the_row(self, tmp_path, change, message):
+        good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
+        mf = tmp_path / "bad.json"
+        mf.write_text(json.dumps([good, dict(good, **change)]))
+        res = run_cli("bench", str(mf))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"triad: config error: manifest row 1: {message}\n"
+
+    def test_every_row_is_checked_before_any_instance_is_generated(self, tmp_path):
+        # row 0 would fail when its instance is generated, row 1 when it is read
+        rows = [{"family": "nope", "params": {}, "config": {"epsilon": 0.2}},
+                {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2},
+                 "trials": 0}]
+        mf = tmp_path / "bad.json"
+        mf.write_text(json.dumps(rows))
+        res = run_cli("bench", str(mf))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "triad: config error: manifest row 1: bad trials value 0\n"
 
     @pytest.mark.parametrize("name", ["params", "config"])
     def test_non_object_table_exits_2(self, tmp_path, name):

@@ -6,19 +6,21 @@ and ideal mode's sizing pass in `ideal_estimate` call `run_pass`, once
 each), one edge-list parser (only `edgelist.py` reads files as bytes
 or calls `parse_line`), one weighted sampler (no module calls a
 generator's `choice`: weighted draws are positions on an integer axis that
-`EdgePicker` collects), and hashed membership in every pass observer (no
+`EdgePicker` collects), hashed membership in every pass observer (no
 `observe_block` body calls `searchsorted`: a block's ids are looked up in
 a `_HashIndex` built once per pass), one vertex layer (no class in
 `sampling.py` constructs more than one `_HashIndex`: the query vertices'
 index is `DegreeCounter`'s, which the other observers extend), no
 binary search between passes (`estimator.py` and `ideal.py` call no
 `searchsorted`: a degree counted in a pass is read through its
-`DegreeCounter`'s hash index), and one owner per report (`cli.py`
-constructs no `RunReport` or `IdealReport`: each mode builds its report and
-the report serializes itself). `EdgeStream`'s public surface is the pass
-protocol, its stats and its two openers, and nothing else. The package
-loads each public name's module on first use, so the exact oracles import
-only `graph` and what it needs."""
+`DegreeCounter`'s hash index), one owner per report (`cli.py` constructs
+no `RunReport` or `IdealReport`: each mode builds its report and the report
+serializes itself), and one trial runner (no script in `scripts/`
+constructs an `EdgeStream` or an `EstimatorConfig` or calls `estimate`:
+each runs manifest rows through `cli.run_row`, as `triad bench` does).
+`EdgeStream`'s public surface is the pass protocol, its stats and its two
+openers, and nothing else. The package loads each public name's module on
+first use, so the exact oracles import only `graph` and what it needs."""
 
 import ast
 import os
@@ -352,6 +354,37 @@ def test_report_construction_is_caught():
              "    return report, IdealReport(**vars(ideal))\n\n" \
              "def _annotated(report: estimator.RunReport) -> IdealReport:\n    return report\n"
     assert report_constructions(source) == ["RunReport (line 5)", "IdealReport (line 6)"]
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+TRIAL_PARTS = {"EdgeStream", "EstimatorConfig", "estimate"}
+
+
+def trial_parts(source: str) -> list[str]:
+    """Calls that open a stream, build a config or run the estimator, bare
+    or through an attribute such as `EdgeStream.from_file`."""
+    return [f"{ast.unparse(node.func)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and TRIAL_PARTS & set(ast.unparse(node.func).split("."))]
+
+
+def test_scripts_are_found():
+    assert {p.name for p in SCRIPTS} >= {"accuracy_trials.py", "space_scaling.py"}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_run_trials_through_the_row_runner(path):
+    assert trial_parts(path.read_text(encoding="utf-8")) == []
+
+
+def test_script_trial_loop_is_caught():
+    source = "from triad import estimator\nfrom triad.stream import EdgeStream\n\n" \
+             "def trial(edges, cfg):\n    stream = EdgeStream.from_edges(edges)\n" \
+             "    config = estimator.EstimatorConfig(**cfg)\n" \
+             "    return estimator.estimate(EdgeStream(edges), config), run_row(cfg)\n"
+    assert trial_parts(source) == [
+        "EdgeStream.from_edges (line 5)", "estimator.EstimatorConfig (line 6)",
+        "estimator.estimate (line 7)", "EdgeStream (line 7)"]
 
 
 STREAM_SURFACE = {"begin_pass", "next_block", "next_edge", "end_pass", "abort_pass",
