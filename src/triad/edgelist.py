@@ -34,8 +34,15 @@ _INTEGER = (int, np.integer)
 # vertex ids must fit a signed 64-bit integer, the graph arrays' dtype
 ID_LIMIT = 1 << 63
 
-# bytes read per chunk; a chunk is cut after its last b"\n"
-CHUNK_BYTES = 1 << 20
+# bytes read per chunk; a chunk is cut after its last b"\n". A chunk's
+# scratch is a few arrays of its length in bytes and in fields, so at
+# 128 KiB it stays within a core's L2 cache, as the triangle kernel's steps
+# do. On the lb NO gadget's 1.2 MB file, on a shared Xeon with 2 MiB of L2
+# per core, `_parse_chunk` takes 25.6 ms a file against 34.6 ms with 1 MiB
+# chunks whose junk lines a byte-long reduceat marked (medians of 21
+# interleaved reads), and the tracemalloc peak of `read_edges` falls from
+# 13.67 to 6.29 MiB.
+CHUNK_BYTES = 1 << 17
 
 # a quoted id or field longer than this shows only its head and its length
 QUOTE_CHARS = 40
@@ -167,8 +174,12 @@ def _parse_chunk(text: bytes) -> tuple[np.ndarray, np.ndarray, Optional[tuple[in
     # ASCII whitespace is b" " and b"\t" through b"\r", the set bytes.split()
     # uses; uint8 differences wrap, so one comparison tests a byte range
     word = (buf != ord(" ")) & ((buf - 9) > 4)
-    # a line with a byte that is neither a digit nor a space is no edge
-    junk = np.logical_or.reduceat(word & ((buf - ord("0")) > 9), line_starts)
+    # a line with a byte that is neither a digit nor a space is no edge;
+    # such bytes are few, so the lines are marked from their positions
+    junk = np.zeros(len(line_starts), dtype=bool)
+    odd = np.flatnonzero(word & ((buf - ord("0")) > 9))
+    junk[np.searchsorted(line_starts, odd, side="right") - 1] = True
+    del odd
     # fields are the maximal runs of non-space bytes
     before = np.zeros_like(word)
     before[1:] = word[:-1]

@@ -14,9 +14,11 @@ arrays that need O(n + m) memory:
 - `triangles_exact_cn` orients every edge from the lower to the higher
   (degree, id) rank and closes the wedges of each out-list by membership
   in a hash set of the oriented edge keys (forward counting; Chiba &
-  Nishizeki 1985, Latapy 2008). Out-lists have at most sqrt(2m) entries,
-  the wedges number at most d_E / 2, and they are closed a bounded chunk
-  at a time.
+  Nishizeki 1985, Latapy 2008). Out-lists have at most sqrt(2m) entries
+  and the wedges number at most d_E / 2. They are generated one out-degree
+  class at a time, as index pairs over a matrix of equal-length out-lists,
+  a bounded step at a time. A wedge (b, c) whose c lies outside the rank
+  range of b's out-list cannot close, and is dropped before the probe.
 - `degeneracy` peels in batches: at level k each round removes every live
   vertex of current degree <= k, and only the removed vertices' neighbors
   are revisited. The level rises to the least live degree when a round
@@ -55,15 +57,17 @@ from .errors import InputError
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
-# wedges closed per kernel step; bounds the kernel's scratch memory. A
-# step makes about eight int64 temporaries of this length (256 KiB each
-# at 2**15), so its working set fits a core's L2 cache instead of streaming
-# through memory. On the lb NO gadget (p=q=40, N=150), on a shared Xeon
-# with 2 MiB of L2 per core, the count takes 0.050 s at 2**15 and 2**16
-# against 0.060 s at 2**18 (medians of 15 interleaved runs), and its
-# tracemalloc peak is 10.2 MiB against 16.1 MiB at 2**18, below the
-# 13.7 MiB of loading the graph.
-_WEDGE_CHUNK = 1 << 15
+# wedges generated per kernel step (or one out-list's d - 1, if more);
+# bounds the kernel's scratch memory. A step holds two or three int64
+# temporaries of this length at once (512 KiB each at 2**16), so its
+# working set fits a core's L2 cache instead of streaming through memory.
+# On the lb NO gadget (p=q=40, N=150), on a shared Xeon with 2 MiB of L2
+# per core, the count takes 45, 37, 32, 33 and 37 ms at 2**14 .. 2**18
+# (medians of 15 interleaved runs); its tracemalloc peak, 9.0 MiB up to
+# 2**17, is the hash set's build, and 2**18 steps raise it to 9.8 MiB. On
+# er(3000, 0.03), where the rank-range test drops few wedges, the count
+# takes 180 ms at 2**15 and 153 ms at 2**16.
+_WEDGE_CHUNK = 1 << 16
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -417,35 +421,78 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     """Every triangle once, as chunks of vertex-id arrays (a, b, c).
 
     Each edge points from its lower to its higher (degree, id) rank. A
-    triangle is found exactly once: at its lowest-rank vertex, as the pair
-    of out-neighbors that an oriented edge joins. The wedges, pairs of
-    out-neighbors of one vertex, are generated about _WEDGE_CHUNK at a time
-    and closed by membership in a hash set of the oriented edge keys.
+    triangle is found exactly once: at its lowest-rank vertex a, as the pair
+    (b, c) of a's out-neighbors that an oriented edge b -> c joins.
+
+    The vertices are taken one out-degree class at a time. The out-lists of
+    a class of out-degree d are the columns of a (d x r) matrix, and its
+    wedges are the row pairs i < j, about _WEDGE_CHUNK a step: whole lists
+    when a list's C(d, 2) wedges fit, else one list a few first rows i at a
+    time, so a step never holds more than max(_WEDGE_CHUNK, d - 1) wedges.
+    A wedge (b, c) is kept only when c lies within the rank range of b's
+    sorted out-list, and a step's kept wedges are closed by membership in a
+    hash set of the oriented edge keys.
     """
     n = g.n
     by_rank, keys = _oriented_keys(g)
     edges = _HashSet(keys)
     src, dst = np.divmod(keys, n)
     del keys
-    # the out-list of rank r is edges [stop[r - 1], stop[r]); edge i pairs
-    # with the edges after it in its (sorted) out-list, and done[i] counts
-    # the wedges of edges 0..i
-    stop = np.cumsum(np.bincount(src, minlength=n))
-    done = np.cumsum(stop[src] - np.arange(len(src)) - 1)
+    # rank r's out-list is dst[start[r]:start[r] + size[r]], sorted, and
+    # spans the ranks low[r] .. low[r] + span[r]; an empty one has low = n
+    # and span 0, which no rank in [0, n) passes
+    size = np.bincount(src, minlength=n)
     del src
-    lo = 0
-    while lo < len(dst):
-        before = int(done[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(done, before + _WEDGE_CHUNK, side="right")))
-        span = np.diff(done[lo:hi], prepend=before)
-        pair = np.repeat(dst[lo:hi] * n, span) + dst[_ranges(np.arange(lo + 1, hi + 1), span)]
-        hit = np.flatnonzero(edges.contains(pair))
-        # the edge whose out-list each closed wedge came from, and its source
-        first = lo + np.searchsorted(np.cumsum(span), hit, side="right")
-        a = np.searchsorted(stop, first, side="right")
-        b, c = np.divmod(pair[hit], n)
-        yield by_rank[a], by_rank[b], by_rank[c]
-        lo = hi
+    start = np.cumsum(size) - size
+    low = np.full(n, n)
+    span = np.zeros(n, dtype=np.uint64)
+    has = np.flatnonzero(size)
+    low[has] = dst[start[has]]
+    span[has] = dst[start[has] + size[has] - 1] - low[has]
+    del has
+    # the ranks of out-degree d are by_size[bounds[d - 1]:bounds[d]]
+    by_size = np.argsort(size, kind="stable")
+    bounds = np.cumsum(np.bincount(size)).tolist()
+    for d in range(2, len(bounds)):
+        rows = by_size[bounds[d - 1]:bounds[d]]
+        if not len(rows):
+            continue
+        per = min(len(rows), max(1, _WEDGE_CHUNK // (d * (d - 1) // 2)))
+        for first, last in _wedge_steps(d):
+            # the row pairs (i, j), i < j, whose first row is in [first, last)
+            i, j = np.triu_indices(last - first, 1, d - first)
+            i += first
+            j += first
+            for k in range(0, len(rows), per):
+                block = rows[k:k + per]
+                # column t is the out-list of block[t]; wedge (p, t) is
+                # (lists[i[p], t], lists[j[p], t]), at position p * r + t
+                lists = dst[start[block] + np.arange(d)[:, None]]
+                # c - low[b] as uint64: below 0 wraps past every span
+                gap = lists[j]
+                gap -= low[lists][i]
+                wedge = np.flatnonzero(gap.view(np.uint64) <= span[lists][i])
+                del gap
+                key = (lists * n)[i]
+                key += lists[j]
+                key = key.ravel()[wedge]
+                hit = edges.contains(key)
+                b, c = np.divmod(key[hit], n)
+                yield by_rank[block[wedge[hit] % len(block)]], by_rank[b], by_rank[c]
+
+
+def _wedge_steps(d: int) -> list[tuple[int, int]]:
+    """Ranges [first, last) of the first rows i of the pairs i < j of an
+    out-list of d entries, each holding at most _WEDGE_CHUNK pairs or one
+    row's d - 1 - first: one range when all C(d, 2) pairs fit."""
+    cuts, pairs = [0], 0
+    for i in range(d - 1):
+        pairs += d - 1 - i
+        if pairs > _WEDGE_CHUNK and i > cuts[-1]:
+            cuts.append(i)
+            pairs = d - 1 - i
+    cuts.append(d - 1)
+    return list(zip(cuts, cuts[1:]))
 
 
 def enumerate_triangles(g: Graph) -> Iterator[Triangle]:

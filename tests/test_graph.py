@@ -195,6 +195,24 @@ class TestDegeneracy:
         assert res.returncode == 0, res.stderr
         assert res.stdout == "False\n"
 
+    def test_ideal_estimate_leaves_numpy_ma_unimported(self):
+        # np.median imports numpy.ma on its first call, about 16 ms of a
+        # fresh `triad estimate --mode ideal` process
+        code = ("import sys\n"
+                "from triad.generators import gen_wheel\n"
+                "from triad.ideal import DegreeOracle, ideal_estimate\n"
+                "from triad.stream import EdgeStream\n"
+                "g, _ = gen_wheel(50)\n"
+                "value, _ = ideal_estimate(EdgeStream(g.edge_array()), DegreeOracle(g),\n"
+                "                          epsilon=0.5, t_hat=49, seed=1)\n"
+                "assert value >= 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(triad.graph.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
+
 
 class TestTriangleCounts:
     def test_k3_and_k4(self, k3, k4):
@@ -250,14 +268,37 @@ class TestKernelsAgainstReferences:
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_wedges_spanning_many_chunks(self, monkeypatch, chunk):
-        # K7's first out-list alone has 15 wedges, more than chunks 1 and 5
+        # K7's first out-list alone has 15 wedges, more than chunks 1 and 5;
+        # the wheel's rim and the book's pages are classes of many lists,
+        # and most of the lb NO gadget's wedges fail the rank-range test
         graphs = [k_complete(7), gen_preferential_attachment(300, 4, seed=1),
-                  gen_erdos_renyi(120, 0.1, seed=4)]
+                  gen_erdos_renyi(120, 0.1, seed=4),
+                  gen_lb_instance(lb_spec(4, 3, 9, "no", seed=0))[0],
+                  gen_wheel(50)[0], gen_book(20)[0]]
         expected = [list(bisect_triangles(g)) for g in graphs]
         monkeypatch.setattr(triad.graph, "_WEDGE_CHUNK", chunk)
         for g, tris in zip(graphs, expected):
             assert triangles_exact_cn(g) == len(tris)
             assert list(enumerate_triangles(g)) == tris
+
+    def test_probe_batches_stay_within_a_step(self, monkeypatch):
+        # K60's lowest rank has out-degree d = 59 and C(59, 2) = 1,711
+        # wedges, far more than the patched chunk: its list is split, and
+        # no batch probes more than max(chunk, d - 1) wedges
+        chunk = 100
+        monkeypatch.setattr(triad.graph, "_WEDGE_CHUNK", chunk)
+        sizes = []
+        contains = triad.graph._HashSet.contains
+
+        def spy(self, values):
+            sizes.append(len(values))
+            return contains(self, values)
+
+        monkeypatch.setattr(triad.graph._HashSet, "contains", spy)
+        assert triangles_exact_cn(k_complete(60)) == 34220
+        # every wedge of K60 closes, so every one is probed
+        assert sum(sizes) == 34220
+        assert max(sizes) <= max(chunk, 58)
 
     def test_long_path_peels_in_many_rounds(self):
         # one vertex from each end per round: about 10k rounds at level 1

@@ -78,3 +78,24 @@ def test_space_scaling_matches_bench(tmp_path):
     # k, m, T, r, ell, peak
     assert [tuple(t[1:6]) for t in table_rows(res.stdout)] == [
         (b["m"], b["T_exact"], b["r"], b["ell"], b["stored_edges_peak"]) for b in bench]
+
+
+def test_accuracy_trials_lb_defaults_sample(tmp_path):
+    # the lb arm's default gadget and scale keep r below m, so the trial
+    # samples instead of counting exactly
+    res = run([str(ROOT / "scripts/accuracy_trials.py"), "--family", "lb", "--trials", "1",
+               "--repetitions", "1"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "m=161600 T=64000" in res.stderr
+    [trial] = table_rows(res.stdout)
+    assert "exact-fallback" not in trial
+    assert int(trial[3]) < 161600
+
+
+def test_accuracy_trials_refused_size_is_one_line(tmp_path):
+    res = run([str(ROOT / "scripts/accuracy_trials.py"), "--family", "lb", "--size", "998",
+               "--trials", "1"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "accuracy_trials.py: error: block count must be a positive multiple of 3, got 998"]
