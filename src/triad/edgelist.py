@@ -6,19 +6,31 @@ whose first field starts with '#' is a comment, and blank lines are
 skipped. Self-loops and repeated edges (in either orientation) are
 rejected with the offending line number.
 
-`read_edges` parses a file in bounded chunks of whole lines, a few numpy
-passes over each chunk's bytes and fields, and returns the canonical edges
-as one (m, 2) int64 array, so it holds the result, each edge's line number
-and a few chunks' worth of scratch, and reads the file once. `parse_line`
-is the specification of one line: the first bad line in file order is
-re-parsed by it, so its message and line number are the ones reported. A
-repeated edge is reported at its second occurrence.
+`EdgeScan` reads a file once, in bounded chunks of whole lines, into the
+canonical edges as one (m, 2) int64 array. A chunk takes one of two paths:
+
+- a plain chunk, whose lines after any leading comment lines are each two
+  digit fields split by one b" " or b"\t", is read in one pass: a
+  `bytes.translate` admits it, the bytes below b"0" are its separators,
+  and line i is edge i, so it keeps no line numbers. A plain chunk with a
+  self-loop or an id of 2**63 or more takes the other path;
+- any other chunk takes `_parse_chunk`, a few numpy passes over its bytes
+  and fields, which keeps each edge's line offset within the chunk.
+
+The scan does not look for repeats. `read_edges` sorts for them with
+`_first_repeat`; `Graph.from_file` reads them off the CSR's own sort and
+calls `_first_repeat` only to name one. `parse_line` is the specification
+of one line: the first bad line in file order is re-parsed by it, so its
+message and line number are the ones reported. A repeated edge is
+reported at its second occurrence, and a repeat before the first bad line
+is reported in its place.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
@@ -38,10 +50,9 @@ ID_LIMIT = 1 << 63
 # scratch is a few arrays of its length in bytes and in fields, so at
 # 128 KiB it stays within a core's L2 cache, as the triangle kernel's steps
 # do. On the lb NO gadget's 1.2 MB file, on a shared Xeon with 2 MiB of L2
-# per core, `_parse_chunk` takes 25.6 ms a file against 34.6 ms with 1 MiB
-# chunks whose junk lines a byte-long reduceat marked (medians of 21
-# interleaved reads), and the tracemalloc peak of `read_edges` falls from
-# 13.67 to 6.29 MiB.
+# per core, `EdgeScan` takes 14.3 to 16.2 ms a file at 32 to 256 KiB and
+# 18.4 ms at 1 MiB (medians of 31 interleaved reads, IQRs 2.7 to 4.9 ms),
+# and the tracemalloc peak of `read_edges` is 5.0 MiB against 13.2 MiB.
 CHUNK_BYTES = 1 << 17
 
 # a quoted id or field longer than this shows only its head and its length
@@ -50,6 +61,9 @@ QUOTE_CHARS = 40
 # 19 digits fit uint64 exactly (10**19 - 1 < 2**64); longer fields are rare
 # (only leading zeros keep them below 2**63) and are read one at a time
 _UINT64_DIGITS = 19
+
+# the bytes of a plain chunk: digits, the two field separators, and b"\n"
+_PLAIN_BYTES = b"0123456789 \t\n"
 
 
 def quote(token: object) -> str:
@@ -111,40 +125,69 @@ def read_edges(path: str | os.PathLike) -> np.ndarray:
     Returns the canonical edges (u < v) in file order as an (m, 2) int64
     array. Raises EdgeListError for the first bad line in file order.
     """
-    blocks, line_blocks = [], []
-    bad = None
-    for ends, lines, bad in _chunks(path):
-        blocks.append(ends)
-        line_blocks.append(lines)
-        if bad is not None:
-            break
-    edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-    del blocks
-    # every row precedes the first bad line, so a repeat among them comes first
-    row = _first_repeat(edges)
-    if row is not None:
-        u, v = edges[row].tolist()
-        raise EdgeListError(f"duplicate edge {u} {v}", int(np.concatenate(line_blocks)[row]))
-    if bad is not None:
-        lineno, line = bad
-        parse_line(line, lineno)
-        raise AssertionError(f"line {lineno} failed the columnar checks only")
-    return edges
+    scan = EdgeScan(path)
+    scan.raise_first_fault(_first_repeat(scan.edges))
+    return scan.edges
 
 
-def _chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[tuple[int, bytes]]]]:
-    """Per chunk of whole lines, in file order: its canonical edges, their
-    1-based line numbers, and (line number, raw line) of its first bad line
-    or None. The edges stop at the first bad line, and so does the scan."""
-    first = 1
-    with open(path, "rb") as fh:
-        for text in _whole_lines(fh):
-            ends, lines, bad = _parse_chunk(text)
-            if bad is not None:
-                yield ends, lines + first, (bad[0] + first, bad[1])
-                return
-            yield ends, lines + first, None
-            first += text.count(b"\n")
+class EdgeScan:
+    """One read of an edge-list file, in chunks of whole lines.
+
+    `edges` holds the canonical edges in file order up to the first bad
+    line, as an (m, 2) int64 array; every other check of `parse_line` is
+    done. The scan does not look for repeated edges: the caller finds the
+    row of the first repeat, if any, and `raise_first_fault` reports it or
+    the bad line, whichever comes first in the file.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        blocks = []
+        # per chunk: its first row; and a line number with each row's offset
+        # from it, or None when row i is at offset i. A plain chunk needs no
+        # array, and offsets become line numbers only when one is reported
+        self._first_rows: list[int] = []
+        self._offsets: list[tuple[int, Optional[np.ndarray]]] = []
+        self.bad: Optional[tuple[int, bytes]] = None
+        rows, first = 0, 1
+        with open(path, "rb") as fh:
+            for text in _whole_lines(fh):
+                plain = _parse_plain(text)
+                if plain is not None:
+                    ends, skipped = plain
+                    self._offsets.append((first + skipped, None))
+                    first += skipped + len(ends)
+                else:
+                    ends, lines, bad = _parse_chunk(text)
+                    self._offsets.append((first, lines))
+                    if bad is not None:
+                        self.bad = (bad[0] + first, bad[1])
+                    first += text.count(b"\n")
+                self._first_rows.append(rows)
+                rows += len(ends)
+                blocks.append(ends)
+                if self.bad is not None:
+                    break
+        self.edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+
+    def _line(self, row: int) -> int:
+        """The 1-based line number of an edge row."""
+        chunk = bisect_right(self._first_rows, row) - 1
+        first, offsets = self._offsets[chunk]
+        row -= self._first_rows[chunk]
+        return first + (row if offsets is None else int(offsets[row]))
+
+    def raise_first_fault(self, repeat: Optional[int]) -> None:
+        """Raise EdgeListError for the file's first fault, given the row of
+        the first edge that repeats an earlier one, or None; return if the
+        file has no fault."""
+        # every row precedes the first bad line, so a repeat among them comes first
+        if repeat is not None:
+            u, v = self.edges[repeat].tolist()
+            raise EdgeListError(f"duplicate edge {u} {v}", self._line(repeat))
+        if self.bad is not None:
+            lineno, line = self.bad
+            parse_line(line, lineno)
+            raise AssertionError(f"line {lineno} failed the columnar checks only")
 
 
 def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
@@ -163,6 +206,47 @@ def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
         yield text
     if text := b"".join(tail):
         yield text
+
+
+def _parse_plain(text: bytes) -> Optional[tuple[np.ndarray, int]]:
+    """The canonical edges of a run of whole lines, and the count of the
+    comment lines before them, when after those comments every line is two
+    digit fields split by one b" " or b"\t", with no self-loop and both ids
+    below 2**63: line i after the comments is edge i. None otherwise."""
+    # leading comment lines, such as the header `triad gen` writes
+    start = skipped = 0
+    while text.startswith(b"#", start):
+        start = text.find(b"\n", start) + 1 or len(text)
+        skipped += 1
+    if start:
+        text = text[start:]
+    if text.translate(None, _PLAIN_BYTES):
+        return None
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    buf = np.frombuffer(text, dtype=np.uint8)
+    # the separators are the bytes below b"0": the field split at even
+    # places and b"\n" at odd ones, with a field of digits before each
+    seps = np.flatnonzero(buf < ord("0"))
+    kinds = buf[seps] == ord("\n")
+    if (len(seps) % 2 or seps[0] == 0 or kinds[0::2].any() or not kinds[1::2].all()
+            or (np.diff(seps) == 1).any()):
+        return None
+    del kinds
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    np.add(seps[:-1], 1, out=starts[1:])
+    ids, over = _ids(text, buf, starts, seps)
+    del starts, seps
+    # the ids are below 2**63, so their int64 bits are the same
+    ends = ids.view(np.int64).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    if over.any() or (u == v).any():
+        return None
+    lo = np.minimum(u, v)
+    np.maximum(u, v, out=v)
+    u[:] = lo
+    return ends, skipped
 
 
 def _parse_chunk(text: bytes) -> tuple[np.ndarray, np.ndarray, Optional[tuple[int, bytes]]]:
@@ -224,8 +308,11 @@ def _ids(text: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
     values = np.zeros(len(starts), dtype=np.uint64)
     pos = stops - digits
     for back in range(digits, 0, -1):
-        # a field narrower than `back` has a 0 there; `clip` keeps pos >= 0
-        digit = np.where(width >= back, buf.take(pos, mode="clip") - ord("0"), 0)
+        # a field narrower than `back` has a 0 there; `clip` keeps pos >= 0.
+        # A uint8 product masks the digit: np.where is several times slower
+        digit = buf.take(pos, mode="clip")
+        digit -= ord("0")
+        digit *= width >= back
         values *= 10
         values += digit
         pos += 1

@@ -72,6 +72,7 @@ from .sampling import (
     DegreeCounter,
     EdgePicker,
     IncidentPicker,
+    PairChecker,
     neighbor_picker,
     run_pass,
     substream,
@@ -522,7 +523,7 @@ class _Repetition(_StageMachine):
     def _begin_5(self) -> list:
         other = np.repeat(self.wedge_others, np.diff(self.wedge_bounds))
         self._open = np.flatnonzero(self.wedge_samples != other)
-        return [ClosureChecker(other[self._open], self.wedge_samples[self._open])]
+        return [PairChecker(other[self._open], self.wedge_samples[self._open])]
 
     def _end_5(self) -> None:
         [closure] = self._observers

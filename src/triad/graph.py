@@ -108,13 +108,19 @@ class Graph:
             raise InputError(f"vertex {int(ends.max())} out of range for n={n}")
         self._fill(n, ends)
 
-    def _fill(self, n: int, ends: np.ndarray) -> None:
-        """Build the CSR from an (m, 2) array of canonical edges on [0, n)."""
+    def _fill(self, n: int, ends: np.ndarray) -> bool:
+        """Build the CSR from an (m, 2) array of canonical edges on [0, n);
+        return whether an edge repeats, which only an unchecked file holds."""
         # one sort of (row, column) keys groups the rows and sorts each one;
         # a row's length is the count of its id among the ends
-        keys = np.concatenate((ends[:, 0], ends[:, 1])) * n
-        keys += np.concatenate((ends[:, 1], ends[:, 0]))
+        m = len(ends)
+        keys = np.empty(2 * m, dtype=np.int64)
+        keys[:m], keys[m:] = ends[:, 0], ends[:, 1]
+        keys *= n
+        keys[:m] += ends[:, 1]
+        keys[m:] += ends[:, 0]
         keys.sort()
+        repeats = bool((keys[1:] == keys[:-1]).any())
         indices = np.remainder(keys, n, out=keys)
         counts = np.bincount(ends.ravel(), minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -122,19 +128,28 @@ class Graph:
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self.n = n
-        self.m = len(ends)
+        self.m = m
         self.labels = None
         self.indptr = indptr
         self.indices = indices
         self._deg = counts.tolist()
+        return repeats
 
     @classmethod
     def from_file(cls, path) -> "Graph":
         """Load an edge list, remapping possibly-sparse ids to dense [0, n).
 
-        The original ids are kept in `labels`, indexed by the dense id.
+        The original ids are kept in `labels`, indexed by the dense id. The
+        file is read once; a repeated edge shows as two equal keys in the
+        CSR's sort, and only then is the first one looked for.
         """
-        return cls.from_checked_edges(edgelist.read_edges(path))
+        scan = edgelist.EdgeScan(path)
+        if scan.bad is not None:
+            scan.raise_first_fault(edgelist._first_repeat(scan.edges))
+        g, repeats = cls._relabelled(scan.edges)
+        if repeats:
+            scan.raise_first_fault(edgelist._first_repeat(scan.edges))
+        return g
 
     @classmethod
     def from_checked_edges(cls, ends: np.ndarray) -> "Graph":
@@ -146,11 +161,16 @@ class Graph:
         are not checked again. Dense ids follow the original order, and
         `labels` maps each dense id back to its original id.
         """
+        return cls._relabelled(ends)[0]
+
+    @classmethod
+    def _relabelled(cls, ends: np.ndarray) -> tuple["Graph", bool]:
+        """`from_checked_edges`, and whether an edge repeats."""
         ids, dense = _relabel(ends)
         g = cls.__new__(cls)
-        g._fill(len(ids), dense)
+        repeats = g._fill(len(ids), dense)
         g.labels = tuple(ids.tolist())
-        return g
+        return g, repeats
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:

@@ -33,6 +33,8 @@ block:
 - `ClosureChecker` tells which of a list of vertex pairs are edges. Ids
   reach 2**63 - 1, so two of them do not pack into one int64 key; a pair's
   key is built from the ranks of its ends among the queried vertices.
+  `PairChecker` is the same check with no degree count, for a pass whose
+  caller reads only which pairs are edges.
 
 A pass streams all m edges past a query set of k keys, so its cost is m
 membership tests. The counter hashes its sorted vertices once into a
@@ -121,7 +123,8 @@ class EdgePicker:
 
     def __init__(self, positions):
         positions = np.asarray(positions, dtype=np.int64)
-        self._order = np.argsort(positions, kind="stable")
+        # tied positions pick the same row, so the sort need not be stable
+        self._order = np.argsort(positions)
         self._sorted = positions[self._order]
         # (count, columns), allocated by the first rows observed
         self._picked: Optional[np.ndarray] = None
@@ -293,3 +296,14 @@ class ClosureChecker(DegreeCounter):
     def present(self) -> np.ndarray:
         """Per pair, in the order given: whether it is an edge."""
         return self._hit[self._slot]
+
+
+class PairChecker(ClosureChecker):
+    """A `ClosureChecker` whose pass counts no degrees, for a caller that
+    reads only `present`."""
+
+    def _count(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._index.find(column)
+
+    def degrees(self, vertices) -> np.ndarray:
+        raise InputError("a PairChecker counts no degrees")

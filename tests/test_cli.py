@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from triad import edgelist
 from triad.assignment import compute_s
 from triad.estimator import EstimatorConfig
 from triad.generators import gen_book
@@ -51,6 +52,23 @@ class TestGen:
         assert res.returncode == 0
         sidecar = json.loads((tmp_path / "lb.el.json").read_text())
         assert sidecar["T"] == 64
+
+    def test_gen_output_takes_the_plain_pass(self, tmp_path, monkeypatch):
+        # `triad gen` writes a `#` header, then `u v` lines: the header is
+        # skipped, and every chunk is read by the one-pass parse
+        out = tmp_path / "lb.el"
+        res = run_cli("gen", "lb", "--p", "4", "--q", "4", "--N", "30",
+                      "--kind", "no", "--out", str(out), "--seed", "3")
+        assert res.returncode == 0
+        m = json.loads((tmp_path / "lb.el.json").read_text())["m"]
+        general = []
+        parse_chunk = edgelist._parse_chunk
+        monkeypatch.setattr(edgelist, "_parse_chunk",
+                            lambda text: general.append(text) or parse_chunk(text))
+        for chunk in (64, 1024, edgelist.CHUNK_BYTES):
+            monkeypatch.setattr(edgelist, "CHUNK_BYTES", chunk)
+            assert Graph.from_file(out).m == m
+        assert general == []
 
     def test_book_k1_is_k3(self, tmp_path):
         out = tmp_path / "k3.el"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import triad.graph
+from triad import edgelist
 from triad.errors import EdgeListError, InputError
 from triad.graph import (
     Graph,
@@ -92,6 +93,71 @@ class TestGraphConstruction:
         assert g.labels == (10, 20, 30)
         # 30 is dense id 2, adjacent to both others
         assert g.degree(2) == 2
+
+
+class TestFromFileFaults:
+    """`Graph.from_file` finds repeats in the CSR's sort, not in a scan of
+    its own, and still reports the first fault in file order."""
+
+    # line 3 is not plain, so its chunk keeps line numbers; line 6 repeats it
+    REPEAT = b"# header\n1 2\n2  3\n3 4\n5 6\n3 2\n2 1\n"
+
+    @pytest.mark.parametrize("chunk", [1, 8, 12, 16, edgelist.CHUNK_BYTES])
+    def test_repeat_is_named_at_its_second_line(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(edgelist, "CHUNK_BYTES", chunk)
+        p = tmp_path / "repeat.el"
+        p.write_bytes(self.REPEAT)
+        with pytest.raises(EdgeListError, match="duplicate edge 2 3") as err:
+            Graph.from_file(p)
+        assert err.value.lineno == 6
+        # all plain: the repeat's line comes from its row
+        p.write_bytes(self.REPEAT.replace(b"2  3", b"2 3"))
+        with pytest.raises(EdgeListError, match="duplicate edge 2 3") as err:
+            Graph.from_file(p)
+        assert err.value.lineno == 6
+
+    @pytest.mark.parametrize("chunk", [1, 8, edgelist.CHUNK_BYTES])
+    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(edgelist, "CHUNK_BYTES", chunk)
+        p = tmp_path / "faults.el"
+        p.write_bytes(b"1 2\n2 3\n4 x\n2 1\n")
+        with pytest.raises(EdgeListError, match="non-integer vertex id") as err:
+            Graph.from_file(p)
+        assert err.value.lineno == 3
+        p.write_bytes(b"1 2\n2 3\n2 1\n4 x\n")
+        with pytest.raises(EdgeListError, match="duplicate edge 1 2") as err:
+            Graph.from_file(p)
+        assert err.value.lineno == 3
+
+    def test_a_clean_file_sorts_its_keys_once(self, tmp_path, monkeypatch):
+        # the CSR's sort shows there is no repeat; `_first_repeat` runs
+        # only to name one
+        calls = []
+        monkeypatch.setattr(edgelist, "_first_repeat", lambda edges: calls.append(edges))
+        p = tmp_path / "clean.el"
+        p.write_bytes(b"# k4\n0 1\n0 2\n0 3\n1 2\n1  3\n2 3\n")
+        assert Graph.from_file(p).m == 6
+        assert calls == []
+
+    @pytest.mark.parametrize("text", [b"0 1\n1 2\n", b"0 1\n1 2\n1 0\n", b"0 1\n1 x\n",
+                                      b"0 1\n1 0\n1 x\n", b"0 1\n1  2\n2 0\n1 0\n"])
+    def test_the_file_is_opened_once(self, tmp_path, monkeypatch, text):
+        # a second read could see a file that changed in between
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(edgelist, "open", counting_open, raising=False)
+        monkeypatch.setattr(edgelist, "CHUNK_BYTES", 4)
+        p = tmp_path / "once.el"
+        p.write_bytes(text)
+        try:
+            Graph.from_file(p)
+        except EdgeListError:
+            pass
+        assert opened == [p]
 
 
 class TestDegree:

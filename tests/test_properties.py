@@ -17,6 +17,7 @@ from triad.assignment import (
 from triad.errors import EdgeListError
 from triad.estimator import EstimatorConfig, _anchor_ends, _drive, _Repetition
 from triad.graph import (
+    Graph,
     _presence,
     _relabel,
     degeneracy,
@@ -315,6 +316,71 @@ def test_columnar_parse_matches_the_per_line_specification(data):
                     assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
                     got = [tuple(e) for e in edges.tolist()]
             assert got == want, chunk
+
+
+def graph_load(path):
+    """`Graph.from_file` as `per_line_parse` reports it: the edges in the
+    file's ids, sorted, or the error message."""
+    try:
+        g = Graph.from_file(path)
+    except EdgeListError as exc:
+        return str(exc)
+    return sorted((g.labels[u], g.labels[v]) for u, v in g.edges())
+
+
+def edge_list(path):
+    """`read_edges` as `per_line_parse` reports it."""
+    try:
+        edges = edgelist.read_edges(path)
+    except EdgeListError as exc:
+        return str(exc)
+    assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+    return [tuple(e) for e in edges.tolist()]
+
+
+def assert_loads_match(data, read_edges_too):
+    """`Graph.from_file`, and `read_edges` if asked, give what
+    `per_line_parse` gives, at chunk sizes from one byte to the default."""
+    want = per_line_parse(data)
+    want_graph = sorted(want) if isinstance(want, list) else want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.el"
+        path.write_bytes(data)
+        for chunk in (1, 2, 7, 16, edgelist.CHUNK_BYTES):
+            with mock.patch.object(edgelist, "CHUNK_BYTES", chunk):
+                assert graph_load(path) == want_graph, chunk
+                if read_edges_too:
+                    assert edge_list(path) == want, chunk
+
+
+@given(_FILES)
+@settings(max_examples=400, deadline=None)
+def test_graph_load_matches_the_per_line_specification(data):
+    assert_loads_match(data, read_edges_too=False)
+
+
+# plain lines, which the one-pass parse of a chunk takes: ids from a small
+# pool, so self-loops and repeats are common, some with leading zeros, and
+# now and then an id at either side of 2**63; one space or tab between
+_PLAIN_TEXT_IDS = st.one_of(
+    *[st.tuples(st.sampled_from([b""] * 4 + [b"0", b"00"]),
+                st.integers(0, 30).map(b"%d".__mod__)).map(b"".join)] * 12,
+    st.sampled_from([b"9223372036854775807", b"9223372036854775808", b"18446744073709551616",
+                     b"00000000000000000000009223372036854775807",
+                     b"00000000000000000000009223372036854775808"]),
+)
+_PLAIN_TEXT_FILES = st.tuples(
+    st.sampled_from([b"", b"# header\n", b"# family=lb\n#\xff\n"]),
+    st.lists(st.tuples(_PLAIN_TEXT_IDS, st.sampled_from([b" ", b"\t"]), _PLAIN_TEXT_IDS)
+             .map(b"".join), max_size=30),
+    st.booleans(),
+).map(lambda p: p[0] + b"\n".join(p[1]) + (b"\n" if p[2] and p[1] else b""))
+
+
+@given(_PLAIN_TEXT_FILES)
+@settings(max_examples=400, deadline=None)
+def test_plain_files_match_the_per_line_specification(data):
+    assert_loads_match(data, read_edges_too=True)
 
 
 # plain ids from a small pool, so self-loops and repeats are common

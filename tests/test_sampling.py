@@ -18,6 +18,7 @@ from triad.sampling import (
     ClosureChecker,
     DegreeCounter,
     EdgePicker,
+    PairChecker,
     _HashIndex,
     neighbor_picker,
     run_pass,
@@ -192,6 +193,22 @@ class TestClosureCheckPass:
         assert s.pass_counter == 1
         assert res.present == {(0, 1): True, (0, 3): False}
         assert res.degrees == {1: 2, 3: 1}
+
+    def test_pair_checker_finds_the_same_edges_and_counts_nothing(self, monkeypatch):
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 5)]
+        a, b = [0, 1, 3, 2, 5, 0], [1, 3, 0, 3, 4, 0]
+        closure, pair = ClosureChecker(a, b), PairChecker(a, b)
+        counted = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *x, **k: counted.append(1) or bincount(*x, **k))
+        run_pass(stream_of(edges), [pair])
+        assert counted == []
+        run_pass(stream_of(edges), [closure])
+        assert counted
+        assert pair.present().tolist() == closure.present().tolist() == [
+            True, False, True, True, False, False]
+        with pytest.raises(InputError, match="counts no degrees"):
+            pair.degrees([0])
 
 
 class TestDegreeLookup:
