@@ -38,6 +38,9 @@ _BENCH_HEADER = [
 
 _FORMATS = ("json", "csv")
 
+# the instance families `triad gen` writes and a manifest row may name
+_FAMILIES = ("wheel", "book", "lb", "pa", "er")
+
 # `EstimatorConfig` flags that only main mode reads; each defaults to None,
 # so a flag given to ideal mode can be told from one left out
 _MAIN_ONLY = ("kappa_hat", "repetitions", "scale", "share_passes", "abort_multiplier")
@@ -276,6 +279,9 @@ def parse_manifest(doc, seed: int = 0) -> list[BenchRow]:
         for name in ("family", "params", "config"):
             if name not in entry:
                 raise ConfigError(f"manifest row {i} is missing {name!r}")
+        if entry["family"] not in _FAMILIES:
+            raise ConfigError(
+                f"manifest row {i}: unknown family {edgelist.quote(entry['family'])}")
         for name in ("params", "config"):
             if not isinstance(entry[name], dict):
                 raise ConfigError(f"manifest row {i}: {name!r} is not an object")
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", parents=[shared],
                            help="write a generated graph and its ground-truth sidecar")
-    p_gen.add_argument("family", choices=("wheel", "book", "lb", "pa", "er"))
+    p_gen.add_argument("family", choices=_FAMILIES)
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--p", type=int)

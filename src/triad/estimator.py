@@ -22,7 +22,7 @@ collects them, block by block (see `triad.sampling`):
           is under the cheapness cutoff: s uniform positions among the
           anchor's incident edges, or all of them once s covers the degree
   pass 6  closure checks for the wedge samples -> per-edge estimates ->
-          one assignment decision per triangle, kept in the memo table
+          one assignment decision per triangle, its charged column
 
 Pass 3 and pass 4's closure checks live on `_StageMachine`, which ideal
 mode's three-pass run shares with its own pass 1 in place of passes 1-2.
@@ -45,7 +45,7 @@ abort_multiplier * (r + ell + s) aborts with estimate 0 and a
 "space-abort" flag. A sampled repetition whose peak storage exceeds m,
 what storing the graph costs, is flagged "no-space-advantage"; its value
 stands. A settled repetition keeps only its value, flags, counters and
-assignment table. Each sampler draws from one generator keyed by (seed,
+memo. Each sampler draws from one generator keyed by (seed,
 role, repetition), so a fixed (source, order seed, config) is
 bit-reproducible, and multiplexing repetitions onto shared passes does not
 change any repetition's outcome.
@@ -59,8 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assignment import (
-    AssignmentTable, INFINITY, _log2n, assign_rows, compute_s, degree_cutoff)
+from .assignment import INFINITY, _log2n, assign_rows, compute_s, degree_cutoff
 from .errors import ConfigError, InputError
 from .graph import Graph, _distinct, triangle_edges, triangles_exact_cn
 from .sampling import (
@@ -189,8 +188,9 @@ def compute_ell(n: int, m: int, epsilon: float, t_hat: int, r: int, d_r: int,
 class RunReport:
     """Outcome and accounting for an estimation run.
 
-    `flags` and the raw pass counter live on the object only; the JSON
-    serialization carries exactly the ten stable keys.
+    `flags` and `memos`, each repetition's (memo, charged) arrays, live
+    on the object only; the JSON serialization carries exactly the ten
+    stable keys. `tables` reads each memo as a dict.
     """
 
     estimate: float
@@ -204,7 +204,15 @@ class RunReport:
     seed: int
     config: dict
     flags: tuple[str, ...] = ()
-    tables: tuple[AssignmentTable, ...] = ()
+    memos: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+
+    @property
+    def tables(self) -> tuple[dict, ...]:
+        """Per repetition, triangle tuple -> charged edge tuple or None, in
+        first-discovery order; built on each access."""
+        return tuple({tuple(tri): triangle_edges(tri)[column] if column >= 0 else None
+                      for tri, column in zip(memo.tolist(), charged.tolist())}
+                     for memo, charged in self.memos)
 
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in _REPORT_KEYS}
@@ -362,7 +370,8 @@ class _StageMachine:
 
 class _Repetition(_StageMachine):
     """One repetition of the six-pass estimator. Once settled it keeps only
-    its value, flags, counters and assignment table."""
+    its value, flags, counters and memo: the (k, 3) triangles it scored, in
+    first-closed-draw order, and each one's charged column, -1 if none."""
 
     def __init__(self, stats: StreamStats, config: EstimatorConfig, rep: int,
                  base_flags: Sequence[str] = ()):
@@ -372,7 +381,7 @@ class _Repetition(_StageMachine):
         self.n = stats.n
         self.m = stats.m
         self.assignment_calls = 0
-        self.table = AssignmentTable()
+        self.memo, self.charged = _NO_TRIANGLES, _NO_IDS
 
         self.r = compute_r(self.n, self.m, config.epsilon, config.t_hat,
                            config.kappa_hat, config.c_r, config.scale)
@@ -403,7 +412,7 @@ class _Repetition(_StageMachine):
         total = super()._live_items() + len(self.sample)
         total += 3 * len(self.triangles)
         total += self.wedge_slots
-        total += len(self.table)
+        total += len(self.memo)
         if self._collector is not None:
             total += self._collector.size
         return total
@@ -535,11 +544,10 @@ class _Repetition(_StageMachine):
         y[self.wedge_cells] = self.edge_degrees[self.wedge_cells] * hits / counts
 
         cfg = self.cfg
-        # each triangle is decided once and recorded; every closed draw on it
-        # scores against that one decision
-        charged = assign_rows(y, cfg.epsilon, cfg.kappa_hat)
-        for tri, column in zip(self.triangles.tolist(), charged.tolist()):
-            self.table.record(tuple(tri), triangle_edges(tri)[column] if column >= 0 else None)
+        # each triangle is decided once and kept as the memo; every closed
+        # draw on it scores against that one decision
+        self.memo = self.triangles
+        self.charged = charged = assign_rows(y, cfg.epsilon, cfg.kappa_hat)
         self.assignment_calls += int(self.closed_counts.sum())
         rows = np.flatnonzero(charged >= 0)
         score = int(self.closed_counts[3 * rows + charged[rows]].sum())
@@ -578,7 +586,7 @@ def estimate(stream, config: EstimatorConfig) -> tuple[float, RunReport]:
     randomness is keyed per repetition. The aggregate report echoes the
     shared r and s, the largest ell (it varies with each repetition's d_R),
     the peak storage across repetitions, and totals for assignment calls and
-    memo entries; tables are never shared between repetitions. When r
+    memo entries, with each repetition's own memo arrays. When r
     reaches m the run is one repetition, whatever `repetitions` says: one
     pass stores the whole graph and its exact count is the estimate.
     """
@@ -612,10 +620,10 @@ def estimate(stream, config: EstimatorConfig) -> tuple[float, RunReport]:
         ell=max(rep.ell for rep in reps),
         s=reps[0].s,
         assignment_calls=sum(rep.assignment_calls for rep in reps),
-        memo_size=sum(len(rep.table) for rep in reps),
+        memo_size=sum(len(rep.memo) for rep in reps),
         seed=config.seed,
         config=config.as_dict(),
         flags=tuple(flags),
-        tables=tuple(rep.table for rep in reps),
+        memos=tuple((rep.memo, rep.charged) for rep in reps),
     )
     return final, report

@@ -165,7 +165,14 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int,
         raise InputError("cannot estimate on a stream with no edges")
 
     groups = 7
-    group_size = max(1, math.ceil(4 * d_e_total / (epsilon * epsilon * t_hat)))
+    # numpy draws at most 2**63 - 1 positions at once; eps^2 * t_hat
+    # underflows to 0, or the quotient overflows to inf, only far past that
+    bound = epsilon * epsilon * t_hat
+    per_group = 4 * d_e_total / bound if bound > 0 else math.inf
+    group_size = max(1, math.ceil(per_group)) if math.isfinite(per_group) else math.inf
+    if groups * group_size >= 2**63:
+        raise ConfigError(f"epsilon {epsilon} and t_hat {t_hat} ask for "
+                          f"{groups * group_size} instances, more than one run can draw")
     run = _IdealRun(oracle, groups * group_size, seed, d_e_total)
     _drive(stream, [[run]], range(1, 4))
     # the median of an odd count; np.median imports numpy.ma on its first call

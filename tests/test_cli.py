@@ -1,6 +1,7 @@
 """CLI behavior through real subprocess invocations: output schemas, exit
 codes, env overrides, and byte-level determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -481,6 +482,34 @@ class TestEstimate:
         assert entries, "expected at least one memoized triangle"
         assert {"repetition", "triangle", "edge"} <= set(entries[0])
 
+    def test_debug_dump_is_the_golden_line(self, tmp_path):
+        # a golden run: the whole stderr line, 14,267 characters, is pinned by
+        # its digest; its first and last entries and per-repetition counts
+        # are spelled out so that a failure shows where it starts
+        path, truth = write_book_file(tmp_path, 400)
+        res = run_cli("estimate", "--mode", "main", "--epsilon", "0.2",
+                      "--t-hat", str(truth.triangles), "--kappa-hat", "2",
+                      "--seed", "7", "--scale", "0.004", "--repetitions", "3",
+                      "--debug-dump-assignments", str(path))
+        assert res.returncode == 0, res.stderr
+        [line] = [l for l in res.stderr.splitlines() if l.startswith("assignments: ")]
+        entries = json.loads(line.split("assignments: ", 1)[1])
+        assert entries[0] == {"repetition": 0, "triangle": [0, 1, 117], "edge": [0, 117]}
+        assert entries[-1] == {"repetition": 2, "triangle": [0, 1, 131], "edge": [0, 131]}
+        assert [sum(e["repetition"] == rep for e in entries) for rep in range(3)] == [139, 44, 49]
+        assert json.loads(res.stdout)["memo_size"] == len(entries) == 232
+        assert len(line) == 14267
+        assert hashlib.sha256(line.encode()).hexdigest() == (
+            "4062465c0fd7f34a99733dc2f2a9bcd76c4af399830e56d3447e8a084a4d99cb")
+
+    def test_ideal_instance_count_past_any_draw_exits_2(self, tmp_path):
+        path, _ = write_book_file(tmp_path, 400)
+        res = run_cli("estimate", "--mode", "ideal", "--epsilon", "1e-9", "--t-hat", "1",
+                      str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == ("triad: config error: epsilon 1e-09 and t_hat 1 ask for "
+                              "56027999999999992659968 instances, more than one run can draw\n")
+
     def test_ideal_report_is_the_frozen_payload(self, tmp_path):
         # a golden run: every printed figure is pinned, in both formats
         run_cli("gen", "wheel", "--n", "201", "--out", str(tmp_path / "w.el"))
@@ -615,7 +644,7 @@ class TestBench:
 
     def test_every_row_is_checked_before_any_instance_is_generated(self, tmp_path):
         # row 0 would fail when its instance is generated, row 1 when it is read
-        rows = [{"family": "nope", "params": {}, "config": {"epsilon": 0.2}},
+        rows = [{"family": "wheel", "params": {"n": 3}, "config": {"epsilon": 0.2}},
                 {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2},
                  "trials": 0}]
         mf = tmp_path / "bad.json"
@@ -623,6 +652,19 @@ class TestBench:
         res = run_cli("bench", str(mf))
         assert (res.returncode, res.stdout) == (2, "")
         assert res.stderr == "triad: config error: manifest row 1: bad trials value 0\n"
+
+    @pytest.mark.parametrize("family", ["nope", 5, None])
+    def test_unknown_family_is_refused_before_any_instance_is_generated(self, tmp_path,
+                                                                        family):
+        # row 0 would fail only when its instance is generated
+        rows = [{"family": "wheel", "params": {"n": 3}, "config": {"epsilon": 0.2}},
+                {"family": family, "params": {}, "config": {"epsilon": 0.2}}]
+        mf = tmp_path / "bad.json"
+        mf.write_text(json.dumps(rows))
+        res = run_cli("bench", str(mf))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == (
+            f"triad: config error: manifest row 1: unknown family {family!r}\n")
 
     @pytest.mark.parametrize("name", ["params", "config"])
     def test_non_object_table_exits_2(self, tmp_path, name):

@@ -21,7 +21,8 @@ from triad.estimator import (
     _drive,
     estimate,
 )
-from triad.graph import canonical_edge, degeneracy, pick_anchor, triangles_exact_cn
+from triad.graph import (
+    canonical_edge, degeneracy, pick_anchor, triangle_edges, triangles_exact_cn)
 from triad.generators import (
     gen_book,
     gen_lb_instance,
@@ -261,6 +262,34 @@ class TestForcedSampleIdentity:
         assigned = self.expected_assigned_total(g, 0.25, truth.triangles, truth.kappa)
         assert ey == Fraction(assigned, d_r)
 
+    @pytest.mark.parametrize("order", ["given", "reversed", "high-degree-first",
+                                       "high-degree-last"])
+    def test_book3_forced_sample_empirical_mean_in_any_stream_order(self, order):
+        # the guarantee holds for arbitrary-order streams: the order decides
+        # which incident edge a position picks, never the law of the pick
+        g, truth = gen_book(3)
+        edges = g.edge_list()
+        # by the sum of the end degrees: the spine (0, 1) is the one heaviest edge
+        by_degree = sorted(edges, key=lambda e: g.degree(e[0]) + g.degree(e[1]))
+        orders = {"given": edges, "reversed": edges[::-1],
+                  "high-degree-first": by_degree[::-1], "high-degree-last": by_degree}
+        assert len({tuple(o) for o in orders.values()}) == 4
+        assigned = self.expected_assigned_total(g, 0.25, truth.triangles, truth.kappa)
+        xs = []
+        for seed in range(200):
+            # s = 1,058 still covers every neighborhood, so the estimates stay
+            # saturated; the scale only shortens ell
+            cfg = EstimatorConfig(epsilon=0.25, t_hat=truth.triangles, kappa_hat=truth.kappa,
+                                  seed=seed, scale=0.1, exact_fallback=False)
+            s = EdgeStream.from_edges(orders[order])
+            rep = ForcedSample(s.stats(), cfg, edges)
+            _drive(s, [[rep]])
+            xs.append(rep.x)
+        mean = sum(xs) / len(xs)
+        var = sum((x - mean) ** 2 for x in xs) / len(xs)
+        se = (var / len(xs)) ** 0.5
+        assert abs(mean - assigned) <= 4 * max(se, 0.05)
+
 
 class TestStorageAccounting:
     """Live items by role on K4 with R forced to E, counted in closed form."""
@@ -296,17 +325,17 @@ class TestStorageAccounting:
         stage_1_peak = r + n + ell
         with_neighbors = 2 * ell                # one neighbor per draw
         with_wedges = with_neighbors + 3 * triangles + wedge_slots
-        # the settled repetition keeps only its table, one entry per triangle
+        # the settled repetition keeps only its memo, one entry per triangle
         assert live == [r, ell, with_neighbors, with_wedges, with_wedges, triangles]
         assert peaks[1] == stage_1_peak
         assert rep.peak_items == max(stage_1_peak, with_wedges + triangles)
-        assert len(rep.table) == triangles
+        assert len(rep.memo) == len(rep.charged) == triangles
 
 
 class TestScoring:
     def test_each_closed_draw_scores_by_the_table(self):
         # recount the score draw by draw: a drawn wedge that closes scores 1
-        # when the table charges its triangle to the drawn edge itself
+        # when the memo charges its triangle to the drawn edge itself
         g, truth = gen_wheel(30)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=3, seed=5,
                               scale=0.01, exact_fallback=False)
@@ -319,13 +348,15 @@ class TestScoring:
             if stage == 5:
                 draws = list(zip(rep.draw_edges.tolist(), rep.neighbors.tolist()))
             rep.stage_end(stage)
-        table = dict(rep.table.items())
+        charged = dict(zip(map(tuple, rep.memo.tolist()), rep.charged.tolist()))
         score = 0
         for (u, v), w in draws:
             anchor = pick_anchor(u, v, g.degree(u), g.degree(v))
             other = v if anchor == u else u
             if w != other and g.has_edge(other, w):
-                score += table[tuple(sorted((u, v, w)))] == (u, v)
+                tri = tuple(sorted((u, v, w)))
+                column = charged[tri]
+                score += column >= 0 and triangle_edges(tri)[column] == (u, v)
         assert 0 < score < rep.ell
         assert rep.x == (g.m / rep.r) * rep.d_r * (score / rep.ell)
 
@@ -387,6 +418,18 @@ class TestRepetitions:
         _, report = estimate(stream_for(g), cfg)
         assert len(report.tables) == 3
         assert report.memo_size == sum(len(t) for t in report.tables)
+
+    def test_tables_read_the_memo_arrays(self):
+        # charged column j is edge j of the triangle in `triangle_edges`
+        # order, and -1 leaves the triangle unassigned; rows keep their order
+        memo = np.array([[4, 7, 9], [0, 1, 2], [1, 3, 5], [2, 6, 8]])
+        report = estimator.RunReport(
+            estimate=0.0, passes=6, stored_edges_peak=0, r=1, ell=1, s=1,
+            assignment_calls=0, memo_size=4, seed=0, config={},
+            memos=((memo, np.array([2, -1, 0, 1])), (memo[:0], np.array([], dtype=np.int64))))
+        assert [list(table.items()) for table in report.tables] == [
+            [((4, 7, 9), (7, 9)), ((0, 1, 2), None), ((1, 3, 5), (1, 3)), ((2, 6, 8), (2, 8))],
+            []]
 
     @pytest.mark.parametrize("share_passes", [False, True])
     def test_no_stage_holds_the_previous_stages_observers(self, monkeypatch, share_passes):

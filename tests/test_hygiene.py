@@ -15,7 +15,10 @@ binary search between passes (`estimator.py` and `ideal.py` call no
 `searchsorted`: a degree counted in a pass is read through its
 `DegreeCounter`'s hash index), one owner per report (`cli.py` constructs
 no `RunReport` or `IdealReport`: each mode builds its report and the report
-serializes itself), and one trial runner (no script in `scripts/`
+serializes itself), one memo (no module but `assignment.py` constructs an
+`AssignmentTable`: the estimator keeps each repetition's memo as its
+triangle array and charged columns; the table stays as the tests'
+reference rule), and one trial runner (no script in `scripts/`
 constructs an `EdgeStream` or an `EstimatorConfig` or calls `estimate`:
 each runs manifest rows through `cli.run_row`, as `triad bench` does).
 `EdgeStream`'s public surface is the pass protocol, its stats and its two
@@ -330,21 +333,21 @@ def test_binary_search_between_passes_is_caught():
 REPORT_TYPES = {"RunReport", "IdealReport"}
 
 
-def report_constructions(source: str) -> list[str]:
-    """Calls that construct a mode's report, bare or as an attribute such
+def constructions(source: str, types: set[str]) -> list[str]:
+    """Calls that construct one of `types`, bare or as an attribute such
     as `estimator.RunReport`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         func = node.func if isinstance(node, ast.Call) else None
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name in REPORT_TYPES:
+        if name in types:
             found.append(f"{name} (line {node.lineno})")
     return found
 
 
 def test_cli_builds_no_report():
     path = Path(triad.__file__).parent / "cli.py"
-    assert report_constructions(path.read_text(encoding="utf-8")) == []
+    assert constructions(path.read_text(encoding="utf-8"), REPORT_TYPES) == []
 
 
 def test_report_construction_is_caught():
@@ -353,7 +356,24 @@ def test_report_construction_is_caught():
              "    report = estimator.RunReport(estimate=ideal.estimate, r=ideal.instances)\n" \
              "    return report, IdealReport(**vars(ideal))\n\n" \
              "def _annotated(report: estimator.RunReport) -> IdealReport:\n    return report\n"
-    assert report_constructions(source) == ["RunReport (line 5)", "IdealReport (line 6)"]
+    assert constructions(source, REPORT_TYPES) == ["RunReport (line 5)",
+                                                   "IdealReport (line 6)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "assignment.py"],
+                         ids=lambda p: p.name)
+def test_memo_is_arrays_outside_the_reference_rule(path):
+    assert constructions(path.read_text(encoding="utf-8"), {"AssignmentTable"}) == []
+
+
+def test_assignment_table_construction_is_caught():
+    source = "from triad import assignment\nfrom triad.assignment import AssignmentTable\n\n" \
+             "class Run:\n    def __init__(self):\n        self.table = AssignmentTable()\n\n" \
+             "    def tables(self, reps):\n" \
+             "        return [assignment.AssignmentTable() for _ in reps]\n\n" \
+             "def _annotated(table: AssignmentTable) -> int:\n    return len(table)\n"
+    assert constructions(source, {"AssignmentTable"}) == ["AssignmentTable (line 6)",
+                                                          "AssignmentTable (line 9)"]
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

@@ -212,6 +212,15 @@ class TestMedianOfMeans:
         with pytest.raises(ConfigError):
             ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=1.5, t_hat=1, seed=0)
 
+    @pytest.mark.parametrize("epsilon, count", [(1e-9, "56027999999999992659968"),
+                                                (1e-200, "inf")])
+    def test_instance_count_past_any_draw_is_a_config_error(self, epsilon, count):
+        # numpy refuses 2**63 positions or more before allocating any; an
+        # eps^2 that underflows to 0 asks for unboundedly many
+        g, _ = gen_book(400)
+        with pytest.raises(ConfigError, match=f"ask for {count} instances"):
+            ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=epsilon, t_hat=1, seed=0)
+
 
 def drive_stages(g: Graph, count: int, seed: int):
     """Run an ideal run's three stages by hand: the run, its draws as rows

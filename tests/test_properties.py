@@ -103,8 +103,8 @@ def test_shared_passes_match_sequential_per_repetition(g, seed, order_seed):
         stream = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
         reps = [_Repetition(stream.stats(), cfg, rep=i) for i in range(cfg.repetitions)]
         _drive(stream, [reps] if shared else [[rep] for rep in reps])
-        outcomes.append([(rep.x, rep.flags, rep.peak_items, rep.ell, list(rep.table.items()))
-                         for rep in reps])
+        outcomes.append([(rep.x, rep.flags, rep.peak_items, rep.ell, rep.memo.tolist(),
+                          rep.charged.tolist()) for rep in reps])
     assert outcomes[0] == outcomes[1]
 
 
