@@ -73,8 +73,7 @@ def _print_trials(row, args) -> int:
                   f"{'peak':>7}  flags")
         rel = abs(value - truth.triangles) / truth.triangles if truth.triangles else 0.0
         good += rel <= args.band
-        notable = [f for f in report.flags
-                   if f in ("exact-fallback", "space-abort", "sparse-sample")]
+        notable = [f for f in report.flags if f in ("exact-fallback", "space-abort")]
         print(f"{trial:>5} {value:>12.2f} {rel:>8.4f} {report.r:>6} "
               f"{report.ell:>6} {report.stored_edges_peak:>7}  {','.join(notable)}")
     return good

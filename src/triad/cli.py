@@ -2,8 +2,9 @@
 
 Global flags --seed, --format, --quiet may appear before or after the
 subcommand and can be defaulted through TRIAD_SEED / TRIAD_FORMAT /
-TRIAD_QUIET. Exit codes: 0 success, 2 configuration problem or an `--out`
-path that cannot be written, 3 unreadable or malformed input.
+TRIAD_QUIET. Exit codes: 0 success, 2 configuration problem or an output
+that cannot be written (an `--out` path, or a stdout or stderr whose
+reader went away), 3 unreadable or malformed input.
 """
 
 from __future__ import annotations
@@ -382,15 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", parents=[shared],
                            help="write a generated graph and its ground-truth sidecar")
     p_gen.add_argument("family", choices=_FAMILIES)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--p", type=int)
-    p_gen.add_argument("--q", type=int)
-    p_gen.add_argument("--N", type=int)
-    p_gen.add_argument("--kind", choices=("yes", "no"))
-    p_gen.add_argument("--shared", type=int)
-    p_gen.add_argument("--attach", type=int)
-    p_gen.add_argument("--prob", type=float)
+    for key, cast in _PARAM_TYPES.items():
+        p_gen.add_argument(f"--{key}", type=cast,
+                           choices=("yes", "no") if key == "kind" else None)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -438,16 +433,41 @@ def main(argv=None) -> int:
             args.quiet = _env_flag("QUIET")
         if args.command == "bench" and args.fixed_clock is None:
             args.fixed_clock = _env_flag("FIXED_CLOCK")
-        return args.func(args)
+        code = args.func(args)
+        # a report still buffered fails here, not at exit
+        sys.stdout.flush()
+        return code
     except EdgeListError as exc:
-        print(f"triad: parse error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"parse error: {exc}")
     except InputError as exc:  # ConfigError included
-        print(f"triad: config error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"config error: {exc}")
+    except BrokenPipeError as exc:  # the reader of stdout or stderr went away
+        _flush_or_drop(sys.stdout)
+        return _fail(2, f"cannot write output: {exc}")
     except OSError as exc:  # a missing file, a directory, no permission
-        print(f"triad: cannot read input: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"cannot read input: {exc}")
+
+
+def _fail(code: int, message: str) -> int:
+    """Print one `triad: ...` line to stderr, if it can still be written,
+    and return the exit code."""
+    try:
+        print(f"triad: {message}", file=sys.stderr)
+    except BrokenPipeError:
+        pass
+    _flush_or_drop(sys.stderr)
+    return code
+
+
+def _flush_or_drop(stream) -> None:
+    """Flush a stream; if its reader went away, point it at os.devnull, so
+    that what it still buffers is dropped at exit with no message."""
+    try:
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def entrypoint() -> None:

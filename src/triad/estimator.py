@@ -37,7 +37,7 @@ estimate is (m / r) * d_R * mean(scores).
 Degenerate regimes stay honest rather than failing: when r reaches m, the
 run stores the whole edge set on its first pass, once however many
 repetitions were asked for, and reports the exact count, flagged
-"exact-fallback". When ell or the projected wedge-sample budget reaches m,
+"exact-fallback". When ell or the projected wedge-sample budget exceeds m,
 the repetition drops what it has sampled and does the same on its next
 pass, so it never holds a sample and the graph at once; the planned wedge
 slots are never counted as stored. A repetition whose live storage exceeds
@@ -71,7 +71,6 @@ from .sampling import (
     DegreeCounter,
     EdgePicker,
     IncidentPicker,
-    PairChecker,
     neighbor_picker,
     run_pass,
     substream,
@@ -447,7 +446,8 @@ class _Repetition(_StageMachine):
     # -- stage 0: uniform edge sample ----------------------------------------
 
     def _begin_0(self) -> list:
-        return [EdgePicker.uniform(self.m, self.r, self._rng(ROLE_EDGE_SAMPLE))]
+        # r iid uniform positions in [0, m): a with-replacement uniform edge sample
+        return [EdgePicker(self._rng(ROLE_EDGE_SAMPLE).integers(self.m, size=self.r))]
 
     def _end_0(self) -> None:
         [picker] = self._observers
@@ -462,11 +462,8 @@ class _Repetition(_StageMachine):
         [counter] = self._observers
         ends = counter.degrees(self.sample)
         slot_degrees = ends.min(axis=1)
+        # every sampled edge's ends have degree >= 1, so d_R >= r >= 1
         self.d_r = int(slot_degrees.sum())
-        if self.d_r <= 0:
-            self.flags.append("sparse-sample")
-            self._settle(0.0)
-            return
         cfg = self.cfg
         self.ell = compute_ell(self.n, self.m, cfg.epsilon, cfg.t_hat,
                                self.r, self.d_r, cfg.c_ell, cfg.scale)
@@ -532,7 +529,7 @@ class _Repetition(_StageMachine):
     def _begin_5(self) -> list:
         other = np.repeat(self.wedge_others, np.diff(self.wedge_bounds))
         self._open = np.flatnonzero(self.wedge_samples != other)
-        return [PairChecker(other[self._open], self.wedge_samples[self._open])]
+        return [ClosureChecker(other[self._open], self.wedge_samples[self._open])]
 
     def _end_5(self) -> None:
         [closure] = self._observers

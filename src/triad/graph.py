@@ -33,9 +33,11 @@ and its running count do it with no sort; sparser ids go through
 `_HashSet` is the package's one membership primitive: Fibonacci hashing
 with linear probing into int64 slots that each hold their own key (8 bytes
 a slot, at most 2**b + k slots for k keys, 2k <= 2**b < 4k), so a probe
-reads one array. `_HashIndex` adds an int32 rank per slot (12 bytes a
-slot) for callers that read each hit's index among the keys. The triangle
-kernel uses the set; the pass observers in `sampling` use the index.
+reads one array. Every key the package hashes (a vertex id, a rank key)
+is non-negative, so an empty slot holds -1. `_HashIndex` adds an int32
+rank per slot (12 bytes a slot) for callers that read each hit's index
+among the keys. The triangle kernel uses the set; the pass observers in
+`sampling` use the index.
 
 A Graph is immutable after construction, so every oracle is safe to call
 concurrently.
@@ -259,18 +261,18 @@ _FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
 
 
 class _HashSet:
-    """Membership of int64 needles in a set of distinct int64 keys, by
-    Fibonacci hashing (top b bits of x * _FIB) with linear probing.
+    """Membership of int64 needles in a set of distinct non-negative int64
+    keys, by Fibonacci hashing (top b bits of x * _FIB) with linear probing.
 
     Each slot holds its own key, so a probe reads one array: 2**b home
     slots, 2k <= 2**b < 4k, then slots up to the empty one after the last
     filled slot, which no probe runs past: at most 2**b + k int64 slots,
-    and seldom more than one past the home slots. An empty slot holds
-    `_empty`, a value that is no key, so a needle equal to it misses
-    whatever it reads. Each key lands in its first free slot from its home
-    on. A round reads one slot per unresolved needle, which stops at its
-    key or an empty slot: rounds never exceed the longest run of filled
-    slots.
+    and seldom more than one past the home slots. The keys are
+    non-negative, so an empty slot holds -1, and a needle may be any int64
+    value: -1 misses whatever it reads. Each key lands in its first free
+    slot from its home on. A round reads one slot per unresolved needle,
+    which stops at its key or an empty slot: rounds never exceed the
+    longest run of filled slots.
     """
 
     def __init__(self, keys):
@@ -280,6 +282,8 @@ class _HashSet:
         """Fill the slots; return the keys' indices in placing order and
         the slot each lands in."""
         k = len(keys)
+        if k and keys.min() < 0:
+            raise ValueError(f"hash set keys must be non-negative, got {keys.min()}")
         bits = max(1, (2 * k - 1).bit_length())
         self._shift = np.uint64(64 - bits)
         home = self._home(keys)
@@ -291,12 +295,9 @@ class _HashSet:
         slot = np.maximum.accumulate(home, out=home)
         slot += below
         del below
-        self._empty = _absent(keys)
         size = max(1 << bits, int(slot[-1]) + 2 if k else 0)
-        self._slots = np.full(size, self._empty, dtype=np.int64)
+        self._slots = np.full(size, -1, dtype=np.int64)
         self._slots[slot] = keys[order]
-        # the most probe rounds one lookup has taken so far
-        self.rounds = 0
         return order, slot
 
     def _home(self, values: np.ndarray) -> np.ndarray:
@@ -309,27 +310,23 @@ class _HashSet:
         holds it."""
         slot = self._home(values)
         held = self._slots[slot]
-        filled = held != self._empty
-        # a needle equal to the empty value never hits
+        filled = held >= 0
+        # a needle of -1 equals an empty slot, and never hits
         hit = held == values
         hit &= filled
         del held
-        # a round counts when it reads a filled slot
-        rounds = int(filled.any())
         # the needles left: at a filled slot that is not theirs
         at = np.flatnonzero(filled ^ hit)
         needles = values[at]
         while len(at):
             slot[at] += 1
             held = self._slots[slot[at]]
-            filled = held != self._empty
+            filled = held >= 0
             same = held == needles
             same &= filled
-            rounds += bool(filled.any())
             hit[at] = same
             walk = filled ^ same
             at, needles = at[walk], needles[walk]
-        self.rounds = max(self.rounds, rounds)
         return slot, hit
 
     def contains(self, values) -> np.ndarray:
@@ -356,19 +353,6 @@ class _HashIndex(_HashSet):
         # array is reused for the indices
         slot[:] = self._table[slot]
         return np.maximum(slot, 0, out=slot), hit
-
-
-def _absent(keys: np.ndarray) -> np.int64:
-    """An int64 value that is none of the keys."""
-    if not len(keys):
-        return np.int64(0)
-    if (low := keys.min()) > np.iinfo(np.int64).min:
-        return low - 1
-    if (high := keys.max()) < np.iinfo(np.int64).max:
-        return high + 1
-    # the keys hold both extremes: take the first gap in sorted order
-    ids = np.sort(keys)
-    return ids[np.argmax(ids[1:] - 1 > ids[:-1])] + 1
 
 
 def sum_edge_degrees(g: Graph) -> int:

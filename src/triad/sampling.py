@@ -33,8 +33,6 @@ block:
 - `ClosureChecker` tells which of a list of vertex pairs are edges. Ids
   reach 2**63 - 1, so two of them do not pack into one int64 key; a pair's
   key is built from the ranks of its ends among the queried vertices.
-  `PairChecker` is the same check with no degree count, for a pass whose
-  caller reads only which pairs are edges.
 
 A pass streams all m edges past a query set of k keys, so its cost is m
 membership tests. The counter hashes its sorted vertices once into a
@@ -44,6 +42,9 @@ bytes a slot. A lookup is expected O(1) probes, each one read of the key
 slots, where binary search takes log2(k) cache misses, and it answers
 with the same rank among the sorted keys. The picker and the checker hash
 their distinct slot keys, built from those ranks, into one more index.
+Vertex ids and rank keys are non-negative, so an empty slot holds -1.
+Pass 6 runs the same `ClosureChecker` as pass 4; the degrees it counts
+on the way are not read.
 
 Every sample's total is known before its pass (m from the stats pass, d_E
 from ideal mode's sizing pass, an anchor's degree from a degree pass), so
@@ -129,14 +130,6 @@ class EdgePicker:
         # (count, columns), allocated by the first rows observed
         self._picked: Optional[np.ndarray] = None
         self.total = 0
-
-    @classmethod
-    def uniform(cls, m: int, count: int, rng: np.random.Generator) -> "EdgePicker":
-        """`count` iid uniform positions over a pass of m edges: a
-        with-replacement uniform edge sample."""
-        if m < 1:
-            raise InputError("no edges to sample from")
-        return cls(rng.integers(m, size=count))
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
         self.observe_rows((u, v), np.ones(len(u), dtype=np.int64))
@@ -296,14 +289,3 @@ class ClosureChecker(DegreeCounter):
     def present(self) -> np.ndarray:
         """Per pair, in the order given: whether it is an edge."""
         return self._hit[self._slot]
-
-
-class PairChecker(ClosureChecker):
-    """A `ClosureChecker` whose pass counts no degrees, for a caller that
-    reads only `present`."""
-
-    def _count(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._index.find(column)
-
-    def degrees(self, vertices) -> np.ndarray:
-        raise InputError("a PairChecker counts no degrees")

@@ -200,6 +200,41 @@ class TestUnwritableOutput:
                               "Is a directory\n")
 
 
+def closed_pipe_run(args, unbuffered, stderr):
+    """Run the CLI with stdout on a pipe whose reader closes it at once,
+    long before the child writes its report; (exit code, stderr text)."""
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(CLI + list(args), stdout=subprocess.PIPE, stderr=stderr, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode() if proc.stderr else ""
+    if proc.stderr:
+        proc.stderr.close()
+    return proc.wait(), err
+
+
+class TestClosedOutputPipe:
+    """A reader that goes away is an output that cannot be written: exit 2
+    and at most one line on stderr, with no traceback or shutdown message,
+    whether stdout is block-buffered or unbuffered."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_2(self, tmp_path, unbuffered):
+        path, _ = write_book_file(tmp_path, k=50)
+        code, err = closed_pipe_run(["exact", str(path)], unbuffered, subprocess.PIPE)
+        assert code == 2
+        assert err.startswith("triad: cannot write output: ")
+        assert "Broken pipe" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stderr_on_the_same_closed_pipe_exits_2(self, tmp_path, unbuffered):
+        path, _ = write_book_file(tmp_path, k=50)
+        code, _ = closed_pipe_run(["exact", str(path)], unbuffered, subprocess.STDOUT)
+        assert code == 2
+
+
 class TestNonAsciiInput:
     @pytest.mark.parametrize("command", sorted(PARSING_COMMANDS))
     def test_non_ascii_comment_is_accepted(self, tmp_path, command):

@@ -22,9 +22,11 @@ from triad.estimator import (
     estimate,
 )
 from triad.graph import (
-    canonical_edge, degeneracy, pick_anchor, triangle_edges, triangles_exact_cn)
+    canonical_edge, degeneracy, enumerate_triangles, pick_anchor, triangle_edges,
+    triangles_exact_cn)
 from triad.generators import (
     gen_book,
+    gen_erdos_renyi,
     gen_lb_instance,
     gen_preferential_attachment,
     gen_wheel,
@@ -196,6 +198,23 @@ class TestEstimateOnce:
         ]
 
 
+def assert_mean_within_4se(xs, expected):
+    """The sample mean of `xs` lies within 4 standard errors of `expected`."""
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / len(xs)
+    se = (var / len(xs)) ** 0.5
+    assert abs(mean - expected) <= 4 * max(se, 0.05)
+
+
+# graphs whose forced samples are checked beside K4 and book(3): the lb NO
+# gadget with one shared block, a PA graph and an ER graph
+MORE_GRAPHS = {
+    "lb-no": lambda: gen_lb_instance(lb_spec(3, 3, 9, "no", seed=0))[0],
+    "pa": lambda: gen_preferential_attachment(30, 3, seed=2),
+    "er": lambda: gen_erdos_renyi(25, 0.3, seed=4),
+}
+
+
 class TestForcedSampleIdentity:
     """With R forced to the whole edge set and saturated (deterministic)
     assignment, E[X] equals the total number of assigned triangles."""
@@ -204,7 +223,6 @@ class TestForcedSampleIdentity:
         est = saturated_estimates(g, epsilon, t_hat, kappa_hat)
         table = AssignmentTable()
         assigned = 0
-        from triad.graph import enumerate_triangles
         for tri in enumerate_triangles(g):
             if assign_triangle(tri, est, epsilon, kappa_hat, table) is not None:
                 assigned += 1
@@ -263,7 +281,7 @@ class TestForcedSampleIdentity:
         assert ey == Fraction(assigned, d_r)
 
     @pytest.mark.parametrize("order", ["given", "reversed", "high-degree-first",
-                                       "high-degree-last"])
+                                       "high-degree-last", "grouped-by-triangle"])
     def test_book3_forced_sample_empirical_mean_in_any_stream_order(self, order):
         # the guarantee holds for arbitrary-order streams: the order decides
         # which incident edge a position picks, never the law of the pick
@@ -271,9 +289,14 @@ class TestForcedSampleIdentity:
         edges = g.edge_list()
         # by the sum of the end degrees: the spine (0, 1) is the one heaviest edge
         by_degree = sorted(edges, key=lambda e: g.degree(e[0]) + g.degree(e[1]))
+        # each triangle's edges in a row, the spine with the first page
+        grouped = list(dict.fromkeys(e for tri in enumerate_triangles(g)
+                                     for e in triangle_edges(tri)))
         orders = {"given": edges, "reversed": edges[::-1],
-                  "high-degree-first": by_degree[::-1], "high-degree-last": by_degree}
-        assert len({tuple(o) for o in orders.values()}) == 4
+                  "high-degree-first": by_degree[::-1], "high-degree-last": by_degree,
+                  "grouped-by-triangle": grouped}
+        assert len({tuple(o) for o in orders.values()}) == 5
+        assert sorted(grouped) == edges
         assigned = self.expected_assigned_total(g, 0.25, truth.triangles, truth.kappa)
         xs = []
         for seed in range(200):
@@ -289,6 +312,34 @@ class TestForcedSampleIdentity:
         var = sum((x - mean) ** 2 for x in xs) / len(xs)
         se = (var / len(xs)) ** 0.5
         assert abs(mean - assigned) <= 4 * max(se, 0.05)
+
+
+    @pytest.mark.parametrize("name", sorted(MORE_GRAPHS))
+    def test_conditional_expectation_identity_on_more_graphs(self, name):
+        g = MORE_GRAPHS[name]()
+        t, kappa = triangles_exact_cn(g), degeneracy(g)
+        ey, d_r = self.exact_conditional_expectation(g, 0.25, t, kappa)
+        assert ey * d_r == self.expected_assigned_total(g, 0.25, t, kappa)
+
+    @pytest.mark.parametrize("name", sorted(MORE_GRAPHS))
+    def test_forced_sample_empirical_mean_on_more_graphs(self, name):
+        g = MORE_GRAPHS[name]()
+        t, kappa = triangles_exact_cn(g), degeneracy(g)
+        edges = g.edge_list()
+        assigned = self.expected_assigned_total(g, 0.25, t, kappa)
+        xs = []
+        for seed in range(100):
+            # s (332 to 690 here) covers every edge degree (at most 12), so
+            # the estimates stay saturated; the scale only shortens ell
+            cfg = EstimatorConfig(epsilon=0.25, t_hat=t, kappa_hat=kappa, seed=seed,
+                                  scale=0.01, exact_fallback=False)
+            s = stream_for(g)
+            rep = ForcedSample(s.stats(), cfg, edges)
+            _drive(s, [[rep]])
+            assert rep.s >= max(min(g.degree(u), g.degree(v)) for u, v in edges)
+            assert "exact-fallback" not in rep.flags and "space-abort" not in rep.flags
+            xs.append(rep.x)
+        assert_mean_within_4se(xs, assigned)
 
 
 class TestStorageAccounting:
@@ -488,6 +539,38 @@ class TestDegradationPaths:
         assert report.passes == 1
         assert report.stored_edges_peak == g.m
         assert "exact-fallback" in report.flags
+
+    def test_stream_that_changes_after_its_first_pass_is_an_input_error(self):
+        # every sampled edge's ends have degree >= 1 in a replayed pass 2, so
+        # d_R >= r >= 1; a stream whose later passes name other vertices
+        # breaks that contract, and no estimate is made
+        g, truth = gen_book(400)
+
+        class Changing:
+            def __init__(self):
+                self.now, self.later = stream_for(g), EdgeStream(g.edge_array() + 10_000)
+
+            def stats(self):
+                return self.now.stats()
+
+            def begin_pass(self):
+                self.now.begin_pass()
+
+            def next_edge(self):
+                return self.now.next_edge()
+
+            def end_pass(self):
+                self.now.end_pass()
+                self.now = self.later
+
+            def abort_pass(self):
+                self.now.abort_pass()
+
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
+                              seed=1, scale=0.004)
+        assert compute_r(g.n, g.m, 0.2, truth.triangles, 2, scale=0.004) < g.m
+        with pytest.raises(InputError, match="d_R must be positive"):
+            estimate(Changing(), cfg)
 
     def test_fallback_estimate_is_exact(self):
         g, truth = gen_wheel(30)

@@ -20,13 +20,16 @@ serializes itself), one memo (no module but `assignment.py` constructs an
 triangle array and charged columns; the table stays as the tests'
 reference rule), and one trial runner (no script in `scripts/`
 constructs an `EdgeStream` or an `EstimatorConfig` or calls `estimate`:
-each runs manifest rows through `cli.run_row`, as `triad bench` does).
+each runs manifest rows through `cli.run_row`, as `triad bench` does),
+and every degradation flag documented (each flag string a library module
+appends to a `flags` list is named in README's flag list).
 `EdgeStream`'s public surface is the pass protocol, its stats and its two
 openers, and nothing else. The package loads each public name's module on
 first use, so the exact oracles import only `graph` and what it needs."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -405,6 +408,55 @@ def test_script_trial_loop_is_caught():
     assert trial_parts(source) == [
         "EdgeStream.from_edges (line 5)", "estimator.EstimatorConfig (line 6)",
         "estimator.estimate (line 7)", "EdgeStream (line 7)"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_flags(text: str) -> set[str]:
+    """The flags README's list after "degradation flags:" names: the
+    backticked names before each bullet's colon."""
+    section = text.split("degradation flags:", 1)[1].strip().split("\n\n", 1)[0]
+    return {name for line in section.splitlines() if line.startswith("- ")
+            for name in re.findall(r"`([^`]+)`", line.split(":", 1)[0])}
+
+
+def undocumented_flags(source: str, documented: set[str]) -> list[str]:
+    """String constants appended to a list named `flags`, bare or as an
+    attribute such as `self.flags`, that `documented` does not name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append" and node.args):
+            continue
+        owner, arg = node.func.value, node.args[0]
+        name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+        if (name == "flags" and isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                and arg.value not in documented):
+            found.append(f"{arg.value} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_flag_is_documented(path):
+    documented = readme_flags(README.read_text(encoding="utf-8"))
+    assert undocumented_flags(path.read_text(encoding="utf-8"), documented) == []
+
+
+def test_undocumented_flag_is_caught():
+    readme = "Notes on flags:\n\n- `a`: one\n\nand any degradation flags:\n\n" \
+             "- `exact-fallback`: stored the graph; see `m`\n" \
+             "- `epsilon-above-analysis`, `scaled-constants`: outside\n  the regime\n\n" \
+             "- `later`: not in the list\n"
+    documented = readme_flags(readme)
+    assert documented == {"exact-fallback", "epsilon-above-analysis", "scaled-constants"}
+    source = "def validate(self):\n    flags = []\n    flags.append('scaled-constants')\n" \
+             "    flags.append('tiny-' + 'epsilon')\n    return flags\n\n" \
+             "class Run:\n    def _end_1(self):\n        self.flags.append('sparse-sample')\n" \
+             "        self.notes.append('exact-fallback-ish')\n" \
+             "        report.flags.append('shared-passes')\n"
+    assert undocumented_flags(source, documented) == ["sparse-sample (line 9)",
+                                                     "shared-passes (line 11)"]
 
 
 STREAM_SURFACE = {"begin_pass", "next_block", "next_edge", "end_pass", "abort_pass",

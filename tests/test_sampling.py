@@ -18,7 +18,6 @@ from triad.sampling import (
     ClosureChecker,
     DegreeCounter,
     EdgePicker,
-    PairChecker,
     _HashIndex,
     neighbor_picker,
     run_pass,
@@ -32,7 +31,11 @@ def stream_of(edges, seed=None):
 
 
 def edge_sample(stream, r, seed):
-    picker = EdgePicker.uniform(len(stream), r, substream(seed, ROLE_EDGE_SAMPLE))
+    # r iid uniform positions in [0, m), as the estimator's pass 1 draws
+    # them; an empty stream gets positions in [0, 1), which its pass never
+    # reaches
+    positions = substream(seed, ROLE_EDGE_SAMPLE).integers(max(len(stream), 1), size=r)
+    picker = EdgePicker(positions)
     run_pass(stream, [picker])
     return [tuple(e) for e in picker.samples().tolist()]
 
@@ -194,21 +197,14 @@ class TestClosureCheckPass:
         assert res.present == {(0, 1): True, (0, 3): False}
         assert res.degrees == {1: 2, 3: 1}
 
-    def test_pair_checker_finds_the_same_edges_and_counts_nothing(self, monkeypatch):
+    def test_checker_finds_edges_and_counts_the_pair_ends(self):
+        # pairs in either order, repeated, absent, and a vertex paired with itself
         edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 5)]
-        a, b = [0, 1, 3, 2, 5, 0], [1, 3, 0, 3, 4, 0]
-        closure, pair = ClosureChecker(a, b), PairChecker(a, b)
-        counted = []
-        bincount = np.bincount
-        monkeypatch.setattr(np, "bincount", lambda *x, **k: counted.append(1) or bincount(*x, **k))
-        run_pass(stream_of(edges), [pair])
-        assert counted == []
-        run_pass(stream_of(edges), [closure])
-        assert counted
-        assert pair.present().tolist() == closure.present().tolist() == [
-            True, False, True, True, False, False]
-        with pytest.raises(InputError, match="counts no degrees"):
-            pair.degrees([0])
+        a, b = [0, 1, 3, 2, 5, 0, 3], [1, 3, 0, 3, 4, 0, 0]
+        checker = ClosureChecker(a, b)
+        run_pass(stream_of(edges), [checker])
+        assert checker.present().tolist() == [True, False, True, True, False, False, True]
+        assert checker.degrees([0, 1, 2, 3, 4, 5]).tolist() == [2, 2, 2, 3, 0, 1]
 
 
 class TestDegreeLookup:
@@ -274,8 +270,8 @@ def assert_matches_reference(keys, needles):
 
 
 def longest_filled_run(index) -> int:
-    """The longest run of consecutive filled slots in the index's table."""
-    filled = np.concatenate(([0], (index._table >= 0).view(np.int8), [0]))
+    """The longest run of consecutive filled slots in a hash set's slots."""
+    filled = np.concatenate(([0], (index._slots >= 0).view(np.int8), [0]))
     edges = np.flatnonzero(np.diff(filled))
     return int((edges[1::2] - edges[0::2]).max(initial=0))
 
@@ -319,8 +315,7 @@ class TestHashIndex:
         # a lookup round reads one filled slot per unresolved needle, so no
         # needle walks past the longest run; a clustering hash would show
         # here as a run in the thousands
-        run = longest_filled_run(index)
-        assert 1 <= index.rounds <= run <= 64
+        assert 1 <= longest_filled_run(index) <= 64
 
     def test_table_is_linear_in_the_keys(self):
         for k in (1, 2, 3, 1000, 4096, 4097):
@@ -347,9 +342,12 @@ class TestHashIndex:
         assert not hit.any() and not idx.any()
 
     def test_negative_keys_and_needles(self):
-        # an empty slot holds position -1, which reads the last key; the
-        # last key as a needle must still hit at its own slot
-        keys = [-(2**63), -7, -1, 0, 7, 2**63 - 1]
+        # keys are non-negative, so an empty slot holds -1; a negative key is
+        # refused, and a negative needle, -1 included, misses
+        for keys in ([-1], [0, -7], [-(2**63), 2**63 - 1]):
+            with pytest.raises(ValueError, match="non-negative"):
+                _HashIndex(np.array(keys, dtype=np.int64))
+        keys = [0, 7, 2**63 - 1]
         assert_matches_reference(keys, [-1, -2, -(2**63), 0, 7, -1, 2**63 - 1, 5, -8])
         assert_matches_reference([2**63 - 1], [2**63 - 1] * 3 + list(range(-20, 20)))
 
@@ -367,7 +365,7 @@ class TestHashIndex:
         flat.flags.writeable = False
         assert_matches_reference(keys, flat[1::2])
 
-    @given(st.sets(st.integers(-(2**63), 2**63 - 1), max_size=300),
+    @given(st.sets(st.integers(0, 2**63 - 1), max_size=300),
            st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300),
            st.data())
     @settings(max_examples=200, deadline=None)
@@ -375,8 +373,7 @@ class TestHashIndex:
         keys = sorted(keys)
         picked = data.draw(st.lists(st.sampled_from(keys), max_size=300)) if keys else []
         needles = data.draw(st.permutations(others + picked))
-        index = assert_matches_reference(keys, np.array(needles, dtype=np.int64))
-        assert index.rounds <= longest_filled_run(index)
+        assert_matches_reference(keys, np.array(needles, dtype=np.int64))
 
 
 def assert_contains_matches_reference(keys, needles):
@@ -386,8 +383,8 @@ def assert_contains_matches_reference(keys, needles):
     needles = np.asarray(needles, dtype=np.int64)
     members = _HashSet(np.random.default_rng(3).permutation(keys))
     assert not hasattr(members, "_table")
-    # the value an empty slot holds is a needle like any other
-    needles = np.append(needles, members._empty)
+    # -1, the value an empty slot holds, is a needle like any other
+    needles = np.append(needles, -1)
     hit = members.contains(needles)
     assert hit.dtype == bool
     assert np.array_equal(hit, searchsorted_lookup(np.sort(keys), needles)[1])
@@ -403,15 +400,15 @@ class TestHashSet:
                                   rng.integers(2**63 - 1, size=60_000, dtype=np.int64)))
         rng.shuffle(needles)
         members = assert_contains_matches_reference(keys, needles)
-        assert 1 <= members.rounds <= 64
+        assert 1 <= longest_filled_run(members) <= 64
 
     def test_empty_value_is_no_key(self):
-        for keys in ([], [0], [-(2**63)], [2**63 - 1], [-(2**63), 2**63 - 1],
-                     [-(2**63), -(2**63) + 1, 2**63 - 1]):
-            members = assert_contains_matches_reference(keys, keys + [0, -1, 1])
-            assert members._empty not in keys
+        for keys in ([], [0], [1], [2**63 - 1], [0, 2**63 - 1], [0, 1, 2**63 - 1]):
+            members = assert_contains_matches_reference(keys, keys + [0, -1, 1, -(2**63)])
+            # every slot holds a key or -1
+            assert set(members._slots.tolist()) - set(keys) == {-1}
 
-    @given(st.sets(st.integers(-(2**63), 2**63 - 1), max_size=300),
+    @given(st.sets(st.integers(0, 2**63 - 1), max_size=300),
            st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300),
            st.data())
     @settings(max_examples=200, deadline=None)
@@ -421,9 +418,9 @@ class TestHashSet:
         needles = data.draw(st.permutations(others + picked))
         assert_contains_matches_reference(keys, needles)
 
-    @given(st.sets(st.integers(-(2**63), -1), max_size=300),
-           st.lists(st.integers(-400, 400), max_size=300))
+    @given(st.sets(st.integers(0, 400), max_size=300),
+           st.lists(st.integers(-(2**63), -1), max_size=300))
     @settings(max_examples=100, deadline=None)
-    def test_contains_matches_binary_search_on_negative_keys(self, keys, others):
-        keys = sorted(keys | {-k for k in range(1, 200, 3)})
-        assert_contains_matches_reference(keys, others + keys)
+    def test_contains_matches_binary_search_on_negative_needles(self, keys, others):
+        keys = sorted(keys | set(range(0, 200, 3)))
+        assert_contains_matches_reference(keys, others + [-k for k in keys] + keys)
