@@ -78,13 +78,13 @@ def _say(args, message) -> None:
 
 def _print_report(args, payload: dict, columns: list) -> None:
     """`payload` as JSON, or with --format csv a header of `columns` and a
-    row of their values."""
+    row of their values, in one write, so no reader sees half a report."""
     if args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows([columns, [payload[k] for k in columns]])
         sys.stdout.write(buf.getvalue())
     else:
-        print(json.dumps(payload))
+        sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def _write_output(path: str, chunks) -> None:

@@ -18,7 +18,8 @@ arrays that need O(n + m) memory:
   and the wedges number at most d_E / 2. They are generated one out-degree
   class at a time, as index pairs over a matrix of equal-length out-lists,
   a bounded step at a time. A wedge (b, c) whose c lies outside the rank
-  range of b's out-list cannot close, and is dropped before the probe.
+  range of b's out-list cannot close; a list all of whose wedges are such
+  builds none, and the set holds only the keys a probe can ask for.
 - `degeneracy` peels in batches: at level k each round removes every live
   vertex of current degree <= k, and only the removed vertices' neighbors
   are revisited. The level rises to the least live degree when a round
@@ -47,9 +48,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,16 +59,17 @@ from .errors import InputError
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
-# wedges generated per kernel step (or one out-list's d - 1, if more);
-# bounds the kernel's scratch memory. A step holds two or three int64
-# temporaries of this length at once (512 KiB each at 2**16), so its
-# working set fits a core's L2 cache instead of streaming through memory.
-# On the lb NO gadget (p=q=40, N=150), on a shared Xeon with 2 MiB of L2
-# per core, the count takes 45, 37, 32, 33 and 37 ms at 2**14 .. 2**18
-# (medians of 15 interleaved runs); its tracemalloc peak, 9.0 MiB up to
-# 2**17, is the hash set's build, and 2**18 steps raise it to 9.8 MiB. On
-# er(3000, 0.03), where the rank-range test drops few wedges, the count
-# takes 180 ms at 2**15 and 153 ms at 2**16.
+# wedges generated per kernel step (or one out-list's d - 1, if more), and
+# out-list entries per liveness step; bounds the kernel's scratch memory.
+# A step holds two or three int64 temporaries of this length at once (512
+# KiB each at 2**16), so its working set fits a core's L2 cache instead of
+# streaming through memory. On the lb NO gadget (p=q=40, N=150), on a
+# shared Xeon with 2 MiB of L2 per core, the count takes 13.3, 11.6, 11.4,
+# 11.9 and 13.0 ms at 2**14 .. 2**18 (medians of 15 interleaved runs); its
+# tracemalloc peak, 7.5 MiB at every size, is the sort of the oriented
+# keys. On er(3000, 0.03), where the liveness pass keeps nearly every list,
+# the count takes 182, 158, 146, 145 and 143 ms, and the peak, 7.2 MiB up
+# to 2**15 and 7.3 MiB at 2**16, rises to 9.5 and 13.6 MiB at 2**17, 2**18.
 _WEDGE_CHUNK = 1 << 16
 
 
@@ -278,9 +279,8 @@ class _HashSet:
     def __init__(self, keys):
         self._build(np.asarray(keys, dtype=np.int64))
 
-    def _build(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fill the slots; return the keys' indices in placing order and
-        the slot each lands in."""
+    def _build(self, keys: np.ndarray) -> np.ndarray:
+        """Fill the slots; return the slot each key lands in."""
         k = len(keys)
         if k and keys.min() < 0:
             raise ValueError(f"hash set keys must be non-negative, got {keys.min()}")
@@ -289,16 +289,18 @@ class _HashSet:
         home = self._home(keys)
         order = np.argsort(home)
         home = home[order]
-        # in home order, key i lands at i + max_{j<=i}(home_j - j)
-        below = np.arange(k)
-        home -= below
+        # in home order, key i lands at i + max_{j<=i}(home_j - j); the
+        # slots go back to key order in the arange's buffer
+        at = np.arange(k)
+        home -= at
         slot = np.maximum.accumulate(home, out=home)
-        slot += below
-        del below
+        slot += at
+        at[order] = slot
         size = max(1 << bits, int(slot[-1]) + 2 if k else 0)
+        del order, home, slot
         self._slots = np.full(size, -1, dtype=np.int64)
-        self._slots[slot] = keys[order]
-        return order, slot
+        self._slots[at] = keys
+        return at
 
     def _home(self, values: np.ndarray) -> np.ndarray:
         home = values.view(np.uint64) * _FIB
@@ -340,10 +342,10 @@ class _HashIndex(_HashSet):
     an empty slot, as int32 below 2**31 keys."""
 
     def __init__(self, keys):
-        order, slot = self._build(np.asarray(keys, dtype=np.int64))
+        at = self._build(np.asarray(keys, dtype=np.int64))
         self._table = np.full(len(self._slots), -1,
-                              dtype=np.int32 if len(order) < 2**31 else np.int64)
-        self._table[slot] = order
+                              dtype=np.int32 if len(at) < 2**31 else np.int64)
+        self._table[at] = np.arange(len(at), dtype=self._table.dtype)
 
     def find(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Per needle: its index in the keys (0 on a miss), and whether it
@@ -428,35 +430,43 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     triangle is found exactly once: at its lowest-rank vertex a, as the pair
     (b, c) of a's out-neighbors that an oriented edge b -> c joins.
 
-    The vertices are taken one out-degree class at a time. The out-lists of
+    A wedge (b, c) is probed only when c lies within the rank range of b's
+    sorted out-list. A liveness pass (_live_entries) first keeps the lists
+    with a wedge that can pass, and marks the b that head one: only kept
+    lists build wedges, and the hash set holds only the marked b's keys.
+
+    The kept lists are taken one out-degree class at a time. The lists of
     a class of out-degree d are the columns of a (d x r) matrix, and its
     wedges are the row pairs i < j, about _WEDGE_CHUNK a step: whole lists
     when a list's C(d, 2) wedges fit, else one list a few first rows i at a
     time, so a step never holds more than max(_WEDGE_CHUNK, d - 1) wedges.
-    A wedge (b, c) is kept only when c lies within the rank range of b's
-    sorted out-list, and a step's kept wedges are closed by membership in a
-    hash set of the oriented edge keys.
+    A step's passing wedges are closed by membership in the set.
     """
     n = g.n
     by_rank, keys = _oriented_keys(g)
-    edges = _HashSet(keys)
     src, dst = np.divmod(keys, n)
-    del keys
     # rank r's out-list is dst[start[r]:start[r] + size[r]], sorted, and
-    # spans the ranks low[r] .. low[r] + span[r]; an empty one has low = n
-    # and span 0, which no rank in [0, n) passes
+    # spans the ranks low[r] .. top[r] = low[r] + span[r]; an empty one has
+    # low = top = n and span 0, which no rank in [0, n) passes
     size = np.bincount(src, minlength=n)
-    del src
     start = np.cumsum(size) - size
     low = np.full(n, n)
-    span = np.zeros(n, dtype=np.uint64)
+    top = np.full(n, n)
     has = np.flatnonzero(size)
     low[has] = dst[start[has]]
-    span[has] = dst[start[has] + size[has] - 1] - low[has]
+    top[has] = dst[start[has] + size[has] - 1]
     del has
-    # the ranks of out-degree d are by_size[bounds[d - 1]:bounds[d]]
-    by_size = np.argsort(size, kind="stable")
-    bounds = np.cumsum(np.bincount(size)).tolist()
+    span = (top - low).view(np.uint64)
+    kept, probed = _live_entries(src, dst, low, top)
+    keys = keys[probed[src]]
+    del src, probed, top
+    edges = _HashSet(keys)
+    del keys
+    # the kept ranks of out-degree d are by_size[bounds[d - 1]:bounds[d]]
+    by_size = np.flatnonzero(kept)
+    by_size = by_size[np.argsort(size[by_size], kind="stable")]
+    bounds = np.cumsum(np.bincount(size[by_size])).tolist()
+    del kept, size
     for d in range(2, len(bounds)):
         rows = by_size[bounds[d - 1]:bounds[d]]
         if not len(rows):
@@ -483,6 +493,30 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
                 hit = edges.contains(key)
                 b, c = np.divmod(key[hit], n)
                 yield by_rank[block[wedge[hit] % len(block)]], by_rank[b], by_rank[c]
+
+
+def _live_entries(src: np.ndarray, dst: np.ndarray, low: np.ndarray,
+                  top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marks over the ranks: of the lists that may close a wedge, and of
+    the entries b whose out-lists a probe may ask for.
+
+    A wedge (b, c) of a list passes the rank-range test only if b's range
+    [low[b], top[b]] meets [c', the list's last entry], c' <= c being b's
+    successor in the list: for entry p of the sorted (src, dst), dst[p + 1].
+    A list's last entry b never passes, as low[b] > b. The entries are
+    taken _WEDGE_CHUNK a step.
+    """
+    kept = np.zeros(len(low), dtype=bool)
+    probed = np.zeros(len(low), dtype=bool)
+    for first in range(0, len(src) - 1, _WEDGE_CHUNK):
+        last = min(first + _WEDGE_CHUNK, len(src) - 1)
+        a, b = src[first:last], dst[first:last]
+        live = low[b] <= top[a]
+        live &= top[b] >= dst[first + 1:last + 1]
+        live = np.flatnonzero(live)
+        kept[a[live]] = True
+        probed[b[live]] = True
+    return kept, probed
 
 
 def _wedge_steps(d: int) -> list[tuple[int, int]]:
@@ -524,8 +558,7 @@ def triangles_exact_cn(g: Graph) -> int:
     return sum(len(a) for a, _, _ in _forward_triangles(g))
 
 
-@dataclass(frozen=True)
-class EdgeProfile:
+class EdgeProfile(NamedTuple):
     edge: Edge
     d_e: int
     t_e: int
@@ -543,8 +576,7 @@ def per_edge_triangles(g: Graph) -> list[EdgeProfile]:
     ]
 
 
-@dataclass(frozen=True)
-class EdgeClassification:
+class EdgeClassification(NamedTuple):
     """Heavy / costly flags at a given epsilon, for edges and triangles.
 
     heavy edge:  t_e > kappa / eps

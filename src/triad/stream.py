@@ -14,8 +14,7 @@ disappears, or an array that is changed, after opening changes nothing.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .graph import _distinct, _presence
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StreamStats:
+class StreamStats(NamedTuple):
     n: int  # distinct endpoints
     m: int  # edges
 

@@ -11,7 +11,7 @@ import pytest
 from triad import edgelist
 from triad.assignment import compute_s
 from triad.estimator import EstimatorConfig
-from triad.generators import gen_book
+from triad.generators import gen_book, gen_wheel
 from triad.graph import Graph
 from triad.ideal import DegreeOracle, ideal_estimate
 from triad.stream import EdgeStream
@@ -233,6 +233,30 @@ class TestClosedOutputPipe:
         path, _ = write_book_file(tmp_path, k=50)
         code, _ = closed_pipe_run(["exact", str(path)], unbuffered, subprocess.STDOUT)
         assert code == 2
+
+
+def test_report_is_one_write_for_a_reader_that_stops_early(tmp_path):
+    # unbuffered, a report written in two calls loses its second to a
+    # reader that closes after the first bytes; one write never does
+    import os
+    g, _ = gen_wheel(1001)
+    path = tmp_path / "wheel.el"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    codes = []
+    for _ in range(10):
+        proc = subprocess.Popen(CLI + ["exact", str(path)], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, env=env)
+        head = b""
+        while len(head) < 10:
+            more = os.read(proc.stdout.fileno(), 10 - len(head))
+            if not more:
+                break
+            head += more
+        proc.stdout.close()
+        codes.append(proc.wait(timeout=60))
+        assert head == b'{"T": 1000'
+    assert codes == [0] * 10
 
 
 class TestNonAsciiInput:

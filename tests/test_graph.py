@@ -366,6 +366,26 @@ class TestKernelsAgainstReferences:
         assert sum(sizes) == 34220
         assert max(sizes) <= max(chunk, 58)
 
+    def test_set_holds_only_the_keys_a_probe_can_reach(self, monkeypatch):
+        # in the lb NO gadget only the A -> B edges can close a wedge: a
+        # block vertex's out-list is A, B or both, no two vertices of A or
+        # of B are joined, and B's out-lists are empty; so the kernel hashes
+        # the p^2 = 100 keys of A's out-lists, not all m = 2,100 keys
+        g = gen_lb_instance(lb_spec(10, 10, 30, "no", seed=0))[0]
+        assert g.m == 2100
+        sizes = []
+        init = triad.graph._HashSet.__init__
+
+        def spy(self, keys):
+            sizes.append(len(keys))
+            init(self, keys)
+
+        monkeypatch.setattr(triad.graph._HashSet, "__init__", spy)
+        reference = list(bisect_triangles(g))
+        assert triangles_exact_cn(g) == len(reference) == 1000
+        assert list(enumerate_triangles(g)) == reference
+        assert sizes == [100, 100]
+
     def test_long_path_peels_in_many_rounds(self):
         # one vertex from each end per round: about 10k rounds at level 1
         g = path_graph(20000)

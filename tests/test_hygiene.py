@@ -489,6 +489,18 @@ def test_exact_oracles_import_only_their_modules():
     assert res.stdout.split() == ["triad", "triad.edgelist", "triad.errors", "triad.graph"]
 
 
+def test_exact_oracles_load_no_dataclasses():
+    # the records the oracles define are named tuples, so no process that
+    # only counts pays for dataclass code generation
+    code = ("import sys\n"
+            "from triad import Graph, triangles_exact_cn, degeneracy, sum_edge_degrees\n"
+            "print('dataclasses' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(triad.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_star_import_and_dir_list_every_public_name():
     namespace: dict = {}
     exec("from triad import *", namespace)
