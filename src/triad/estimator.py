@@ -27,10 +27,11 @@ collects them, block by block (see `triad.sampling`):
 Pass 3 and pass 4's closure checks live on `_StageMachine`, which ideal
 mode's three-pass run shares with its own pass 1 in place of passes 1-2.
 Between passes the state is arrays: each draw's edge with both ends'
-degrees (R and pass 2's counter are released once the draws are made),
-the discovered triangles as a (k, 3) array in first-closed-draw order with
-each edge's degree and closed-draw count, and one wedge request per cheap
-(triangle, edge) cell. A draw scores 1 when its wedge closed into a
+degrees and its neighbor (R and pass 2's counter are released once the
+draws are made), until pass 4's end folds the draws into the discovered
+triangles, a (k, 3) array in first-closed-draw order with each edge's
+degree and closed-draw count, and drops them; then one wedge request per
+cheap (triangle, edge) cell. A draw scores 1 when its wedge closed into a
 triangle that the assignment rule charges to the draw's own edge. The
 estimate is (m / r) * d_R * mean(scores).
 
@@ -256,8 +257,10 @@ class _GraphCollector:
         self.size += len(u)
 
     def graph(self) -> Graph:
+        # hand the blocks over, so they are not held while the graph is built
+        edges, self._blocks = np.concatenate(self._blocks or [_NO_EDGES]), []
         # the stream validated every edge when it was opened
-        return Graph.from_checked_edges(np.concatenate(self._blocks or [_NO_EDGES]))
+        return Graph.from_checked_edges(edges)
 
 
 class _StageMachine:
@@ -281,13 +284,17 @@ class _StageMachine:
 
     def _drop_samples(self) -> None:
         """Empty the sampled state; the outcome and the counters stay."""
-        # per draw: its edge, its ends' degrees, its anchor and its other end
+        self._drop_draws()
+        self._observers: list = []
+
+    def _drop_draws(self) -> None:
+        # per draw: its edge, its ends' degrees, its anchor, its other end,
+        # its neighbor; and the draws whose wedge is open
         self.draw_edges = _NO_EDGES
         self.draw_ends = _NO_EDGES
         self.draw_anchors = _NO_IDS
         self.draw_others = _NO_IDS
         self.neighbors = _NO_IDS
-        self._observers: list = []
         self._open = _NO_IDS
 
     def _rng(self, role: int) -> np.random.Generator:
@@ -368,9 +375,10 @@ class _StageMachine:
 
 
 class _Repetition(_StageMachine):
-    """One repetition of the six-pass estimator. Once settled it keeps only
-    its value, flags, counters and memo: the (k, 3) triangles it scored, in
-    first-closed-draw order, and each one's charged column, -1 if none."""
+    """One repetition of the six-pass estimator. Stage 3's end counts the
+    draws' closed wedges per triangle edge and drops the draws. A settled
+    one keeps only its value, flags, counters and memo: its (k, 3)
+    triangles in first-closed-draw order, each one's charged column or -1."""
 
     def __init__(self, stats: StreamStats, config: EstimatorConfig, rep: int,
                  base_flags: Sequence[str] = ()):
@@ -485,8 +493,9 @@ class _Repetition(_StageMachine):
     def _end_3(self) -> None:
         [closure] = self._observers
         _, tri, edge, corners = self._closed_wedges(closure, closure.degrees)
-        # the third vertices' counted degrees are held until here
+        # the draws and the third vertices' counted degrees are held until here
         self._note_storage(len(_distinct(self.neighbors[self._open])))
+        self._drop_draws()
         first, which = _first_seen_rows(tri)
         self.triangles, corners = tri[first], corners[first]
         self.closed_counts = np.bincount(3 * which + edge, minlength=self.triangles.size)

@@ -500,7 +500,7 @@ class TestEstimate:
         assert json.loads(res.stdout)["config"] == config.as_dict()
 
     def test_no_space_advantage_is_flagged_on_stderr_only(self, tmp_path):
-        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.6 m
+        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.1 m
         out = tmp_path / "pa.el"
         assert run_cli("gen", "pa", "--n", "5000", "--attach", "4", "--out", str(out)).returncode == 0
         truth = json.loads((tmp_path / "pa.el.json").read_text())

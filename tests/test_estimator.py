@@ -219,7 +219,8 @@ class TestForcedSampleIdentity:
     """With R forced to the whole edge set and saturated (deterministic)
     assignment, E[X] equals the total number of assigned triangles."""
 
-    def expected_assigned_total(self, g, epsilon, t_hat, kappa_hat):
+    @staticmethod
+    def expected_assigned_total(g, epsilon, t_hat, kappa_hat):
         est = saturated_estimates(g, epsilon, t_hat, kappa_hat)
         table = AssignmentTable()
         assigned = 0
@@ -342,6 +343,34 @@ class TestForcedSampleIdentity:
         assert_mean_within_4se(xs, assigned)
 
 
+class TestUnforcedSampleMean:
+    """E[X] equals the assigned total with R drawn by stage 0 too, in any
+    stream order, while the estimates stay saturated."""
+
+    @pytest.mark.parametrize("order", ["given", "reversed", "high-degree-first"])
+    @pytest.mark.parametrize("name", sorted(MORE_GRAPHS))
+    def test_mean_in_any_stream_order(self, name, order):
+        g = MORE_GRAPHS[name]()
+        t, kappa = triangles_exact_cn(g), degeneracy(g)
+        edges = g.edge_list()
+        by_degree = sorted(edges, key=lambda e: -min(g.degree(e[0]), g.degree(e[1])))
+        orders = {"given": edges, "reversed": edges[::-1], "high-degree-first": by_degree}
+        assert len({tuple(o) for o in orders.values()}) == 3
+        assigned = TestForcedSampleIdentity.expected_assigned_total(g, 0.25, t, kappa)
+        xs = []
+        for seed in range(200):
+            # r < m, so R is a proper sample, and s still covers every edge
+            # degree, so the estimates stay saturated
+            cfg = EstimatorConfig(epsilon=0.25, t_hat=t, kappa_hat=kappa, seed=seed,
+                                  scale=0.0005, exact_fallback=False)
+            x, report = estimate(EdgeStream.from_edges(orders[order]), cfg)
+            assert report.r < g.m
+            assert report.s >= max(min(g.degree(u), g.degree(v)) for u, v in edges)
+            assert "space-abort" not in report.flags
+            xs.append(x)
+        assert_mean_within_4se(xs, assigned)
+
+
 class TestStorageAccounting:
     """Live items by role on K4 with R forced to E, counted in closed form."""
 
@@ -375,11 +404,15 @@ class TestStorageAccounting:
         # keeps only the draws
         stage_1_peak = r + n + ell
         with_neighbors = 2 * ell                # one neighbor per draw
-        with_wedges = with_neighbors + 3 * triangles + wedge_slots
+        # stage 3 drops the draws and their neighbors once their wedges are
+        # counted per triangle edge
+        with_wedges = 3 * triangles + wedge_slots
         # the settled repetition keeps only its memo, one entry per triangle
         assert live == [r, ell, with_neighbors, with_wedges, with_wedges, triangles]
         assert peaks[1] == stage_1_peak
-        assert rep.peak_items == max(stage_1_peak, with_wedges + triangles)
+        # the peak is stage 3's end: the draws, their neighbors and the
+        # counted degrees of the third vertices, here all n of them
+        assert rep.peak_items == with_neighbors + n == 12_100
         assert len(rep.memo) == len(rep.charged) == triangles
 
 
@@ -396,7 +429,7 @@ class TestScoring:
             observers = rep.stage_begin(stage)
             if observers:
                 run_pass(s, observers)
-            if stage == 5:
+            if stage == 3:  # stage 3's end drops the draws
                 draws = list(zip(rep.draw_edges.tolist(), rep.neighbors.tolist()))
             rep.stage_end(stage)
         charged = dict(zip(map(tuple, rep.memo.tolist()), rep.charged.tolist()))
@@ -513,16 +546,22 @@ class TestRepetitions:
 
 
 class TestDegradationPaths:
-    def test_space_abort_flag(self, monkeypatch):
-        # shrink the budget to force the Markov-style abort deterministically
-        g, truth = gen_book(400)
-        cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=2,
+    def test_space_abort_flag(self):
+        # shrink the budget to r + ell + s to force the Markov-style abort
+        # deterministically. On the lb NO gadget every triangle's edges have
+        # degree at least p, so the planned wedge slots alone exceed it
+        g, truth = gen_lb_instance(lb_spec(10, 10, 30, "no", seed=1))
+        cfg = EstimatorConfig(epsilon=0.2, t_hat=truth.triangles, kappa_hat=truth.kappa,
                               seed=1, scale=0.004, exact_fallback=False,
                               abort_multiplier=1.000001)
         x, report = estimate(stream_for(g, order_seed=5), cfg)
         assert "space-abort" in report.flags
         assert x == 0.0
-        assert report.passes < 6
+        assert report.passes == 4
+        # the repetition aborts holding its triangles, three items each,
+        # and the planned wedge slots
+        budget = math.ceil(cfg.abort_multiplier * (report.r + report.ell + report.s))
+        assert report.stored_edges_peak - 3 * truth.triangles > budget
 
     def test_r_reaching_m_falls_back_once_per_run(self):
         # t_hat = 1 drives r to m: every repetition would collect the same
@@ -585,7 +624,7 @@ class TestNoSpaceAdvantage:
     its value stands: it is not turned into a fallback."""
 
     def test_flagged_above_m(self):
-        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.6 m
+        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.1 m
         g = gen_preferential_attachment(5000, 4, seed=0)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=triangles_exact_cn(g),
                               kappa_hat=degeneracy(g), seed=1, scale=0.005)
@@ -651,6 +690,15 @@ class TestFallbackStorage:
         assert rep.x == truth.triangles
         assert held is not None
         assert rep.peak_items <= max(held, g.m)
+
+    def test_collector_hands_its_blocks_to_the_graph(self):
+        # the blocks are not held beside the graph built from them
+        g, truth, kappa = self.gadget()
+        collector = estimator._GraphCollector()
+        run_pass(stream_for(g, order_seed=1), [collector])
+        assert collector._blocks
+        assert triangles_exact_cn(collector.graph()) == truth.triangles
+        assert collector._blocks == [] and collector.size == g.m
 
     def test_settled_repetitions_release_their_state(self):
         # a settled repetition keeps only its outcome, so three sequential

@@ -4,6 +4,7 @@ columnar edge-list parse against the per-line specification."""
 
 import io
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -106,6 +107,53 @@ def test_shared_passes_match_sequential_per_repetition(g, seed, order_seed):
         outcomes.append([(rep.x, rep.flags, rep.peak_items, rep.ell, rep.memo.tolist(),
                           rep.charged.tolist()) for rep in reps])
     assert outcomes[0] == outcomes[1]
+
+
+class DrawKeeper(_Repetition):
+    """A repetition whose release does nothing: it keeps its draws and their
+    neighbors through passes 5 and 6, and only settling empties them."""
+
+    def _drop_draws(self):
+        pass
+
+    def _drop_samples(self):
+        _Repetition._drop_draws(self)
+        super()._drop_samples()
+
+
+class DrawWatcher(_Repetition):
+    """A repetition that checks its per-draw arrays from stage 2 are freed
+    once stage_end(3) returns."""
+
+    def stage_end(self, stage):
+        names = ("draw_edges", "draw_ends", "draw_anchors", "draw_others", "neighbors")
+        refs = [weakref.ref(getattr(self, name)) for name in names] if stage == 3 else []
+        super().stage_end(stage)
+        assert [name for name, ref in zip(names, refs) if ref() is not None] == []
+
+
+@given(small_graphs(min_n=3), st.integers(0, 2**20), st.integers(0, 2**20))
+@settings(max_examples=60, deadline=None)
+def test_dropping_the_draws_changes_only_storage(g, seed, order_seed):
+    # the abort budget is out of reach, so storage decides nothing
+    assume(g.m > 0)
+    cfg = EstimatorConfig(epsilon=0.2, t_hat=max(1, triangles_exact_cn(g)),
+                          kappa_hat=max(1, degeneracy(g)), repetitions=3,
+                          seed=seed, scale=0.01, exact_fallback=False, abort_multiplier=1e6)
+    runs = []
+    for cls, shared in ((DrawKeeper, False), (DrawWatcher, False), (DrawWatcher, True)):
+        stream = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
+        reps = [cls(stream.stats(), cfg, rep=i) for i in range(cfg.repetitions)]
+        _drive(stream, [reps] if shared else [[rep] for rep in reps])
+        runs.append(reps)
+    for kept, real in zip(runs[0], runs[1]):
+        assert (real.x, real.ell, real.memo.tolist(), real.charged.tolist(),
+                real.assignment_calls) == (kept.x, kept.ell, kept.memo.tolist(),
+                                           kept.charged.tolist(), kept.assignment_calls)
+        # the keeper may store more than m where the release does not
+        assert [fl for fl in kept.flags if fl in real.flags] == real.flags
+        assert set(kept.flags) - set(real.flags) <= {"no-space-advantage"}
+        assert real.peak_items <= kept.peak_items
 
 
 @st.composite
