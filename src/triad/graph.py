@@ -7,9 +7,8 @@ consumed by the assignment rule.
 
 A Graph is one compressed sparse row (CSR) adjacency: `indptr` holds n + 1
 row offsets and `indices` the 2m neighbor ids, sorted within each row; both
-are read-only int64 arrays. The degrees are also kept as a Python list, so
-`degree` is a plain lookup. Three oracles are numpy kernels over these
-arrays that need O(n + m) memory:
+are read-only int64 arrays, and a degree is the gap between two offsets.
+Three oracles are numpy kernels over these arrays that need O(n + m) memory:
 
 - `triangles_exact_cn` orients every edge from the lower to the higher
   (degree, id) rank and closes the wedges of each out-list by membership
@@ -26,10 +25,10 @@ arrays that need O(n + m) memory:
   removes nothing, and the last level reached is the degeneracy.
 - `sum_edge_degrees` is one vectorized sum of min(d_u, d_v).
 
-Loading relabels ids to dense [0, n) in their original order. When the
-largest id is below twice the number of endpoint entries, a presence mark
-and its running count do it with no sort; sparser ids go through
-`np.unique`.
+Loading relabels ids to dense [0, n) in their original order and keeps
+the original ids as `labels`, a read-only int64 array. When the largest id
+is below twice the number of endpoint entries, a presence mark and its
+running count do it with no sort; sparser ids go through `np.unique`.
 
 `_HashSet` is the package's one membership primitive: Fibonacci hashing
 with linear probing into int64 slots that each hold their own key (8 bytes
@@ -101,7 +100,7 @@ def triangle_edges(tri: Sequence[int]) -> tuple[Edge, Edge, Edge]:
 class Graph:
     """Immutable undirected simple graph on dense vertex ids [0, n)."""
 
-    __slots__ = ("n", "m", "labels", "indptr", "indices", "_deg")
+    __slots__ = ("n", "m", "labels", "indptr", "indices")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -135,16 +134,16 @@ class Graph:
         self.labels = None
         self.indptr = indptr
         self.indices = indices
-        self._deg = counts.tolist()
         return repeats
 
     @classmethod
     def from_file(cls, path) -> "Graph":
         """Load an edge list, remapping possibly-sparse ids to dense [0, n).
 
-        The original ids are kept in `labels`, indexed by the dense id. The
-        file is read once; a repeated edge shows as two equal keys in the
-        CSR's sort, and only then is the first one looked for.
+        `labels` is a read-only int64 array of the original ids, indexed by
+        the dense id. The file is read once; a repeated edge shows as two
+        equal keys in the CSR's sort, and only then is the first one looked
+        for.
         """
         scan = edgelist.EdgeScan(path)
         if scan.bad is not None:
@@ -162,7 +161,8 @@ class Graph:
         The edges must be canonical (u < v), distinct, and have ids in
         [0, 2**63), as an edge-list scan or an EdgeStream guarantees; they
         are not checked again. Dense ids follow the original order, and
-        `labels` maps each dense id back to its original id.
+        `labels`, a read-only int64 array, maps each dense id back to its
+        original id.
         """
         return cls._relabelled(ends)[0]
 
@@ -172,13 +172,14 @@ class Graph:
         ids, dense = _relabel(ends)
         g = cls.__new__(cls)
         repeats = g._fill(len(ids), dense)
-        g.labels = tuple(ids.tolist())
+        ids.flags.writeable = False
+        g.labels = ids
         return g, repeats
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise InputError(f"vertex {v} out of range [0, {self.n})")
-        return self._deg[v]
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:
@@ -570,10 +571,8 @@ def per_edge_triangles(g: Graph) -> list[EdgeProfile]:
     for tri in enumerate_triangles(g):
         for e in triangle_edges(tri):
             counts[e] += 1
-    return [
-        EdgeProfile(e, min(g.degree(e[0]), g.degree(e[1])), counts.get(e, 0))
-        for e in g.edges()
-    ]
+    deg = np.diff(g.indptr).tolist()
+    return [EdgeProfile(e, min(deg[e[0]], deg[e[1]]), counts.get(e, 0)) for e in g.edges()]
 
 
 class EdgeClassification(NamedTuple):

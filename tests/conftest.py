@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import heapq
+import os
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 
 from triad.graph import Graph, canonical_edge, pick_anchor, sum_edge_degrees
+
+# child processes run `python -m triad` from this checkout, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def k_complete(k: int) -> Graph:

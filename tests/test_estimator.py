@@ -347,15 +347,21 @@ class TestUnforcedSampleMean:
     """E[X] equals the assigned total with R drawn by stage 0 too, in any
     stream order, while the estimates stay saturated."""
 
-    @pytest.mark.parametrize("order", ["given", "reversed", "high-degree-first"])
+    @pytest.mark.parametrize("order", ["given", "reversed", "high-degree-first",
+                                       "high-degree-last", "grouped-by-triangle"])
     @pytest.mark.parametrize("name", sorted(MORE_GRAPHS))
     def test_mean_in_any_stream_order(self, name, order):
         g = MORE_GRAPHS[name]()
         t, kappa = triangles_exact_cn(g), degeneracy(g)
         edges = g.edge_list()
         by_degree = sorted(edges, key=lambda e: -min(g.degree(e[0]), g.degree(e[1])))
-        orders = {"given": edges, "reversed": edges[::-1], "high-degree-first": by_degree}
-        assert len({tuple(o) for o in orders.values()}) == 3
+        # each triangle's edges in a row, then the edges on no triangle
+        grouped = list(dict.fromkeys([e for tri in enumerate_triangles(g)
+                                      for e in triangle_edges(tri)] + edges))
+        orders = {"given": edges, "reversed": edges[::-1], "high-degree-first": by_degree,
+                  "high-degree-last": by_degree[::-1], "grouped-by-triangle": grouped}
+        assert len({tuple(o) for o in orders.values()}) == 5
+        assert sorted(grouped) == edges
         assigned = TestForcedSampleIdentity.expected_assigned_total(g, 0.25, t, kappa)
         xs = []
         for seed in range(200):
@@ -578,6 +584,32 @@ class TestDegradationPaths:
         assert report.passes == 1
         assert report.stored_edges_peak == g.m
         assert "exact-fallback" in report.flags
+
+    def test_ell_above_m_falls_back_in_pass_3(self):
+        # on K8 (m = 28, T = 56) r = 5 stays below m, but every degree is 7,
+        # so d_R = 35 and ell = 35 exceeds m: the pass after the degree pass
+        # collects the graph in place of the draws' neighbors
+        g = k_complete(8)
+        cfg = EstimatorConfig(epsilon=0.4, t_hat=56, kappa_hat=1, seed=1, scale=0.005)
+        s = stream_for(g)
+        x, report = estimate(s, cfg)
+        assert (report.r, report.ell, g.m) == (5, 35, 28)
+        assert x == 56.0
+        assert "exact-fallback" in report.flags
+        assert report.stored_edges_peak == g.m
+        assert report.passes == 3
+        assert s.pass_counter == 4  # the stats pass, then three
+        # three repetitions each fall back alike, in their own passes or shared
+        cfg = replace(cfg, repetitions=3)
+        outcomes = []
+        for shared in (False, True):
+            stream = stream_for(g)
+            reps = [_Repetition(stream.stats(), cfg, rep=i) for i in range(cfg.repetitions)]
+            _drive(stream, [reps] if shared else [[rep] for rep in reps])
+            assert stream.pass_counter == 1 + (3 if shared else 9)
+            outcomes.append([(rep.x, rep.flags, rep.passes, rep.peak_items, rep.r, rep.ell,
+                              rep.d_r) for rep in reps])
+        assert outcomes[0] == outcomes[1] == [(56.0, ["exact-fallback"], 3, 28, 5, 35, 35)] * 3
 
     def test_stream_that_changes_after_its_first_pass_is_an_input_error(self):
         # every sampled edge's ends have degree >= 1 in a replayed pass 2, so

@@ -4,8 +4,10 @@ second, independent method before being asserted."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import triad.graph
@@ -90,9 +92,33 @@ class TestGraphConstruction:
         g = Graph.from_file(p)
         assert g.n == 3
         assert g.m == 2
-        assert g.labels == (10, 20, 30)
+        assert g.labels.tolist() == [10, 20, 30]
         # 30 is dense id 2, adjacent to both others
         assert g.degree(2) == 2
+
+    def test_a_loaded_graph_holds_its_csr_and_labels_only(self, tmp_path):
+        # the CSR (16 bytes per edge in `indices`, 8 per vertex in `indptr`)
+        # and 8 bytes per vertex of labels: no per-vertex Python objects
+        assert Graph.__slots__ == ("n", "m", "labels", "indptr", "indices")
+        book, _ = gen_book(64000)
+        p = tmp_path / "book.el"
+        p.write_text("".join(f"{u} {v}\n" for u, v in book.edges()))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = Graph.from_file(p)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (book.n, book.m)
+        assert held <= 16 * g.m + 16 * (g.n + 1) + 64 * 1024
+        # dense ids keep the presence mark's ids, sparse ones np.unique's
+        sparse = Graph.from_checked_edges(np.array([[10, 2**40], [10, 2**62]]))
+        for labels in (g.labels, sparse.labels):
+            assert labels.dtype == np.int64
+            assert not labels.flags.writeable
+        assert np.array_equal(g.labels, np.arange(g.n))
+        assert sparse.labels.tolist() == [10, 2**40, 2**62]
 
 
 class TestFromFileFaults:

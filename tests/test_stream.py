@@ -173,6 +173,37 @@ class TestPassProtocol:
         assert s.pass_counter == 0
         assert read_pass(s) != []  # stream still usable
 
+    def test_an_observer_fault_aborts_the_pass_and_propagates(self):
+        class Faulty:
+            def __init__(self):
+                self.blocks = 0
+
+            def observe_block(self, u, v):
+                self.blocks += 1
+                raise RuntimeError("observer fault")
+
+        s = EdgeStream.from_edges([(0, 1), (1, 2)])
+        s.stats()
+        faulty = Faulty()
+        with pytest.raises(RuntimeError, match="observer fault"):
+            sampling.run_pass(s, [faulty])
+        assert faulty.blocks == 1
+        assert s.pass_counter == 1
+        # the aborted pass is over: a fresh one starts from the first edge
+        assert read_pass(s) == [(0, 1), (1, 2)]
+        assert s.pass_counter == 2
+
+    @pytest.mark.parametrize("call, args", [("next_block", (4,)), ("end_pass", ()),
+                                            ("abort_pass", ())])
+    def test_calls_outside_a_pass_are_usage_errors(self, call, args):
+        s = EdgeStream.from_edges([(0, 1)])
+        with pytest.raises(StreamUsageError, match="outside a pass"):
+            getattr(s, call)(*args)
+        read_pass(s)
+        with pytest.raises(StreamUsageError, match="outside a pass"):
+            getattr(s, call)(*args)
+        assert s.pass_counter == 1
+
     def test_reading_past_end_signals_none_not_error(self):
         s = EdgeStream.from_edges([(0, 1)])
         s.begin_pass()
