@@ -258,6 +258,12 @@ def _manifest_bound(row: int, key: str, value) -> int:
     return bound
 
 
+# the keys a manifest row and its `config` may hold; its `params` may hold
+# those of _PARAM_TYPES
+_ROW_KEYS = ("family", "params", "config", "trials", "seed")
+_CONFIG_KEYS = ("epsilon", "t_hat", "kappa_hat", "repetitions", "scale", "share_passes")
+
+
 # a checked manifest row; `config` carries the row's base seed, and 1 for
 # each bound named in `exact` until the instance's ground truth replaces it
 BenchRow = namedtuple("BenchRow", "family params config exact trials")
@@ -286,8 +292,15 @@ def parse_manifest(doc, seed: int = 0) -> list[BenchRow]:
         for name in ("params", "config"):
             if not isinstance(entry[name], dict):
                 raise ConfigError(f"manifest row {i}: {name!r} is not an object")
+        for prefix, table, known in (("", entry, _ROW_KEYS),
+                                     ("config.", entry["config"], _CONFIG_KEYS),
+                                     ("params.", entry["params"], _PARAM_TYPES)):
+            unknown = [key for key in table if key not in known]
+            if unknown:
+                raise ConfigError(
+                    f"manifest row {i}: unknown key {edgelist.quote(prefix + unknown[0])}")
         params = {key: _manifest_value(i, f"params.{key}", value, _PARAM_TYPES[key])
-                  for key, value in entry["params"].items() if key in _PARAM_TYPES}
+                  for key, value in entry["params"].items()}
         trials = _manifest_value(i, "trials", entry.get("trials", 1), int)
         if trials < 1:
             raise ConfigError(

@@ -41,15 +41,17 @@ repetitions were asked for, and reports the exact count, flagged
 "exact-fallback". When ell or the projected wedge-sample budget exceeds m,
 the repetition drops what it has sampled and does the same on its next
 pass, so it never holds a sample and the graph at once; the planned wedge
-slots are never counted as stored. A repetition whose live storage exceeds
-abort_multiplier * (r + ell + s) aborts with estimate 0 and a
-"space-abort" flag. A sampled repetition whose peak storage exceeds m,
-what storing the graph costs, is flagged "no-space-advantage"; its value
-stands. A settled repetition keeps only its value, flags, counters and
-memo. Each sampler draws from one generator keyed by (seed,
-role, repetition), so a fixed (source, order seed, config) is
-bit-reproducible, and multiplexing repetitions onto shared passes does not
-change any repetition's outcome.
+slots are then never counted as stored. The space budget abort_multiplier *
+(r + ell + s) is checked once, at the end of pass 4 (`_end_3`), against
+the discovered triangles, three items each, and the planned wedge slots;
+a repetition over it aborts with estimate 0 and a "space-abort" flag. R,
+pass 2's degree counter and the draws are never checked against it. A
+sampled repetition whose peak storage exceeds m, what storing the graph
+costs, is flagged "no-space-advantage"; its value stands. A settled
+repetition keeps only its value, flags, counters and memo. Each sampler
+draws from one generator keyed by (seed, role, repetition), so a fixed
+(source, order seed, config) is bit-reproducible, and multiplexing
+repetitions onto shared passes does not change any repetition's outcome.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ Three oracles are numpy kernels over these arrays that need O(n + m) memory:
   Nishizeki 1985, Latapy 2008). Out-lists have at most sqrt(2m) entries
   and the wedges number at most d_E / 2. They are generated one out-degree
   class at a time, as index pairs over a matrix of equal-length out-lists,
-  a bounded step at a time. A wedge (b, c) whose c lies outside the rank
-  range of b's out-list cannot close; a list all of whose wedges are such
-  builds none, and the set holds only the keys a probe can ask for.
+  a bounded step at a time. A list builds none unless some wedge (b, c)
+  has c in the rank range of b's out-list, as a closing one must; a kept
+  list's wedges are each probed once, in a set of the keys they can hit.
 - `degeneracy` peels in batches: at level k each round removes every live
   vertex of current degree <= k, and only the removed vertices' neighbors
   are revisited. The level rises to the least live degree when a round
   removes nothing, and the last level reached is the degeneracy.
-- `sum_edge_degrees` is one vectorized sum of min(d_u, d_v).
+- `sum_edge_degrees` is half the sum of min(d_row, d_col) over the CSR.
 
 Loading relabels ids to dense [0, n) in their original order and keeps
 the original ids as `labels`, a read-only int64 array. When the largest id
@@ -63,12 +63,12 @@ Triangle = tuple[int, int, int]
 # A step holds two or three int64 temporaries of this length at once (512
 # KiB each at 2**16), so its working set fits a core's L2 cache instead of
 # streaming through memory. On the lb NO gadget (p=q=40, N=150), on a
-# shared Xeon with 2 MiB of L2 per core, the count takes 13.3, 11.6, 11.4,
-# 11.9 and 13.0 ms at 2**14 .. 2**18 (medians of 15 interleaved runs); its
-# tracemalloc peak, 7.5 MiB at every size, is the sort of the oriented
-# keys. On er(3000, 0.03), where the liveness pass keeps nearly every list,
-# the count takes 182, 158, 146, 145 and 143 ms, and the peak, 7.2 MiB up
-# to 2**15 and 7.3 MiB at 2**16, rises to 9.5 and 13.6 MiB at 2**17, 2**18.
+# shared 2-vCPU Xeon with 2 MiB of L2 per core, the count takes 12.8,
+# 12.1, 12.7, 13.3 and 14.4 ms at 2**14 .. 2**18 (medians of 15
+# interleaved runs); its tracemalloc peak, 7.5 MiB at every size, is the
+# sort of the oriented keys. On er(3000, 0.03), where the liveness pass
+# keeps nearly every list, the count takes 101, 94, 89, 88 and 93 ms, and
+# the peak, 7.1 MiB up to 2**16, rises to 8.6 and 11.9 MiB at 2**17, 2**18.
 _WEDGE_CHUNK = 1 << 16
 
 
@@ -359,10 +359,12 @@ class _HashIndex(_HashSet):
 
 
 def sum_edge_degrees(g: Graph) -> int:
-    """Total edge degree; at most 2 * m * degeneracy for every graph."""
-    u, v = _edge_ends(g)
+    """Total edge degree, half the sum of min(d_row, d_col) over the CSR's
+    2m entries; at most 2 * m * degeneracy for every graph."""
     deg = np.diff(g.indptr)
-    return int(np.minimum(deg[u], deg[v]).sum())
+    ends = np.repeat(deg, deg)
+    np.minimum(ends, deg[g.indices], out=ends)
+    return int(ends.sum()) // 2
 
 
 def degeneracy(g: Graph) -> int:
@@ -431,24 +433,25 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     triangle is found exactly once: at its lowest-rank vertex a, as the pair
     (b, c) of a's out-neighbors that an oriented edge b -> c joins.
 
-    A wedge (b, c) is probed only when c lies within the rank range of b's
-    sorted out-list. A liveness pass (_live_entries) first keeps the lists
-    with a wedge that can pass, and marks the b that head one: only kept
-    lists build wedges, and the hash set holds only the marked b's keys.
+    A wedge (b, c) can close only if c lies within the rank range of b's
+    sorted out-list. A liveness pass (_live_entries) keeps the lists with a
+    wedge that can, and marks the b that head one: only kept lists build
+    wedges, each is probed once, and the hash set holds only the marked
+    b's keys, the only keys a probe can hit.
 
     The kept lists are taken one out-degree class at a time. The lists of
     a class of out-degree d are the columns of a (d x r) matrix, and its
     wedges are the row pairs i < j, about _WEDGE_CHUNK a step: whole lists
     when a list's C(d, 2) wedges fit, else one list a few first rows i at a
     time, so a step never holds more than max(_WEDGE_CHUNK, d - 1) wedges.
-    A step's passing wedges are closed by membership in the set.
+    A step's wedges are closed by membership in the set.
     """
     n = g.n
     by_rank, keys = _oriented_keys(g)
     src, dst = np.divmod(keys, n)
     # rank r's out-list is dst[start[r]:start[r] + size[r]], sorted, and
-    # spans the ranks low[r] .. top[r] = low[r] + span[r]; an empty one has
-    # low = top = n and span 0, which no rank in [0, n) passes
+    # spans the ranks low[r] .. top[r]; an empty one has low = top = n,
+    # which no rank in [0, n) reaches
     size = np.bincount(src, minlength=n)
     start = np.cumsum(size) - size
     low = np.full(n, n)
@@ -457,10 +460,9 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     low[has] = dst[start[has]]
     top[has] = dst[start[has] + size[has] - 1]
     del has
-    span = (top - low).view(np.uint64)
     kept, probed = _live_entries(src, dst, low, top)
     keys = keys[probed[src]]
-    del src, probed, top
+    del src, probed, low, top
     edges = _HashSet(keys)
     del keys
     # the kept ranks of out-degree d are by_size[bounds[d - 1]:bounds[d]]
@@ -483,29 +485,24 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
                 # column t is the out-list of block[t]; wedge (p, t) is
                 # (lists[i[p], t], lists[j[p], t]), at position p * r + t
                 lists = dst[start[block] + np.arange(d)[:, None]]
-                # c - low[b] as uint64: below 0 wraps past every span
-                gap = lists[j]
-                gap -= low[lists][i]
-                wedge = np.flatnonzero(gap.view(np.uint64) <= span[lists][i])
-                del gap
                 key = (lists * n)[i]
                 key += lists[j]
-                key = key.ravel()[wedge]
-                hit = edges.contains(key)
+                key = key.ravel()
+                hit = np.flatnonzero(edges.contains(key))
                 b, c = np.divmod(key[hit], n)
-                yield by_rank[block[wedge[hit] % len(block)]], by_rank[b], by_rank[c]
+                yield by_rank[block[hit % len(block)]], by_rank[b], by_rank[c]
 
 
 def _live_entries(src: np.ndarray, dst: np.ndarray, low: np.ndarray,
                   top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Marks over the ranks: of the lists that may close a wedge, and of
-    the entries b whose out-lists a probe may ask for.
+    the entries b whose out-lists a probe may hit.
 
-    A wedge (b, c) of a list passes the rank-range test only if b's range
-    [low[b], top[b]] meets [c', the list's last entry], c' <= c being b's
-    successor in the list: for entry p of the sorted (src, dst), dst[p + 1].
-    A list's last entry b never passes, as low[b] > b. The entries are
-    taken _WEDGE_CHUNK a step.
+    Some wedge (b, c) of a list has c within b's range [low[b], top[b]]
+    only if that range meets [c', the list's last entry], c' <= c being
+    b's successor in the list: for entry p of the sorted (src, dst),
+    dst[p + 1]. A list's last entry b heads no wedge and is never marked,
+    as low[b] > b. The entries are taken _WEDGE_CHUNK a step.
     """
     kept = np.zeros(len(low), dtype=bool)
     probed = np.zeros(len(low), dtype=bool)

@@ -48,6 +48,13 @@ class TestComputeS:
         with pytest.raises(ConfigError):
             compute_s(100, 100, 0.2, 0, 2)
 
+    @pytest.mark.parametrize("epsilon", [0, -0.2])
+    def test_rejects_nonpositive_epsilon(self, epsilon):
+        with pytest.raises(ConfigError) as exc:
+            compute_s(100, 100, epsilon, 1, 2)
+        assert (exc.type, str(exc.value)) == (ConfigError,
+                                              f"epsilon must be positive, got {epsilon}")
+
 
 class TestAssignTriangle:
     def test_all_thresholded_is_unassigned(self):

@@ -691,7 +691,11 @@ class TestBench:
         ({"config": {"epsilon": 0.2, "scale": 0}}, "scale must lie in (0, 1], got 0.0"),
         ({"config": {"epsilon": 0.7}}, "epsilon must lie in (0, 0.5), got 0.7"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
-    ], ids=["repetitions-even", "scale-zero", "epsilon-large", "seed-negative"])
+        ({"config": {"epsilon": 0.2, "repetitons": 11}}, "unknown key 'config.repetitons'"),
+        ({"trails": 3}, "unknown key 'trails'"),
+        ({"params": {"k": 50, "pages": 9}}, "unknown key 'params.pages'"),
+    ], ids=["repetitions-even", "scale-zero", "epsilon-large", "seed-negative",
+            "config-unknown", "row-unknown", "params-unknown"])
     def test_config_error_names_the_row(self, tmp_path, change, message):
         good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
         mf = tmp_path / "bad.json"

@@ -83,6 +83,13 @@ class TestComputeR:
         with pytest.raises(ConfigError):
             compute_r(10, 10, 0.2, 0, 1)
 
+    @pytest.mark.parametrize("epsilon", [0, -0.1, 0.5, 0.7])
+    def test_rejects_epsilon_outside_the_analysis(self, epsilon):
+        with pytest.raises(ConfigError) as exc:
+            compute_r(10, 10, epsilon, 1, 1)
+        assert (exc.type, str(exc.value)) == (
+            ConfigError, f"epsilon must lie in (0, 0.5), got {epsilon}")
+
 
 class TestComputeEll:
     def test_frozen_arithmetic(self):
@@ -103,6 +110,13 @@ class TestComputeEll:
     def test_rejects_nonpositive_d_r(self):
         with pytest.raises(InputError):
             compute_ell(10, 10, 0.2, 1, r=5, d_r=0)
+
+    @pytest.mark.parametrize("epsilon", [0, -0.1, 0.5, 0.7])
+    def test_rejects_epsilon_outside_the_analysis(self, epsilon):
+        with pytest.raises(ConfigError) as exc:
+            compute_ell(10, 10, epsilon, 1, r=5, d_r=10)
+        assert (exc.type, str(exc.value)) == (
+            ConfigError, f"epsilon must lie in (0, 0.5), got {epsilon}")
 
 
 class TestConfigValidation:

@@ -141,6 +141,31 @@ class TestLbInstances:
         with pytest.raises(InputError):
             lb_spec(p=2, q=1, blocks=6, kind="no", seed=0, shared=3)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"p": 0}, "p and q must be >= 1"),
+        ({"q": 0}, "p and q must be >= 1"),
+        ({"x": (1, 1, 0, 0, 0)}, "indicator strings must have one bit per block"),
+        ({"kind": "no"}, "no instance must share at least one index"),
+        ({"kind": "maybe"}, "kind must be 'yes' or 'no', got 'maybe'"),
+    ], ids=["p-zero", "q-zero", "short-indicator", "no-disjoint", "kind-unknown"])
+    def test_spec_refuses_bad_fields(self, change, message):
+        # the base spec is a valid "yes" instance: disjoint supports
+        base = {"p": 2, "q": 1, "blocks": 6, "x": (1, 1, 0, 0, 0, 0),
+                "y": (0, 0, 1, 1, 0, 0), "kind": "yes"}
+        with pytest.raises(InputError) as exc:
+            LbSpec(**dict(base, **change))
+        assert (exc.type, str(exc.value)) == (InputError, message)
+
+    @pytest.mark.parametrize("blocks, kind, message", [
+        (0, "no", "block count must be a positive multiple of 3, got 0"),
+        (7, "no", "block count must be a positive multiple of 3, got 7"),
+        (6, "maybe", "kind must be 'yes' or 'no', got 'maybe'"),
+    ])
+    def test_lb_spec_refuses_bad_arguments(self, blocks, kind, message):
+        with pytest.raises(InputError) as exc:
+            lb_spec(p=2, q=1, blocks=blocks, kind=kind, seed=0)
+        assert (exc.type, str(exc.value)) == (InputError, message)
+
     def test_deterministic_for_fixed_seed(self):
         a = lb_spec(p=3, q=2, blocks=12, kind="no", seed=9)
         b = lb_spec(p=3, q=2, blocks=12, kind="no", seed=9)
@@ -201,6 +226,11 @@ class TestErdosRenyi:
     def test_rejects_bad_prob(self):
         with pytest.raises(InputError):
             gen_erdos_renyi(5, 1.5, seed=0)
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(InputError) as exc:
+            gen_erdos_renyi(-1, 0.5, seed=0)
+        assert (exc.type, str(exc.value)) == (InputError, "negative vertex count -1")
 
 
 class TestCorpusInvariants:

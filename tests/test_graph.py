@@ -79,6 +79,11 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             Graph(2, [(0, 5)])
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(InputError) as exc:
+            Graph(-1, [])
+        assert (exc.type, str(exc.value)) == (InputError, "negative vertex count -1")
+
     def test_csr_arrays_are_read_only(self, k4):
         with pytest.raises(ValueError):
             k4.indptr[1] = 0
@@ -204,6 +209,16 @@ class TestDegree:
     def test_out_of_range(self, k3):
         with pytest.raises(InputError):
             k3.degree(3)
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_neighbors_out_of_range(self, k3, v):
+        with pytest.raises(InputError) as exc:
+            k3.neighbors(v)
+        assert (exc.type, str(exc.value)) == (InputError, f"vertex {v} out of range [0, 3)")
+
+    @pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (-1, 1), (1, -1)])
+    def test_has_edge_out_of_range_is_false(self, k3, u, v):
+        assert k3.has_edge(u, v) is False
 
 
 class TestEdgeDegree:
@@ -362,7 +377,7 @@ class TestKernelsAgainstReferences:
     def test_wedges_spanning_many_chunks(self, monkeypatch, chunk):
         # K7's first out-list alone has 15 wedges, more than chunks 1 and 5;
         # the wheel's rim and the book's pages are classes of many lists,
-        # and most of the lb NO gadget's wedges fail the rank-range test
+        # and most of the lb NO gadget's out-lists build no wedge
         graphs = [k_complete(7), gen_preferential_attachment(300, 4, seed=1),
                   gen_erdos_renyi(120, 0.1, seed=4),
                   gen_lb_instance(lb_spec(4, 3, 9, "no", seed=0))[0],
@@ -396,21 +411,31 @@ class TestKernelsAgainstReferences:
         # in the lb NO gadget only the A -> B edges can close a wedge: a
         # block vertex's out-list is A, B or both, no two vertices of A or
         # of B are joined, and B's out-lists are empty; so the kernel hashes
-        # the p^2 = 100 keys of A's out-lists, not all m = 2,100 keys
+        # the p^2 = 100 keys of A's out-lists, not all m = 2,100 keys. Each
+        # wedge of a kept list is probed once: the shared block's q = 10
+        # lists A u B have C(2p, 2) = 190 wedges each, 1,900 in all
         g = gen_lb_instance(lb_spec(10, 10, 30, "no", seed=0))[0]
         assert g.m == 2100
-        sizes = []
+        sizes, probes = [], []
         init = triad.graph._HashSet.__init__
+        contains = triad.graph._HashSet.contains
 
         def spy(self, keys):
             sizes.append(len(keys))
             init(self, keys)
 
+        def probe_spy(self, values):
+            probes.append(len(values))
+            return contains(self, values)
+
         monkeypatch.setattr(triad.graph._HashSet, "__init__", spy)
+        monkeypatch.setattr(triad.graph._HashSet, "contains", probe_spy)
         reference = list(bisect_triangles(g))
         assert triangles_exact_cn(g) == len(reference) == 1000
+        assert sum(probes) == 1900
         assert list(enumerate_triangles(g)) == reference
         assert sizes == [100, 100]
+        assert sum(probes) == 2 * 1900
 
     def test_long_path_peels_in_many_rounds(self):
         # one vertex from each end per round: about 10k rounds at level 1
@@ -463,6 +488,13 @@ class TestClassification:
     def test_requires_positive_t(self, k3):
         with pytest.raises(InputError):
             classify_edges(k3, 0.5, 0, 2)
+
+    @pytest.mark.parametrize("epsilon", [0, -0.5])
+    def test_requires_positive_epsilon(self, k3, epsilon):
+        with pytest.raises(InputError) as exc:
+            classify_edges(k3, epsilon, 1, 2)
+        assert (exc.type, str(exc.value)) == (InputError,
+                                              f"epsilon must be positive, got {epsilon}")
 
 
 class TestHelpers:

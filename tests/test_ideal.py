@@ -89,6 +89,12 @@ class TestSingleInstance:
             ideal_sample(fresh_stream(g), DegreeOracle(g), 1, seed=0,
                          d_e_total=sum_edge_degrees(g))
 
+    def test_instance_count_below_one_rejected(self):
+        g = k_complete(3)
+        with pytest.raises(InputError) as exc:
+            _IdealRun(DegreeOracle(g), 0, 0, sum_edge_degrees(g))
+        assert (exc.type, str(exc.value)) == (InputError, "instance count must be >= 1, got 0")
+
     def test_wrong_edge_degree_total_rejected(self):
         g = k_complete(4)
         for wrong in (sum_edge_degrees(g) - 1, sum_edge_degrees(g) + 1):
@@ -204,6 +210,13 @@ class TestMedianOfMeans:
                                    epsilon=0.25, t_hat=truth.triangles, seed=0)
         import math
         assert report.group_size == math.ceil(4 * d_e_total / (0.0625 * truth.triangles))
+
+    def test_empty_stream_errors(self):
+        g = Graph(3, [])
+        with pytest.raises(InputError) as exc:
+            ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=0.2, t_hat=1, seed=0)
+        assert (exc.type, str(exc.value)) == (InputError,
+                                              "cannot estimate on a stream with no edges")
 
     def test_config_errors(self):
         g = k_complete(3)

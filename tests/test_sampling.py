@@ -155,6 +155,15 @@ class TestNeighborSamplePass:
             res = neighbor_samples(star, [0], s, seed=0)
             assert sorted(res[0]) == [1, 2, 3, 4, 5]
 
+    def test_position_past_the_anchor_degree_is_refused(self):
+        # anchor 0 has two incident edges, so position 5 is never met
+        picker = sampling.IncidentPicker([0], [5])
+        run_pass(stream_of([(0, 1), (0, 2)]), [picker])
+        with pytest.raises(InputError) as exc:
+            picker.results()
+        assert (exc.type, str(exc.value)) == (
+            InputError, "a sampled position lies past its anchor's degree")
+
     def test_absent_anchor_yields_empty(self):
         res = neighbor_samples([(0, 1)], [7], 3, seed=0)
         assert res[0] == []
