@@ -6,8 +6,9 @@ whose first field starts with '#' is a comment, and blank lines are
 skipped. Self-loops and repeated edges (in either orientation) are
 rejected with the offending line number.
 
-`EdgeScan` reads a file once, in bounded chunks of whole lines, into the
-canonical edges as one (m, 2) int64 array. A chunk takes one of two paths:
+`EdgeScan` reads a file once, in bounded chunks of whole lines, into one
+block of canonical edges a chunk, narrowed to int32 when its ids are below
+2**31. A chunk takes one of two paths:
 
 - a plain chunk, whose lines after any leading comment lines are each two
   digit fields split by one b" " or b"\t", is read in one pass: a
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from functools import cached_property
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
@@ -43,7 +45,7 @@ Edge = tuple[int, int]
 # the types an in-memory vertex id may have; bool is an int
 _INTEGER = (int, np.integer)
 
-# vertex ids must fit a signed 64-bit integer, the graph arrays' dtype
+# vertex ids must fit a signed 64-bit integer, the dtype of a graph's labels
 ID_LIMIT = 1 << 63
 
 # bytes read per chunk; a chunk is cut after its last b"\n". A chunk's
@@ -133,15 +135,16 @@ def read_edges(path: str | os.PathLike) -> np.ndarray:
 class EdgeScan:
     """One read of an edge-list file, in chunks of whole lines.
 
-    `edges` holds the canonical edges in file order up to the first bad
-    line, as an (m, 2) int64 array; every other check of `parse_line` is
-    done. The scan does not look for repeated edges: the caller finds the
+    `blocks` holds the canonical edges in file order up to the first bad
+    line, one (k, 2) array a chunk, int32 where its ids allow, and `edges`
+    joins them as one (m, 2) int64 array; every other check of `parse_line`
+    is done. The scan does not look for repeated edges: the caller finds the
     row of the first repeat, if any, and `raise_first_fault` reports it or
     the bad line, whichever comes first in the file.
     """
 
     def __init__(self, path: str | os.PathLike):
-        blocks = []
+        self.blocks: list[np.ndarray] = []
         # per chunk: its first row; and a line number with each row's offset
         # from it, or None when row i is at offset i. A plain chunk needs no
         # array, and offsets become line numbers only when one is reported
@@ -164,10 +167,16 @@ class EdgeScan:
                     first += text.count(b"\n")
                 self._first_rows.append(rows)
                 rows += len(ends)
-                blocks.append(ends)
+                if len(ends) and ends[:, 1].max() < 2**31:  # v is the larger id
+                    ends = ends.astype(np.int32)
+                self.blocks.append(ends)
                 if self.bad is not None:
                     break
-        self.edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The blocks joined, as one (m, 2) int64 array."""
+        return np.concatenate([np.empty((0, 2), dtype=np.int64), *self.blocks], dtype=np.int64)
 
     def _line(self, row: int) -> int:
         """The 1-based line number of an edge row."""

@@ -7,7 +7,10 @@ consumed by the assignment rule.
 
 A Graph is one compressed sparse row (CSR) adjacency: `indptr` holds n + 1
 row offsets and `indices` the 2m neighbor ids, sorted within each row; both
-are read-only int64 arrays, and a degree is the gap between two offsets.
+are read-only, and a degree is the gap between two offsets. `indptr` is
+int64; `indices` is int32 below 2**31 vertices, else int64. The oracles
+widen ids only to form an int64 key, or a step at a time to index by them,
+which numpy does several times faster by int64 ids than by int32 ones.
 Three oracles are numpy kernels over these arrays that need O(n + m) memory:
 
 - `triangles_exact_cn` orients every edge from the lower to the higher
@@ -28,7 +31,8 @@ Three oracles are numpy kernels over these arrays that need O(n + m) memory:
 Loading relabels ids to dense [0, n) in their original order and keeps
 the original ids as `labels`, a read-only int64 array. When the largest id
 is below twice the number of endpoint entries, a presence mark and its
-running count do it with no sort; sparser ids go through `np.unique`.
+running count do it with no sort; sparser ids are sorted. The CSR is built
+from the scan's blocks a step at a time, with no whole copy of the edges.
 
 `_HashSet` is the package's one membership primitive: Fibonacci hashing
 with linear probing into int64 slots that each hold their own key (8 bytes
@@ -48,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,17 +62,17 @@ from .errors import InputError
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
-# wedges generated per kernel step (or one out-list's d - 1, if more), and
-# out-list entries per liveness step; bounds the kernel's scratch memory.
-# A step holds two or three int64 temporaries of this length at once (512
-# KiB each at 2**16), so its working set fits a core's L2 cache instead of
-# streaming through memory. On the lb NO gadget (p=q=40, N=150), on a
-# shared 2-vCPU Xeon with 2 MiB of L2 per core, the count takes 12.8,
-# 12.1, 12.7, 13.3 and 14.4 ms at 2**14 .. 2**18 (medians of 15
-# interleaved runs); its tracemalloc peak, 7.5 MiB at every size, is the
-# sort of the oriented keys. On er(3000, 0.03), where the liveness pass
-# keeps nearly every list, the count takes 101, 94, 89, 88 and 93 ms, and
-# the peak, 7.1 MiB up to 2**16, rises to 8.6 and 11.9 MiB at 2**17, 2**18.
+# wedges per kernel step (or one out-list's d - 1, if more), and entries
+# per step wherever a pass over the edges is split (the CSR build, the
+# liveness pass, the peel, d_E). A step holds a few int64 temporaries of
+# this length (512 KiB each at 2**16), so its working set fits a core's L2
+# cache. On the lb NO gadget (p=q=40, N=150), on a shared 2-vCPU Xeon with
+# 2 MiB of L2 per core, the count takes 8.4, 8.3, 8.7, 8.4 and 9.5 ms at
+# 2**14 .. 2**18 (medians of 15 interleaved runs); its tracemalloc peak is
+# 3.2 MiB up to 2**15, the oriented keys, and the wedge steps raise it to
+# 3.6, 4.7 and 5.2 MiB at 2**16 .. 2**18. On er(3000, 0.03), where the
+# liveness pass keeps nearly every list, the count takes 123, 102, 98, 88
+# and 95 ms, and the peak, 6.6 MiB up to 2**16, is 8.0 and 11.3 MiB above.
 _WEDGE_CHUNK = 1 << 16
 
 
@@ -108,30 +112,38 @@ class Graph:
         ends = edgelist.validate_edges(edges)
         if ends.size and ends.max() >= n:
             raise InputError(f"vertex {int(ends.max())} out of range for n={n}")
-        self._fill(n, ends)
+        self.labels = None
+        self._fill(n, [ends], lambda ids: ids)
 
-    def _fill(self, n: int, ends: np.ndarray) -> bool:
-        """Build the CSR from an (m, 2) array of canonical edges on [0, n);
-        return whether an edge repeats, which only an unchecked file holds."""
+    def _fill(self, n: int, blocks: list, dense) -> bool:
+        """Build the CSR from (k, 2) blocks of canonical edges whose ids
+        `dense` maps to [0, n); return whether an edge repeats, which only
+        an unchecked file holds, and empty the list unless one does."""
         # one sort of (row, column) keys groups the rows and sorts each one;
-        # a row's length is the count of its id among the ends
-        m = len(ends)
+        # row r's keys are those in [r * n, (r + 1) * n)
+        m = sum(len(b) for b in blocks)
         keys = np.empty(2 * m, dtype=np.int64)
-        keys[:m], keys[m:] = ends[:, 0], ends[:, 1]
-        keys *= n
-        keys[:m] += ends[:, 1]
-        keys[m:] += ends[:, 0]
+        halves, at = keys.reshape(2, m), 0
+        for b in blocks:
+            for first in range(0, len(b), _WEDGE_CHUNK):
+                ends = dense(b[first:first + _WEDGE_CHUNK].T)
+                step = slice(at, at + ends.shape[1])
+                np.multiply(ends, n, out=halves[:, step])
+                halves[:, step] += ends[::-1]
+                at = step.stop
         keys.sort()
         repeats = bool((keys[1:] == keys[:-1]).any())
-        indices = np.remainder(keys, n, out=keys)
-        counts = np.bincount(ends.ravel(), minlength=n)
+        if not repeats:
+            blocks.clear()
+        indices = np.empty(2 * m, dtype=np.int32 if n < 2**31 else np.int64)
+        np.remainder(keys, n, out=indices, casting="unsafe")
+        del keys, halves
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(indices, minlength=n), out=indptr[1:])
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self.n = n
         self.m = m
-        self.labels = None
         self.indptr = indptr
         self.indices = indices
         return repeats
@@ -141,21 +153,21 @@ class Graph:
         """Load an edge list, remapping possibly-sparse ids to dense [0, n).
 
         `labels` is a read-only int64 array of the original ids, indexed by
-        the dense id. The file is read once; a repeated edge shows as two
-        equal keys in the CSR's sort, and only then is the first one looked
-        for.
+        the dense id. The file is read once, and the CSR is built from the
+        scan's blocks; a repeated edge shows as two equal keys in the CSR's
+        sort, and only then is the first one looked for.
         """
         scan = edgelist.EdgeScan(path)
         if scan.bad is not None:
             scan.raise_first_fault(edgelist._first_repeat(scan.edges))
-        g, repeats = cls._relabelled(scan.edges)
+        g, repeats = cls._relabelled(scan.blocks)
         if repeats:
             scan.raise_first_fault(edgelist._first_repeat(scan.edges))
         return g
 
     @classmethod
     def from_checked_edges(cls, ends: np.ndarray) -> "Graph":
-        """Graph of already-validated edges, an (m, 2) int64 array,
+        """Graph of already-validated edges, an (m, 2) integer array,
         remapping ids to dense [0, n).
 
         The edges must be canonical (u < v), distinct, and have ids in
@@ -164,17 +176,16 @@ class Graph:
         `labels`, a read-only int64 array, maps each dense id back to its
         original id.
         """
-        return cls._relabelled(ends)[0]
+        return cls._relabelled([ends])[0]
 
     @classmethod
-    def _relabelled(cls, ends: np.ndarray) -> tuple["Graph", bool]:
-        """`from_checked_edges`, and whether an edge repeats."""
-        ids, dense = _relabel(ends)
+    def _relabelled(cls, blocks: list) -> tuple["Graph", bool]:
+        """`from_checked_edges` of a list of blocks, and whether an edge repeats."""
+        ids, dense = _dense_ids(blocks)
         g = cls.__new__(cls)
-        repeats = g._fill(len(ids), dense)
         ids.flags.writeable = False
         g.labels = ids
-        return g, repeats
+        return g, g._fill(len(ids), blocks, dense)
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -200,7 +211,7 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """Canonical edges in sorted order, as an (m, 2) int64 array."""
-        return np.column_stack(_edge_ends(self))
+        return np.stack(_edge_ends(self), axis=1, dtype=np.int64)
 
     def edge_list(self) -> list[Edge]:
         return list(self.edges())
@@ -211,15 +222,16 @@ class Graph:
 
 def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (u, v) of the canonical edges, in sorted order."""
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    rows = np.repeat(np.arange(g.n, dtype=g.indices.dtype), np.diff(g.indptr))
     upper = g.indices > rows
     return rows[upper], g.indices[upper]
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of the integer ranges [starts[i], starts[i] + lengths[i])."""
+def _ranges(starts: np.ndarray, lengths: np.ndarray, dtype) -> np.ndarray:
+    """The integer ranges [starts[i], starts[i] + lengths[i]), joined, in `dtype`."""
     offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+    return (np.repeat((starts - offsets).astype(dtype), lengths)
+            + np.arange(int(lengths.sum()), dtype=dtype))
 
 
 def _distinct(values) -> np.ndarray:
@@ -241,22 +253,27 @@ def _presence(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
         return None
     seen = np.zeros(top + 1, dtype=bool)
     for c in columns:
-        seen[c] = True
+        seen[c.astype(np.int64, copy=False)] = True
     return seen
 
 
-def _relabel(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ids of an array of non-negative ids, sorted, and the
-    array with each id replaced by its index among them; the values of
-    `np.unique(ends, return_inverse=True)`, in `ends`' shape. Dense ids are
-    relabelled through a presence mark and its running count, with no sort."""
-    seen = _presence((ends,))
+def _dense_ids(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, Callable]:
+    """The distinct ids of arrays of non-negative ids, sorted, and a map of
+    any of the arrays to the int64 indices of its ids among them: through
+    a presence mark's running count, else by binary search."""
+    seen = _presence(blocks)
     if seen is None:
-        ids, dense = np.unique(ends, return_inverse=True)
-        return ids, dense.reshape(ends.shape)
+        ids = _distinct(np.concatenate([b.ravel() for b in blocks], dtype=np.int64))
+        return ids, lambda b: np.searchsorted(ids, b)
     dense = np.cumsum(seen, dtype=np.int64)
     dense -= 1
-    return np.flatnonzero(seen), dense[ends]
+    return np.flatnonzero(seen), dense.take
+
+
+def _relabel(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(ends, return_inverse=True)`, in `ends`' shape."""
+    ids, dense = _dense_ids((ends,))
+    return ids, dense(ends)
 
 
 _FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
@@ -360,11 +377,14 @@ class _HashIndex(_HashSet):
 
 def sum_edge_degrees(g: Graph) -> int:
     """Total edge degree, half the sum of min(d_row, d_col) over the CSR's
-    2m entries; at most 2 * m * degeneracy for every graph."""
-    deg = np.diff(g.indptr)
+    2m entries; at most 2 * m * degeneracy for every graph. The mins are
+    taken in place in `indices`' dtype, _WEDGE_CHUNK entries a step."""
+    deg = np.diff(g.indptr).astype(g.indices.dtype)
     ends = np.repeat(deg, deg)
-    np.minimum(ends, deg[g.indices], out=ends)
-    return int(ends.sum()) // 2
+    for first in range(0, len(ends), _WEDGE_CHUNK):
+        step = ends[first:first + _WEDGE_CHUNK]
+        np.minimum(step, deg.take(g.indices[first:first + _WEDGE_CHUNK]), out=step)
+    return int(ends.sum(dtype=np.int64)) // 2
 
 
 def degeneracy(g: Graph) -> int:
@@ -374,11 +394,15 @@ def degeneracy(g: Graph) -> int:
     and lowers the degrees of their live neighbors; those that drop to <= k
     form the next round. When a round removes nothing, what is left is the
     (k+1)-core, and the level jumps to its least degree. The last level
-    reached is the degeneracy. A round costs the removed vertices' adjacency;
-    the live list is compacted only between levels, and a vertex stays on it
-    for at most its core number of levels, so all compactions cost O(n + m).
+    reached is the degeneracy. A round costs the removed vertices' adjacency,
+    whose positions are int32 where they fit and are widened to int64 with
+    the neighbors they read _WEDGE_CHUNK at a time; the live list is
+    compacted only between levels, and a vertex stays on it for at most its
+    core number of levels, so all compactions cost O(n + m). Degrees stay
+    int64, as `np.subtract.at` is several times slower on int32.
     """
     deg = np.diff(g.indptr)
+    positions = np.int32 if len(g.indices) < 2**31 else np.int64
     alive = np.ones(g.n, dtype=bool)
     live = np.arange(g.n)
     k = 0
@@ -391,10 +415,15 @@ def degeneracy(g: Graph) -> int:
         while frontier.size:
             alive[frontier] = False
             starts = g.indptr[frontier]
-            nbrs = g.indices[_ranges(starts, g.indptr[frontier + 1] - starts)]
-            nbrs = nbrs[alive[nbrs]]
-            np.subtract.at(deg, nbrs, 1)
-            frontier = _distinct(nbrs[deg[nbrs] <= k])
+            at = _ranges(starts, g.indptr[frontier + 1] - starts, positions)
+            low = []
+            for first in range(0, len(at), _WEDGE_CHUNK):
+                step = at[first:first + _WEDGE_CHUNK].astype(np.int64)
+                nbrs = g.indices[step].astype(np.int64)
+                nbrs = nbrs[alive[nbrs]]
+                np.subtract.at(deg, nbrs, 1)
+                low.append(nbrs[deg[nbrs] <= k])
+            frontier = _distinct(np.concatenate(low)) if low else at
 
 
 def triangles_exact_naive(g: Graph) -> int:
@@ -411,19 +440,27 @@ def triangles_exact_naive(g: Graph) -> int:
     return count
 
 
-def _oriented_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices in (degree, id) rank order, and the sorted edge keys.
+def _oriented_keys(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices in (degree, id) rank order, the sorted edge keys, and the
+    out-degree of each rank.
 
     The key of an edge is rank(x) * n + rank(y), oriented so that
-    rank(x) < rank(y).
+    rank(x) < rank(y). The edges are the CSR's canonical copies, a suffix
+    of each row; a bool index by rank order would branch unpredictably.
     """
     n = g.n
     by_rank = np.argsort(np.diff(g.indptr), kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_rank] = np.arange(n)
+    rank = np.empty(n, dtype=g.indices.dtype)
+    rank[by_rank] = np.arange(n, dtype=rank.dtype)
     u, v = _edge_ends(g)
-    ru, rv = rank[u], rank[v]
-    return by_rank, np.sort(np.minimum(ru, rv) * n + np.maximum(ru, rv))
+    u = rank.take(u)
+    v = rank.take(v)
+    low = np.minimum(u, v)
+    size = np.bincount(low, minlength=n)
+    keys = np.multiply(low, n, dtype=np.int64)
+    keys += np.maximum(u, v, out=u)
+    keys.sort()
+    return by_rank, keys, size
 
 
 def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -447,21 +484,25 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     A step's wedges are closed by membership in the set.
     """
     n = g.n
-    by_rank, keys = _oriented_keys(g)
-    src, dst = np.divmod(keys, n)
+    by_rank, keys, size = _oriented_keys(g)
     # rank r's out-list is dst[start[r]:start[r] + size[r]], sorted, and
     # spans the ranks low[r] .. top[r]; an empty one has low = top = n,
-    # which no rank in [0, n) reaches
-    size = np.bincount(src, minlength=n)
+    # which no rank in [0, n) reaches; the keys are rebuilt once probed
     start = np.cumsum(size) - size
-    low = np.full(n, n)
-    top = np.full(n, n)
+    dst = np.empty(len(keys), dtype=g.indices.dtype)
+    np.remainder(keys, n, out=dst, casting="unsafe")
+    del keys
+    src = np.repeat(np.arange(n, dtype=dst.dtype), size)
+    low = np.full(n, n, dtype=dst.dtype)
+    top = np.full(n, n, dtype=dst.dtype)
     has = np.flatnonzero(size)
     low[has] = dst[start[has]]
     top[has] = dst[start[has] + size[has] - 1]
     del has
     kept, probed = _live_entries(src, dst, low, top)
-    keys = keys[probed[src]]
+    probed = np.repeat(probed, size)
+    keys = np.multiply(src[probed], n, dtype=np.int64)
+    keys += dst[probed]
     del src, probed, low, top
     edges = _HashSet(keys)
     del keys
@@ -484,7 +525,7 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
                 block = rows[k:k + per]
                 # column t is the out-list of block[t]; wedge (p, t) is
                 # (lists[i[p], t], lists[j[p], t]), at position p * r + t
-                lists = dst[start[block] + np.arange(d)[:, None]]
+                lists = dst[start[block] + np.arange(d)[:, None]].astype(np.int64)
                 key = (lists * n)[i]
                 key += lists[j]
                 key = key.ravel()
@@ -502,13 +543,13 @@ def _live_entries(src: np.ndarray, dst: np.ndarray, low: np.ndarray,
     only if that range meets [c', the list's last entry], c' <= c being
     b's successor in the list: for entry p of the sorted (src, dst),
     dst[p + 1]. A list's last entry b heads no wedge and is never marked,
-    as low[b] > b. The entries are taken _WEDGE_CHUNK a step.
+    as low[b] > b. The entries are taken _WEDGE_CHUNK a step, as int64.
     """
     kept = np.zeros(len(low), dtype=bool)
     probed = np.zeros(len(low), dtype=bool)
     for first in range(0, len(src) - 1, _WEDGE_CHUNK):
         last = min(first + _WEDGE_CHUNK, len(src) - 1)
-        a, b = src[first:last], dst[first:last]
+        a, b = src[first:last].astype(np.int64), dst[first:last].astype(np.int64)
         live = low[b] <= top[a]
         live &= top[b] >= dst[first + 1:last + 1]
         live = np.flatnonzero(live)

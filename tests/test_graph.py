@@ -102,8 +102,9 @@ class TestGraphConstruction:
         assert g.degree(2) == 2
 
     def test_a_loaded_graph_holds_its_csr_and_labels_only(self, tmp_path):
-        # the CSR (16 bytes per edge in `indices`, 8 per vertex in `indptr`)
-        # and 8 bytes per vertex of labels: no per-vertex Python objects
+        # the CSR (8 bytes per edge in int32 `indices`, 8 per vertex in
+        # `indptr`) and 8 bytes per vertex of labels: no per-vertex Python
+        # objects
         assert Graph.__slots__ == ("n", "m", "labels", "indptr", "indices")
         book, _ = gen_book(64000)
         p = tmp_path / "book.el"
@@ -116,7 +117,10 @@ class TestGraphConstruction:
         finally:
             tracemalloc.stop()
         assert (g.n, g.m) == (book.n, book.m)
-        assert held <= 16 * g.m + 16 * (g.n + 1) + 64 * 1024
+        assert held <= 8 * g.m + 16 * (g.n + 1) + 64 * 1024
+        assert g.indices.dtype == np.int32
+        assert g.indptr.dtype == g.labels.dtype == np.int64
+        assert g.edge_array().dtype == np.int64
         # dense ids keep the presence mark's ids, sparse ones np.unique's
         sparse = Graph.from_checked_edges(np.array([[10, 2**40], [10, 2**62]]))
         for labels in (g.labels, sparse.labels):
@@ -124,6 +128,76 @@ class TestGraphConstruction:
             assert not labels.flags.writeable
         assert np.array_equal(g.labels, np.arange(g.n))
         assert sparse.labels.tolist() == [10, 2**40, 2**62]
+
+
+class TestInt32Boundary:
+    """Ids and ranks either side of 2**31, where int32 arrays stop."""
+
+    # the first four lines are one chunk of ids below 2**31, which the scan
+    # may narrow to int32; the rest reach 2**31 - 1, 2**31 and 2**40, and
+    # close the triangles 3 A B and 3 B C
+    SMALL = b"0 1\n1 2\n0 2\n2 3\n"
+    LARGE = (b"3 2147483647\n2147483647 2147483648\n2147483648 3\n"
+             b"2147483648 1099511627776\n1099511627776 0\n3 1099511627776\n")
+
+    @pytest.mark.parametrize("chunk", [len(SMALL), edgelist.CHUNK_BYTES])
+    def test_a_load_across_the_boundary_matches_int64_edges(
+            self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(edgelist, "CHUNK_BYTES", chunk)
+        p = tmp_path / "wide.el"
+        p.write_bytes(self.SMALL + self.LARGE)
+        edges = edgelist.read_edges(p)
+        assert edges.dtype == np.int64
+        g = Graph.from_file(p)
+        want = Graph.from_checked_edges(np.array(
+            [[0, 1], [1, 2], [0, 2], [2, 3], [3, 2**31 - 1], [2**31 - 1, 2**31],
+             [3, 2**31], [2**31, 2**40], [0, 2**40], [3, 2**40]], dtype=np.int64))
+        assert sorted(edges.tolist()) == want.labels[want.edge_array()].tolist()
+        assert g.labels.tolist() == want.labels.tolist() == [
+            0, 1, 2, 3, 2**31 - 1, 2**31, 2**40]
+        assert np.array_equal(g.indptr, want.indptr)
+        assert np.array_equal(g.indices, want.indices)
+        assert triangles_exact_cn(g) == triangles_exact_cn(want) == 3
+        assert degeneracy(g) == degeneracy(want) == 2
+        assert sum_edge_degrees(g) == sum_edge_degrees(want) == loop_edge_degrees(want)
+
+    def test_rank_keys_past_2_31_are_formed_in_int64(self):
+        # n = 50,002 > 46,341, so rank * n + rank passes 2**31 while the
+        # ranks themselves may be int32
+        g, truth = gen_book(50000)
+        assert (g.n - 1) ** 2 >= 2**31
+        assert triangles_exact_cn(g) == truth.triangles == 50000
+        assert list(enumerate_triangles(g)) == [(0, 1, page) for page in range(2, 50002)]
+        # the spine has edge degree k + 1, each of the 2k page edges 2
+        assert sum_edge_degrees(g) == 5 * 50000 + 1
+
+
+class TestExactPathMemory:
+    def test_load_and_oracles_peak_within_36_bytes_per_edge(self, tmp_path):
+        # the lb NO gadget (p = q = 40, N = 150; m = 161,600). Each traced
+        # peak counts the loaded Graph too: int32 `indices` and oracles that
+        # never widen a whole array keep each near half of the 41 to 65
+        # bytes per edge that int64 ids and whole-array temporaries took
+        lb, truth = gen_lb_instance(lb_spec(40, 40, 150, "no", seed=1))
+        p = tmp_path / "lb.el"
+        p.write_text("".join(f"{u} {v}\n" for u, v in lb.edges()))
+        peaks = {}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = Graph.from_file(p)
+            peaks["load"] = tracemalloc.get_traced_memory()[1] - before
+            for oracle in (triangles_exact_cn, degeneracy, sum_edge_degrees):
+                tracemalloc.reset_peak()
+                peaks[oracle.__name__] = (oracle(g), tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert g.m == truth.m == 161600
+        assert peaks["triangles_exact_cn"][0] == truth.triangles
+        assert peaks["degeneracy"][0] == truth.kappa
+        per_edge = {name: (peak if name == "load" else peak[1]) / g.m
+                    for name, peak in peaks.items()}
+        assert all(b <= 36 for b in per_edge.values()), per_edge
 
 
 class TestFromFileFaults:
