@@ -26,12 +26,13 @@ collects them, block by block (see `triad.sampling`):
 
 Pass 3 and pass 4's closure checks live on `_StageMachine`, which ideal
 mode's three-pass run shares with its own pass 1 in place of passes 1-2.
-Between passes the state is arrays: each draw's edge with both ends'
-degrees and its neighbor (R and pass 2's counter are released once the
-draws are made), until pass 4's end folds the draws into the discovered
-triangles, a (k, 3) array in first-closed-draw order with each edge's
-degree and closed-draw count, and drops them; then one wedge request per
-cheap (triangle, edge) cell. A draw scores 1 when its wedge closed into a
+Between passes the state is arrays. Pass 2's counter is released before
+the draws are made, and R once they are: each distinct drawn edge is held
+once, with both ends' degrees, its anchor and its other end, and a draw is
+an index into those rows, with its neighbor beside it after pass 3. Pass
+4's end folds the draws into the discovered triangles, a (k, 3) array in
+first-closed-draw order with each edge's degree and closed-draw count, and
+drops them; then one wedge request per cheap (triangle, edge) cell. A draw scores 1 when its wedge closed into a
 triangle that the assignment rule charges to the draw's own edge. The
 estimate is (m / r) * d_R * mean(scores).
 
@@ -45,9 +46,11 @@ slots are then never counted as stored. The space budget abort_multiplier *
 (r + ell + s) is checked once, at the end of pass 4 (`_end_3`), against
 the discovered triangles, three items each, and the planned wedge slots;
 a repetition over it aborts with estimate 0 and a "space-abort" flag. R,
-pass 2's degree counter and the draws are never checked against it. A
-sampled repetition whose peak storage exceeds m, what storing the graph
-costs, is flagged "no-space-advantage"; its value stands. A settled
+pass 2's degree counter and the draws are never checked against it. Stored
+items count a draw as one item, its reference or, with its neighbor w, the
+edge (a, w), and each drawn edge once. A sampled repetition whose peak
+storage exceeds m, what storing the graph costs, is flagged
+"no-space-advantage"; its value stands. A settled
 repetition keeps only its value, flags, counters and memo. Each sampler
 draws from one generator keyed by (seed, role, repetition), so a fixed
 (source, order seed, config) is bit-reproducible, and multiplexing
@@ -271,9 +274,11 @@ class _StageMachine:
     stage_begin(k) returns the observers for the k-th pass (an empty list
     when the stage needs no pass), stage_end(k) folds the pass results in.
     A settled run has its outcome in `x` and returns no more observers.
-    Both modes hold their draws with both ends' degrees and share stage 2,
-    one uniform neighbor of each draw's anchor, and the wedge half of stage
-    3 with its corner degrees. Generators are keyed (seed, role, *key).
+    Both modes hold each distinct drawn edge once, with both ends' degrees,
+    its anchor and its other end, and per draw the index of its row; stage
+    2 finds one uniform neighbor of each draw's anchor and holds it beside
+    the draw, and the wedge half of stage 3 reads each draw's row for its
+    corner degrees. Generators are keyed (seed, role, *key).
     """
 
     def __init__(self, seed: int, key: tuple[int, ...]):
@@ -290,12 +295,15 @@ class _StageMachine:
         self._observers: list = []
 
     def _drop_draws(self) -> None:
-        # per draw: its edge, its ends' degrees, its anchor, its other end,
-        # its neighbor; and the draws whose wedge is open
-        self.draw_edges = _NO_EDGES
-        self.draw_ends = _NO_EDGES
-        self.draw_anchors = _NO_IDS
-        self.draw_others = _NO_IDS
+        # per drawn row, held once however often it is drawn: its edge, its
+        # ends' degrees, its anchor and its other end
+        self.drawn_edges = _NO_EDGES
+        self.drawn_ends = _NO_EDGES
+        self.drawn_anchors = _NO_IDS
+        self.drawn_others = _NO_IDS
+        # per draw: its row among the drawn rows and its neighbor; and the
+        # draws whose wedge is open
+        self.draw_rows = _NO_IDS
         self.neighbors = _NO_IDS
         self._open = _NO_IDS
 
@@ -334,7 +342,9 @@ class _StageMachine:
     # -- storage accounting ---------------------------------------------------
 
     def _live_items(self) -> int:
-        return len(self.draw_edges) + len(self.neighbors)
+        # a draw is one item, its reference or, once its neighbor w is
+        # found, the edge (a, w); the row it references is counted once
+        return len(self.drawn_edges) + len(self.draw_rows)
 
     def _note_storage(self, held: int = 0) -> None:
         """Raise the peak to the live items plus `held` ones a stage drops."""
@@ -344,16 +354,28 @@ class _StageMachine:
 
     # -- the draws, and the stages both modes share ---------------------------
 
-    def _draw(self, edges: np.ndarray, ends: np.ndarray) -> None:
-        """Hold the drawn canonical edges, given their ends' degrees."""
-        self.draw_edges = edges
-        self.draw_ends = ends
-        self.draw_anchors, self.draw_others = _anchor_ends(*edges.T, *ends.T)
+    def _draw(self, edges: np.ndarray, ends: np.ndarray, draws: np.ndarray) -> None:
+        """Hold each distinct canonical edge among the rows `draws` index,
+        with its ends' degrees, once, and per draw the index of its row."""
+        # draws of one slot, then slots holding one edge, share a row; an
+        # edge's key is built from its ends' ranks, as `ClosureChecker` does
+        slots, slot_of = np.unique(draws, return_inverse=True)
+        ids, ranks = np.unique(edges[slots], return_inverse=True)
+        ranks = ranks.reshape(-1, 2)
+        _, first, row_of = np.unique(ranks[:, 0] * len(ids) + ranks[:, 1],
+                                     return_index=True, return_inverse=True)
+        kept = slots[first]
+        self.draw_rows = row_of[slot_of]
+        self.drawn_edges = edges[kept]
+        self.drawn_ends = ends[kept]
+        self.drawn_anchors, self.drawn_others = _anchor_ends(
+            *self.drawn_edges.T, *self.drawn_ends.T)
 
     def _begin_2(self) -> list:
         # j uniform in [0, d_a), the lesser end degree: the anchor's j-th edge
-        positions = self._rng(ROLE_NEIGHBOR).integers(self.draw_ends.min(axis=1))
-        return [IncidentPicker(self.draw_anchors, positions)]
+        degrees = self.drawn_ends.min(axis=1)[self.draw_rows]
+        positions = self._rng(ROLE_NEIGHBOR).integers(degrees)
+        return [IncidentPicker(self.drawn_anchors[self.draw_rows], positions)]
 
     def _end_2(self) -> None:
         [picker] = self._observers
@@ -361,16 +383,18 @@ class _StageMachine:
 
     def _begin_3(self) -> list:
         # a neighbor equal to the edge's other end makes no wedge
-        self._open = np.flatnonzero(self.neighbors != self.draw_others)
-        return [ClosureChecker(self.draw_others[self._open], self.neighbors[self._open])]
+        others = self.drawn_others[self.draw_rows]
+        self._open = np.flatnonzero(self.neighbors != others)
+        return [ClosureChecker(others[self._open], self.neighbors[self._open])]
 
     def _closed_wedges(self, closure: ClosureChecker, degree_of) -> tuple[np.ndarray, ...]:
         """The draws whose wedge closed; each one's triangle sorted, the
         drawn edge's cell in it (the edge without the neighbor w: bc, ac or
         ab), and its corners' degrees in the same order, w's from `degree_of`."""
         closed = self._open[closure.present()]
-        corners = np.column_stack((self.draw_edges[closed], self.neighbors[closed]))
-        degrees = np.column_stack((self.draw_ends[closed], degree_of(corners[:, 2])))
+        rows = self.draw_rows[closed]
+        corners = np.column_stack((self.drawn_edges[rows], self.neighbors[closed]))
+        degrees = np.column_stack((self.drawn_ends[rows], degree_of(corners[:, 2])))
         order = np.argsort(corners, axis=1)
         return (closed, np.take_along_axis(corners, order, axis=1),
                 2 - (order == 2).argmax(axis=1), np.take_along_axis(degrees, order, axis=1))
@@ -471,6 +495,10 @@ class _Repetition(_StageMachine):
     def _end_1(self) -> None:
         [counter] = self._observers
         ends = counter.degrees(self.sample)
+        # R and its endpoints' counted degrees are held here; then the counter goes
+        self._note_storage(len(counter.vertices))
+        self._observers = []
+        del counter
         slot_degrees = ends.min(axis=1)
         # every sampled edge's ends have degree >= 1, so d_R >= r >= 1
         self.d_r = int(slot_degrees.sum())
@@ -485,9 +513,9 @@ class _Repetition(_StageMachine):
             picker = EdgePicker(self._rng(ROLE_PICK).integers(self.d_r, size=self.ell))
             picker.observe_rows((np.arange(self.r),), slot_degrees)
             draws = picker.samples()[:, 0]
-            self._draw(self.sample[draws], ends[draws])
-        # R, its endpoints' degrees and the draws are all held here; then only the draws
-        self._note_storage(len(counter.vertices))
+            # R and one slot id per draw are held here; then only the drawn edges
+            self._note_storage(len(draws))
+            self._draw(self.sample, ends, draws)
         self.sample = _NO_EDGES
 
     # -- stage 3: wedge closure + third-vertex degrees -------------------------

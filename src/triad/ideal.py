@@ -15,7 +15,8 @@ is picked with probability exactly d_e / d_E), stages 2 and 3 are the
 shared neighbor and closure passes, and every closed instance is scored
 in columns. A sizing pass outside the 3-pass budget measures d_E first.
 All instances ride the same passes; the estimate is a median of group
-means, and the stored peak counts each instance's draw and neighbor.
+means. The stored peak counts each distinct drawn edge once, and per
+instance one item, its reference to that edge and then its neighbor.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class _IdealRun(_StageMachine):
             raise InputError(f"the stream's total edge degree is {picker.total}, "
                              f"not {self.d_e_total}")
         rows = picker.samples()  # (u, v, d_u, d_v)
-        self._draw(rows[:, :2], rows[:, 2:])
+        self._draw(rows[:, :2], rows[:, 2:], np.arange(self.count))
 
     def _end_3(self) -> None:
         [closure] = self._observers

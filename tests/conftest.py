@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 import pytest
 
 from triad.graph import Graph, canonical_edge, pick_anchor, sum_edge_degrees
+from triad.sampling import ROLE_WEIGHTED_SAMPLE, substream
 
 # child processes run `python -m triad` from this checkout, installed or not
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -133,6 +134,18 @@ def lowest_degree_edge(g: Graph, tri) -> tuple[int, int]:
     for e in ((a, b), (a, c), (b, c)):
         candidates.append((min(g.degree(e[0]), g.degree(e[1])), e))
     return min(candidates)[1]
+
+
+def ideal_drawn_edges(g: Graph, count: int, seed: int) -> int:
+    """How many distinct edges `count` ideal-mode instances draw from a
+    stream of `g.edge_list()`: instance i takes the edge that spans its
+    position on the d_e axis, replayed from the run's own generator."""
+    ends, total = [], 0
+    for u, v in g.edge_list():
+        total += min(g.degree(u), g.degree(v))
+        ends.append(total)
+    positions = substream(seed, ROLE_WEIGHTED_SAMPLE).integers(total, size=count)
+    return len({bisect_right(ends, p) for p in positions.tolist()})
 
 
 def exact_expected_x(g: Graph) -> Fraction:

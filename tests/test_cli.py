@@ -16,6 +16,8 @@ from triad.graph import Graph
 from triad.ideal import DegreeOracle, ideal_estimate
 from triad.stream import EdgeStream
 
+from conftest import ideal_drawn_edges
+
 CLI = [sys.executable, "-m", "triad"]
 
 
@@ -422,8 +424,8 @@ class TestEstimate:
         assert payload["oracle_queries"] > 0
 
     def test_ideal_mode_reports_its_accounted_peak(self, tmp_path):
-        # the stored peak is what the run held, a draw and a neighbor per
-        # instance, not the instance count r
+        # the stored peak is what the run held, each drawn edge once and a
+        # reference with its neighbor per instance, not the instance count r
         path, truth = write_book_file(tmp_path, 60)
         res = run_cli("estimate", "--mode", "ideal", "--epsilon", "0.3",
                       "--t-hat", str(truth.triangles), "--seed", "1", str(path))
@@ -432,7 +434,8 @@ class TestEstimate:
         g = Graph.from_file(path)
         _, report = ideal_estimate(EdgeStream(g.edge_array()), DegreeOracle(g), epsilon=0.3,
                                    t_hat=truth.triangles, seed=1)
-        assert payload["stored_edges_peak"] == report.stored_edges_peak == 2 * payload["r"]
+        drawn = ideal_drawn_edges(g, payload["r"], seed=1)
+        assert payload["stored_edges_peak"] == report.stored_edges_peak == drawn + payload["r"]
 
     def test_missing_t_hat_exits_2(self, tmp_path):
         path, _ = write_book_file(tmp_path, 30)
@@ -500,12 +503,14 @@ class TestEstimate:
         assert json.loads(res.stdout)["config"] == config.as_dict()
 
     def test_no_space_advantage_is_flagged_on_stderr_only(self, tmp_path):
-        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.1 m
+        # pa(5000, 4) at eps 0.2, scale 0.008, seed and order seed 1 stores
+        # about 1.36 m; in file order the same seed falls back
         out = tmp_path / "pa.el"
         assert run_cli("gen", "pa", "--n", "5000", "--attach", "4", "--out", str(out)).returncode == 0
         truth = json.loads((tmp_path / "pa.el.json").read_text())
         res = run_cli("estimate", str(out), "--epsilon", "0.2", "--t-hat", str(truth["T"]),
-                      "--kappa-hat", str(truth["kappa"]), "--scale", "0.005", "--seed", "1")
+                      "--kappa-hat", str(truth["kappa"]), "--scale", "0.008", "--seed", "1",
+                      "--order-seed", "1")
         assert res.returncode == 0, res.stderr
         flags = [line for line in res.stderr.splitlines() if line.startswith("flags: ")]
         assert flags and "no-space-advantage" in flags[0].split(": ")[1].split(",")
@@ -570,14 +575,15 @@ class TestEstimate:
                               "56027999999999992659968 instances, more than one run can draw\n")
 
     def test_ideal_report_is_the_frozen_payload(self, tmp_path):
-        # a golden run: every printed figure is pinned, in both formats
+        # a golden run: every printed figure is pinned, in both formats; the
+        # stored peak is 395 distinct drawn edges plus the 1,869 instances
         run_cli("gen", "wheel", "--n", "201", "--out", str(tmp_path / "w.el"))
         args = ("estimate", str(tmp_path / "w.el"), "--mode", "ideal", "--epsilon", "0.3",
                 "--t-hat", "200", "--seed", "2")
         res = run_cli(*args)
         assert res.returncode == 0, res.stderr
         assert res.stdout == (
-            '{"estimate": 188.76404494382024, "passes": 3, "stored_edges_peak": 3738, '
+            '{"estimate": 188.76404494382024, "passes": 3, "stored_edges_peak": 2264, '
             '"r": 1869, "ell": 0, "s": 0, "assignment_calls": 958, "memo_size": 0, '
             '"seed": 2, "config": {"mode": "ideal", "epsilon": 0.3, "t_hat": 200, '
             '"groups": 7, "group_size": 267}, "oracle_queries": 2558}\n')
@@ -585,7 +591,7 @@ class TestEstimate:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [
             "estimate,passes,stored_edges_peak,r,ell,s,assignment_calls,memo_size,seed",
-            "188.76404494382024,3,3738,1869,0,0,958,0,2"]
+            "188.76404494382024,3,2264,1869,0,0,958,0,2"]
 
     def test_env_seed_override(self, tmp_path):
         path, truth = write_book_file(tmp_path, 60)

@@ -420,19 +420,24 @@ class TestStorageAccounting:
         # triangle's edges collects its anchor's whole neighborhood
         triangles = 4
         wedge_slots = triangles * 3 * d_e
-        # stage 1 holds R, its endpoints' degrees and the draws at once, then
-        # keeps only the draws
-        stage_1_peak = r + n + ell
-        with_neighbors = 2 * ell                # one neighbor per draw
+        # stage 1 holds R with its endpoints' degrees, releases the counter,
+        # then holds R and one slot id per draw, and keeps only the drawn
+        # edges, here all d = m of them, and one reference per draw
+        stage_1_peak = max(r + n, r + ell)
+        d = m
+        with_draws = d + ell
+        # a neighbor rides beside its draw's reference: one item, the edge (a, w)
+        with_neighbors = d + ell
         # stage 3 drops the draws and their neighbors once their wedges are
         # counted per triangle edge
         with_wedges = 3 * triangles + wedge_slots
         # the settled repetition keeps only its memo, one entry per triangle
-        assert live == [r, ell, with_neighbors, with_wedges, with_wedges, triangles]
-        assert peaks[1] == stage_1_peak
-        # the peak is stage 3's end: the draws, their neighbors and the
-        # counted degrees of the third vertices, here all n of them
-        assert rep.peak_items == with_neighbors + n == 12_100
+        assert live == [r, with_draws, with_neighbors, with_wedges, with_wedges, triangles]
+        assert peaks[1] == stage_1_peak == 6_054
+        # the peak is stage 3's end: the drawn edges, the draws with their
+        # neighbors and the counted degrees of the third vertices, here all
+        # n of them
+        assert rep.peak_items == with_neighbors + n == 6_058
         assert len(rep.memo) == len(rep.charged) == triangles
 
 
@@ -450,7 +455,8 @@ class TestScoring:
             if observers:
                 run_pass(s, observers)
             if stage == 3:  # stage 3's end drops the draws
-                draws = list(zip(rep.draw_edges.tolist(), rep.neighbors.tolist()))
+                edges = rep.drawn_edges[rep.draw_rows]
+                draws = list(zip(edges.tolist(), rep.neighbors.tolist()))
             rep.stage_end(stage)
         charged = dict(zip(map(tuple, rep.memo.tolist()), rep.charged.tolist()))
         score = 0
@@ -670,10 +676,11 @@ class TestNoSpaceAdvantage:
     its value stands: it is not turned into a fallback."""
 
     def test_flagged_above_m(self):
-        # pa(5000, 4) at eps 0.2, scale 0.005 stores about 1.1 m
+        # pa(5000, 4) at eps 0.2, scale 0.008 stores about 1.36 m, R and the
+        # pending draws at the end of pass 2
         g = gen_preferential_attachment(5000, 4, seed=0)
         cfg = EstimatorConfig(epsilon=0.2, t_hat=triangles_exact_cn(g),
-                              kappa_hat=degeneracy(g), seed=1, scale=0.005)
+                              kappa_hat=degeneracy(g), seed=1, scale=0.008)
         x, report = estimate(stream_for(g, order_seed=1), cfg)
         assert report.stored_edges_peak > g.m
         assert "no-space-advantage" in report.flags
@@ -698,6 +705,58 @@ class TestNoSpaceAdvantage:
         _, report = estimate(stream_for(g), cfg)
         assert "exact-fallback" in report.flags
         assert "no-space-advantage" not in report.flags
+
+
+class DrawBytes(_Repetition):
+    """A repetition that records, when pass 4's end releases its draws, how
+    many draws and drawn edges it held and the traced bytes the release
+    freed."""
+
+    def _drop_draws(self):
+        draws = len(getattr(self, "draw_rows", ()))
+        rows = len(getattr(self, "drawn_edges", ()))
+        before = tracemalloc.get_traced_memory()[0]
+        super()._drop_draws()
+        if draws:
+            self.released = (draws, rows, before - tracemalloc.get_traced_memory()[0])
+
+
+class TestDrawStorage:
+    """Each drawn edge is held once, and a draw is a reference to it: on
+    pa(5000, 4) at eps 0.2, scale 0.005 the peak is R and the pending draws
+    at the end of pass 2, below m."""
+
+    @staticmethod
+    def config(g, seed):
+        return EstimatorConfig(epsilon=0.2, t_hat=triangles_exact_cn(g), kappa_hat=4,
+                               seed=seed, scale=0.005)
+
+    @pytest.mark.parametrize("seed, peak", [(1, 17_017), (2, 17_066), (3, 16_920)])
+    def test_peak_is_r_plus_ell_below_m(self, seed, peak):
+        g = gen_preferential_attachment(5000, 4, seed=0)
+        _, report = estimate(stream_for(g, order_seed=seed), self.config(g, seed))
+        assert report.stored_edges_peak == report.r + report.ell == peak < g.m == 19_984
+        assert "no-space-advantage" not in report.flags
+        assert "exact-fallback" not in report.flags
+
+    def test_draw_state_bytes(self):
+        # at pass 4's end a draw holds three int64s, its reference, its
+        # neighbor and at most one open index: 24 bytes. A drawn edge holds
+        # six, its two ends, their two degrees, its anchor and its other
+        # end: 48 bytes. 4 KiB covers the seven arrays' headers. One copy of
+        # the edge and its degrees per draw would take about 64 bytes a draw
+        g = gen_preferential_attachment(5000, 4, seed=0)
+        s = stream_for(g, order_seed=1)
+        rep = DrawBytes(s.stats(), self.config(g, 1), rep=0)
+        tracemalloc.start()
+        try:
+            _drive(s, [[rep]])
+        finally:
+            tracemalloc.stop()
+        draws, rows, freed = rep.released
+        assert draws == rep.ell == 9_163
+        assert rows < draws
+        assert 16 * draws <= freed <= 24 * draws + 48 * rows + 4096
 
 
 class TestFallbackStorage:

@@ -16,7 +16,7 @@ from triad.ideal import DegreeOracle, IdealReport, _IdealRun, ideal_estimate, id
 from triad.sampling import run_pass
 from triad.stream import EdgeStream
 
-from conftest import exact_expected_x, k_complete, path_graph
+from conftest import exact_expected_x, ideal_drawn_edges, k_complete, path_graph
 
 
 def fresh_stream(g: Graph) -> EdgeStream:
@@ -245,7 +245,7 @@ def drive_stages(g: Graph, count: int, seed: int):
     for stage in (1, 2, 3):
         run_pass(stream, run.stage_begin(stage))
         if stage == 3:
-            draws = np.column_stack((run.draw_edges, run.draw_ends))
+            draws = np.column_stack((run.drawn_edges, run.drawn_ends))[run.draw_rows]
             neighbors = run.neighbors.copy()
         run.stage_end(stage)
         live.append(run._live_items())
@@ -295,22 +295,28 @@ class TestChargingRule:
 
 
 class TestIdealStorage:
-    """Ideal mode holds one draw and one neighbor per instance."""
+    """Ideal mode holds each drawn edge once, and per instance a reference
+    to it and one neighbor."""
 
     def test_live_items_per_stage_and_peak(self):
         g = k_complete(4)
         count = 50
         run, _, _, live = drive_stages(g, count, seed=0)
-        # stage 1 holds the draws, stage 2 adds one neighbor each, and the
-        # settled run keeps only its instance values
-        assert live == [count, 2 * count, 0]
-        assert run.peak_items == 2 * count
+        drawn = ideal_drawn_edges(g, count, seed=0)
+        # stage 1 holds the drawn edges and a reference per instance, stage
+        # 2 puts a neighbor beside each reference, and the settled run keeps
+        # only its instance values
+        assert drawn == g.m == 6
+        assert live == [drawn + count, drawn + count, 0]
+        assert run.peak_items == drawn + count == 56
 
     def test_report_peak_in_closed_form(self):
         g = k_complete(4)
         _, report = ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=0.5,
                                    t_hat=4, seed=0)
-        # d_E = 6 edges * 3; group_size = ceil(4 * 18 / (0.25 * 4)) = 72
+        # d_E = 6 edges * 3; group_size = ceil(4 * 18 / (0.25 * 4)) = 72;
+        # 504 instances draw all six edges
         assert report.instances == 7 * 72
-        assert report.stored_edges_peak == 2 * report.instances
+        assert ideal_drawn_edges(g, report.instances, seed=0) == g.m
+        assert report.stored_edges_peak == g.m + report.instances == 510
         assert report.passes == 3

@@ -121,12 +121,24 @@ class DrawKeeper(_Repetition):
         super()._drop_samples()
 
 
+class CopyKeeper(_Repetition):
+    """A repetition that holds one copy of its drawn edge and degrees per
+    draw, each draw referencing its own row."""
+
+    def _draw(self, edges, ends, draws):
+        self.draw_rows = np.arange(len(draws))
+        self.drawn_edges, self.drawn_ends = edges[draws], ends[draws]
+        self.drawn_anchors, self.drawn_others = _anchor_ends(
+            *self.drawn_edges.T, *self.drawn_ends.T)
+
+
 class DrawWatcher(_Repetition):
-    """A repetition that checks its per-draw arrays from stage 2 are freed
-    once stage_end(3) returns."""
+    """A repetition that checks its drawn edges and per-draw arrays from
+    stage 2 are freed once stage_end(3) returns."""
 
     def stage_end(self, stage):
-        names = ("draw_edges", "draw_ends", "draw_anchors", "draw_others", "neighbors")
+        names = ("drawn_edges", "drawn_ends", "drawn_anchors", "drawn_others", "draw_rows",
+                 "neighbors")
         refs = [weakref.ref(getattr(self, name)) for name in names] if stage == 3 else []
         super().stage_end(stage)
         assert [name for name, ref in zip(names, refs) if ref() is not None] == []
@@ -141,19 +153,22 @@ def test_dropping_the_draws_changes_only_storage(g, seed, order_seed):
                           kappa_hat=max(1, degeneracy(g)), repetitions=3,
                           seed=seed, scale=0.01, exact_fallback=False, abort_multiplier=1e6)
     runs = []
-    for cls, shared in ((DrawKeeper, False), (DrawWatcher, False), (DrawWatcher, True)):
+    for cls, shared in ((DrawWatcher, False), (DrawWatcher, True), (DrawKeeper, False),
+                        (CopyKeeper, False), (CopyKeeper, True)):
         stream = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
         reps = [cls(stream.stats(), cfg, rep=i) for i in range(cfg.repetitions)]
         _drive(stream, [reps] if shared else [[rep] for rep in reps])
         runs.append(reps)
-    for kept, real in zip(runs[0], runs[1]):
-        assert (real.x, real.ell, real.memo.tolist(), real.charged.tolist(),
-                real.assignment_calls) == (kept.x, kept.ell, kept.memo.tolist(),
-                                           kept.charged.tolist(), kept.assignment_calls)
-        # the keeper may store more than m where the release does not
-        assert [fl for fl in kept.flags if fl in real.flags] == real.flags
-        assert set(kept.flags) - set(real.flags) <= {"no-space-advantage"}
-        assert real.peak_items <= kept.peak_items
+    # each keeper holds more than the real run, sequentially or shared
+    for keeper in runs[2:]:
+        for kept, real in zip(keeper, runs[0]):
+            assert (real.x, real.ell, real.memo.tolist(), real.charged.tolist(),
+                    real.assignment_calls) == (kept.x, kept.ell, kept.memo.tolist(),
+                                               kept.charged.tolist(), kept.assignment_calls)
+            # the keeper may store more than m where the real run does not
+            assert [fl for fl in kept.flags if fl in real.flags] == real.flags
+            assert set(kept.flags) - set(real.flags) <= {"no-space-advantage"}
+            assert real.peak_items <= kept.peak_items
 
 
 @st.composite
