@@ -7,7 +7,16 @@ closed-form ground truth, and a benchmarking CLI.
 Every name in `__all__` is importable from the package itself, but its
 module loads on first use (PEP 562): `from triad import Graph` imports
 `triad.graph` and what it needs, not the estimators, so a run pays only
-for the modules it touches.
+for the modules it touches. Each CLI command loads `triad`, `triad.cli`,
+`triad.errors`, `triad.edgelist` and `triad.idset`, and besides them:
+
+- `exact`: `triad.graph`;
+- `estimate --mode main`: `triad.stream`, `triad.sampling`,
+  `triad.assignment` and `triad.estimator`, and `triad.graph` only when
+  the run falls back to exact counting;
+- `estimate --mode ideal`: main mode's, `triad.graph` and `triad.ideal`;
+- `gen`: `triad.generators`, `triad.graph` and `triad.sampling`;
+- `bench`: `gen`'s and main mode's.
 """
 
 from importlib import import_module

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError, SchedulingError
-from .graph import Graph, Edge, Triangle, per_edge_triangles, triangle_edges
+from .idset import Edge, Triangle, triangle_edges
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 INFINITY = math.inf
 
@@ -143,6 +146,8 @@ def saturated_estimates(g: Graph, epsilon: float, t_hat: int,
     degree cutoff. This is what wedge sampling converges to once the sample
     count covers each neighborhood, and what the deterministic saturation
     tests feed the rule."""
+    from .graph import per_edge_triangles
+
     cut = degree_cutoff(g.m, epsilon, t_hat, kappa_hat)
     out: dict[Edge, EdgeEstimate] = {}
     for p in per_edge_triangles(g):

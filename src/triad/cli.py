@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator
 
 from . import edgelist
@@ -330,6 +329,8 @@ def run_row(row: BenchRow, fixed_clock: bool = False
     """Generate a checked row's instance once and yield (truth, config,
     estimate, report, elapsed_ms) per trial. Trial t seeds the estimator and
     the stream order with the row's seed + t; only `estimate` is timed."""
+    from dataclasses import replace
+
     from .estimator import estimate
     from .stream import EdgeStream
 

@@ -61,13 +61,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .assignment import INFINITY, _log2n, assign_rows, compute_s, degree_cutoff
 from .errors import ConfigError, InputError
-from .graph import Graph, _distinct, triangle_edges, triangles_exact_cn
+from .idset import _distinct, triangle_edges
 from .sampling import (
     ROLE_EDGE_SAMPLE,
     ROLE_NEIGHBOR,
@@ -82,6 +82,10 @@ from .sampling import (
     substream,
 )
 from .stream import StreamStats
+
+# the exact oracles load only on the exact-fallback path
+if TYPE_CHECKING:
+    from .graph import Graph
 
 PASSES_PER_REPETITION = 6
 
@@ -262,6 +266,8 @@ class _GraphCollector:
         self.size += len(u)
 
     def graph(self) -> Graph:
+        from .graph import Graph
+
         # hand the blocks over, so they are not held while the graph is built
         edges, self._blocks = np.concatenate(self._blocks or [_NO_EDGES]), []
         # the stream validated every edge when it was opened
@@ -474,6 +480,8 @@ class _Repetition(_StageMachine):
         if self._collector is None:
             super()._end(stage)
             return
+        from .graph import triangles_exact_cn
+
         self.flags.append("exact-fallback")
         self._settle(triangles_exact_cn(self._collector.graph()))
 

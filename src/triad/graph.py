@@ -34,15 +34,6 @@ is below twice the number of endpoint entries, a presence mark and its
 running count do it with no sort; sparser ids are sorted. The CSR is built
 from the scan's blocks a step at a time, with no whole copy of the edges.
 
-`_HashSet` is the package's one membership primitive: Fibonacci hashing
-with linear probing into int64 slots that each hold their own key (8 bytes
-a slot, at most 2**b + k slots for k keys, 2k <= 2**b < 4k), so a probe
-reads one array. Every key the package hashes (a vertex id, a rank key)
-is non-negative, so an empty slot holds -1. `_HashIndex` adds an int32
-rank per slot (12 bytes a slot) for callers that read each hit's index
-among the keys. The triangle kernel uses the set; the pass observers in
-`sampling` use the index.
-
 A Graph is immutable after construction, so every oracle is safe to call
 concurrently.
 """
@@ -52,15 +43,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import edgelist
 from .errors import InputError
-
-Edge = tuple[int, int]
-Triangle = tuple[int, int, int]
+from .idset import Edge, Triangle, _HashSet, _distinct, _presence, triangle_edges
 
 # wedges per kernel step (or one out-list's d - 1, if more), and entries
 # per step wherever a pass over the edges is split (the CSR build, the
@@ -92,13 +81,6 @@ def pick_anchor(u: int, v: int, d_u: int, d_v: int) -> int:
         u, v = v, u
         d_u, d_v = d_v, d_u
     return u if d_u < d_v else v
-
-
-def triangle_edges(tri: Sequence[int]) -> tuple[Edge, Edge, Edge]:
-    a, b, c = sorted(tri)
-    if a == b or b == c:
-        raise InputError(f"degenerate triangle {tri!r}")
-    return (a, b), (a, c), (b, c)
 
 
 class Graph:
@@ -234,29 +216,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray, dtype) -> np.ndarray:
             + np.arange(int(lengths.sum()), dtype=dtype))
 
 
-def _distinct(values) -> np.ndarray:
-    """The distinct values, sorted. Plain `np.unique` takes a hash-table
-    path that is several times slower on int64 ids and imports numpy.ma on
-    its first call."""
-    ids = np.sort(np.asarray(values, dtype=np.int64))
-    return ids[np.concatenate(([True], ids[1:] != ids[:-1]))] if len(ids) else ids
-
-
-def _presence(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """A bool mark over [0, max id] of every id in the columns, or None when
-    the ids are sparse: when the largest is at least twice the number of
-    entries, the mark would outweigh a quarter of the columns' own bytes.
-    The ids must be non-negative."""
-    entries = sum(c.size for c in columns)
-    top = max((int(c.max()) for c in columns if c.size), default=-1)
-    if top >= 2 * entries:
-        return None
-    seen = np.zeros(top + 1, dtype=bool)
-    for c in columns:
-        seen[c.astype(np.int64, copy=False)] = True
-    return seen
-
-
 def _dense_ids(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, Callable]:
     """The distinct ids of arrays of non-negative ids, sorted, and a map of
     any of the arrays to the int64 indices of its ids among them: through
@@ -274,105 +233,6 @@ def _relabel(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`np.unique(ends, return_inverse=True)`, in `ends`' shape."""
     ids, dense = _dense_ids((ends,))
     return ids, dense(ends)
-
-
-_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
-
-
-class _HashSet:
-    """Membership of int64 needles in a set of distinct non-negative int64
-    keys, by Fibonacci hashing (top b bits of x * _FIB) with linear probing.
-
-    Each slot holds its own key, so a probe reads one array: 2**b home
-    slots, 2k <= 2**b < 4k, then slots up to the empty one after the last
-    filled slot, which no probe runs past: at most 2**b + k int64 slots,
-    and seldom more than one past the home slots. The keys are
-    non-negative, so an empty slot holds -1, and a needle may be any int64
-    value: -1 misses whatever it reads. Each key lands in its first free
-    slot from its home on. A round reads one slot per unresolved needle,
-    which stops at its key or an empty slot: rounds never exceed the
-    longest run of filled slots.
-    """
-
-    def __init__(self, keys):
-        self._build(np.asarray(keys, dtype=np.int64))
-
-    def _build(self, keys: np.ndarray) -> np.ndarray:
-        """Fill the slots; return the slot each key lands in."""
-        k = len(keys)
-        if k and keys.min() < 0:
-            raise ValueError(f"hash set keys must be non-negative, got {keys.min()}")
-        bits = max(1, (2 * k - 1).bit_length())
-        self._shift = np.uint64(64 - bits)
-        home = self._home(keys)
-        order = np.argsort(home)
-        home = home[order]
-        # in home order, key i lands at i + max_{j<=i}(home_j - j); the
-        # slots go back to key order in the arange's buffer
-        at = np.arange(k)
-        home -= at
-        slot = np.maximum.accumulate(home, out=home)
-        slot += at
-        at[order] = slot
-        size = max(1 << bits, int(slot[-1]) + 2 if k else 0)
-        del order, home, slot
-        self._slots = np.full(size, -1, dtype=np.int64)
-        self._slots[at] = keys
-        return at
-
-    def _home(self, values: np.ndarray) -> np.ndarray:
-        home = values.view(np.uint64) * _FIB
-        home >>= self._shift
-        return home.view(np.int64)
-
-    def _probe(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per needle: the slot its probe stopped at, and whether that slot
-        holds it."""
-        slot = self._home(values)
-        held = self._slots[slot]
-        filled = held >= 0
-        # a needle of -1 equals an empty slot, and never hits
-        hit = held == values
-        hit &= filled
-        del held
-        # the needles left: at a filled slot that is not theirs
-        at = np.flatnonzero(filled ^ hit)
-        needles = values[at]
-        while len(at):
-            slot[at] += 1
-            held = self._slots[slot[at]]
-            filled = held >= 0
-            same = held == needles
-            same &= filled
-            hit[at] = same
-            walk = filled ^ same
-            at, needles = at[walk], needles[walk]
-        return slot, hit
-
-    def contains(self, values) -> np.ndarray:
-        """Per needle: whether it is one of the keys."""
-        return self._probe(np.asarray(values, dtype=np.int64))[1]
-
-
-class _HashIndex(_HashSet):
-    """A `_HashSet` that also answers each hit with the key's index: a
-    second table, `_table`, holds per slot the index of its key, or -1 in
-    an empty slot, as int32 below 2**31 keys."""
-
-    def __init__(self, keys):
-        at = self._build(np.asarray(keys, dtype=np.int64))
-        self._table = np.full(len(self._slots), -1,
-                              dtype=np.int32 if len(at) < 2**31 else np.int64)
-        self._table[at] = np.arange(len(at), dtype=self._table.dtype)
-
-    def find(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """Per needle: its index in the keys (0 on a miss), and whether it
-        is one of them."""
-        slot, hit = self._probe(np.asarray(values, dtype=np.int64))
-        # a miss stops at an empty slot, whose -1 becomes 0; the slots
-        # array is reused for the indices
-        slot[:] = self._table[slot]
-        return np.maximum(slot, 0, out=slot), hit
 
 
 def sum_edge_degrees(g: Graph) -> int:

@@ -36,7 +36,7 @@ block:
 
 A pass streams all m edges past a query set of k keys, so its cost is m
 membership tests. The counter hashes its sorted vertices once into a
-`graph._HashIndex`, a linear-probing table at most half full and O(k) in
+`idset._HashIndex`, a linear-probing table at most half full and O(k) in
 size: each slot holds its own int64 key and the key's int32 rank, 12
 bytes a slot. A lookup is expected O(1) probes, each one read of the key
 slots, where binary search takes log2(k) cache misses, and it answers
@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import _HashIndex, _distinct
+from .idset import _HashIndex, _distinct
 
 # Role tags keep substreams for different duties disjoint under one seed.
 ROLE_EDGE_SAMPLE = 1

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import edgelist
 from .errors import InputError, StreamUsageError
-from .graph import _distinct, _presence
+from .idset import _distinct, _presence
 
 Edge = tuple[int, int]
 

@@ -155,7 +155,9 @@ class TestExact:
         loaded = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
                   if line.startswith("import time:")}
         assert sorted(m for m in loaded if m.partition(".")[0] == "triad") == [
-            "triad", "triad.cli", "triad.edgelist", "triad.errors", "triad.graph"]
+            "triad", "triad.cli", "triad.edgelist", "triad.errors", "triad.graph",
+            "triad.idset"]
+        assert "dataclasses" not in loaded
 
 
 # every command that parses an edge-list file, with the flags it needs
@@ -393,6 +395,26 @@ class TestEstimate:
         ]
         assert payload["passes"] == 6
         assert payload["seed"] == 7
+
+    def test_main_mode_loads_no_graph_oracles(self, tmp_path):
+        # a sampled run, its assignment dump included, never builds a Graph;
+        # -X importtime lists every triad module but `triad/__main__.py`
+        path, truth = write_book_file(tmp_path, 400)
+        res = subprocess.run(
+            [sys.executable, "-X", "importtime"] + CLI[1:] + [
+                "estimate", "--mode", "main", "--epsilon", "0.2",
+                "--t-hat", str(truth.triangles), "--kappa-hat", "2", "--seed", "7",
+                "--scale", "0.004", "--debug-dump-assignments", str(path)],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["passes"] == 6
+        assert "exact-fallback" not in res.stderr
+        assert "assignments: [{" in res.stderr
+        loaded = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert sorted(m for m in loaded if m.partition(".")[0] == "triad") == [
+            "triad", "triad.assignment", "triad.cli", "triad.edgelist", "triad.errors",
+            "triad.estimator", "triad.idset", "triad.sampling", "triad.stream"]
 
     @pytest.mark.parametrize("reps,share", [(1, False), (5, False), (5, True)])
     def test_r_reaching_m_collects_the_graph_once(self, tmp_path, reps, share):

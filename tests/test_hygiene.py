@@ -25,7 +25,8 @@ and every degradation flag documented (each flag string a library module
 appends to a `flags` list is named in README's flag list).
 `EdgeStream`'s public surface is the pass protocol, its stats and its two
 openers, and nothing else. The package loads each public name's module on
-first use, so the exact oracles import only `graph` and what it needs."""
+first use, so the exact oracles import only `graph` and what it needs, and
+main mode imports `graph` only when a run falls back to exact counting."""
 
 import ast
 import os
@@ -486,7 +487,8 @@ def test_exact_oracles_import_only_their_modules():
     env = dict(os.environ, PYTHONPATH=str(Path(triad.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["triad", "triad.edgelist", "triad.errors", "triad.graph"]
+    assert res.stdout.split() == [
+        "triad", "triad.edgelist", "triad.errors", "triad.graph", "triad.idset"]
 
 
 def test_exact_oracles_load_no_dataclasses():
@@ -499,6 +501,71 @@ def test_exact_oracles_load_no_dataclasses():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def run_fresh(code: str) -> list[str]:
+    """The lines `code` prints, run in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(triad.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()
+
+
+# book(k) as an EdgeStream's (m, 2) array: the spine (0, 1) and pages 2 .. k + 1
+# joined to both ends, so T = k and kappa = 2; built with numpy alone, so
+# making it loads no triad module
+BOOK = ("import sys\n"
+        "import numpy as np\n"
+        "from triad import EdgeStream, EstimatorConfig, estimate\n"
+        "k = {k}\n"
+        "pages = np.arange(2, k + 2)\n"
+        "edges = np.concatenate(([[0, 1]], np.column_stack((0 * pages, pages)),\n"
+        "                        np.column_stack((0 * pages + 1, pages))))\n")
+SAMPLED = ("_, report = estimate(EdgeStream(edges, order_seed=1), EstimatorConfig(\n"
+           "    epsilon=0.2, t_hat=k, kappa_hat=2, seed=7, scale=0.004))\n"
+           "print(report.passes, 'exact-fallback' in report.flags)\n")
+
+
+def test_main_mode_imports_no_graph_oracles():
+    # a run that does not fall back holds samples and id sets, never a Graph
+    out = run_fresh(BOOK.format(k=400) + SAMPLED + (
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'triad'))\n"))
+    assert out[0] == "6 False"
+    assert out[1].split() == [
+        "triad", "triad.assignment", "triad.edgelist", "triad.errors", "triad.estimator",
+        "triad.idset", "triad.sampling", "triad.stream"]
+
+
+def test_exact_fallback_loads_the_graph_oracles_when_it_runs():
+    # t_hat = 1 drives r to m: the run collects the graph and counts it
+    out = run_fresh(BOOK.format(k=60) + (
+        "stream = EdgeStream(edges)\n"
+        "print('triad.graph' in sys.modules)\n"
+        "value, report = estimate(stream, EstimatorConfig(epsilon=0.2, t_hat=1, kappa_hat=2))\n"
+        "print('triad.graph' in sys.modules, 'exact-fallback' in report.flags)\n"
+        "from triad.graph import Graph, triangles_exact_cn\n"
+        "print(value, triangles_exact_cn(Graph.from_checked_edges(edges)))\n"))
+    assert out[0] == "False"
+    assert out[1] == "True True"
+    assert out[2] == "60.0 60"
+
+
+def test_tables_and_saturated_estimates_load_the_oracles_lazily():
+    out = run_fresh(BOOK.format(k=400) + SAMPLED + (
+        "from triad.assignment import saturated_estimates\n"
+        "from triad.idset import triangle_edges\n"
+        "[table] = report.tables\n"
+        "print(len(table) > 0, all(e is None or e in triangle_edges(tri)\n"
+        "                          for tri, e in table.items()))\n"
+        "print('triad.graph' in sys.modules)\n"
+        "from triad.graph import Graph\n"
+        "k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])\n"
+        "print(sorted({(e.d_e, e.y) for e in saturated_estimates(k4, 0.2, 4, 3).values()}))\n"))
+    assert out[0] == "6 False"
+    assert out[1] == "True True"
+    assert out[2] == "False"
+    # in K4 every edge has degree 3 and lies in 2 triangles
+    assert out[3] == "[(3, 2.0)]"
 
 
 def test_star_import_and_dir_list_every_public_name():
