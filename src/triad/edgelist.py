@@ -39,8 +39,7 @@ from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import EdgeListError
-
-Edge = tuple[int, int]
+from .idset import Edge
 
 # the types an in-memory vertex id may have; bool is an int
 _INTEGER = (int, np.integer)

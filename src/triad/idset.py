@@ -3,11 +3,18 @@
 `_HashSet` is the package's one membership primitive: Fibonacci hashing
 with linear probing into int64 slots that each hold their own key (8 bytes
 a slot, at most 2**b + k slots for k keys, 2k <= 2**b < 4k), so a probe
-reads one array. Every key the package hashes (a vertex id, a rank key)
+reads one array. Every key the package hashes (a vertex id, a pair key)
 is non-negative, so an empty slot holds -1. `_HashIndex` adds an int32
 rank per slot (12 bytes a slot) for callers that read each hit's index
-among the keys. The triangle kernel uses the set; the pass observers in
-`sampling` use the index.
+among the keys. `_DenseIndex` answers the same questions from an int32
+rank table over [0, largest key] plus one trailing -1 slot (4 bytes an
+id): a lookup is one gather, where a probe walks the slots. `_rank_index`
+builds the dense table when its bytes are no more than the hash's home
+slots would take, 4 (top + 2) <= 12 * 2**b, and the hash otherwise; the
+rule reads only the key set. Both answer `ranks`, each needle's int32
+rank or -1 on a miss, and `find`, the (int64 rank, hit) pair. The
+triangle kernel uses the set; the pass observers in `sampling` use the
+indexes.
 
 `_distinct` sorts and dedupes ids, `_presence` marks dense ids, and
 `triangle_edges` names a triangle's three canonical edges. This module
@@ -60,6 +67,11 @@ def _presence(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
 _FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
 
 
+def _home_bits(k: int) -> int:
+    """b for k keys: a hash holds 2**b home slots, 2k <= 2**b < 4k."""
+    return max(1, (2 * k - 1).bit_length())
+
+
 class _HashSet:
     """Membership of int64 needles in a set of distinct non-negative int64
     keys, by Fibonacci hashing (top b bits of x * _FIB) with linear probing.
@@ -83,7 +95,7 @@ class _HashSet:
         k = len(keys)
         if k and keys.min() < 0:
             raise ValueError(f"hash set keys must be non-negative, got {keys.min()}")
-        bits = max(1, (2 * k - 1).bit_length())
+        bits = _home_bits(k)
         self._shift = np.uint64(64 - bits)
         home = self._home(keys)
         order = np.argsort(home)
@@ -135,22 +147,56 @@ class _HashSet:
         return self._probe(np.asarray(values, dtype=np.int64))[1]
 
 
-class _HashIndex(_HashSet):
-    """A `_HashSet` that also answers each hit with the key's index: a
-    second table, `_table`, holds per slot the index of its key, or -1 in
-    an empty slot, as int32 below 2**31 keys."""
-
-    def __init__(self, keys):
-        at = self._build(np.asarray(keys, dtype=np.int64))
-        self._table = np.full(len(self._slots), -1,
-                              dtype=np.int32 if len(at) < 2**31 else np.int64)
-        self._table[at] = np.arange(len(at), dtype=self._table.dtype)
+class _Ranks:
+    """`find`, read off an index's `ranks`."""
 
     def find(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Per needle: its index in the keys (0 on a miss), and whether it
         is one of them."""
-        slot, hit = self._probe(np.asarray(values, dtype=np.int64))
-        # a miss stops at an empty slot, whose -1 becomes 0; the slots
-        # array is reused for the indices
-        slot[:] = self._table[slot]
-        return np.maximum(slot, 0, out=slot), hit
+        rank = self.ranks(values)
+        return np.maximum(rank, 0, dtype=np.int64), rank >= 0
+
+
+class _HashIndex(_HashSet, _Ranks):
+    """A `_HashSet` that also answers each hit with the key's index: a
+    second table, `_table`, holds per slot the int32 index of its key, or
+    -1 in an empty slot. 2**31 keys would take 48 GiB of slots, so int32
+    holds every index."""
+
+    def __init__(self, keys):
+        at = self._build(np.asarray(keys, dtype=np.int64))
+        self._table = np.full(len(self._slots), -1, dtype=np.int32)
+        self._table[at] = np.arange(len(at), dtype=np.int32)
+
+    def ranks(self, values) -> np.ndarray:
+        """Per needle: its index in the keys, or -1 on a miss. A miss stops
+        at an empty slot, whose index is -1."""
+        return self._table[self._probe(np.asarray(values, dtype=np.int64))[0]]
+
+
+class _DenseIndex(_Ranks):
+    """The index of each of a set of distinct non-negative int64 keys, read
+    from `_table`, an int32 table over [0, top], top the largest key, that
+    holds -1 at every other id and in one trailing slot. Every needle past
+    top, and every negative one, which as uint64 lies past top, reads the
+    trailing slot."""
+
+    def __init__(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        self._table = np.full(int(keys.max(initial=-1)) + 2, -1, dtype=np.int32)
+        self._table[keys] = np.arange(len(keys), dtype=np.int32)
+
+    def ranks(self, values) -> np.ndarray:
+        """Per needle: its index in the keys, or -1 on a miss."""
+        at = np.minimum(np.asarray(values, dtype=np.int64).view(np.uint64), len(self._table) - 1)
+        return self._table.take(at.view(np.int64), mode="clip")
+
+
+def _rank_index(keys: np.ndarray) -> _Ranks:
+    """An index over an int64 array of distinct non-negative keys: the dense
+    table when its 4 (top + 2) bytes are no more than 12 bytes per home slot
+    of the hash, else the hash. Negative keys go to the hash, which refuses
+    them."""
+    dense = keys.min(initial=0) >= 0 and \
+        4 * (int(keys.max(initial=-1)) + 2) <= 12 << _home_bits(len(keys))
+    return (_DenseIndex if dense else _HashIndex)(keys)

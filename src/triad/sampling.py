@@ -21,11 +21,11 @@ block:
   This is the package's one weighted sampler: ideal mode's pass 1 and the
   main estimator's degree-proportional draws from its sample R use it.
 - `DegreeCounter` counts exact degrees of a query set: each block's ids
-  are looked up among the sorted queries, and `bincount` adds the hits;
+  are ranked among the sorted queries, and `bincount` adds the hits;
   `degrees` then reads queried vertices' degrees through the same index.
   The two observers below extend it, so they count their vertices too.
 - `IncidentPicker` collects, per slot, the other endpoint of the j-th edge
-  incident to the slot's anchor, matched against the anchor's running
+  incident to the slot's anchor, counted from the anchor's running
   count. j uniform in [0, d_a) is a uniform neighbor, and every j in
   [0, d_a) is the whole neighborhood. `neighbor_picker` builds one for
   arrays of anchors and their degrees with one sample size s: s uniform
@@ -35,16 +35,25 @@ block:
   key is built from the ranks of its ends among the queried vertices.
 
 A pass streams all m edges past a query set of k keys, so its cost is m
-membership tests. The counter hashes its sorted vertices once into a
-`idset._HashIndex`, a linear-probing table at most half full and O(k) in
-size: each slot holds its own int64 key and the key's int32 rank, 12
-bytes a slot. A lookup is expected O(1) probes, each one read of the key
-slots, where binary search takes log2(k) cache misses, and it answers
-with the same rank among the sorted keys. The picker and the checker hash
-their distinct slot keys, built from those ranks, into one more index.
-Vertex ids and rank keys are non-negative, so an empty slot holds -1.
-Pass 6 runs the same `ClosureChecker` as pass 4; the degrees it counts
-on the way are not read.
+membership tests. The counter indexes its sorted vertices once, by
+`idset._rank_index`. When the ids are dense, that is an int32 rank table
+over [0, largest id] plus one trailing -1 slot, and a lookup is one
+gather; the table is built only when its 4 bytes an id come to no more
+than the 12 bytes per home slot a hash would take. Otherwise it is an
+`idset._HashIndex`, a linear-probing table at most half full whose slots
+each hold an int64 key and its int32 rank; a lookup is expected O(1)
+probes, where binary search takes log2(k) cache misses. Either answers
+each id with its int32 rank among the sorted keys, or -1 on a miss, and
+the observers work on those ranks. The checker hashes its distinct pair
+keys, built from the ranks, into one more `_HashIndex`, and marks each
+block's hits in a flag array with one trailing entry that every miss's -1
+lands on. The picker keeps no slot index: it sorts each block's
+incidences by (anchor rank, stream order) and reads each open slot's
+incidence by arithmetic, at the anchor's run start plus the slot's
+position past the anchor's count so far. Vertex ids and pair keys are
+non-negative, so an empty hash slot holds -1. Pass 6 runs the same
+`ClosureChecker` as pass 4; the degrees it counts on the way are not
+read.
 
 Every sample's total is known before its pass (m from the stats pass, d_E
 from ideal mode's sizing pass, an anchor's degree from a degree pass), so
@@ -59,7 +68,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .idset import _HashIndex, _distinct
+from .idset import _HashIndex, _distinct, _rank_index
 
 # Role tags keep substreams for different duties disjoint under one seed.
 ROLE_EDGE_SAMPLE = 1
@@ -164,25 +173,26 @@ class DegreeCounter:
     def __init__(self, vertices):
         self.vertices = _distinct(vertices)
         self.counts = np.zeros(len(self.vertices), dtype=np.int64)
-        self._index = _HashIndex(self.vertices)
+        self._index = _rank_index(self.vertices)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
         self._count(u)
         self._count(v)
 
-    def _count(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Count a block column's queried ids; per row, `find`'s rank and hit."""
-        rank, hit = self._index.find(column)
-        self.counts += np.bincount(rank[hit], minlength=len(self.counts))
-        return rank, hit
+    def _count(self, column: np.ndarray) -> np.ndarray:
+        """Count a block column's queried ids; per row, the id's rank or -1."""
+        rank = self._index.ranks(column)
+        # a miss lands in bin 0, which is dropped
+        self.counts += np.bincount(rank + 1, minlength=len(self.counts) + 1)[1:]
+        return rank
 
     def degrees(self, vertices) -> np.ndarray:
         """Counted degrees, shaped as `vertices`; a vertex never queried is an InputError."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        idx, hit = self._index.find(vertices.ravel())
-        if not hit.all():
-            raise InputError(f"vertex {vertices.ravel()[~hit][0]} was not counted")
-        return self.counts[idx].reshape(vertices.shape)
+        rank = self._index.ranks(vertices.ravel())
+        if (rank < 0).any():
+            raise InputError(f"vertex {vertices.ravel()[rank < 0][0]} was not counted")
+        return self.counts[rank].reshape(vertices.shape)
 
 
 class IncidentPicker(DegreeCounter):
@@ -190,55 +200,48 @@ class IncidentPicker(DegreeCounter):
     to anchors[i] (0-based, in stream order), collected in one pass.
 
     The anchors are the counted vertices. Each block's incidences with them
-    are ranked within their anchor by stream order and offset by the
-    anchor's count so far, which names every incidence by the same
-    (anchor rank, position) key as the slots that want it. A pass meets
-    each key at most once.
+    are sorted by (anchor rank, stream order), so an anchor's incidences
+    form one run. A block holds anchor a's positions [counts[a], counts[a]
+    + its count in the block), and an open slot (a, p) among them is entry
+    p - counts[a] of a's run. Filled slots leave the open slots, so each
+    block's slot work is the slots still open.
     """
 
     def __init__(self, anchors, positions):
-        anchors = np.asarray(anchors, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
         super().__init__(anchors)
-        # a position is below its anchor's degree, hence below m; rank * span
-        # stays far below 2**63 for any stream that fits in memory
-        self._span = int(positions.max()) + 1 if len(positions) else 1
-        keys = self._index.find(anchors)[0] * self._span + positions
-        keys, self._slot = np.unique(keys, return_inverse=True)
-        self._key_index = _HashIndex(keys)
-        # per distinct key, the other endpoint; -1 marks one the pass has
-        # not met, and ids are never negative
-        self._other = np.full(len(keys), -1, dtype=np.int64)
+        # per open slot, a column: its index, its anchor's rank, its position
+        self._open = np.stack((np.arange(len(anchors)), self._index.ranks(anchors),
+                               np.asarray(positions, dtype=np.int64)))
+        # per slot, the other endpoint, written when the pass meets the slot
+        self._other = np.full(len(anchors), -1, dtype=np.int64)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        iu, ru = self._ranks(u)
-        iv, rv = self._ranks(v)
-        rank = np.concatenate((ru, rv))
-        # (rank, index) pairs are distinct, so one key sorts them as lexsort would
-        order = np.argsort(rank * len(u) + np.concatenate((iu, iv)))
-        rank = rank[order]
-        other = np.concatenate((v[iu], u[iv]))[order]
+        # both ends of each row in stream order: entry 2i + c is column c of row i
+        rank = np.column_stack((self._index.ranks(u), self._index.ranks(v))).ravel()
+        at = np.flatnonzero(rank >= 0)
+        rank = rank[at]
         count = np.bincount(rank, minlength=len(self.counts))
-        first = np.cumsum(count) - count
-        pos = self.counts[rank] + np.arange(len(rank)) - first[rank]
+        # the block holds anchor a's positions [counts[a], counts[a] + count[a])
+        _, anchor, position = self._open
+        met = position < (self.counts + count)[anchor]
+        if met.any():
+            slot, anchor, position = self._open.take(np.flatnonzero(met), axis=1)
+            self._open = self._open.take(np.flatnonzero(~met), axis=1)
+            # entries are distinct and below 2 * len(u), so keys rank * 2 len(u)
+            # + entry sort as lexsort would, and each key holds its entry
+            runs = np.sort(rank.astype(np.int64) * (2 * len(u)) + at)
+            # position p of anchor a sits at run entry p - (counts[a] - first[a])
+            skip = self.counts - np.cumsum(count) + count
+            entry = runs[position - skip[anchor]] % (2 * len(u))
+            row = entry >> 1
+            self._other[slot] = np.where(entry & 1, u[row], v[row])
         self.counts += count
-        wanted = pos < self._span
-        j, hit = self._key_index.find(rank[wanted] * self._span + pos[wanted])
-        self._other[j[hit]] = other[wanted][hit]
-
-    def _ranks(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of a block column that hold an anchor, and its rank; the
-        block-long lookup arrays are dropped here, before the sort."""
-        rank, hit = self._index.find(column)
-        rows = np.flatnonzero(hit)
-        return rows, rank[rows]
 
     def results(self) -> np.ndarray:
         """The other endpoint per slot, in slot order."""
-        found = self._other[self._slot]
-        if (found < 0).any():
+        if self._open.shape[1]:
             raise InputError("a sampled position lies past its anchor's degree")
-        return found
+        return self._other
 
 
 def neighbor_picker(anchors, degrees, s: int,
@@ -250,7 +253,6 @@ def neighbor_picker(anchors, degrees, s: int,
     s gets every position in [0, d), its whole neighborhood; any other gets
     s iid uniform positions in [0, d). An anchor of degree 0 gets no slot.
     """
-    anchors = np.asarray(anchors, dtype=np.int64)
     degrees = np.asarray(degrees, dtype=np.int64)
     count = np.minimum(degrees, s)
     bounds = np.concatenate(([0], np.cumsum(count)))
@@ -266,25 +268,23 @@ class ClosureChecker(DegreeCounter):
     too."""
 
     def __init__(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         super().__init__(np.concatenate((a, b)))
-        keys = self._key(self._index.find(a)[0], self._index.find(b)[0])
+        keys = self._key(self._index.ranks(a), self._index.ranks(b))
         keys, self._slot = np.unique(keys, return_inverse=True)
         self._key_index = _HashIndex(keys)
-        self._hit = np.zeros(len(keys), dtype=bool)
+        # per distinct key, whether the pass met it; a miss's rank, -1,
+        # marks the trailing entry, which no pair reads
+        self._hit = np.zeros(len(keys) + 1, dtype=bool)
 
     def _key(self, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
         # ranks lie below k = len(vertices), so lo * k + hi names an
         # unordered pair and fits in int64 while k < 3e9
-        return np.minimum(ra, rb) * len(self.vertices) + np.maximum(ra, rb)
+        return np.minimum(ra, rb, dtype=np.int64) * len(self.vertices) + np.maximum(ra, rb)
 
     def observe_block(self, u: np.ndarray, v: np.ndarray) -> None:
-        ru, hu = self._count(u)
-        rv, hv = self._count(v)
-        both = hu & hv
-        idx, hit = self._key_index.find(self._key(ru[both], rv[both]))
-        self._hit[idx[hit]] = True
+        ru, rv = self._count(u), self._count(v)
+        both = np.flatnonzero((ru >= 0) & (rv >= 0))
+        self._hit[self._key_index.ranks(self._key(ru[both], rv[both]))] = True
 
     def present(self) -> np.ndarray:
         """Per pair, in the order given: whether it is an edge."""

@@ -20,9 +20,7 @@ import numpy as np
 
 from . import edgelist
 from .errors import InputError, StreamUsageError
-from .idset import _distinct, _presence
-
-Edge = tuple[int, int]
+from .idset import Edge, _distinct, _presence
 
 
 class StreamStats(NamedTuple):

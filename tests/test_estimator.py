@@ -759,6 +759,48 @@ class TestDrawStorage:
         assert 16 * draws <= freed <= 24 * draws + 48 * rows + 4096
 
 
+class TestSparseIds:
+    """The observers index dense ids with a rank table and sparse ids with
+    a hash; a monotone relabel keeps every rank, so the run is the same."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sparse_relabel_gives_the_same_run(self, seed, monkeypatch):
+        from triad import sampling
+        from triad.idset import _DenseIndex, _HashIndex
+
+        g = gen_preferential_attachment(5000, 4, seed=0)
+        config = EstimatorConfig(epsilon=0.2, t_hat=triangles_exact_cn(g), kappa_hat=4,
+                                 seed=seed, scale=0.005)
+        built = []
+        factory = sampling._rank_index
+
+        def spy(keys):
+            index = factory(keys)
+            built.append(type(index))
+            return index
+
+        monkeypatch.setattr(sampling, "_rank_index", spy)
+        runs = []
+        for shift in (0, 33):
+            edges = [((u << shift) + 5 * bool(shift), (v << shift) + 5 * bool(shift))
+                     for u, v in g.edge_list()]
+            built.clear()
+            runs.append(estimate(EdgeStream.from_edges(edges, order_seed=seed), config))
+            # pass 2's counter over R's ends takes the table on dense ids;
+            # no observer does on ids spread by 2**33
+            assert (_DenseIndex in built) == (shift == 0)
+            assert len(built) == 5 and _HashIndex in built
+        (x, dense), (y, sparse) = runs
+        assert x == y and dense.estimate == sparse.estimate
+        assert dense.stored_edges_peak == sparse.stored_edges_peak
+        assert dense.to_json_dict()["memo_size"] == sparse.to_json_dict()["memo_size"]
+        assert len(dense.memos) == len(sparse.memos) == 1
+        for (memo, charged), (sparse_memo, sparse_charged) in zip(dense.memos, sparse.memos):
+            assert len(memo) > 0
+            assert np.array_equal((memo << 33) + 5, sparse_memo)
+            assert np.array_equal(charged, sparse_charged)
+
+
 class TestFallbackStorage:
     """On the lb NO gadget (p = q = 20, 81 blocks, m = 22,000) at eps 0.2,
     scale 0.005, every repetition decides in mid-run that its sample would

@@ -8,12 +8,13 @@ or calls `parse_line`), one weighted sampler (no module calls a
 generator's `choice`: weighted draws are positions on an integer axis that
 `EdgePicker` collects), hashed membership in every pass observer (no
 `observe_block` body calls `searchsorted`: a block's ids are looked up in
-a `_HashIndex` built once per pass), one vertex layer (no class in
-`sampling.py` constructs more than one `_HashIndex`: the query vertices'
+an index that `idset._rank_index` builds once per pass, a dense rank table
+or a `_HashIndex`), one vertex layer (no class in `sampling.py` constructs
+more than one index, by `_HashIndex` or `_rank_index`: the query vertices'
 index is `DegreeCounter`'s, which the other observers extend), no
 binary search between passes (`estimator.py` and `ideal.py` call no
 `searchsorted`: a degree counted in a pass is read through its
-`DegreeCounter`'s hash index), one owner per report (`cli.py` constructs
+`DegreeCounter`'s index), one owner per report (`cli.py` constructs
 no `RunReport` or `IdealReport`: each mode builds its report and the report
 serializes itself), one memo (no module but `assignment.py` constructs an
 `AssignmentTable`: the estimator keeps each repetition's memo as its
@@ -282,17 +283,24 @@ def test_observer_binary_search_is_caught():
         "Counter.observe_block: searchsorted (line 14)"]
 
 
+INDEX_BUILDERS = ("_HashIndex", "_rank_index")
+
+
 def hash_index_builds(source: str) -> list[str]:
-    """Classes whose body constructs more than one `_HashIndex`, bare or as
-    an attribute such as `graph._HashIndex`, with the line of each."""
+    """Classes whose body constructs more than one index, by `_HashIndex`
+    or the `_rank_index` factory, bare or as an attribute such as
+    `idset._HashIndex`, with the names called and the line of each call."""
     found = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
             continue
-        lines = [str(node.lineno) for node in ast.walk(cls) if isinstance(node, ast.Call)
-                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_HashIndex"]
-        if len(lines) > 1:
-            found.append(f"{cls.name}: _HashIndex (lines {', '.join(lines)})")
+        calls = [(name, node.lineno) for node in ast.walk(cls) if isinstance(node, ast.Call)
+                 and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+                 in INDEX_BUILDERS]
+        if len(calls) > 1:
+            names = ", ".join(sorted({name for name, _ in calls}))
+            lines = ", ".join(str(line) for _, line in calls)
+            found.append(f"{cls.name}: {names} (lines {lines})")
     return found
 
 
@@ -302,14 +310,30 @@ def test_one_vertex_layer():
 
 
 def test_second_vertex_index_is_caught():
-    source = "from triad import graph\nfrom triad.graph import _HashIndex\n\n" \
+    source = "from triad import idset\nfrom triad.idset import _HashIndex\n\n" \
              "class Counter:\n    def __init__(self, vertices):\n" \
              "        self._index = _HashIndex(vertices)\n\n" \
              "class Picker(Counter):\n    def __init__(self, anchors, keys):\n" \
              "        super().__init__(anchors)\n" \
-             "        self._anchor_index = graph._HashIndex(anchors)\n" \
+             "        self._anchor_index = idset._HashIndex(anchors)\n" \
              "        self._key_index = _HashIndex(keys)\n"
     assert hash_index_builds(source) == ["Picker: _HashIndex (lines 11, 12)"]
+
+
+def test_second_vertex_index_by_the_factory_is_caught():
+    # the factory alone, twice, or beside a hash, is a second index
+    source = "from triad import idset\nfrom triad.idset import _HashIndex, _rank_index\n\n" \
+             "class Counter:\n    def __init__(self, vertices):\n" \
+             "        self._index = _rank_index(vertices)\n\n" \
+             "class Picker(Counter):\n    def __init__(self, anchors, keys):\n" \
+             "        super().__init__(anchors)\n" \
+             "        self._anchor_index = idset._rank_index(anchors)\n" \
+             "        self._key_index = _rank_index(keys)\n\n" \
+             "class Checker(Counter):\n    def __init__(self, a, b):\n" \
+             "        self._pair_index = _rank_index(a)\n" \
+             "        self._key_index = _HashIndex(b)\n"
+    assert hash_index_builds(source) == ["Picker: _rank_index (lines 11, 12)",
+                                         "Checker: _HashIndex, _rank_index (lines 16, 17)"]
 
 
 def binary_searches(source: str) -> list[str]:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from triad.errors import InputError
 from triad import sampling
 from triad.graph import _HashSet, canonical_edge
+from triad.idset import _DenseIndex, _rank_index
 from triad.sampling import (
     ROLE_EDGE_SAMPLE,
     ROLE_NEIGHBOR,
@@ -433,3 +434,195 @@ class TestHashSet:
     def test_contains_matches_binary_search_on_negative_needles(self, keys, others):
         keys = sorted(keys | set(range(0, 200, 3)))
         assert_contains_matches_reference(keys, others + [-k for k in keys] + keys)
+
+
+def assert_index_matches_reference(index, keys, needles):
+    """An index's `find` and `ranks` against the binary-search reference:
+    `find` gives the int64 index, 0 on a miss, and the hit; `ranks` the
+    int32 index, -1 on a miss."""
+    keys = np.asarray(keys, dtype=np.int64)
+    needles = np.asarray(needles, dtype=np.int64)
+    ref_idx, ref_hit = searchsorted_lookup(keys, needles)
+    idx, hit = index.find(needles)
+    assert idx.dtype == np.int64 and hit.dtype == bool
+    assert np.array_equal(hit, ref_hit)
+    assert np.array_equal(idx[hit], ref_idx[ref_hit]) and not idx[~hit].any()
+    rank = index.ranks(needles)
+    assert rank.dtype == np.int32
+    assert np.array_equal(rank, np.where(ref_hit, ref_idx, -1))
+
+
+def dense_family(name, k, rng):
+    """k distinct non-negative ids that fill much of [0, largest], sorted."""
+    j = np.arange(k, dtype=np.int64)
+    if name == "consecutive":
+        return j
+    if name == "stride-3":
+        return 3 * j
+    if name == "half-of-2k":
+        return np.sort(rng.choice(2 * k, size=k, replace=False))
+    # a block far from 0: the table spans [0, 2**20 + k]
+    return j + (1 << 20)
+
+
+DENSE_FAMILIES = ["consecutive", "stride-3", "half-of-2k", "offset-2**20"]
+
+# needles that every index must miss unless they are keys: the ends of int64
+EDGE_NEEDLES = [-1, -2, -(2**63), 2**63 - 1, 2**63 - 2, 0]
+
+
+class TestDenseIndex:
+    @pytest.mark.parametrize("family", DENSE_FAMILIES)
+    def test_matches_binary_search_on_dense_families(self, family):
+        rng = np.random.default_rng(13)
+        keys = dense_family(family, 60_000, rng)
+        top = int(keys[-1])
+        needles = np.concatenate((
+            keys, keys - 1, keys + 1, -keys, [top + 1, top + 2, 2 * top], EDGE_NEEDLES,
+            rng.integers(-(2**63), 2**63 - 1, size=20_000, dtype=np.int64),
+            rng.integers(-5, top + 5, size=20_000)))
+        rng.shuffle(needles)
+        for index in (_DenseIndex(keys), _HashIndex(keys)):
+            assert_index_matches_reference(index, keys, needles)
+
+    def test_table_spans_the_keys_and_one_more_slot(self):
+        index = _DenseIndex(np.array([2, 5, 9]))
+        assert index._table.tolist() == [-1, -1, 0, -1, -1, 1, -1, -1, -1, 2, -1]
+        assert index._table.dtype == np.int32
+
+    def test_keys_in_any_order_answer_their_index(self):
+        keys = np.array([7, 0, 3, 2**20])
+        for index in (_DenseIndex(keys), _HashIndex(keys)):
+            assert index.ranks([3, 7, 2**20, 0, 1]).tolist() == [2, 0, 3, 1, -1]
+
+    def test_empty_keys(self):
+        index = _DenseIndex(np.zeros(0, dtype=np.int64))
+        assert_index_matches_reference(index, [], EDGE_NEEDLES + [5])
+        assert index.ranks(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_largest_id_as_a_needle(self):
+        # 2**63 - 1 lies past every table; so does -1 read as uint64
+        keys = [0, 1, 4]
+        assert_index_matches_reference(_DenseIndex(keys), keys, EDGE_NEEDLES + [4, 5])
+
+    def test_read_only_needle_views(self):
+        edges = [(i, 3 * i + 1) for i in range(500)]
+        stream = stream_of(edges, seed=4)
+        stream.begin_pass()
+        u, v = stream.next_block(1 << 16)
+        stream.end_pass()
+        assert not u.flags.writeable and not v.flags.writeable
+        keys = np.arange(0, 1_600, 5)
+        index = _DenseIndex(keys)
+        for column in (u, v, u[::3], v[1::2]):
+            assert_index_matches_reference(index, keys, column)
+
+    @given(st.sets(st.integers(0, 3_000), max_size=300),
+           st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_binary_search_on_arbitrary_sets(self, keys, others, data):
+        keys = sorted(keys)
+        picked = data.draw(st.lists(st.sampled_from(keys), max_size=300)) if keys else []
+        near = [k + d for k in keys[-3:] for d in (1, 2)]
+        needles = data.draw(st.permutations(others + picked + near + EDGE_NEEDLES))
+        assert_index_matches_reference(_DenseIndex(keys), keys, needles)
+
+
+class TestRankIndexFactory:
+    @staticmethod
+    def hash_bytes(keys) -> int:
+        """What a hash over the keys takes at least: 12 bytes per home slot."""
+        index = _HashIndex(keys)
+        return 12 << (64 - int(index._shift))
+
+    @pytest.mark.parametrize("k", [2, 3, 100, 4096, 4097, 60_000])
+    def test_sparse_ids_get_the_hash_and_dense_ids_the_table(self, k):
+        j = np.arange(k, dtype=np.int64)
+        assert type(_rank_index(j << 20)) is _HashIndex
+        assert type(_rank_index(j)) is _DenseIndex
+        assert type(_rank_index(j[::-1] * 3)) is _DenseIndex
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 1000, 4096, 4097])
+    def test_rule_at_its_boundary(self, k):
+        # the table holds top + 2 int32 slots; the hash 2**b home slots of
+        # 12 bytes. The table is taken up to 4 (top + 2) = 12 * 2**b
+        home = 12 << (64 - int(_HashIndex(np.arange(k))._shift))
+        top = home // 4 - 2
+        keys = np.append(np.arange(k - 1), top)
+        table = _rank_index(keys)
+        assert type(table) is _DenseIndex and table._table.nbytes == home
+        keys[-1] = top + 1
+        assert type(_rank_index(keys)) is _HashIndex
+
+    def test_table_is_never_larger_than_the_hash(self):
+        rng = np.random.default_rng(5)
+        picked = {_DenseIndex: 0, _HashIndex: 0}
+        for _ in range(300):
+            k = int(rng.integers(1, 3_000))
+            keys = np.unique(rng.integers(int(rng.integers(k, 16 * k)), size=k))
+            index = _rank_index(keys)
+            picked[type(index)] += 1
+            dense_bytes = 4 * (int(keys[-1]) + 2)
+            assert (dense_bytes <= self.hash_bytes(keys)) == (type(index) is _DenseIndex)
+            if type(index) is _DenseIndex:
+                assert index._table.nbytes == dense_bytes
+            assert_index_matches_reference(index, keys, np.arange(-2, int(keys[-1]) + 3))
+        assert min(picked.values()) > 50
+
+    def test_negative_keys_are_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _rank_index(np.array([-1, 0, 3]))
+
+
+def random_graph(rng, n, m):
+    pairs = {canonical_edge(*p) for p in rng.integers(n, size=(m, 2)).tolist() if p[0] != p[1]}
+    return sorted(pairs)
+
+
+class TestObserversAcrossBlocks:
+    """Blocks of 37 edges against one block: counts carry across blocks and
+    a slot is often filled blocks after its anchor was first met. Dense ids
+    take the rank table, ids spread by 2**33 the hash."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spread, kind", [(1, _DenseIndex), (2**33, _HashIndex)])
+    def test_many_blocks_match_one(self, seed, spread, kind, monkeypatch):
+        rng = np.random.default_rng(seed)
+        edges = [(spread * u + 5, spread * v + 5) for u, v in random_graph(rng, 120, 1_500)]
+        order = read_order(edges, seed)
+        incident = {}
+        for u, v in order:
+            incident.setdefault(u, []).append(v)
+            incident.setdefault(v, []).append(u)
+        ids = sorted(incident)
+        # anchors with repeats, each position below its degree, many late
+        anchors = rng.choice(ids, size=400)
+        positions = [int(rng.integers(len(incident[a]))) for a in anchors]
+        a, b = rng.choice(ids, size=(2, 300))
+
+        def run(block):
+            monkeypatch.setattr(sampling, "BLOCK_EDGES", block)
+            picker = sampling.IncidentPicker(anchors, positions)
+            checker = ClosureChecker(a, b)
+            assert type(picker._index) is kind and type(checker._index) is kind
+            run_pass(stream_of(edges, seed=seed), [picker, checker])
+            return (picker.results(), picker.degrees(anchors), checker.present(),
+                    checker.degrees(np.concatenate((a, b))))
+
+        many, one = run(37), run(1 << 16)
+        for x, y in zip(many, one):
+            assert np.array_equal(x, y)
+        assert many[0].tolist() == [incident[x][p] for x, p in zip(anchors.tolist(), positions)]
+        edge_set = set(order)
+        assert many[2].tolist() == [(min(p), max(p)) in edge_set
+                                    for p in zip(a.tolist(), b.tolist())]
+
+
+def read_order(edges, seed):
+    """The edges in the order a stream over them with this order seed reads them."""
+    stream = stream_of(edges, seed=seed)
+    stream.begin_pass()
+    u, v = stream.next_block(len(edges))
+    stream.end_pass()
+    return list(zip(u.tolist(), v.tolist()))
