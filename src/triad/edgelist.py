@@ -7,8 +7,10 @@ skipped. Self-loops and repeated edges (in either orientation) are
 rejected with the offending line number.
 
 `EdgeScan` reads a file once, in bounded chunks of whole lines, into one
-block of canonical edges a chunk, narrowed to int32 when its ids are below
-2**31. A chunk takes one of two paths:
+block of canonical edges a chunk, int32 when its ids are below 2**31. A
+chunk whose fields are at most 9 digits wide is read in uint32 and comes
+out int32 as it is; a wider one is read in uint64, viewed as int64, and
+narrowed afterwards when its ids allow. A chunk takes one of two paths:
 
 - a plain chunk, whose lines after any leading comment lines are each two
   digit fields split by one b" " or b"\t", is read in one pass: a
@@ -51,9 +53,10 @@ ID_LIMIT = 1 << 63
 # scratch is a few arrays of its length in bytes and in fields, so at
 # 128 KiB it stays within a core's L2 cache, as the triangle kernel's steps
 # do. On the lb NO gadget's 1.2 MB file, on a shared Xeon with 2 MiB of L2
-# per core, `EdgeScan` takes 14.3 to 16.2 ms a file at 32 to 256 KiB and
-# 18.4 ms at 1 MiB (medians of 31 interleaved reads, IQRs 2.7 to 4.9 ms),
-# and the tracemalloc peak of `read_edges` is 5.0 MiB against 13.2 MiB.
+# per core, `EdgeScan` takes 5.6 to 6.6 ms a file at 32 to 256 KiB and
+# 9.9 ms at 1 MiB (medians of 31 interleaved reads, IQRs 0.8 to 1.3 ms;
+# measured October 2026, with the uint32 digit read), and the tracemalloc
+# peak of `read_edges` is 4.5 MiB against 12.2 MiB.
 CHUNK_BYTES = 1 << 17
 
 # a quoted id or field longer than this shows only its head and its length
@@ -62,6 +65,10 @@ QUOTE_CHARS = 40
 # 19 digits fit uint64 exactly (10**19 - 1 < 2**64); longer fields are rare
 # (only leading zeros keep them below 2**63) and are read one at a time
 _UINT64_DIGITS = 19
+
+# 9 digits fit int32 (10**9 - 1 < 2**31): a run of fields no wider is read
+# in uint32
+_INT32_DIGITS = 9
 
 # the bytes of a plain chunk: digits, the two field separators, and b"\n"
 _PLAIN_BYTES = b"0123456789 \t\n"
@@ -166,7 +173,8 @@ class EdgeScan:
                     first += text.count(b"\n")
                 self._first_rows.append(rows)
                 rows += len(ends)
-                if len(ends) and ends[:, 1].max() < 2**31:  # v is the larger id
+                # v is the larger id
+                if ends.dtype != np.int32 and len(ends) and ends[:, 1].max() < 2**31:
                     ends = ends.astype(np.int32)
                 self.blocks.append(ends)
                 if self.bad is not None:
@@ -246,8 +254,7 @@ def _parse_plain(text: bytes) -> Optional[tuple[np.ndarray, int]]:
     np.add(seps[:-1], 1, out=starts[1:])
     ids, over = _ids(text, buf, starts, seps)
     del starts, seps
-    # the ids are below 2**63, so their int64 bits are the same
-    ends = ids.view(np.int64).reshape(-1, 2)
+    ends = ids.reshape(-1, 2)
     u, v = ends[:, 0], ends[:, 1]
     if over.any() or (u == v).any():
         return None
@@ -297,9 +304,8 @@ def _parse_chunk(text: bytes) -> tuple[np.ndarray, np.ndarray, Optional[tuple[in
     bad[~bad] = wrong
     # every edge line before the first bad one is an edge
     cut = int(np.argmax(bad)) if bad.any() else len(bad)
-    # the ids are below 2**63, so their int64 bits are the same
-    u = u[~wrong][:cut].view(np.int64)
-    v = v[~wrong][:cut].view(np.int64)
+    u = u[~wrong][:cut]
+    v = v[~wrong][:cut]
     ends = np.column_stack((np.minimum(u, v), np.maximum(u, v)))
     if cut == len(bad):
         return ends, lines, None
@@ -310,41 +316,55 @@ def _parse_chunk(text: bytes) -> tuple[np.ndarray, np.ndarray, Optional[tuple[in
 
 def _ids(text: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
          ) -> tuple[np.ndarray, np.ndarray]:
-    """Values of digit-only fields as uint64, and which are not below 2**63."""
+    """Values of digit-only fields, and which are not below 2**63: int32
+    when no field is wider than 9 digits, else int64, where a value not
+    below 2**63 is meaningless."""
     width = stops - starts
     digits = min(int(width.max(initial=0)), _UINT64_DIGITS)
-    values = np.zeros(len(starts), dtype=np.uint64)
+    narrow = digits <= _INT32_DIGITS
+    values = np.zeros(len(starts), dtype=np.uint32 if narrow else np.uint64)
+    # the mask compares one byte a field; a width past 255 wraps, but such a
+    # field is over 19 digits and is read again below
+    width8 = width.astype(np.uint8)
     pos = stops - digits
     for back in range(digits, 0, -1):
         # a field narrower than `back` has a 0 there; `clip` keeps pos >= 0.
         # A uint8 product masks the digit: np.where is several times slower
         digit = buf.take(pos, mode="clip")
         digit -= ord("0")
-        digit *= width >= back
+        digit *= width8 >= back
         values *= 10
         values += digit
         pos += 1
+    if narrow:
+        # below 10**9 < 2**31, so their int32 bits are the same
+        return values.view(np.int32), np.zeros(len(values), dtype=bool)
     over = values >= ID_LIMIT
     for i in np.flatnonzero(width > _UINT64_DIGITS).tolist():
         digits = text[starts[i]:stops[i]].lstrip(b"0") or b"0"  # as parse_line
         over[i] = len(digits) > _UINT64_DIGITS or int(digits) >= ID_LIMIT
         values[i] = 0 if over[i] else int(digits)
-    return values, over
+    # the ids below 2**63 have the same int64 bits
+    return values.view(np.int64), over
 
 
 def _first_repeat(edges: np.ndarray) -> Optional[int]:
     """Row of the first edge in file order that repeats an earlier row.
 
     Ids are non-negative. When u * (max v + 1) + v fits in int64, one sort
-    of that key tells whether any row repeats; the stable lexsort below,
-    the specification, runs only to name the first repeat, or when the ids
-    are too large for the key.
+    of that key, int32 when it fits, tells whether any row repeats; the
+    stable lexsort below, the specification, runs only to name the first
+    repeat, or when the ids are too large for the key.
     """
     if len(edges) < 2:
         return None
     width = int(edges[:, 1].max()) + 1
-    if int(edges[:, 0].max()) * width + width < ID_LIMIT:
-        keys = np.sort(edges[:, 0] * width + edges[:, 1])
+    top = int(edges[:, 0].max()) * width + width
+    if top < ID_LIMIT:
+        keys = np.empty(len(edges), dtype=np.int32 if top < 2**31 else np.int64)
+        np.multiply(edges[:, 0], width, out=keys, casting="unsafe")
+        np.add(keys, edges[:, 1], out=keys, casting="unsafe")
+        keys.sort()
         if not (keys[1:] == keys[:-1]).any():
             return None
         del keys

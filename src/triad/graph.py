@@ -8,9 +8,11 @@ consumed by the assignment rule.
 A Graph is one compressed sparse row (CSR) adjacency: `indptr` holds n + 1
 row offsets and `indices` the 2m neighbor ids, sorted within each row; both
 are read-only, and a degree is the gap between two offsets. `indptr` is
-int64; `indices` is int32 below 2**31 vertices, else int64. The oracles
-widen ids only to form an int64 key, or a step at a time to index by them,
-which numpy does several times faster by int64 ids than by int32 ones.
+int64; `indices` is int32 below 2**31 vertices, else int64. The CSR build
+and the kernel's orientation sort pair keys x * n + y, int32 when
+n * n < 2**31, else int64. Otherwise the oracles widen ids only to form
+the hash set's int64 keys, or a step at a time to index by them, which
+numpy does several times faster by int64 ids than by int32 ones.
 Three oracles are numpy kernels over these arrays that need O(n + m) memory:
 
 - `triangles_exact_cn` orients every edge from the lower to the higher
@@ -32,7 +34,9 @@ Loading relabels ids to dense [0, n) in their original order and keeps
 the original ids as `labels`, a read-only int64 array. When the largest id
 is below twice the number of endpoint entries, a presence mark and its
 running count do it with no sort; sparser ids are sorted. The CSR is built
-from the scan's blocks a step at a time, with no whole copy of the edges.
+from the scan's blocks a step at a time, with no whole copy of the edges:
+one sort of its (row, column) keys, whose offsets give `indptr` and whose
+remainders become `indices`, in place when the two dtypes agree.
 
 A Graph is immutable after construction, so every oracle is safe to call
 concurrently.
@@ -56,12 +60,13 @@ from .idset import Edge, Triangle, _HashSet, _distinct, _presence, triangle_edge
 # liveness pass, the peel, d_E). A step holds a few int64 temporaries of
 # this length (512 KiB each at 2**16), so its working set fits a core's L2
 # cache. On the lb NO gadget (p=q=40, N=150), on a shared 2-vCPU Xeon with
-# 2 MiB of L2 per core, the count takes 8.4, 8.3, 8.7, 8.4 and 9.5 ms at
-# 2**14 .. 2**18 (medians of 15 interleaved runs); its tracemalloc peak is
-# 3.2 MiB up to 2**15, the oriented keys, and the wedge steps raise it to
-# 3.6, 4.7 and 5.2 MiB at 2**16 .. 2**18. On er(3000, 0.03), where the
-# liveness pass keeps nearly every list, the count takes 123, 102, 98, 88
-# and 95 ms, and the peak, 6.6 MiB up to 2**16, is 8.0 and 11.3 MiB above.
+# 2 MiB of L2 per core, the count takes 5.1, 4.9, 4.7, 4.8 and 4.9 ms at
+# 2**14 .. 2**18 (medians of 15 interleaved runs, measured October 2026
+# with int32 oriented keys); its tracemalloc peak is 3.2 MiB up to 2**15,
+# and the wedge steps raise it to 3.6, 4.7 and 5.2 MiB at 2**16 .. 2**18.
+# On er(3000, 0.03), where the liveness pass keeps nearly every list, the
+# count takes 88, 84, 75, 73 and 79 ms (medians of 5), and the peak,
+# 6.6 MiB up to 2**16, is 8.0 and 11.3 MiB above.
 _WEDGE_CHUNK = 1 << 16
 
 
@@ -102,26 +107,27 @@ class Graph:
         `dense` maps to [0, n); return whether an edge repeats, which only
         an unchecked file holds, and empty the list unless one does."""
         # one sort of (row, column) keys groups the rows and sorts each one;
-        # row r's keys are those in [r * n, (r + 1) * n)
+        # row r's keys are those in [r * n, (r + 1) * n). They are int32
+        # when n * n fits, and become `indices` in place when dtypes agree
         m = sum(len(b) for b in blocks)
-        keys = np.empty(2 * m, dtype=np.int64)
+        keys = np.empty(2 * m, dtype=_key_dtype(n))
         halves, at = keys.reshape(2, m), 0
         for b in blocks:
             for first in range(0, len(b), _WEDGE_CHUNK):
                 ends = dense(b[first:first + _WEDGE_CHUNK].T)
                 step = slice(at, at + ends.shape[1])
-                np.multiply(ends, n, out=halves[:, step])
+                np.multiply(ends, n, out=halves[:, step], dtype=keys.dtype)
                 halves[:, step] += ends[::-1]
                 at = step.stop
         keys.sort()
         repeats = bool((keys[1:] == keys[:-1]).any())
         if not repeats:
             blocks.clear()
-        indices = np.empty(2 * m, dtype=np.int32 if n < 2**31 else np.int64)
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
+        index = np.int32 if n < 2**31 else np.int64
+        indices = keys if keys.dtype == index else np.empty(2 * m, dtype=index)
         np.remainder(keys, n, out=indices, casting="unsafe")
         del keys, halves
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(indices, minlength=n), out=indptr[1:])
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self.n = n
@@ -202,6 +208,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _key_dtype(n: int) -> type:
+    """The dtype of a pair key x * n + y over ids in [0, n): int32 when
+    n * n fits, else int64."""
+    return np.int32 if n * n < 2**31 else np.int64
+
+
 def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (u, v) of the canonical edges, in sorted order."""
     rows = np.repeat(np.arange(g.n, dtype=g.indices.dtype), np.diff(g.indptr))
@@ -218,21 +230,22 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray, dtype) -> np.ndarray:
 
 def _dense_ids(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, Callable]:
     """The distinct ids of arrays of non-negative ids, sorted, and a map of
-    any of the arrays to the int64 indices of its ids among them: through
-    a presence mark's running count, else by binary search."""
+    any of the arrays to the indices of its ids among them: int32 through a
+    presence mark's running count when it fits, else int64 by binary search."""
     seen = _presence(blocks)
     if seen is None:
         ids = _distinct(np.concatenate([b.ravel() for b in blocks], dtype=np.int64))
         return ids, lambda b: np.searchsorted(ids, b)
-    dense = np.cumsum(seen, dtype=np.int64)
+    dense = np.cumsum(seen, dtype=np.int32 if len(seen) <= 2**31 else np.int64)
     dense -= 1
     return np.flatnonzero(seen), dense.take
 
 
 def _relabel(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`np.unique(ends, return_inverse=True)`, in `ends`' shape."""
+    """`np.unique(ends, return_inverse=True)`, in `ends`' shape, with int64
+    indices."""
     ids, dense = _dense_ids((ends,))
-    return ids, dense(ends)
+    return ids, dense(ends).astype(np.int64, copy=False)
 
 
 def sum_edge_degrees(g: Graph) -> int:
@@ -305,8 +318,9 @@ def _oriented_keys(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     out-degree of each rank.
 
     The key of an edge is rank(x) * n + rank(y), oriented so that
-    rank(x) < rank(y). The edges are the CSR's canonical copies, a suffix
-    of each row; a bool index by rank order would branch unpredictably.
+    rank(x) < rank(y), in `_key_dtype(n)`. The edges are the CSR's canonical
+    copies, a suffix of each row; a bool index by rank order would branch
+    unpredictably.
     """
     n = g.n
     by_rank = np.argsort(np.diff(g.indptr), kind="stable")
@@ -317,7 +331,7 @@ def _oriented_keys(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = rank.take(v)
     low = np.minimum(u, v)
     size = np.bincount(low, minlength=n)
-    keys = np.multiply(low, n, dtype=np.int64)
+    keys = np.multiply(low, n, dtype=_key_dtype(n))
     keys += np.maximum(u, v, out=u)
     keys.sort()
     return by_rank, keys, size
@@ -349,7 +363,7 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     # spans the ranks low[r] .. top[r]; an empty one has low = top = n,
     # which no rank in [0, n) reaches; the keys are rebuilt once probed
     start = np.cumsum(size) - size
-    dst = np.empty(len(keys), dtype=g.indices.dtype)
+    dst = keys if keys.dtype == g.indices.dtype else np.empty(len(keys), dtype=g.indices.dtype)
     np.remainder(keys, n, out=dst, casting="unsafe")
     del keys
     src = np.repeat(np.arange(n, dtype=dst.dtype), size)

@@ -172,6 +172,44 @@ class TestInt32Boundary:
         assert sum_edge_degrees(g) == 5 * 50000 + 1
 
 
+class TestInt32KeyBoundary:
+    """The CSR's (row, column) keys and the kernel's oriented keys are int32
+    when n * n < 2**31, so up to n = 46,340; each load either side of that
+    matches the same load with int64 keys, byte for byte. The largest CSR
+    key, n * n - 2, passes 2**31 at n = 46,341, and the largest oriented
+    key, n * n - n - 1, at n = 46,342."""
+
+    @staticmethod
+    def chorded_path(tmp_path, n, spread):
+        # the path 0 - 1 - ... - (n - 1) with a chord (v, v + 2) at each v
+        # divisible by 3, which closes the triangle v, v + 1, v + 2; ids
+        # spread by 1000 are too sparse for the presence mark
+        edges = [(v - 1, v) for v in range(1, n)] + [(v, v + 2) for v in range(0, n - 2, 3)]
+        p = tmp_path / f"path{n}.el"
+        p.write_text("".join(f"{u * spread} {v * spread}\n" for u, v in edges))
+        return p, len(edges), len(range(0, n - 2, 3))
+
+    @pytest.mark.parametrize("spread", [1, 1000])
+    @pytest.mark.parametrize("n", [46340, 46341, 46342])
+    def test_a_load_and_its_oracles_match_int64_keys(self, tmp_path, monkeypatch, n, spread):
+        assert triad.graph._key_dtype(n) is (np.int32 if n == 46340 else np.int64)
+        p, m, triangles = self.chorded_path(tmp_path, n, spread)
+        g = Graph.from_file(p)
+        with monkeypatch.context() as wide:
+            wide.setattr(triad.graph, "_key_dtype", lambda n: np.int64)
+            want = Graph.from_file(p)
+            want_oracles = (triangles_exact_cn(want), degeneracy(want), sum_edge_degrees(want))
+        assert (g.n, g.m) == (want.n, want.m) == (n, m)
+        for name in ("labels", "indptr", "indices"):
+            got, expected = getattr(g, name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        assert g.indices.dtype == np.int32
+        assert np.array_equal(g.labels, np.arange(n) * spread)
+        assert (triangles_exact_cn(g), degeneracy(g), sum_edge_degrees(g)) == want_oracles
+        assert want_oracles[:2] == (triangles, 2)
+        assert want_oracles[2] == loop_edge_degrees(g)
+
+
 class TestExactPathMemory:
     def test_load_and_oracles_peak_within_36_bytes_per_edge(self, tmp_path):
         # the lb NO gadget (p = q = 40, N = 150; m = 161,600). Each traced
@@ -198,6 +236,12 @@ class TestExactPathMemory:
         per_edge = {name: (peak if name == "load" else peak[1]) / g.m
                     for name, peak in peaks.items()}
         assert all(b <= 36 for b in per_edge.values()), per_edge
+        # the load holds the int32 blocks (8 bytes per edge) and the int32
+        # keys that become `indices` in place (8), with `indptr` read off
+        # the keys by binary search: 19.9 bytes per edge, against 29.8 with
+        # int64 keys and a bincount of `indices`. The bound leaves 2.1
+        # bytes per edge, about 340 KB, of margin
+        assert per_edge["load"] <= 22, per_edge
 
 
 class TestFromFileFaults:

@@ -10,6 +10,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 
 from triad import edgelist, sampling
@@ -519,6 +520,18 @@ def test_sorted_key_repeat_check_matches_the_lexsort_specification(pairs):
     pairs = [(min(p), max(p)) for p in pairs if p[0] != p[1]]
     edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     assert edgelist._first_repeat(edges) == lexsort_first_repeat(edges)
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+@pytest.mark.parametrize("u, v", [(0, 2**31 - 2), (0, 2**31 - 1), (2**15 - 1, 2**16 - 2),
+                                  (2**15 - 1, 2**16 - 1)])
+def test_repeat_check_either_side_of_int32_keys(u, v, repeat):
+    # u and v are the largest ids, so the key bound (u + 1) * (v + 1) is
+    # 2**31 - 1, 2**31, 2**31 - 2**15 and 2**31: the sort key is int32 in
+    # the first and third cases and int64 in the others
+    pairs = [(u, v), (0, 1), (u, v - 1), (0, v - 2), (u, 2)] + [(u, v - 1)] * repeat + [(0, 3)]
+    edges = np.array(pairs, dtype=np.int64)
+    assert edgelist._first_repeat(edges) == lexsort_first_repeat(edges) == (5 if repeat else None)
 
 
 @given(st.one_of(st.lists(st.integers(0, 60), max_size=80),

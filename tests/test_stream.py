@@ -425,6 +425,88 @@ class TestColumnarParse:
         assert err.value.lineno == 5
 
 
+class TestDigitWidthBoundary:
+    """A run of fields at most 9 digits wide is read in uint32 and comes out
+    int32; a wider one is read in uint64. Each file is scanned as it is and
+    with the 32-bit read turned off, and the two scans match byte for byte."""
+
+    # 10**9 - 1 and 10**9, 2**31 - 1 and 2**31, leading-zero fields wider
+    # than 9 digits, and the largest id
+    FIELDS = [b"999999999", b"1000000000", b"2147483647", b"2147483648",
+              b"0000000001", b"000000000000000000000000000007", b"9223372036854775807"]
+
+    @staticmethod
+    def files(field):
+        # the field on both sides, in a plain chunk and in one that is not
+        plain = b"# h\n3 " + field + b"\n" + field + b" 5\n3 5\n"
+        return plain, plain.replace(b"3 5", b"3  5")
+
+    @staticmethod
+    def scan(path, monkeypatch, wide):
+        with monkeypatch.context() as m:
+            if wide:
+                m.setattr(edgelist, "_INT32_DIGITS", 0)
+            scan = edgelist.EdgeScan(path)
+            try:
+                edges = read_edges(path)
+            except EdgeListError as err:
+                return [(b.dtype, b.tobytes()) for b in scan.blocks], scan.bad, str(err), err.lineno
+            return [(b.dtype, b.tobytes()) for b in scan.blocks], scan.bad, edges.dtype, edges.tobytes()
+
+    @pytest.mark.parametrize("chunk", [8, edgelist.CHUNK_BYTES])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_narrow_read_matches_the_64_bit_read(self, tmp_path, monkeypatch, field, chunk):
+        monkeypatch.setattr(edgelist, "CHUNK_BYTES", chunk)
+        value = int(field)
+        for text in self.files(field):
+            p = tmp_path / "ids.el"
+            p.write_bytes(text)
+            narrow = self.scan(p, monkeypatch, wide=False)
+            assert narrow == self.scan(p, monkeypatch, wide=True)
+            blocks, bad, dtype, edges = narrow
+            assert bad is None
+            assert dtype == np.int64
+            want = np.array([sorted((3, value)), sorted((value, 5)), [3, 5]], dtype=np.int64)
+            assert edges == want.tobytes()
+            # a block is int32 exactly when its ids are below 2**31
+            for dtype, data in blocks:
+                assert dtype == (np.int32 if np.frombuffer(data, dtype).max(initial=0) < 2**31 else np.int64)
+
+    @pytest.mark.parametrize("text", [b"1 2\n3 9223372036854775808\n",
+                                      b"1 2\n999999999 999999999\n",
+                                      b"5 999999999\n999999999 5\n",
+                                      b"5 999999999\n2 3\n999999999  5\n",
+                                      b"0000000001 2\n1 00000000000000000002\n"])
+    def test_faults_match_the_64_bit_read(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "bad.el"
+        p.write_bytes(text)
+        narrow = self.scan(p, monkeypatch, wide=False)
+        assert narrow == self.scan(p, monkeypatch, wide=True)
+        with pytest.raises(EdgeListError) as err:
+            Graph.from_file(p)
+        assert (str(err.value), err.value.lineno) == narrow[2:]
+
+    def test_nine_digit_ids_scan_into_int32_blocks(self, tmp_path, monkeypatch):
+        # both parses return int32 edges, and the scan keeps those very
+        # arrays: no uint64 accumulator, no int64 view, no int32 copy
+        returned = []
+        for name in ("_parse_plain", "_parse_chunk"):
+            def spy(text, parse=getattr(edgelist, name)):
+                result = parse(text)
+                if result is not None:
+                    returned.append(result[0])
+                return result
+            monkeypatch.setattr(edgelist, name, spy)
+        monkeypatch.setattr(edgelist, "CHUNK_BYTES", 16)
+        p = tmp_path / "nine.el"
+        p.write_bytes(b"0 999999999\n12 7\n1  999999999\n")
+        scan = edgelist.EdgeScan(p)
+        # a plain chunk, then one that is not
+        assert [b.tolist() for b in scan.blocks] == [[[0, 999999999]], [[7, 12], [1, 999999999]]]
+        assert len(returned) == 2
+        assert all(b is r and b.dtype == np.int32 for b, r in zip(scan.blocks, returned))
+
+
 class ProtocolOnly:
     """Forwards the pass protocol and nothing else, as a benchmark proxy does."""
 
