@@ -14,7 +14,8 @@ for the modules it touches. Each CLI command loads `triad`, `triad.cli`,
 - `estimate --mode main`: `triad.stream`, `triad.sampling`,
   `triad.assignment` and `triad.estimator`, and `triad.graph` only when
   the run falls back to exact counting;
-- `estimate --mode ideal`: main mode's, `triad.graph` and `triad.ideal`;
+- `estimate --mode ideal`: main mode's and `triad.ideal`, never
+  `triad.graph`;
 - `gen`: `triad.generators`, `triad.graph` and `triad.sampling`;
 - `bench`: `gen`'s and main mode's.
 """

@@ -202,15 +202,19 @@ def _run_main_mode(args) -> RunReport:
 
 
 def _run_ideal_mode(args) -> IdealReport:
-    from .graph import Graph
+    import numpy as np
+
     from .ideal import DegreeOracle, ideal_estimate
+    from .idset import _relabel
     from .stream import EdgeStream
 
-    graph = Graph.from_file(args.path)
-    # stream the dense-relabelled edges so oracle lookups line up; the file
-    # scan already validated them
-    stream = EdgeStream(graph.edge_array(), order_seed=args.order_seed)
-    _, report = ideal_estimate(stream, DegreeOracle(graph), epsilon=args.epsilon,
+    # main mode's stream, its ids relabelled to dense [0, n) in their order:
+    # the edges stay canonical and distinct, and a degree table is the oracle
+    _, dense = _relabel(edgelist.read_edges(args.path))
+    stream = EdgeStream(dense, order_seed=args.order_seed)
+    oracle = DegreeOracle.from_degrees(np.bincount(dense.ravel()))
+    del dense  # the stream holds its own copy
+    _, report = ideal_estimate(stream, oracle, epsilon=args.epsilon,
                                t_hat=args.t_hat, seed=args.seed)
     _say(args, f"passes including stats: {stream.pass_counter}")
     return report

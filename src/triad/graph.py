@@ -30,13 +30,12 @@ Three oracles are numpy kernels over these arrays that need O(n + m) memory:
   removes nothing, and the last level reached is the degeneracy.
 - `sum_edge_degrees` is half the sum of min(d_row, d_col) over the CSR.
 
-Loading relabels ids to dense [0, n) in their original order and keeps
-the original ids as `labels`, a read-only int64 array. When the largest id
-is below twice the number of endpoint entries, a presence mark and its
-running count do it with no sort; sparser ids are sorted. The CSR is built
-from the scan's blocks a step at a time, with no whole copy of the edges:
-one sort of its (row, column) keys, whose offsets give `indptr` and whose
-remainders become `indices`, in place when the two dtypes agree.
+Loading relabels ids to dense [0, n) in their original order, through
+`idset._dense_ids`, and keeps the original ids as `labels`, a read-only
+int64 array. The CSR is built from the scan's blocks a step at a time,
+with no whole copy of the edges: one sort of its (row, column) keys, whose
+offsets give `indptr` and whose remainders become `indices`, in place
+when the two dtypes agree.
 
 A Graph is immutable after construction, so every oracle is safe to call
 concurrently.
@@ -47,13 +46,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import edgelist
 from .errors import InputError
-from .idset import Edge, Triangle, _HashSet, _distinct, _presence, triangle_edges
+from .idset import Edge, Triangle, _HashSet, _dense_ids, _distinct, triangle_edges
 
 # wedges per kernel step (or one out-list's d - 1, if more), and entries
 # per step wherever a pass over the edges is split (the CSR build, the
@@ -226,26 +225,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray, dtype) -> np.ndarray:
     offsets = np.cumsum(lengths) - lengths
     return (np.repeat((starts - offsets).astype(dtype), lengths)
             + np.arange(int(lengths.sum()), dtype=dtype))
-
-
-def _dense_ids(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, Callable]:
-    """The distinct ids of arrays of non-negative ids, sorted, and a map of
-    any of the arrays to the indices of its ids among them: int32 through a
-    presence mark's running count when it fits, else int64 by binary search."""
-    seen = _presence(blocks)
-    if seen is None:
-        ids = _distinct(np.concatenate([b.ravel() for b in blocks], dtype=np.int64))
-        return ids, lambda b: np.searchsorted(ids, b)
-    dense = np.cumsum(seen, dtype=np.int32 if len(seen) <= 2**31 else np.int64)
-    dense -= 1
-    return np.flatnonzero(seen), dense.take
-
-
-def _relabel(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`np.unique(ends, return_inverse=True)`, in `ends`' shape, with int64
-    indices."""
-    ids, dense = _dense_ids((ends,))
-    return ids, dense(ends).astype(np.int64, copy=False)
 
 
 def sum_edge_degrees(g: Graph) -> int:

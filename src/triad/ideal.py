@@ -23,22 +23,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .estimator import _EDGE_HI, _EDGE_LO, _REPORT_KEYS, _StageMachine, _drive
-from .graph import Graph
 from .sampling import ROLE_WEIGHTED_SAMPLE, EdgePicker, run_pass
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 
 class DegreeOracle:
-    """Exact degree lookups backed by an in-memory graph; each vertex looked
-    up counts as one query."""
+    """Exact degree lookups from an int64 table that holds vertex v's degree
+    at index v, over dense ids; each vertex looked up counts as one query."""
 
     def __init__(self, graph: Graph):
         self._degrees = np.diff(graph.indptr)
         self.queries = 0
+
+    @classmethod
+    def from_degrees(cls, degrees: np.ndarray) -> "DegreeOracle":
+        oracle = cls.__new__(cls)
+        oracle._degrees, oracle.queries = np.asarray(degrees, dtype=np.int64), 0
+        return oracle
 
     def __call__(self, vertices: np.ndarray) -> np.ndarray:
         """The degree of each vertex, as an int64 array."""
@@ -132,6 +141,13 @@ class _IdealRun(_StageMachine):
         self.x[closed[charged == edge]] = self.d_e_total
 
 
+def _run(stream, oracle, count: int, seed: int, d_e_total: int) -> _IdealRun:
+    """`count` instances, settled over three shared passes."""
+    run = _IdealRun(oracle, count, seed, d_e_total)
+    _drive(stream, [[run]], range(1, 4))
+    return run
+
+
 def ideal_sample(stream, oracle, count: int, seed: int,
                  d_e_total: int) -> tuple[np.ndarray, int, int]:
     """`count` independent instance values over three shared passes, given
@@ -139,8 +155,7 @@ def ideal_sample(stream, oracle, count: int, seed: int,
 
     Returns (values, d_E, closure hits). Each value is 0 or d_E.
     """
-    run = _IdealRun(oracle, count, seed, d_e_total)
-    _drive(stream, [[run]], range(1, 4))
+    run = _run(stream, oracle, count, seed, d_e_total)
     return run.x, d_e_total, run.hits
 
 
@@ -174,8 +189,7 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int,
     if groups * group_size >= 2**63:
         raise ConfigError(f"epsilon {epsilon} and t_hat {t_hat} ask for "
                           f"{groups * group_size} instances, more than one run can draw")
-    run = _IdealRun(oracle, groups * group_size, seed, d_e_total)
-    _drive(stream, [[run]], range(1, 4))
+    run = _run(stream, oracle, groups * group_size, seed, d_e_total)
     # the median of an odd count; np.median imports numpy.ma on its first call
     estimate = float(np.sort(run.x.reshape(groups, group_size).mean(axis=1))[groups // 2])
     report = IdealReport(

@@ -12,11 +12,11 @@ id): a lookup is one gather, where a probe walks the slots. `_rank_index`
 builds the dense table when its bytes are no more than the hash's home
 slots would take, 4 (top + 2) <= 12 * 2**b, and the hash otherwise; the
 rule reads only the key set. Both answer `ranks`, each needle's int32
-rank or -1 on a miss, and `find`, the (int64 rank, hit) pair. The
-triangle kernel uses the set; the pass observers in `sampling` use the
-indexes.
+rank or -1 on a miss. The triangle kernel uses the set; the pass
+observers in `sampling` use the indexes.
 
-`_distinct` sorts and dedupes ids, `_presence` marks dense ids, and
+`_distinct` sorts and dedupes ids, `_presence` marks dense ids,
+`_dense_ids` and `_relabel` map ids to dense [0, n) in their order, and
 `triangle_edges` names a triangle's three canonical edges. This module
 needs only numpy, so a sampled run reaches these without loading the exact
 oracles in `triad.graph`.
@@ -24,7 +24,7 @@ oracles in `triad.graph`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +62,25 @@ def _presence(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     for c in columns:
         seen[c.astype(np.int64, copy=False)] = True
     return seen
+
+
+def _dense_ids(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, Callable]:
+    """The distinct ids of arrays of non-negative ids, sorted, and a map of
+    any of the arrays to the indices of its ids among them: int32 through a
+    presence mark's running count when it fits, else int64 by binary search."""
+    seen = _presence(blocks)
+    if seen is None:
+        ids = _distinct(np.concatenate([b.ravel() for b in blocks], dtype=np.int64))
+        return ids, lambda b: np.searchsorted(ids, b)
+    dense = np.cumsum(seen, dtype=np.int32 if len(seen) <= 2**31 else np.int64)
+    dense -= 1
+    return np.flatnonzero(seen), dense.take
+
+
+def _relabel(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(ends, return_inverse=True)` in `ends`' shape, int64 indices."""
+    ids, dense = _dense_ids((ends,))
+    return ids, dense(ends).astype(np.int64, copy=False)
 
 
 _FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, made odd
@@ -147,17 +166,7 @@ class _HashSet:
         return self._probe(np.asarray(values, dtype=np.int64))[1]
 
 
-class _Ranks:
-    """`find`, read off an index's `ranks`."""
-
-    def find(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """Per needle: its index in the keys (0 on a miss), and whether it
-        is one of them."""
-        rank = self.ranks(values)
-        return np.maximum(rank, 0, dtype=np.int64), rank >= 0
-
-
-class _HashIndex(_HashSet, _Ranks):
+class _HashIndex(_HashSet):
     """A `_HashSet` that also answers each hit with the key's index: a
     second table, `_table`, holds per slot the int32 index of its key, or
     -1 in an empty slot. 2**31 keys would take 48 GiB of slots, so int32
@@ -174,7 +183,7 @@ class _HashIndex(_HashSet, _Ranks):
         return self._table[self._probe(np.asarray(values, dtype=np.int64))[0]]
 
 
-class _DenseIndex(_Ranks):
+class _DenseIndex:
     """The index of each of a set of distinct non-negative int64 keys, read
     from `_table`, an int32 table over [0, top], top the largest key, that
     holds -1 at every other id and in one trailing slot. Every needle past
@@ -192,7 +201,7 @@ class _DenseIndex(_Ranks):
         return self._table.take(at.view(np.int64), mode="clip")
 
 
-def _rank_index(keys: np.ndarray) -> _Ranks:
+def _rank_index(keys: np.ndarray) -> _HashIndex | _DenseIndex:
     """An index over an int64 array of distinct non-negative keys: the dense
     table when its 4 (top + 2) bytes are no more than 12 bytes per home slot
     of the hash, else the hash. Negative keys go to the hash, which refuses

@@ -6,12 +6,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from triad import edgelist
+from triad import cli, edgelist
 from triad.assignment import compute_s
 from triad.estimator import EstimatorConfig
-from triad.generators import gen_book, gen_wheel
+from triad.generators import gen_book, gen_preferential_attachment, gen_wheel
 from triad.graph import Graph
 from triad.ideal import DegreeOracle, ideal_estimate
 from triad.stream import EdgeStream
@@ -28,6 +29,24 @@ def run_cli(*args, env_extra=None, cwd=None):
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           env=env, cwd=cwd)
+
+
+def write_five_edge_file(path):
+    """Five edges out of sorted order, one of them written high id first."""
+    path.write_text("5 9\n1 9\n1 5\n9 3\n3 5\n")
+    return path
+
+
+def write_shuffled_pa_file(path, spread=lambda ids: ids):
+    """pa(300, 3) in a shuffled order, each edge written either way round,
+    its ids mapped through `spread`; returns the path."""
+    rng = np.random.default_rng(4)
+    edges = gen_preferential_attachment(300, 3, seed=1).edge_array()
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    path.write_text("".join(f"{u} {v}\n" for u, v in spread(edges).tolist()))
+    return path
 
 
 def write_book_file(tmp_path, k=200):
@@ -458,6 +477,63 @@ class TestEstimate:
                                    t_hat=truth.triangles, seed=1)
         drawn = ideal_drawn_edges(g, payload["r"], seed=1)
         assert payload["stored_edges_peak"] == report.stored_edges_peak == drawn + payload["r"]
+
+    def test_ideal_mode_imports_no_graph_oracles(self, tmp_path):
+        # the oracle is a degree table counted off the stream's own edges
+        path, truth = write_book_file(tmp_path, 60)
+        res = subprocess.run([sys.executable, "-X", "importtime"] + CLI[1:] + [
+            "estimate", "--mode", "ideal", "--epsilon", "0.3", "--t-hat", str(truth.triangles),
+            str(path)], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        loaded = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert sorted(m for m in loaded if m.partition(".")[0] == "triad") == [
+            "triad", "triad.assignment", "triad.cli", "triad.edgelist", "triad.errors",
+            "triad.estimator", "triad.ideal", "triad.idset", "triad.sampling", "triad.stream"]
+
+    @pytest.mark.parametrize("order_seed", [None, 3])
+    @pytest.mark.parametrize("write", [
+        write_five_edge_file, write_shuffled_pa_file,
+    ], ids=["five-edges", "pa300"])
+    def test_both_modes_read_the_same_stream(self, tmp_path, monkeypatch, write, order_seed):
+        # the estimators assume no stream order, so both modes read the file's
+        # order, or the same permutation of it; ideal mode's ids are dense
+        # [0, n) in their order
+        path = write(tmp_path / "unsorted.el")
+        opened = []
+        init = EdgeStream.__init__
+
+        def spy(self, ends, order_seed=None):
+            init(self, ends, order_seed=order_seed)
+            opened.append(np.column_stack((self._u, self._v)))
+
+        monkeypatch.setattr(EdgeStream, "__init__", spy)
+        seeded = [] if order_seed is None else ["--order-seed", str(order_seed)]
+        for mode, flags in (("main", ["--kappa-hat", "3"]), ("ideal", [])):
+            assert cli.main(["--quiet", "estimate", str(path), "--mode", mode, "--epsilon",
+                             "0.3", "--t-hat", "1000", *flags, *seeded]) == 0, mode
+        main, ideal = opened
+        _, dense = np.unique(main, return_inverse=True)
+        assert ideal.dtype == np.int64
+        assert ideal.tolist() == dense.reshape(main.shape).tolist()
+        if order_seed is None:
+            assert main.tolist() == edgelist.read_edges(path).tolist()
+
+    @pytest.mark.parametrize("order_seed", [None, 5])
+    def test_ideal_mode_on_sparse_ids_prints_the_dense_report(self, tmp_path, order_seed):
+        # ids spread to id * 2**33 + 5 are relabelled by binary search, dense
+        # ones by a presence mark's running count; both give the same stream
+        from triad.idset import _presence
+
+        paths = [write_shuffled_pa_file(tmp_path / "dense.el"),
+                 write_shuffled_pa_file(tmp_path / "sparse.el", lambda ids: (ids << 33) + 5)]
+        assert [_presence((edgelist.read_edges(p),)) is None for p in paths] == [False, True]
+        seeded = () if order_seed is None else ("--order-seed", str(order_seed))
+        dense, sparse = (run_cli("estimate", str(p), "--mode", "ideal", "--epsilon", "0.3",
+                                 "--t-hat", "200", "--seed", "1", *seeded) for p in paths)
+        assert dense.returncode == 0, dense.stderr
+        assert (sparse.returncode, sparse.stdout, sparse.stderr) == (
+            0, dense.stdout, dense.stderr)
 
     def test_missing_t_hat_exits_2(self, tmp_path):
         path, _ = write_book_file(tmp_path, 30)

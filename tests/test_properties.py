@@ -20,8 +20,6 @@ from triad.errors import EdgeListError
 from triad.estimator import EstimatorConfig, _anchor_ends, _drive, _Repetition
 from triad.graph import (
     Graph,
-    _presence,
-    _relabel,
     degeneracy,
     per_edge_triangles,
     pick_anchor,
@@ -30,6 +28,7 @@ from triad.graph import (
     triangles_exact_cn,
     triangles_exact_naive,
 )
+from triad.idset import _presence, _relabel
 from triad.sampling import ClosureChecker, DegreeCounter, EdgePicker, IncidentPicker, run_pass
 from triad.stream import EdgeStream
 

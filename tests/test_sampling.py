@@ -271,11 +271,12 @@ def searchsorted_lookup(keys, needles):
 def assert_matches_reference(keys, needles):
     keys = np.asarray(keys, dtype=np.int64)
     index = _HashIndex(keys)
-    idx, hit = index.find(needles)
+    rank = index.ranks(needles)
+    hit = rank >= 0
     ref_idx, ref_hit = searchsorted_lookup(keys, np.asarray(needles, dtype=np.int64))
-    assert idx.dtype == np.int64 and hit.dtype == bool
+    assert rank.dtype == np.int32
     assert np.array_equal(hit, ref_hit)
-    assert np.array_equal(idx[hit], ref_idx[ref_hit])
+    assert np.array_equal(rank[hit], ref_idx[ref_hit])
     return index
 
 
@@ -339,17 +340,14 @@ class TestHashIndex:
 
     def test_empty_keys(self):
         index = assert_matches_reference([], [0, 5, 2**63 - 1])
-        idx, hit = index.find(np.array([0, 5], dtype=np.int64))
-        assert idx.tolist() == [0, 0] and hit.tolist() == [False, False]
+        assert index.ranks(np.array([0, 5], dtype=np.int64)).tolist() == [-1, -1]
 
     def test_empty_needles(self):
-        idx, hit = _HashIndex(np.arange(10)).find(np.zeros(0, dtype=np.int64))
-        assert len(idx) == 0 and len(hit) == 0
+        assert len(_HashIndex(np.arange(10)).ranks(np.zeros(0, dtype=np.int64))) == 0
 
     def test_all_misses(self):
         keys = np.arange(0, 2_000, 2)
-        idx, hit = _HashIndex(keys).find(np.arange(1, 2_000, 2))
-        assert not hit.any() and not idx.any()
+        assert (_HashIndex(keys).ranks(np.arange(1, 2_000, 2)) == -1).all()
 
     def test_negative_keys_and_needles(self):
         # keys are non-negative, so an empty slot holds -1; a negative key is
@@ -437,16 +435,11 @@ class TestHashSet:
 
 
 def assert_index_matches_reference(index, keys, needles):
-    """An index's `find` and `ranks` against the binary-search reference:
-    `find` gives the int64 index, 0 on a miss, and the hit; `ranks` the
-    int32 index, -1 on a miss."""
+    """An index's `ranks` against the binary-search reference: the int32
+    index, -1 on a miss."""
     keys = np.asarray(keys, dtype=np.int64)
     needles = np.asarray(needles, dtype=np.int64)
     ref_idx, ref_hit = searchsorted_lookup(keys, needles)
-    idx, hit = index.find(needles)
-    assert idx.dtype == np.int64 and hit.dtype == bool
-    assert np.array_equal(hit, ref_hit)
-    assert np.array_equal(idx[hit], ref_idx[ref_hit]) and not idx[~hit].any()
     rank = index.ranks(needles)
     assert rank.dtype == np.int32
     assert np.array_equal(rank, np.where(ref_hit, ref_idx, -1))
