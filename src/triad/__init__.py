@@ -26,12 +26,9 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
+    **dict.fromkeys(("compute_s",), "assignment"),
     **dict.fromkeys((
-        "AssignmentTable", "EdgeEstimate", "assign_triangle", "compute_s",
-        "saturated_estimates"), "assignment"),
-    **dict.fromkeys((
-        "ConfigError", "EdgeListError", "InputError", "SchedulingError",
-        "StreamUsageError", "TriadError"), "errors"),
+        "ConfigError", "EdgeListError", "InputError", "StreamUsageError", "TriadError"), "errors"),
     **dict.fromkeys((
         "EstimatorConfig", "RunReport", "compute_ell", "compute_r", "estimate"), "estimator"),
     **dict.fromkeys((

@@ -25,7 +25,3 @@ class EdgeListError(TriadError, ValueError):
 
 class StreamUsageError(TriadError, RuntimeError):
     """Pass protocol misuse: nested, unfinished, or inactive passes."""
-
-
-class SchedulingError(TriadError, RuntimeError):
-    """Internal bug: a batched pass result a later stage depends on is missing."""

@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .assignment import INFINITY, _log2n, assign_rows, compute_s, degree_cutoff
+from .assignment import INFINITY, _ceil_size, _log2n, assign_rows, compute_s, degree_cutoff
 from .errors import ConfigError, InputError
 from .idset import _distinct, triangle_edges
 from .sampling import (
@@ -156,7 +156,7 @@ def _check_above(name: str, value: float, floor: float) -> None:
 
 
 def compute_r(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
-              c_r: float = 7.0, scale: float = 1.0, cap: bool = True) -> int:
+              c_r: float = 7.0, scale: float = 1.0) -> int:
     """Uniform sample size.
 
     ceil(scale * c_r * log2(n) / eps^2 * m * (kappa_hat / eps)
@@ -170,10 +170,11 @@ def compute_r(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
         raise ConfigError(f"t_hat must be >= 1, got {t_hat}")
     if not 0 < epsilon < 0.5:
         raise ConfigError(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    raw = (c_r * _log2n(n) / (epsilon * epsilon)
-           * (m * (kappa_hat / epsilon)) / ((1 - 2 * epsilon) * t_hat))
-    r = max(1, math.ceil(scale * raw))
-    return min(r, m) if cap else r
+    r = _ceil_size("r", lambda: scale * (
+        c_r * _log2n(n) / (epsilon * epsilon)
+        * (m * (kappa_hat / epsilon)) / ((1 - 2 * epsilon) * t_hat)),
+        epsilon=epsilon, t_hat=t_hat, kappa_hat=kappa_hat)
+    return min(r, m)
 
 
 def compute_ell(n: int, m: int, epsilon: float, t_hat: int, r: int, d_r: int,
@@ -188,9 +189,9 @@ def compute_ell(n: int, m: int, epsilon: float, t_hat: int, r: int, d_r: int,
         raise InputError(f"d_R must be positive, got {d_r}")
     if not 0 < epsilon < 0.5:
         raise ConfigError(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    raw = (c_ell * _log2n(n) / (epsilon * epsilon)
-           * (m * d_r) / (r * (1 - 2 * epsilon) * t_hat))
-    return max(1, math.ceil(scale * raw))
+    return _ceil_size("ell", lambda: scale * (c_ell * _log2n(n) / (epsilon * epsilon)
+                                              * (m * d_r) / (r * (1 - 2 * epsilon) * t_hat)),
+                      epsilon=epsilon, t_hat=t_hat)
 
 
 @dataclass
@@ -471,7 +472,9 @@ class _Repetition(_StageMachine):
             self.flags.append("no-space-advantage")
 
     def _abort_budget(self) -> int:
-        return math.ceil(self.cfg.abort_multiplier * (self.r + self.ell + self.s))
+        return _ceil_size("the space budget",
+                          lambda: self.cfg.abort_multiplier * (self.r + self.ell + self.s),
+                          abort_multiplier=self.cfg.abort_multiplier)
 
     # -- exact fallback: a pass that collects the graph in place of a stage --
 

@@ -183,7 +183,11 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int,
     groups = 7
     # numpy draws at most 2**63 - 1 positions at once; eps^2 * t_hat
     # underflows to 0, or the quotient overflows to inf, only far past that
-    bound = epsilon * epsilon * t_hat
+    try:
+        bound = epsilon * epsilon * t_hat
+    except OverflowError:  # a t_hat too large for a float
+        raise ConfigError(f"the instance count is out of float range for "
+                          f"epsilon {epsilon}, t_hat {t_hat}") from None
     per_group = 4 * d_e_total / bound if bound > 0 else math.inf
     group_size = max(1, math.ceil(per_group)) if math.isfinite(per_group) else math.inf
     if groups * group_size >= 2**63:

@@ -10,9 +10,13 @@ from itertools import combinations
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
-from triad.graph import Graph, canonical_edge, pick_anchor, sum_edge_degrees
+from triad.assignment import INFINITY, degree_cutoff
+from triad.graph import (
+    Graph, canonical_edge, enumerate_triangles, per_edge_triangles, pick_anchor,
+    sum_edge_degrees, triangle_edges)
 from triad.sampling import ROLE_WEIGHTED_SAMPLE, substream
 
 # child processes run `python -m triad` from this checkout, installed or not
@@ -134,6 +138,26 @@ def lowest_degree_edge(g: Graph, tri) -> tuple[int, int]:
     for e in ((a, b), (a, c), (b, c)):
         candidates.append((min(g.degree(e[0]), g.degree(e[1])), e))
     return min(candidates)[1]
+
+
+def saturated_rows(g: Graph, epsilon: float, t_hat: int, kappa_hat: int):
+    """Every triangle of `g` in `enumerate_triangles` order, and a (k, 3)
+    array of its edges' estimates in `triangle_edges` order: each edge's
+    true t_e, or infinity past the degree cutoff. This is what wedge
+    sampling converges to once the sample count covers each neighborhood,
+    and what the deterministic saturation tests feed `assign_rows`."""
+    cut = degree_cutoff(g.m, epsilon, t_hat, kappa_hat)
+    y = {p.edge: INFINITY if p.d_e > cut else float(p.t_e) for p in per_edge_triangles(g)}
+    triangles = list(enumerate_triangles(g))
+    rows = [[y[e] for e in triangle_edges(tri)] for tri in triangles]
+    return triangles, np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def charged_edges(triangles, columns) -> list:
+    """Each triangle's charged edge from `assign_rows`'s columns, or None
+    where its column is -1."""
+    return [triangle_edges(tri)[column] if column >= 0 else None
+            for tri, column in zip(triangles, columns.tolist())]
 
 
 def ideal_drawn_edges(g: Graph, count: int, seed: int) -> int:

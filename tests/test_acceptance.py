@@ -15,17 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triad.assignment import (
-    AssignmentTable,
-    assign_triangle,
-    load_cutoff,
-    saturated_estimates,
-)
+from triad.assignment import assign_rows, load_cutoff
 from triad.estimator import EstimatorConfig, estimate
 from triad.graph import (
     classify_edges,
     degeneracy,
-    enumerate_triangles,
     per_edge_triangles,
     sum_edge_degrees,
     triangle_edges,
@@ -43,7 +37,7 @@ from triad.generators import (
 from triad.ideal import DegreeOracle, ideal_sample
 from triad.stream import EdgeStream
 
-from conftest import exact_expected_x, k_complete
+from conftest import charged_edges, exact_expected_x, k_complete, saturated_rows
 
 
 def ok(number: int, message: str) -> None:
@@ -203,13 +197,11 @@ def test_criterion_06_main_estimator_accuracy():
 
 def _saturation_checks(g, epsilon, t_exact, kappa):
     """The four deterministic assignment properties at full wedge coverage."""
-    est = saturated_estimates(g, epsilon, t_hat=t_exact, kappa_hat=kappa)
+    triangles, y = saturated_rows(g, epsilon, t_hat=t_exact, kappa_hat=kappa)
     t_e = {p.edge: p.t_e for p in per_edge_triangles(g)}
-    table = AssignmentTable()
     loads: dict = {}
     assigned: dict = {}
-    for tri in enumerate_triangles(g):
-        winner = assign_triangle(tri, est, epsilon, kappa, table)
+    for tri, winner in zip(triangles, charged_edges(triangles, assign_rows(y, epsilon, kappa))):
         assigned[tri] = winner
         if winner is not None:
             assert winner in triangle_edges(tri)  # unique, one of its own edges

@@ -1,4 +1,5 @@
-"""Assignment rule: cutoffs, memoization, and deterministic saturation."""
+"""Assignment rule: cutoffs, sample sizes, tie-breaks, and deterministic
+saturation."""
 
 import math
 
@@ -6,25 +7,23 @@ import pytest
 
 from triad.assignment import (
     INFINITY,
-    AssignmentTable,
-    EdgeEstimate,
-    assign_triangle,
+    assign_rows,
     compute_s,
     degree_cutoff,
     load_cutoff,
-    saturated_estimates,
 )
-from triad.errors import ConfigError, InputError, SchedulingError
+from triad.errors import ConfigError
 from triad.generators import gen_book
-from triad.graph import enumerate_triangles, per_edge_triangles, triangle_edges
+from triad.graph import per_edge_triangles, triangle_edges
 
-from conftest import k_complete
+from conftest import charged_edges, k_complete, saturated_rows
 
 
-def estimates_for(tri, ys, ds=None):
-    edges = triangle_edges(tri)
-    ds = ds or [2, 2, 2]
-    return {e: EdgeEstimate(e, d, y) for e, d, y in zip(edges, ds, ys)}
+def charged_edge(ys, epsilon, kappa_hat):
+    """The edge of triangle (0, 1, 2) that `assign_rows` charges, given its
+    edges' estimates in canonical order, or None."""
+    [edge] = charged_edges([(0, 1, 2)], assign_rows([ys], epsilon, kappa_hat))
+    return edge
 
 
 class TestComputeS:
@@ -58,77 +57,38 @@ class TestComputeS:
 
 class TestAssignTriangle:
     def test_all_thresholded_is_unassigned(self):
-        table = AssignmentTable()
-        est = estimates_for((0, 1, 2), [INFINITY, INFINITY, INFINITY])
-        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) is None
+        assert charged_edge([INFINITY, INFINITY, INFINITY], 0.5, 2) is None
 
     def test_k4_saturated_ties_break_canonically(self):
         # every edge participates in exactly 2 triangles; with exact
         # estimates and cutoff 3/(2*0.5)=3 the canonical minimum edge wins
         g = k_complete(4)
-        est = saturated_estimates(g, 0.5, t_hat=4, kappa_hat=3)
-        assert all(e.y == 2.0 for e in est.values())
-        table = AssignmentTable()
-        assert assign_triangle((0, 1, 2), est, 0.5, 3, table) == (0, 1)
-        assert assign_triangle((1, 2, 3), est, 0.5, 3, table) == (1, 2)
-
-    def test_memo_short_circuits_and_needs_no_estimates(self):
-        table = AssignmentTable()
-        est = estimates_for((0, 1, 2), [1.0, 2.0, 3.0])
-        first = assign_triangle((0, 1, 2), est, 0.5, 2, table)
-        assert first == (0, 1)
-        # deliberately contradictory estimates: the memo must win untouched
-        poisoned = estimates_for((0, 1, 2), [INFINITY, INFINITY, INFINITY])
-        assert assign_triangle((0, 1, 2), poisoned, 0.5, 2, table) == (0, 1)
-        assert len(table) == 1
+        triangles, y = saturated_rows(g, 0.5, t_hat=4, kappa_hat=3)
+        assert (y == 2.0).all()
+        won = dict(zip(triangles, charged_edges(triangles, assign_rows(y, 0.5, 3))))
+        assert won[(0, 1, 2)] == (0, 1)
+        assert won[(1, 2, 3)] == (1, 2)
 
     def test_load_cutoff_rejects(self):
-        table = AssignmentTable()
-        est = estimates_for((0, 1, 2), [10.0, 11.0, 12.0])
         # 10 > 2/(2*0.5) = 2
-        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) is None
-
-    def test_missing_estimate_is_scheduling_error(self):
-        table = AssignmentTable()
-        est = estimates_for((0, 1, 2), [1.0, 1.0, 1.0])
-        del est[(0, 1)]
-        with pytest.raises(SchedulingError):
-            assign_triangle((0, 1, 2), est, 0.5, 2, table)
-
-    def test_table_rejects_contradictory_rewrites(self):
-        table = AssignmentTable()
-        table.record((0, 1, 2), (0, 1))
-        table.record((0, 1, 2), (0, 1))  # idempotent rewrite is fine
-        with pytest.raises(SchedulingError):
-            table.record((0, 1, 2), (1, 2))
+        assert charged_edge([10.0, 11.0, 12.0], 0.5, 2) is None
 
 
 class TestIsAssigned:
     def test_unassigned_triangle_no_for_all_edges(self):
-        table = AssignmentTable()
-        est = estimates_for((0, 1, 2), [INFINITY, INFINITY, INFINITY])
         for e in triangle_edges((0, 1, 2)):
-            assert assign_triangle((0, 1, 2), est, 0.5, 2, table) != e
+            assert charged_edge([INFINITY, INFINITY, INFINITY], 0.5, 2) != e
 
     def test_yes_for_winner_no_for_others(self):
-        table = AssignmentTable()
-        est = estimates_for((0, 1, 2), [2.0, 1.0, 2.0])
-        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) == (0, 2)
-        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) != (0, 1)
-        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) != (1, 2)
+        assert charged_edge([2.0, 1.0, 2.0], 0.5, 2) == (0, 2)
+        assert charged_edge([2.0, 1.0, 2.0], 0.5, 2) != (0, 1)
+        assert charged_edge([2.0, 1.0, 2.0], 0.5, 2) != (1, 2)
 
     def test_k3_saturated(self):
         g = k_complete(3)
-        est = saturated_estimates(g, 0.5, t_hat=1, kappa_hat=2)
-        table = AssignmentTable()
+        triangles, y = saturated_rows(g, 0.5, t_hat=1, kappa_hat=2)
         # every edge has exactly one triangle; cutoff 2/(2*0.5) = 2 passes
-        assert assign_triangle((0, 1, 2), est, 0.5, 2, table) == (0, 1)
-
-    def test_edge_outside_triangle_rejected(self):
-        # the table takes only one of the triangle's own edges, or None
-        table = AssignmentTable()
-        with pytest.raises(InputError):
-            table.record((0, 1, 2), (0, 5))
+        assert charged_edges(triangles, assign_rows(y, 0.5, 2)) == [(0, 1)]
 
 
 class TestCutoffs:
@@ -142,32 +102,31 @@ class TestCutoffs:
         # book spine degree exceeds m * k^2 / (eps^2 T) for these settings:
         # cutoff = 601 * 4 / (0.04 * 300) ~ 200.3, spine degree 301
         g, truth = gen_book(300)
-        est = saturated_estimates(g, 0.2, t_hat=truth.triangles, kappa_hat=truth.kappa)
+        triangles, y = saturated_rows(g, 0.2, t_hat=truth.triangles, kappa_hat=truth.kappa)
         cut = degree_cutoff(g.m, 0.2, truth.triangles, truth.kappa)
-        assert est[(0, 1)].d_e == 301
+        d_e = {p.edge: p.d_e for p in per_edge_triangles(g)}
+        assert d_e[(0, 1)] == 301
         assert 301 > cut
-        assert est[(0, 1)].y == INFINITY
+        # triangle (0, 1, 2)'s row: the spine (0, 1), then page edges (0, 2), (1, 2)
+        assert triangles[0] == (0, 1, 2)
+        assert y[0, 0] == INFINITY
         # page edges stay estimable
-        assert est[(0, 2)].y == 1.0
+        assert y[0, 1] == 1.0
 
 
 class TestSaturatedBehavior:
     def test_book_triangles_go_to_page_edges(self):
         g, truth = gen_book(30)
-        est = saturated_estimates(g, 0.5, t_hat=truth.triangles, kappa_hat=truth.kappa)
-        table = AssignmentTable()
-        for tri in enumerate_triangles(g):
-            winner = assign_triangle(tri, est, 0.5, truth.kappa, table)
+        triangles, y = saturated_rows(g, 0.5, t_hat=truth.triangles, kappa_hat=truth.kappa)
+        for winner in charged_edges(triangles, assign_rows(y, 0.5, truth.kappa)):
             assert winner is not None
             assert winner != (0, 1)  # the heavy spine never wins
 
     def test_per_edge_load_stays_under_cutoff(self):
         g, truth = gen_book(30)
-        est = saturated_estimates(g, 0.5, t_hat=truth.triangles, kappa_hat=truth.kappa)
-        table = AssignmentTable()
+        triangles, y = saturated_rows(g, 0.5, t_hat=truth.triangles, kappa_hat=truth.kappa)
         loads = {}
-        for tri in enumerate_triangles(g):
-            winner = assign_triangle(tri, est, 0.5, truth.kappa, table)
+        for winner in charged_edges(triangles, assign_rows(y, 0.5, truth.kappa)):
             if winner is not None:
                 loads[winner] = loads.get(winner, 0) + 1
         t_e = {p.edge: p.t_e for p in per_edge_triangles(g)}

@@ -672,6 +672,30 @@ class TestEstimate:
         assert res.stderr == ("triad: config error: epsilon 1e-09 and t_hat 1 ask for "
                               "56027999999999992659968 instances, more than one run can draw\n")
 
+    @pytest.mark.parametrize("args, message", [
+        (("--t-hat", str(10**400), "--kappa-hat", "2"),
+         f"r is out of float range for epsilon 0.2, t_hat {10**400}, kappa_hat 2"),
+        (("--mode", "ideal", "--t-hat", str(10**400)),
+         f"the instance count is out of float range for epsilon 0.2, t_hat {10**400}"),
+        (("--t-hat", "400", "--kappa-hat", str(10**400)),
+         f"r is out of float range for epsilon 0.2, t_hat 400, kappa_hat {10**400}"),
+        # 1 / eps^2 overflows to inf, and eps^2 underflows to 0
+        (("--t-hat", "400", "--kappa-hat", "2", "--epsilon", "1e-160"),
+         "r is out of float range for epsilon 1e-160, t_hat 400, kappa_hat 2"),
+        (("--t-hat", "400", "--kappa-hat", "2", "--epsilon", "1e-170"),
+         "r is out of float range for epsilon 1e-170, t_hat 400, kappa_hat 2"),
+        # a sampled run: the budget is first read at pass 4's end
+        (("--t-hat", "400", "--kappa-hat", "2", "--scale", "0.004",
+          "--abort-multiplier", "1e308"),
+         "the space budget is out of float range for abort_multiplier 1e+308"),
+    ], ids=["t_hat-main", "t_hat-ideal", "kappa_hat", "epsilon-inf", "epsilon-zero",
+            "abort_multiplier"])
+    def test_sizes_out_of_float_range_exit_2(self, tmp_path, args, message):
+        path, _ = write_book_file(tmp_path, 400)
+        res = run_cli("estimate", "--epsilon", "0.2", *args, str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == f"triad: config error: {message}\n"
+
     def test_ideal_report_is_the_frozen_payload(self, tmp_path):
         # a golden run: every printed figure is pinned, in both formats; the
         # stored peak is 395 distinct drawn edges plus the 1,869 instances
@@ -865,6 +889,17 @@ class TestBench:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == f"triad: config error: manifest row 1: bad config.{key} value {value}\n"
+
+    def test_t_hat_out_of_float_range_exits_2(self, tmp_path):
+        good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
+        bad = {"family": "book", "params": {"k": 20},
+               "config": {"epsilon": 0.2, "t_hat": 10**400, "kappa_hat": 2}}
+        mf = tmp_path / "bad.json"
+        mf.write_text(json.dumps([good, bad]))
+        res = run_cli("bench", str(mf))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == ("triad: config error: r is out of float range for "
+                              f"epsilon 0.2, t_hat {10**400}, kappa_hat 2\n")
 
     def test_exact_bound_of_a_triangle_free_row_runs_at_one(self, tmp_path):
         row = {"family": "lb", "params": {"p": 3, "q": 2, "N": 9, "kind": "yes"},

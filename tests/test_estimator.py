@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from triad import estimator
-from triad.assignment import AssignmentTable, assign_triangle, saturated_estimates
+from triad.assignment import assign_rows
 from triad.errors import ConfigError, InputError
 from triad.estimator import (
     EstimatorConfig,
@@ -35,7 +35,7 @@ from triad.generators import (
 from triad.sampling import run_pass
 from triad.stream import EdgeStream
 
-from conftest import k_complete, path_graph
+from conftest import charged_edges, k_complete, path_graph, saturated_rows
 
 
 def stream_for(g, order_seed=None):
@@ -62,21 +62,21 @@ class ForcedSample(_Repetition):
 
 class TestComputeR:
     def test_frozen_arithmetic_and_cap(self):
-        # ceil(7 * log2(1001) / 0.04 * (2000 * 15) / (0.6 * 1000)) recomputed
-        expected = math.ceil(7 * math.log2(1001) / 0.04 * (2000 * 15) / (0.6 * 1000))
-        assert expected == 87214
-        assert compute_r(1001, 2000, 0.2, 1000, 3, c_r=7, cap=False) == 87214
+        # ceil(7 * log2(1001) / 0.04 * (2000 * 15) / (0.6 * 100000)) recomputed
+        expected = math.ceil(7 * math.log2(1001) / 0.04 * (2000 * 15) / (0.6 * 100_000))
+        assert expected == 873
+        assert compute_r(1001, 2000, 0.2, 100_000, 3, c_r=7) == 873
         assert compute_r(1001, 2000, 0.2, 1000, 3, c_r=7) == 2000  # capped at m
 
     def test_t_hat_scaling(self):
-        base = compute_r(1001, 2000, 0.2, 1000, 3, cap=False)
-        tenfold = compute_r(1001, 2000, 0.2, 10_000, 3, cap=False)
+        base = compute_r(1001, 2000, 0.2, 100_000, 3)
+        tenfold = compute_r(1001, 2000, 0.2, 1_000_000, 3)
         assert abs(10 * tenfold - base) <= 10
 
     def test_epsilon_halving_is_roughly_eightfold(self):
         # 1/eps^3 dependence; the assigned-fraction factor drifts slightly
-        base = compute_r(1001, 2000, 0.02, 1000, 3, cap=False)
-        halved = compute_r(1001, 2000, 0.01, 1000, 3, cap=False)
+        base = compute_r(1001, 2000, 0.02, 300_000_000, 3)
+        halved = compute_r(1001, 2000, 0.01, 300_000_000, 3)
         assert 7.5 <= halved / base <= 8.5
 
     def test_rejects_bad_t_hat(self):
@@ -235,18 +235,14 @@ class TestForcedSampleIdentity:
 
     @staticmethod
     def expected_assigned_total(g, epsilon, t_hat, kappa_hat):
-        est = saturated_estimates(g, epsilon, t_hat, kappa_hat)
-        table = AssignmentTable()
-        assigned = 0
-        for tri in enumerate_triangles(g):
-            if assign_triangle(tri, est, epsilon, kappa_hat, table) is not None:
-                assigned += 1
-        return assigned
+        _, y = saturated_rows(g, epsilon, t_hat, kappa_hat)
+        return int((assign_rows(y, epsilon, kappa_hat) >= 0).sum())
 
     def exact_conditional_expectation(self, g, epsilon, t_hat, kappa_hat):
         """E[Y | R = E] for one draw, by Fraction enumeration."""
-        est = saturated_estimates(g, epsilon, t_hat, kappa_hat)
-        table = AssignmentTable()
+        triangles, y = saturated_rows(g, epsilon, t_hat, kappa_hat)
+        charged = dict(zip(triangles, charged_edges(triangles,
+                                                    assign_rows(y, epsilon, kappa_hat))))
         edges = g.edge_list()
         d_r = sum(min(g.degree(u), g.degree(v)) for u, v in edges)
         total = Fraction(0)
@@ -259,7 +255,7 @@ class TestForcedSampleIdentity:
                 if w == other or not g.has_edge(other, w):
                     continue
                 tri = tuple(sorted((u, v, w)))
-                if assign_triangle(tri, est, epsilon, kappa_hat, table) == (u, v):
+                if charged[tri] == (u, v):
                     total += Fraction(d_e, d_r) * Fraction(1, d_e)
         return total, d_r
 

@@ -16,14 +16,14 @@ binary search between passes (`estimator.py` and `ideal.py` call no
 `searchsorted`: a degree counted in a pass is read through its
 `DegreeCounter`'s index), one owner per report (`cli.py` constructs
 no `RunReport` or `IdealReport`: each mode builds its report and the report
-serializes itself), one memo (no module but `assignment.py` constructs an
-`AssignmentTable`: the estimator keeps each repetition's memo as its
-triangle array and charged columns; the table stays as the tests'
-reference rule), and one trial runner (no script in `scripts/`
+serializes itself), one trial runner (no script in `scripts/`
 constructs an `EdgeStream` or an `EstimatorConfig` or calls `estimate`:
 each runs manifest rows through `cli.run_row`, as `triad bench` does),
 and every degradation flag documented (each flag string a library module
-appends to a `flags` list is named in README's flag list).
+appends to a `flags` list is named in README's flag list). One memo
+needs no rule here, since no second one exists: `assignment.assign_rows`
+is the only assignment rule, and the estimator keeps each repetition's
+memo as its triangle array and charged columns.
 `EdgeStream`'s public surface is the pass protocol, its stats and its two
 openers, and nothing else. The package loads each public name's module on
 first use, so the exact oracles import only `graph` and what it needs, and
@@ -388,22 +388,6 @@ def test_report_construction_is_caught():
                                                    "IdealReport (line 6)"]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "assignment.py"],
-                         ids=lambda p: p.name)
-def test_memo_is_arrays_outside_the_reference_rule(path):
-    assert constructions(path.read_text(encoding="utf-8"), {"AssignmentTable"}) == []
-
-
-def test_assignment_table_construction_is_caught():
-    source = "from triad import assignment\nfrom triad.assignment import AssignmentTable\n\n" \
-             "class Run:\n    def __init__(self):\n        self.table = AssignmentTable()\n\n" \
-             "    def tables(self, reps):\n" \
-             "        return [assignment.AssignmentTable() for _ in reps]\n\n" \
-             "def _annotated(table: AssignmentTable) -> int:\n    return len(table)\n"
-    assert constructions(source, {"AssignmentTable"}) == ["AssignmentTable (line 6)",
-                                                          "AssignmentTable (line 9)"]
-
-
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 TRIAL_PARTS = {"EdgeStream", "EstimatorConfig", "estimate"}
 
@@ -574,22 +558,16 @@ def test_exact_fallback_loads_the_graph_oracles_when_it_runs():
     assert out[2] == "60.0 60"
 
 
-def test_tables_and_saturated_estimates_load_the_oracles_lazily():
+def test_report_tables_load_no_graph_oracles():
     out = run_fresh(BOOK.format(k=400) + SAMPLED + (
-        "from triad.assignment import saturated_estimates\n"
         "from triad.idset import triangle_edges\n"
         "[table] = report.tables\n"
         "print(len(table) > 0, all(e is None or e in triangle_edges(tri)\n"
         "                          for tri, e in table.items()))\n"
-        "print('triad.graph' in sys.modules)\n"
-        "from triad.graph import Graph\n"
-        "k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])\n"
-        "print(sorted({(e.d_e, e.y) for e in saturated_estimates(k4, 0.2, 4, 3).values()}))\n"))
+        "print('triad.graph' in sys.modules)\n"))
     assert out[0] == "6 False"
     assert out[1] == "True True"
     assert out[2] == "False"
-    # in K4 every edge has degree 3 and lies in 2 triangles
-    assert out[3] == "[(3, 2.0)]"
 
 
 def test_star_import_and_dir_list_every_public_name():

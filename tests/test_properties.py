@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from triad import edgelist, sampling
-from triad.assignment import (
-    AssignmentTable, EdgeEstimate, INFINITY, assign_rows, assign_triangle, load_cutoff)
+from triad.assignment import INFINITY, assign_rows, load_cutoff
 from triad.errors import EdgeListError
 from triad.estimator import EstimatorConfig, _anchor_ends, _drive, _Repetition
 from triad.graph import (
     Graph,
     degeneracy,
+    enumerate_triangles,
     per_edge_triangles,
     pick_anchor,
     sum_edge_degrees,
@@ -32,7 +32,8 @@ from triad.idset import _presence, _relabel
 from triad.sampling import ClosureChecker, DegreeCounter, EdgePicker, IncidentPicker, run_pass
 from triad.stream import EdgeStream
 
-from conftest import brute_degeneracy, brute_triangle_count, read_pass, small_graphs
+from conftest import (
+    brute_degeneracy, brute_triangle_count, charged_edges, read_pass, small_graphs)
 
 
 @given(small_graphs())
@@ -99,11 +100,20 @@ def test_shared_passes_match_sequential_per_repetition(g, seed, order_seed):
     cfg = EstimatorConfig(epsilon=0.2, t_hat=max(1, triangles_exact_cn(g)),
                           kappa_hat=max(1, degeneracy(g)), repetitions=3,
                           seed=seed, scale=0.01, exact_fallback=False)
+    triangles = set(enumerate_triangles(g))
     outcomes = []
     for shared in (False, True):
         stream = EdgeStream.from_edges(g.edge_list(), order_seed=order_seed)
         reps = [_Repetition(stream.stats(), cfg, rep=i) for i in range(cfg.repetitions)]
         _drive(stream, [reps] if shared else [[rep] for rep in reps])
+        for rep in reps:
+            # each triangle is decided once: the memo rows are distinct
+            # sorted triangles of g, each charged to one of its edges or none
+            memo = [tuple(tri) for tri in rep.memo.tolist()]
+            assert len(set(memo)) == len(memo)
+            assert set(memo) <= triangles
+            assert len(rep.charged) == len(memo)
+            assert all(-1 <= column <= 2 for column in rep.charged.tolist())
         outcomes.append([(rep.x, rep.flags, rep.peak_items, rep.ell, rep.memo.tolist(),
                           rep.charged.tolist()) for rep in reps])
     assert outcomes[0] == outcomes[1]
@@ -258,30 +268,6 @@ def test_block_observers_match_brute_force(case):
 
 
 @given(
-    st.lists(
-        st.tuples(st.integers(0, 2),  # which edge of the triangle to ask about
-                  st.tuples(st.floats(0, 8), st.floats(0, 8), st.floats(0, 8))),
-        min_size=1, max_size=12,
-    ),
-    st.floats(0.05, 0.45),
-    st.integers(1, 4),
-)
-@settings(max_examples=150)
-def test_unique_assignment_under_arbitrary_call_sequences(calls, eps, kappa_hat):
-    # one shared table, arbitrary interleavings of queries about the same
-    # triangle: at most one edge may ever collect a YES
-    tri = (0, 1, 2)
-    edges = triangle_edges(tri)
-    table = AssignmentTable()
-    yes_edges = set()
-    for which, ys in calls:
-        est = {e: EdgeEstimate(e, 2, y) for e, y in zip(edges, ys)}
-        if assign_triangle(tri, est, eps, kappa_hat, table) == edges[which]:
-            yes_edges.add(edges[which])
-    assert len(yes_edges) <= 1
-
-
-@given(
     st.lists(st.tuples(*[st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, INFINITY])] * 3),
              max_size=20),
     st.floats(0.05, 0.45),
@@ -304,9 +290,8 @@ def test_columnar_rule_matches_the_per_triangle_minimum(rows, eps, kappa_hat):
 def test_infinite_estimates_never_assign(n_unused, seed_unused):
     tri = (0, 1, 2)
     edges = triangle_edges(tri)
-    est = {e: EdgeEstimate(e, 3, INFINITY) for e in edges}
-    table = AssignmentTable()
-    assert not any(assign_triangle(tri, est, 0.25, 2, table) == e for e in edges)
+    [winner] = charged_edges([tri], assign_rows([[INFINITY] * 3], 0.25, 2))
+    assert not any(winner == e for e in edges)
 
 
 # ids from a small pool, so repeats and self-loops are common, plus the
