@@ -52,18 +52,18 @@ def _ceil_size(name: str, size: Callable[[], float], **inputs) -> int:
 
 
 def compute_s(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
-              c_s: float = 61.0, scale: float = 1.0) -> int:
+              scale: float = 1.0) -> int:
     """Wedge samples per estimated edge.
 
-    ceil(scale * c_s * log2(n) / eps^2 * m * kappa_hat / t_hat); per-edge
-    saturation (sampling the whole neighborhood once s >= d_e) is handled
-    at request time.
+    ceil(scale * 61 * log2(n) / eps^2 * m * kappa_hat / t_hat); 61 is above
+    the analysis floor 60. Per-edge saturation (sampling the whole
+    neighborhood once s >= d_e) is handled at request time.
     """
     if t_hat < 1:
         raise ConfigError(f"t_hat must be >= 1, got {t_hat}")
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    return _ceil_size("s", lambda: scale * (c_s * _log2n(n) / (epsilon * epsilon)
+    return _ceil_size("s", lambda: scale * (61 * _log2n(n) / (epsilon * epsilon)
                                             * m * kappa_hat / t_hat),
                       epsilon=epsilon, t_hat=t_hat, kappa_hat=kappa_hat)
 

@@ -261,10 +261,13 @@ def _manifest_bound(row: int, key: str, value) -> int:
     return bound
 
 
+# the `config` keys a manifest row may leave out, for `EstimatorConfig`'s
+# defaults, and their types
+_CONFIG_DEFAULTED = {"repetitions": int, "scale": float, "share_passes": bool}
 # the keys a manifest row and its `config` may hold; its `params` may hold
 # those of _PARAM_TYPES
 _ROW_KEYS = ("family", "params", "config", "trials", "seed")
-_CONFIG_KEYS = ("epsilon", "t_hat", "kappa_hat", "repetitions", "scale", "share_passes")
+_CONFIG_KEYS = ("epsilon", "t_hat", "kappa_hat", *_CONFIG_DEFAULTED)
 
 
 # a checked manifest row; `config` carries the row's base seed, and 1 for
@@ -311,10 +314,8 @@ def parse_manifest(doc, seed: int = 0) -> list[BenchRow]:
         cfg = entry["config"]
         config = EstimatorConfig(
             epsilon=_manifest_value(i, "config.epsilon", cfg.get("epsilon"), float),
-            repetitions=_manifest_value(i, "config.repetitions", cfg.get("repetitions", 1), int),
-            scale=_manifest_value(i, "config.scale", cfg.get("scale", 1.0), float),
-            share_passes=_manifest_value(i, "config.share_passes",
-                                         cfg.get("share_passes", False), bool),
+            **{key: _manifest_value(i, f"config.{key}", cfg[key], cast)
+               for key, cast in _CONFIG_DEFAULTED.items() if key in cfg},
             seed=_manifest_value(i, "seed", entry.get("seed", seed), int),
             t_hat=_manifest_bound(i, "t_hat", cfg.get("t_hat", "exact")),
             kappa_hat=_manifest_bound(i, "kappa_hat", cfg.get("kappa_hat", "exact")),
@@ -328,8 +329,8 @@ def parse_manifest(doc, seed: int = 0) -> list[BenchRow]:
     return rows
 
 
-def run_row(row: BenchRow, fixed_clock: bool = False
-            ) -> Iterator[tuple[GroundTruth, EstimatorConfig, float, RunReport, float]]:
+def run_row(row: BenchRow) -> Iterator[tuple[GroundTruth, EstimatorConfig, float,
+                                             RunReport, float]]:
     """Generate a checked row's instance once and yield (truth, config,
     estimate, report, elapsed_ms) per trial. Trial t seeds the estimator and
     the stream order with the row's seed + t; only `estimate` is timed."""
@@ -349,7 +350,7 @@ def run_row(row: BenchRow, fixed_clock: bool = False
         stream = EdgeStream(edges, order_seed=trial_config.seed)
         started = time.perf_counter()
         value, report = estimate(stream, trial_config)
-        elapsed_ms = 0.0 if fixed_clock else (time.perf_counter() - started) * 1e3
+        elapsed_ms = (time.perf_counter() - started) * 1e3
         yield truth, trial_config, value, report, elapsed_ms
 
 
@@ -357,22 +358,23 @@ def cmd_bench(args) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # JSON text is UTF-8, so a file that does not decode is not JSON
+    except ValueError as exc:
+        # a JSONDecodeError, a UnicodeDecodeError (JSON text is UTF-8), or an
+        # integer past Python's limit on int-string conversion
         raise EdgeListError(f"manifest is not valid JSON: {exc}") from None
     rows = parse_manifest(doc, args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_BENCH_HEADER)
     for row in rows:
-        for truth, config, value, report, elapsed_ms in run_row(row, args.fixed_clock):
+        for truth, config, value, report, elapsed_ms in run_row(row):
             rel = (abs(value - truth.triangles) / truth.triangles
                    if truth.triangles > 0 else "")
             writer.writerow([
                 row.family, truth.n, truth.m, truth.triangles, truth.kappa,
                 config.epsilon, config.t_hat, config.kappa_hat, value, rel,
                 report.passes, report.stored_edges_peak, report.r, report.ell,
-                report.s, config.seed, elapsed_ms,
+                report.s, config.seed, 0.0 if args.fixed_clock else elapsed_ms,
             ])
     text = buf.getvalue()
     if args.out:

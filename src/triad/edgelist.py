@@ -20,13 +20,14 @@ narrowed afterwards when its ids allow. A chunk takes one of two paths:
 - any other chunk takes `_parse_chunk`, a few numpy passes over its bytes
   and fields, which keeps each edge's line offset within the chunk.
 
-The scan does not look for repeats. `read_edges` sorts for them with
-`_first_repeat`; `Graph.from_file` reads them off the CSR's own sort and
-calls `_first_repeat` only to name one. `parse_line` is the specification
-of one line: the first bad line in file order is re-parsed by it, so its
-message and line number are the ones reported. A repeated edge is
-reported at its second occurrence, and a repeat before the first bad line
-is reported in its place.
+The scan does not look for repeats; `EdgeScan.raise_first_fault` sorts
+for them with `_first_repeat`. `read_edges` calls it on every file, and
+`Graph.from_file`, which sees repeats in the CSR's own sort, only on a
+file with a bad line or a repeat, to name the first fault. `parse_line` is
+the specification of one line: the first bad line in file order is
+re-parsed by it, so its message and line number are the ones reported. A
+repeated edge is reported at its second occurrence, and a repeat before
+the first bad line is reported in its place.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def read_edges(path: str | os.PathLike) -> np.ndarray:
     array. Raises EdgeListError for the first bad line in file order.
     """
     scan = EdgeScan(path)
-    scan.raise_first_fault(_first_repeat(scan.edges))
+    scan.raise_first_fault()
     return scan.edges
 
 
@@ -144,9 +145,9 @@ class EdgeScan:
     `blocks` holds the canonical edges in file order up to the first bad
     line, one (k, 2) array a chunk, int32 where its ids allow, and `edges`
     joins them as one (m, 2) int64 array; every other check of `parse_line`
-    is done. The scan does not look for repeated edges: the caller finds the
-    row of the first repeat, if any, and `raise_first_fault` reports it or
-    the bad line, whichever comes first in the file.
+    is done. The scan does not look for repeated edges: `raise_first_fault`
+    finds the first repeat, if any, and reports it or the bad line,
+    whichever comes first in the file.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -192,11 +193,11 @@ class EdgeScan:
         row -= self._first_rows[chunk]
         return first + (row if offsets is None else int(offsets[row]))
 
-    def raise_first_fault(self, repeat: Optional[int]) -> None:
-        """Raise EdgeListError for the file's first fault, given the row of
-        the first edge that repeats an earlier one, or None; return if the
-        file has no fault."""
+    def raise_first_fault(self) -> None:
+        """Raise EdgeListError for the file's first fault, a repeated edge
+        or a bad line; return if the file has no fault."""
         # every row precedes the first bad line, so a repeat among them comes first
+        repeat = _first_repeat(self.edges)
         if repeat is not None:
             u, v = self.edges[repeat].tolist()
             raise EdgeListError(f"duplicate edge {u} {v}", self._line(repeat))

@@ -42,15 +42,15 @@ repetitions were asked for, and reports the exact count, flagged
 "exact-fallback". When ell or the projected wedge-sample budget exceeds m,
 the repetition drops what it has sampled and does the same on its next
 pass, so it never holds a sample and the graph at once; the planned wedge
-slots are then never counted as stored. The space budget abort_multiplier *
-(r + ell + s) is checked once, at the end of pass 4 (`_end_3`), against
-the discovered triangles, three items each, and the planned wedge slots;
-a repetition over it aborts with estimate 0 and a "space-abort" flag. R,
-pass 2's degree counter and the draws are never checked against it. Stored
-items count a draw as one item, its reference or, with its neighbor w, the
-edge (a, w), and each drawn edge once. A sampled repetition whose peak
-storage exceeds m, what storing the graph costs, is flagged
-"no-space-advantage"; its value stands. A settled
+slots are then never counted as stored. The space budget, abort_multiplier
+* (r + ell + s) rounded up, is checked once, at the end of pass 4
+(`_end_3`), against the discovered triangles, three items each, and the
+planned wedge slots; a repetition over it aborts with estimate 0 and a
+"space-abort" flag. R, pass 2's degree counter and the draws are never
+checked against it. Stored items count a draw as one item, its reference
+or, with its neighbor w, the edge (a, w), and each drawn edge once. A
+sampled repetition whose peak storage exceeds m, what storing the graph
+costs, is flagged "no-space-advantage"; its value stands. A settled
 repetition keeps only its value, flags, counters and memo. Each sampler
 draws from one generator keyed by (seed, role, repetition), so a fixed
 (source, order seed, config) is bit-reproducible, and multiplexing
@@ -97,20 +97,18 @@ _REPORT_KEYS = (
 
 @dataclass
 class EstimatorConfig:
-    """Inputs and constants for one estimation run.
+    """Inputs for one estimation run.
 
     t_hat is an a-priori lower bound on the triangle count, kappa_hat an
-    upper bound on the degeneracy. The c_* constants must stay above their
-    analysis floors (6, 20, 60); `scale` shrinks all three uniformly for
-    desk-scale experiments and flags the run as sub-theoretical.
+    upper bound on the degeneracy. The sample sizes r, ell and s carry the
+    constants 7, 21 and 61, just above their analysis floors 6, 20 and 60;
+    `scale` shrinks all three uniformly for desk-scale experiments and
+    flags the run as sub-theoretical.
     """
 
     epsilon: float
     t_hat: int
     kappa_hat: int
-    c_r: float = 7.0
-    c_ell: float = 21.0
-    c_s: float = 61.0
     repetitions: int = 1
     seed: int = 0
     scale: float = 1.0
@@ -126,15 +124,23 @@ class EstimatorConfig:
             raise ConfigError(f"t_hat must be >= 1, got {self.t_hat}")
         if self.kappa_hat < 1:
             raise ConfigError(f"kappa_hat must be >= 1, got {self.kappa_hat}")
-        for name, floor in (("c_r", 6), ("c_ell", 20), ("c_s", 60)):
-            _check_above(name, getattr(self, name), floor)
         if self.repetitions < 1 or self.repetitions % 2 == 0:
             raise ConfigError(f"repetitions must be odd and positive, got {self.repetitions}")
         if not 0 < self.scale <= 1:
             raise ConfigError(f"scale must lie in (0, 1], got {self.scale}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        _check_above("abort_multiplier", self.abort_multiplier, 1)
+        # NaN compares false with everything, and an infinite one makes no budget
+        if not math.isfinite(self.abort_multiplier):
+            raise ConfigError(f"abort_multiplier must be finite, got {self.abort_multiplier}")
+        if self.abort_multiplier <= 1:
+            raise ConfigError(f"abort_multiplier must exceed 1, got {self.abort_multiplier}")
+        # the least sizes any stream gives, at n = m = 1 and ell = 1: a size
+        # out of float range here is out of range on every stream, and is
+        # refused before the first pass
+        r = compute_r(1, 1, self.epsilon, self.t_hat, self.kappa_hat, scale=self.scale)
+        s = compute_s(1, 1, self.epsilon, self.t_hat, self.kappa_hat, scale=self.scale)
+        _space_budget(self.abort_multiplier, r + 1 + s)
         flags = []
         if self.epsilon >= 1 / 6:
             flags.append("epsilon-above-analysis")
@@ -146,50 +152,48 @@ class EstimatorConfig:
         return asdict(self)
 
 
-def _check_above(name: str, value: float, floor: float) -> None:
-    """A constant must be a finite number above its floor; NaN compares
-    false with everything, and an infinite one makes no sample size."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    if value <= floor:
-        raise ConfigError(f"{name} must exceed {floor}, got {value}")
+def _space_budget(abort_multiplier: float, items: int) -> int:
+    """The space budget abort_multiplier * items, rounded up."""
+    return _ceil_size("the space budget", lambda: abort_multiplier * items,
+                      abort_multiplier=abort_multiplier)
 
 
 def compute_r(n: int, m: int, epsilon: float, t_hat: int, kappa_hat: int,
-              c_r: float = 7.0, scale: float = 1.0) -> int:
+              scale: float = 1.0) -> int:
     """Uniform sample size.
 
-    ceil(scale * c_r * log2(n) / eps^2 * m * (kappa_hat / eps)
-         / ((1 - 2 eps) * t_hat)), capped at m. The kappa_hat / eps factor
-    bounds the largest per-edge assigned count, and (1 - 2 eps) bounds the
-    assigned fraction of triangles, so only the declared inputs appear.
-    Reaching the cap means sampling cannot beat storing the graph, and the
-    run degrades to exact counting.
+    ceil(scale * 7 * log2(n) / eps^2 * m * (kappa_hat / eps)
+         / ((1 - 2 eps) * t_hat)), capped at m; 7 is above the analysis
+    floor 6. The kappa_hat / eps factor bounds the largest per-edge
+    assigned count, and (1 - 2 eps) bounds the assigned fraction of
+    triangles, so only the declared inputs appear. Reaching the cap means
+    sampling cannot beat storing the graph, and the run degrades to exact
+    counting.
     """
     if t_hat < 1:
         raise ConfigError(f"t_hat must be >= 1, got {t_hat}")
     if not 0 < epsilon < 0.5:
         raise ConfigError(f"epsilon must lie in (0, 0.5), got {epsilon}")
     r = _ceil_size("r", lambda: scale * (
-        c_r * _log2n(n) / (epsilon * epsilon)
+        7 * _log2n(n) / (epsilon * epsilon)
         * (m * (kappa_hat / epsilon)) / ((1 - 2 * epsilon) * t_hat)),
         epsilon=epsilon, t_hat=t_hat, kappa_hat=kappa_hat)
     return min(r, m)
 
 
 def compute_ell(n: int, m: int, epsilon: float, t_hat: int, r: int, d_r: int,
-                c_ell: float = 21.0, scale: float = 1.0) -> int:
+                scale: float = 1.0) -> int:
     """Number of degree-proportional draws from the sampled set.
 
-    ceil(scale * c_ell * log2(n) / eps^2 * m * d_R / (r * (1 - 2 eps) *
-    t_hat)). The run-level cap at m (with exact fallback) is enforced by the
-    caller, not here.
+    ceil(scale * 21 * log2(n) / eps^2 * m * d_R / (r * (1 - 2 eps) *
+    t_hat)); 21 is above the analysis floor 20. The run-level cap at m
+    (with exact fallback) is enforced by the caller, not here.
     """
     if d_r <= 0:
         raise InputError(f"d_R must be positive, got {d_r}")
     if not 0 < epsilon < 0.5:
         raise ConfigError(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    return _ceil_size("ell", lambda: scale * (c_ell * _log2n(n) / (epsilon * epsilon)
+    return _ceil_size("ell", lambda: scale * (21 * _log2n(n) / (epsilon * epsilon)
                                               * (m * d_r) / (r * (1 - 2 * epsilon) * t_hat)),
                       epsilon=epsilon, t_hat=t_hat)
 
@@ -432,9 +436,9 @@ class _Repetition(_StageMachine):
         self.memo, self.charged = _NO_TRIANGLES, _NO_IDS
 
         self.r = compute_r(self.n, self.m, config.epsilon, config.t_hat,
-                           config.kappa_hat, config.c_r, config.scale)
+                           config.kappa_hat, scale=config.scale)
         self.s = compute_s(self.n, self.m, config.epsilon, config.t_hat,
-                           config.kappa_hat, config.c_s, config.scale)
+                           config.kappa_hat, scale=config.scale)
         self.ell = 0
         self.d_r = 0
         self._fallback_next = config.exact_fallback and self.r >= self.m
@@ -472,9 +476,7 @@ class _Repetition(_StageMachine):
             self.flags.append("no-space-advantage")
 
     def _abort_budget(self) -> int:
-        return _ceil_size("the space budget",
-                          lambda: self.cfg.abort_multiplier * (self.r + self.ell + self.s),
-                          abort_multiplier=self.cfg.abort_multiplier)
+        return _space_budget(self.cfg.abort_multiplier, self.r + self.ell + self.s)
 
     # -- exact fallback: a pass that collects the graph in place of a stage --
 
@@ -523,7 +525,7 @@ class _Repetition(_StageMachine):
         self.d_r = int(slot_degrees.sum())
         cfg = self.cfg
         self.ell = compute_ell(self.n, self.m, cfg.epsilon, cfg.t_hat,
-                               self.r, self.d_r, cfg.c_ell, cfg.scale)
+                               self.r, self.d_r, scale=cfg.scale)
         if cfg.exact_fallback and self.ell > self.m:
             self._fallback_next = True
         else:

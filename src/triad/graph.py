@@ -3,7 +3,7 @@
 These are the ground truth the streaming estimators are verified against:
 exact degrees and edge degrees, degeneracy, two independent triangle
 counters, per-edge triangle counts, and the heavy / costly classification
-consumed by the assignment rule.
+of the paper's analysis, which only the acceptance tests read.
 
 A Graph is one compressed sparse row (CSR) adjacency: `indptr` holds n + 1
 row offsets and `indices` the 2m neighbor ids, sorted within each row; both
@@ -146,10 +146,10 @@ class Graph:
         """
         scan = edgelist.EdgeScan(path)
         if scan.bad is not None:
-            scan.raise_first_fault(edgelist._first_repeat(scan.edges))
+            scan.raise_first_fault()
         g, repeats = cls._relabelled(scan.blocks)
         if repeats:
-            scan.raise_first_fault(edgelist._first_repeat(scan.edges))
+            scan.raise_first_fault()
         return g
 
     @classmethod

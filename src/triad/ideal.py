@@ -21,12 +21,12 @@ instance one item, its reference to that edge and then its neighbor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .assignment import _ceil_size
 from .errors import ConfigError, InputError
 from .estimator import _EDGE_HI, _EDGE_LO, _REPORT_KEYS, _StageMachine, _drive
 from .sampling import ROLE_WEIGHTED_SAMPLE, EdgePicker, run_pass
@@ -159,6 +159,12 @@ def ideal_sample(stream, oracle, count: int, seed: int,
     return run.x, d_e_total, run.hits
 
 
+def _group_size(epsilon: float, t_hat: int, d_e_total: int) -> int:
+    """ceil(4 * d_E / (eps^2 * t_hat)) instances per group, at least 1."""
+    return _ceil_size("the instance count", lambda: 4 * d_e_total / (epsilon * epsilon * t_hat),
+                      epsilon=epsilon, t_hat=t_hat)
+
+
 def ideal_estimate(stream, oracle, epsilon: float, t_hat: int,
                    seed: int) -> tuple[float, IdealReport]:
     """Median of 7 group means over ceil(4 * d_E / (eps^2 * t_hat)) instances
@@ -173,6 +179,10 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int,
     if t_hat < 1:
         raise ConfigError(f"t_hat must be >= 1, got {t_hat}")
 
+    # d_E >= 1 on any stream with an edge: a count out of float range here
+    # is out of range on every stream, and is refused before the sizing pass
+    _group_size(epsilon, t_hat, 1)
+
     # sizing pass, not charged to the 3-pass budget: the d_e axis's length
     sizing = _OracleWeights((), oracle)
     run_pass(stream, [sizing])
@@ -181,15 +191,8 @@ def ideal_estimate(stream, oracle, epsilon: float, t_hat: int,
         raise InputError("cannot estimate on a stream with no edges")
 
     groups = 7
-    # numpy draws at most 2**63 - 1 positions at once; eps^2 * t_hat
-    # underflows to 0, or the quotient overflows to inf, only far past that
-    try:
-        bound = epsilon * epsilon * t_hat
-    except OverflowError:  # a t_hat too large for a float
-        raise ConfigError(f"the instance count is out of float range for "
-                          f"epsilon {epsilon}, t_hat {t_hat}") from None
-    per_group = 4 * d_e_total / bound if bound > 0 else math.inf
-    group_size = max(1, math.ceil(per_group)) if math.isfinite(per_group) else math.inf
+    group_size = _group_size(epsilon, t_hat, d_e_total)
+    # numpy draws at most 2**63 - 1 positions at once
     if groups * group_size >= 2**63:
         raise ConfigError(f"epsilon {epsilon} and t_hat {t_hat} ask for "
                           f"{groups * group_size} instances, more than one run can draw")

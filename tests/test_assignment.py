@@ -31,7 +31,7 @@ class TestComputeS:
         # ceil(61 * log2(1001) / 0.04 * 1997 * 2 / 998), recomputed exactly
         expected = math.ceil(61 * math.log2(1001) / 0.04 * 1997 * 2 / 998)
         assert expected == 60831
-        assert compute_s(1001, 1997, 0.2, 998, 2, c_s=61) == 60831
+        assert compute_s(1001, 1997, 0.2, 998, 2) == 60831
 
     def test_t_hat_scaling(self):
         base = compute_s(1001, 1997, 0.2, 998, 2)

@@ -11,6 +11,7 @@ import pytest
 
 from triad import cli, edgelist
 from triad.assignment import compute_s
+from triad.errors import ConfigError
 from triad.estimator import EstimatorConfig
 from triad.generators import gen_book, gen_preferential_attachment, gen_wheel
 from triad.graph import Graph
@@ -684,7 +685,8 @@ class TestEstimate:
          "r is out of float range for epsilon 1e-160, t_hat 400, kappa_hat 2"),
         (("--t-hat", "400", "--kappa-hat", "2", "--epsilon", "1e-170"),
          "r is out of float range for epsilon 1e-170, t_hat 400, kappa_hat 2"),
-        # a sampled run: the budget is first read at pass 4's end
+        # the budget at the least r, ell and s any stream gives, read before
+        # the first pass
         (("--t-hat", "400", "--kappa-hat", "2", "--scale", "0.004",
           "--abort-multiplier", "1e308"),
          "the space budget is out of float range for abort_multiplier 1e+308"),
@@ -898,8 +900,39 @@ class TestBench:
         mf.write_text(json.dumps([good, bad]))
         res = run_cli("bench", str(mf))
         assert (res.returncode, res.stdout) == (2, "")
-        assert res.stderr == ("triad: config error: r is out of float range for "
-                              f"epsilon 0.2, t_hat {10**400}, kappa_hat 2\n")
+        assert res.stderr == ("triad: config error: manifest row 1: r is out of float range "
+                              f"for epsilon 0.2, t_hat {10**400}, kappa_hat 2\n")
+
+    def test_size_out_of_float_range_is_a_row_error_at_parse_time(self):
+        # refused before row 0's instance is generated
+        good = {"family": "book", "params": {"k": 20}, "config": {"epsilon": 0.2}}
+        bad = {"family": "book", "params": {"k": 20},
+               "config": {"epsilon": 0.2, "t_hat": 10**400, "kappa_hat": 2}}
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_manifest([good, bad])
+        assert str(exc.value) == ("manifest row 1: r is out of float range for "
+                                  f"epsilon 0.2, t_hat {10**400}, kappa_hat 2")
+
+    def test_row_defaults_match_the_config_defaults(self):
+        # config keys a row leaves out take EstimatorConfig's defaults
+        [row] = cli.parse_manifest([{"family": "book", "params": {"k": 20},
+                                     "config": {"epsilon": 0.2, "t_hat": 20, "kappa_hat": 2}}])
+        assert row.config == EstimatorConfig(epsilon=0.2, t_hat=20, kappa_hat=2)
+
+    @pytest.mark.parametrize("args, env, fixed", [
+        ((), {"TRIAD_FIXED_CLOCK": "0"}, False),
+        (("--fixed-clock",), {"TRIAD_FIXED_CLOCK": "0"}, True),
+        ((), {"TRIAD_FIXED_CLOCK": "1"}, True),
+    ], ids=["timed", "flag", "env"])
+    def test_wall_time_is_zero_only_on_a_fixed_clock(self, tmp_path, args, env, fixed):
+        mf = tmp_path / "m.json"
+        mf.write_text(json.dumps([{"family": "book", "params": {"k": 20},
+                                   "config": {"epsilon": 0.2, "scale": 0.004}}]))
+        res = run_cli("bench", str(mf), *args, env_extra=env)
+        assert res.returncode == 0, res.stderr
+        [row] = res.stdout.splitlines()[1:]
+        wall_time_ms = row.split(",")[-1]
+        assert (wall_time_ms == "0.0") if fixed else (float(wall_time_ms) > 0)
 
     def test_exact_bound_of_a_triangle_free_row_runs_at_one(self, tmp_path):
         row = {"family": "lb", "params": {"p": 3, "q": 2, "N": 9, "kind": "yes"},
@@ -924,6 +957,16 @@ class TestBench:
         assert res.returncode == 3
         assert res.stderr.startswith("triad: parse error: manifest is not valid JSON: ")
         assert "Traceback" not in res.stderr
+
+    def test_integer_past_the_conversion_limit_exits_3(self, tmp_path):
+        # Python refuses to read an int of more than 4,300 digits from text
+        mf = tmp_path / "long.json"
+        mf.write_text('[{"family": "book", "params": {"k": 20}, '
+                      '"config": {"epsilon": 0.2, "t_hat": 1' + "0" * 5000 + '}}]')
+        res = run_cli("bench", str(mf))
+        assert (res.returncode, res.stdout) == (3, "")
+        [line] = res.stderr.splitlines()
+        assert line.startswith("triad: parse error: manifest is not valid JSON: ")
 
     def test_byte_identical_reruns(self, tmp_path):
         mf = tmp_path / "m.json"

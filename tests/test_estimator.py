@@ -65,8 +65,8 @@ class TestComputeR:
         # ceil(7 * log2(1001) / 0.04 * (2000 * 15) / (0.6 * 100000)) recomputed
         expected = math.ceil(7 * math.log2(1001) / 0.04 * (2000 * 15) / (0.6 * 100_000))
         assert expected == 873
-        assert compute_r(1001, 2000, 0.2, 100_000, 3, c_r=7) == 873
-        assert compute_r(1001, 2000, 0.2, 1000, 3, c_r=7) == 2000  # capped at m
+        assert compute_r(1001, 2000, 0.2, 100_000, 3) == 873
+        assert compute_r(1001, 2000, 0.2, 1000, 3) == 2000  # capped at m
 
     def test_t_hat_scaling(self):
         base = compute_r(1001, 2000, 0.2, 100_000, 3)
@@ -95,7 +95,7 @@ class TestComputeEll:
     def test_frozen_arithmetic(self):
         expected = math.ceil(21 * math.log2(1001) / 0.04 * (2000 * 1500) / (500 * 0.6 * 1000))
         assert expected == 52328
-        assert compute_ell(1001, 2000, 0.2, 1000, r=500, d_r=1500, c_ell=21) == 52328
+        assert compute_ell(1001, 2000, 0.2, 1000, r=500, d_r=1500) == 52328
 
     def test_doubling_d_r_doubles_ell(self):
         a = compute_ell(1001, 2000, 0.2, 1000, r=500, d_r=1500)
@@ -134,19 +134,33 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", 0.0), ("epsilon", 0.5), ("epsilon", -0.1),
         ("t_hat", 0), ("kappa_hat", 0),
-        ("c_r", 6.0), ("c_ell", 20.0), ("c_s", 60.0),
         ("repetitions", 0), ("repetitions", 2),
         ("scale", 0.0), ("scale", 1.5),
         ("seed", -1), ("abort_multiplier", 1.0),
-        # NaN compares false with every bound; an infinite constant makes no
-        # sample size
-        ("c_r", math.nan), ("c_ell", math.nan), ("c_s", math.nan), ("c_r", math.inf),
+        # NaN compares false with every bound; an infinite multiplier makes
+        # no budget
         ("abort_multiplier", math.nan), ("abort_multiplier", math.inf),
         ("epsilon", math.nan), ("scale", math.nan),
     ])
     def test_rejected_values(self, field, value):
         with pytest.raises(ConfigError):
             replace(self.good(), **{field: value}).validate()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"t_hat": 10**400},
+         f"r is out of float range for epsilon 0.2, t_hat {10**400}, kappa_hat 2"),
+        # the budget at the least r, ell and s is already past float range
+        ({"scale": 0.004, "abort_multiplier": 1e308},
+         "the space budget is out of float range for abort_multiplier 1e+308"),
+    ], ids=["t_hat", "abort_multiplier"])
+    def test_sizes_out_of_float_range_are_refused_before_any_pass(self, change, message):
+        g, _ = gen_book(400)
+        stream = stream_for(g)
+        cfg = EstimatorConfig(**{"epsilon": 0.2, "t_hat": 400, "kappa_hat": 2, **change})
+        with pytest.raises(ConfigError) as exc:
+            estimate(stream, cfg)
+        assert str(exc.value) == message
+        assert stream.pass_counter == 0
 
 
 class TestEstimateOnce:

@@ -34,6 +34,7 @@ from triad.generators import (
     gen_wheel,
     lb_spec,
 )
+from triad.stream import EdgeStream
 
 from conftest import (
     bisect_triangles,
@@ -267,16 +268,18 @@ class TestFromFileFaults:
 
     @pytest.mark.parametrize("chunk", [1, 8, edgelist.CHUNK_BYTES])
     def test_first_fault_in_file_order(self, tmp_path, monkeypatch, chunk):
+        # both callers of `raise_first_fault` name the same first fault
         monkeypatch.setattr(edgelist, "CHUNK_BYTES", chunk)
         p = tmp_path / "faults.el"
-        p.write_bytes(b"1 2\n2 3\n4 x\n2 1\n")
-        with pytest.raises(EdgeListError, match="non-integer vertex id") as err:
-            Graph.from_file(p)
-        assert err.value.lineno == 3
-        p.write_bytes(b"1 2\n2 3\n2 1\n4 x\n")
-        with pytest.raises(EdgeListError, match="duplicate edge 1 2") as err:
-            Graph.from_file(p)
-        assert err.value.lineno == 3
+        for load in (Graph.from_file, EdgeStream.from_file):
+            p.write_bytes(b"1 2\n2 3\n4 x\n2 1\n")
+            with pytest.raises(EdgeListError, match="non-integer vertex id") as err:
+                load(p)
+            assert err.value.lineno == 3
+            p.write_bytes(b"1 2\n2 3\n2 1\n4 x\n")
+            with pytest.raises(EdgeListError, match="duplicate edge 1 2") as err:
+                load(p)
+            assert err.value.lineno == 3
 
     def test_a_clean_file_sorts_its_keys_once(self, tmp_path, monkeypatch):
         # the CSR's sort shows there is no repeat; `_first_repeat` runs

@@ -225,14 +225,26 @@ class TestMedianOfMeans:
         with pytest.raises(ConfigError):
             ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=1.5, t_hat=1, seed=0)
 
-    @pytest.mark.parametrize("epsilon, count", [(1e-9, "56027999999999992659968"),
-                                                (1e-200, "inf")])
-    def test_instance_count_past_any_draw_is_a_config_error(self, epsilon, count):
+    @pytest.mark.parametrize("epsilon, message", [
+        pytest.param(1e-9, "ask for 56027999999999992659968 instances",
+                     id="1e-09-56027999999999992659968"),
+        pytest.param(1e-200, "the instance count is out of float range for epsilon 1e-200, "
+                     "t_hat 1", id="1e-200-inf"),
+    ])
+    def test_instance_count_past_any_draw_is_a_config_error(self, epsilon, message):
         # numpy refuses 2**63 positions or more before allocating any; an
-        # eps^2 that underflows to 0 asks for unboundedly many
+        # eps^2 that underflows to 0 would ask for unboundedly many
         g, _ = gen_book(400)
-        with pytest.raises(ConfigError, match=f"ask for {count} instances"):
+        with pytest.raises(ConfigError, match=message):
             ideal_estimate(fresh_stream(g), DegreeOracle(g), epsilon=epsilon, t_hat=1, seed=0)
+
+    @pytest.mark.parametrize("epsilon, t_hat", [(0.2, 10**400), (1e-200, 1)])
+    def test_count_out_of_float_range_is_refused_before_any_pass(self, epsilon, t_hat):
+        g, _ = gen_book(400)
+        stream = fresh_stream(g)
+        with pytest.raises(ConfigError, match="the instance count is out of float range"):
+            ideal_estimate(stream, DegreeOracle(g), epsilon=epsilon, t_hat=t_hat, seed=0)
+        assert stream.pass_counter == 0
 
 
 def drive_stages(g: Graph, count: int, seed: int):
